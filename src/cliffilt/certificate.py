@@ -8,7 +8,6 @@ identifies the first violated constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,3 @@ def passing(check: str) -> Certificate:
 def failing(check: str, **witness) -> Certificate:
     return Certificate(check, False, witness)
 
-
-def combine(check: str, parts: Iterable[Certificate]) -> Certificate:
-    """Aggregate sub-checks; the first failure becomes the witness."""
-    for part in parts:
-        if not part.passed:
-            witness = {"failed": part.check}
-            if part.witness:
-                witness.update(part.witness)
-            return Certificate(check, False, witness)
-    return Certificate(check, True, None)

@@ -1,22 +1,25 @@
 """Deformation of filtered supermodules into graded off-shell data.
 
-An off-shell representation is a nonnegatively graded free module over
-a polynomial generator H of degree 2, carrying odd degree-1 operators
-Q_i with
+The correspondence is written once, over k filtration directions.  One
+Clifford family per direction acts on 2^k parity components, family d
+flipping the d-th parity and mapping the flag F_x at each point x of the
+grid 0..top_1 x ... x 0..top_k into F_{x + e_d}.  `_deform` makes a
+`GradedRep` of it: components V_x = F_x in canonical bases, per
+direction a shift S_d of degree 2 e_d (the flag inclusions) and odd Q
+of degree e_d (the gamma action), with S_d injective,
+[S_d, S_e] = [S_d, Q] = 0, {Q_i, Q_j} = 2 G[i][j] S_d within family d
+and {Q, Q'} = 0 across families.  Above the stored grid the data repeats
+with period two, each shift acting there as the identity.  `_quotient`
+evaluates the shifts at positive shell values, collapsing onto the 2^k
+corners of the grid, and `_roundtrip` certifies that the quotient at
+shell 1 of a deformation is the filtered module it came from.
 
-    Q_i Q_j + Q_j Q_i = 2 G[i][j] H,      [H, Q_i] = 0,
-
-H injective in every degree.  Only the components of degree 0..m are
-stored; in higher degrees the data repeats with period two (the
-component of degree p > m reuses the coordinates of degree p - 2 and H
-acts there as the identity), which normalizes the isomorphisms H:
-V_p -> V_{p+2} that exist above the top degree.
-
-`deform` builds such a representation out of a filtration, with V_p the
-level F_p in the canonical basis of its flag; `quotient_at` collapses a
-representation back onto its top two components, evaluating H at a
-positive rational shell value; the two are mutually inverse and
-`canonical_roundtrip_iso` produces the explicit identification.
+k = 1, with the shift the Hamiltonian H, is the correspondence between
+filtered Cl(N)-supermodules and graded off-shell representations of
+p^{1|N}: `deform`, `verify_offshell`, `quotient_at` (which also takes
+shell 0, the graded quotient by the image of H) and
+`canonical_roundtrip_iso` over `OffShellRep`.  `bifiltration` holds the
+k = 2 case.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
+from typing import NamedTuple
 
 from .certificate import Certificate, failing, passing
 from .clifford import CliffordAlgebra, CliffordElement
@@ -34,73 +39,319 @@ from .supermodule import (
     check_filtration,
 )
 
+# ---------------------------------------------------------------------------
+# The engine.  A grid point has one coordinate per direction; a parity
+# component is a tuple of 0s and 1s.
 
-class OffShellRep:
+
+def _points(tops):
+    """Grid points in lexicographic order, the first direction slowest."""
+    return product(*(range(t + 1) for t in tops))
+
+
+def _step(x, d: int, by: int):
+    return x[:d] + (x[d] + by,) + x[d + 1:]
+
+
+def _fold(x, tops):
+    """The grid point whose data a point above the grid repeats."""
+    return tuple(c if c <= t else t - (c - t) % 2 for c, t in zip(x, tops))
+
+
+def _corner(parity, tops):
+    """The top grid point of a parity, where the flags are full."""
+    return tuple(t if t % 2 == a else t - 1 for a, t in zip(parity, tops))
+
+
+def _parity(x):
+    return tuple(c % 2 for c in x)
+
+
+def _nest(values: dict, tops, prefix=()):
+    """Values at the grid points as tuples nested one level per direction."""
+    if len(prefix) == len(tops):
+        return values[prefix]
+    return tuple(_nest(values, tops, prefix + (c,)) for c in range(tops[len(prefix)] + 1))
+
+
+def _grid(dims, k: int) -> tuple:
+    """dims nested k deep, normalized to tuples of ints, and as {point: dim}."""
+    if k == 0:
+        return int(dims), {(): int(dims)}
+    rows = [_grid(row, k - 1) for row in dims]
+    if len(rows) < 2 or any(row[1].keys() != rows[0][1].keys() for row in rows):
+        raise ValueError("the grid must be rectangular and cover 0..1 in each direction")
+    flat = {(c,) + x: d for c, row in enumerate(rows) for x, d in row[1].items()}
+    return tuple(row[0] for row in rows), flat
+
+
+class _Words(NamedTuple):
+    """Certificate vocabulary for one k.  Tuples run over directions (one Q
+    family each); shift_q is indexed [family][shift direction]."""
+
+    relations: str
+    point: tuple  # witness keys of a grid point
+    generator: tuple  # witness key naming a generator, per family
+    injective: tuple
+    anticommutator: tuple
+    shift_q: tuple
+    roundtrip: str
+    component: str  # witness key of a parity component
+    intertwine: tuple  # (kind, generator key) per family
+
+
+class GradedRep:
+    """Graded components on a grid of k directions, shifts and Q families.
+
+    `dims` nests one level per direction.  shifts[d] holds, at each grid
+    point x with x_d <= top_d - 2, the shift from x to x + 2 e_d; qs[d][i]
+    holds, at every grid point x, generator i of family d as a map from x
+    to x + e_d folded back onto the grid.  Subclasses fix k, translate
+    their constructor arguments and attributes, and name their `_words`.
+    """
+
+    _words: _Words
+
+    def __init__(self, algebras, dims, shifts, qs):
+        algebras = tuple(algebras)
+        k = len(algebras)
+        dims, grid = _grid(dims, k)
+        tops = tuple(max(x[d] for x in grid) for d in range(k))
+        shifts = tuple(dict(s) for s in shifts)
+        qs = tuple(tuple(dict(q) for q in family) for family in qs)
+        for d, (algebra, family) in enumerate(zip(algebras, qs)):
+            if len(family) != algebra.n:
+                raise ValueError("need one Q family per generator")
+            _check_maps(shifts[d], grid, {x: grid[_step(x, d, 2)]
+                                          for x in grid if x[d] <= tops[d] - 2}, "shift")
+            targets = {x: grid[_fold(_step(x, d, 1), tops)] for x in grid}
+            for q in family:
+                _check_maps(q, grid, targets, "Q")
+        self.algebras, self.dims, self.tops, self.shifts, self.qs = algebras, dims, tops, shifts, qs
+        self._grid = grid
+
+    def component_dim(self, x) -> int:
+        return 0 if min(x) < 0 else self._grid[_fold(x, self.tops)]
+
+    def shift(self, d: int, x) -> Matrix:
+        """S_d from x to x + 2 e_d; the identity above the top two rows."""
+        if min(x) < 0:
+            return Matrix.zeros(0, self.component_dim(_step(x, d, 2)))
+        x = _fold(x, self.tops)
+        if x[d] >= self.tops[d] - 1:
+            return Matrix.identity(self._grid[x])
+        return self.shifts[d][x]
+
+    def q(self, d: int, i: int, x) -> Matrix:
+        """Generator i of family d from x to x + e_d, two-periodic above the grid."""
+        if min(x) < 0:
+            return Matrix.zeros(0, self.component_dim(_step(x, d, 1)))
+        return self.qs[d][i][_fold(x, self.tops)]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, a) == getattr(other, a) for a in ("algebras", "dims", "shifts", "qs"))
+
+
+def _check_maps(maps: dict, grid: dict, targets: dict, what: str) -> None:
+    """Maps sit exactly at the points of `targets`, each of the right shape."""
+    if maps.keys() != targets.keys():
+        raise ValueError(f"{what} maps are not keyed by the expected grid points")
+    for x, cols in targets.items():
+        if (maps[x].rows, maps[x].cols) != (grid[x], cols):
+            raise ValueError(f"{what} map at {x} has the wrong shape")
+
+
+class _Filtered(NamedTuple):
+    """A filtered module over k directions.  dims and each gammas[d][i] are
+    keyed by parity component, gammas[d][i] mapping c to c with its d-th
+    parity flipped; flags holds F_x at every grid point in order."""
+
+    algebras: tuple
+    tops: tuple
+    dims: dict
+    gammas: tuple
+    flags: dict
+
+
+def _deform(v: _Filtered, cls):
+    """The graded representation of a valid filtered module, as a `cls`."""
+    shifts = [{} for _ in v.tops]
+    qs = [[{} for _ in family] for family in v.gammas]
+    for x, flag in v.flags.items():
+        for d, top in enumerate(v.tops):
+            if x[d] <= top - 2:
+                shifts[d][x] = v.flags[_step(x, d, 2)].coordinate_matrix(flag.basis)
+            target = v.flags[_fold(_step(x, d, 1), v.tops)]
+            for i, gamma in enumerate(v.gammas[d]):
+                qs[d][i][x] = target.coordinate_matrix(flag.basis * gamma[_parity(x)])
+    rep = cls.__new__(cls)
+    dims = _nest({x: flag.dim for x, flag in v.flags.items()}, v.tops)
+    GradedRep.__init__(rep, v.algebras, dims, shifts, qs)
+    return rep
+
+
+def _singular_shift(r: GradedRep):
+    """(direction, point) of the first shift that is not injective, or None."""
+    for d, shifts in enumerate(r.shifts):
+        for x, mat in shifts.items():
+            if mat.rank() != mat.rows:
+                return d, x
+    return None
+
+
+def _shifts_commute(r: GradedRep, x, d: int, e: int) -> bool:
+    return r.shift(d, x) * r.shift(e, _step(x, d, 2)) == r.shift(e, x) * r.shift(d, _step(x, e, 2))
+
+
+def _verify(r: GradedRep) -> Certificate:
+    """Shift injectivity; then, point by point, shift commutation, each
+    family's anticommutators, the mixed brackets and the shift-Q
+    commutators.  The first failure is the witness."""
+    w = r._words
+    singular = _singular_shift(r)
+    if singular is not None:
+        d, x = singular
+        return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
+    pairs = list(combinations(range(len(r.tops)), 2))
+    for x in _points(r.tops):
+        at = dict(zip(w.point, x))
+        for d, e in pairs:
+            if not _shifts_commute(r, x, d, e):
+                return failing(w.relations, kind="shifts_commute", **at)
+        for d, algebra in enumerate(r.algebras):
+            gram, up, s = algebra.gram.entries, _step(x, d, 1), r.shift(d, x)
+            for i in range(algebra.n):
+                for j in range(i, algebra.n):
+                    lhs = r.q(d, i, x) * r.q(d, j, up) + r.q(d, j, x) * r.q(d, i, up)
+                    if lhs != s.scale(2 * gram[i][j]):
+                        return failing(w.relations, kind=w.anticommutator[d], i=i, j=j, **at)
+        for d, e in pairs:
+            for i in range(r.algebras[d].n):
+                for j in range(r.algebras[e].n):
+                    mixed = (r.q(d, i, x) * r.q(e, j, _step(x, d, 1))
+                             + r.q(e, j, x) * r.q(d, i, _step(x, e, 1)))
+                    if not mixed.is_zero():
+                        return failing(w.relations, kind="mixed_bracket",
+                                       **{w.generator[d]: i, w.generator[e]: j}, **at)
+        for d, algebra in enumerate(r.algebras):
+            for i in range(algebra.n):
+                for e in range(len(r.tops)):
+                    lhs = r.shift(e, x) * r.q(d, i, _step(x, e, 2))
+                    if lhs != r.q(d, i, x) * r.shift(e, _step(x, d, 1)):
+                        return failing(w.relations, kind=w.shift_q[d][e],
+                                       **{w.generator[d]: i}, **at)
+    return passing(w.relations)
+
+
+def _require_shifts(r: GradedRep) -> None:
+    """Raise ValueError unless the shifts are injective and commute: the
+    quotient needs both, and would silently be wrong without them."""
+    singular = _singular_shift(r)
+    if singular is not None:
+        raise ValueError(f"shift not injective at {singular[1]}")
+    for x in _points(r.tops):
+        for d, e in combinations(range(len(r.tops)), 2):
+            if not _shifts_commute(r, x, d, e):
+                raise ValueError(f"shifts do not commute at {x}")
+
+
+def _quotient(r: GradedRep, shells) -> _Filtered:
+    """Evaluate each S_d at its shell value shells[d] > 0.  The corners
+    carry the stored Q maps, those leaving the grid's top in their
+    direction scaled by that shell value, and the algebras the scaled
+    Gram matrices; the flag at x is the image of V_x under the composite
+    shifts into the corner of its parity, one direction after another."""
+    _require_shifts(r)
+    tops = r.tops
+    corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
+    dims = {c: r._grid[corner] for c, corner in corners.items()}
+    gammas = tuple(
+        tuple({c: q[x].scale(shell) if x[d] == tops[d] else q[x] for c, x in corners.items()}
+              for q in family)
+        for d, (family, shell) in enumerate(zip(r.qs, shells))
+    )
+    flags = {}
+    for x in _points(tops):
+        corner = corners[_parity(x)]
+        composite, at = Matrix.identity(r._grid[x]), x
+        for d in range(len(tops)):
+            for c in range(x[d], corner[d], 2):
+                at = at[:d] + (c,) + at[d + 1:]
+                composite = composite * r.shift(d, at)
+            at = at[:d] + (corner[d],) + at[d + 1:]
+        flags[x] = Subspace.span(dims[_parity(x)], composite.entries)
+    algebras = tuple(CliffordAlgebra(a.n, a.gram.scale(s)) for a, s in zip(r.algebras, shells))
+    return _Filtered(algebras, tops, dims, gammas, flags)
+
+
+def _roundtrip(source: _Filtered, back: _Filtered, words: _Words) -> tuple[dict, Certificate]:
+    """Maps identifying `source` with `back`, the quotient at shell 1 of
+    its deformation, and their certificate; a failure is a defect of the
+    correspondence itself, so it raises.  The map on component c sends a
+    vector to its coordinates in the basis of the corner flag of parity c."""
+    name, tops = words.roundtrip, source.tops
+    maps = {c: source.flags[_corner(c, tops)].coordinate_matrix(Matrix.identity(dim))
+            for c, dim in source.dims.items()}
+    # a single parity is named by its number
+    labels = {c: {words.component: c if len(c) > 1 else c[0]} for c in maps}
+
+    def verify() -> Certificate:
+        for c, dim in source.dims.items():
+            if maps[c].rank() != dim or back.dims[c] != dim:
+                return failing(name, kind="bijective", **labels[c])
+        for c in maps:
+            for d, (kind, key) in enumerate(words.intertwine):
+                flipped = c[:d] + (1 - c[d],) + c[d + 1:]
+                for i, (gamma, image) in enumerate(zip(source.gammas[d], back.gammas[d])):
+                    if gamma[c] * maps[flipped] != maps[c] * image[c]:
+                        return failing(name, kind=kind, **{key: i}, **labels[c])
+        for x, flag in source.flags.items():
+            if flag.image(maps[_parity(x)]) != back.flags[x]:
+                return failing(name, kind="flag", **dict(zip(words.point, x)))
+        return passing(name)
+
+    cert = verify()
+    if not cert:
+        raise RuntimeError(f"{name.removesuffix('_iso')} correspondence failed: {cert.witness}")
+    return maps, cert
+
+
+# ---------------------------------------------------------------------------
+# k = 1: filtrations and off-shell representations
+
+
+class OffShellRep(GradedRep):
     """Graded components, H inclusions, and Q actions, degrees 0..m."""
 
-    def __init__(self, algebra: CliffordAlgebra, dims, h_maps, q_maps):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) < 2:
-            raise ValueError("store at least degrees 0 and 1")
-        m = len(dims) - 1
-        h_maps = tuple(h_maps)
-        if len(h_maps) != max(m - 1, 0):
-            raise ValueError("need one H map per degree 0..m-2")
-        for p, h in enumerate(h_maps):
-            if (h.rows, h.cols) != (dims[p], dims[p + 2]):
-                raise ValueError(f"H map at degree {p} has the wrong shape")
-        q_maps = tuple(tuple(per) for per in q_maps)
-        if len(q_maps) != algebra.n:
-            raise ValueError("need one Q family per generator")
-        for per in q_maps:
-            if len(per) != m + 1:
-                raise ValueError("need Q maps for degrees 0..m")
-            for p, q in enumerate(per):
-                target = dims[p + 1] if p < m else dims[m - 1]
-                if (q.rows, q.cols) != (dims[p], target):
-                    raise ValueError(f"Q map at degree {p} has the wrong shape")
-        self.algebra = algebra
-        self.dims = dims
-        self.h_maps = h_maps
-        self.q_maps = q_maps
+    _words = _Words(
+        relations="offshell_relations", point=("level",), generator=("i",),
+        injective=("H_injective",), anticommutator=("anticommutator",),
+        shift_q=(("H_Q_commutation",),),
+        roundtrip="roundtrip_iso", component="parity",
+        intertwine=(("intertwine", "generator"),),
+    )
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
+    def __init__(self, algebra: CliffordAlgebra, dims, h_maps, q_maps):
+        shifts = {(p,): h for p, h in enumerate(h_maps)}
+        qs = [{(p,): q for p, q in enumerate(per)} for per in q_maps]
+        super().__init__((algebra,), dims, (shifts,), (qs,))
+
+    algebra = property(lambda self: self.algebras[0])
+    top_degree = property(lambda self: self.tops[0])
+    h_maps = property(lambda self: tuple(self.shifts[0].values()))
+    q_maps = property(lambda self: tuple(tuple(per.values()) for per in self.qs[0]))
 
     def dim_at(self, p: int) -> int:
-        if p < 0:
-            return 0
-        m = self.top_degree
-        while p > m:
-            p -= 2
-        return self.dims[p]
+        return self.component_dim((p,))
 
     def h_at(self, p: int) -> Matrix:
         """H as a map from degree p to degree p + 2; identity above the top."""
-        if p < 0:
-            return Matrix.zeros(0, self.dim_at(p + 2))
-        if p <= self.top_degree - 2:
-            return self.h_maps[p]
-        return Matrix.identity(self.dim_at(p))
+        return self.shift(0, (p,))
 
     def q_at(self, i: int, p: int) -> Matrix:
         """Q_i as a map from degree p to degree p + 1, two-periodic above top."""
-        if p < 0:
-            return Matrix.zeros(0, self.dim_at(p + 1))
-        m = self.top_degree
-        while p > m:
-            p -= 2
-        return self.q_maps[i][p]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OffShellRep)
-            and self.algebra == other.algebra
-            and self.dims == other.dims
-            and self.h_maps == other.h_maps
-            and self.q_maps == other.q_maps
-        )
+        return self.q(0, i, (p,))
 
     def __repr__(self):
         return f"OffShellRep(dims {list(self.dims)})"
@@ -126,6 +377,14 @@ class OnShellModule:
     shell: Fraction
 
 
+def _filtered(f: SuperFiltration) -> _Filtered:
+    m = f.module
+    gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(m.gamma_eo, m.gamma_oe))
+    flags = {(p,): f.level(p) for p in range(f.top_degree + 1)}
+    return _Filtered((m.algebra,), (f.top_degree,), {(0,): m.dim_even, (1,): m.dim_odd},
+                     (gammas,), flags)
+
+
 def deform(f: SuperFiltration) -> OffShellRep:
     """Graded representation with components V_p = F_p in canonical bases.
 
@@ -135,40 +394,12 @@ def deform(f: SuperFiltration) -> OffShellRep:
     cert = check_filtration(f)
     if not cert:
         raise ValueError(f"filtration invalid: {cert.witness}")
-    module = f.module
-    m = f.top_degree
-    levels = [f.level(p) for p in range(m + 2)]
-    dims = [levels[p].dim for p in range(m + 1)]
-    h_maps = [levels[p + 2].coordinate_matrix(levels[p].basis) for p in range(m - 1)]
-    q_maps = []
-    for i in range(module.algebra.n):
-        per = []
-        for p in range(m + 1):
-            images = levels[p].basis * module.gamma(i, p)
-            per.append(levels[p + 1].coordinate_matrix(images))
-        q_maps.append(per)
-    return OffShellRep(module.algebra, dims, h_maps, q_maps)
+    return _deform(_filtered(f), OffShellRep)
 
 
 def verify_offshell(r: OffShellRep) -> Certificate:
     """Injectivity of H, the anticommutators, and H-Q commutation."""
-    name = "offshell_relations"
-    m = r.top_degree
-    gram = r.algebra.gram.entries
-    for p in range(max(m - 1, 0)):
-        if r.h_maps[p].rank() != r.dims[p]:
-            return failing(name, kind="H_injective", level=p)
-    for p in range(m + 1):
-        h = r.h_at(p)
-        for i in range(r.algebra.n):
-            for j in range(i, r.algebra.n):
-                lhs = r.q_at(i, p) * r.q_at(j, p + 1) + r.q_at(j, p) * r.q_at(i, p + 1)
-                if lhs != h.scale(2 * gram[i][j]):
-                    return failing(name, kind="anticommutator", i=i, j=j, level=p)
-        for i in range(r.algebra.n):
-            if r.h_at(p) * r.q_at(i, p + 2) != r.q_at(i, p) * r.h_at(p + 1):
-                return failing(name, kind="H_Q_commutation", i=i, level=p)
-    return passing(name)
+    return _verify(r)
 
 
 def quotient_at(r: OffShellRep, k) -> OnShellModule | GradedSpace:
@@ -178,47 +409,21 @@ def quotient_at(r: OffShellRep, k) -> OnShellModule | GradedSpace:
     Positive k yields a filtered supermodule on the top two components
     whose gamma operators close the scaled Clifford relations
     {g_i, g_j} = 2 k G[i][j]; the level-p flag is the image of V_p under
-    the iterated H maps.
+    the iterated H maps.  Raises ValueError when H is not injective.
     """
     k = rational(k)
-    m = r.top_degree
-    if k == 0:
-        return GradedSpace(
-            tuple(r.dims[p] - r.dim_at(p - 2) for p in range(m + 1))
-        )
     if k < 0:
         raise ValueError("shell value must be nonnegative for the scaled Gram form")
-
-    even_degree, odd_degree = (m, m - 1) if m % 2 == 0 else (m - 1, m)
-    gamma_eo, gamma_oe = [], []
-    for i in range(r.algebra.n):
-        top = r.q_maps[i][m].scale(k)
-        lower = r.q_maps[i][m - 1]
-        if m % 2 == 0:
-            gamma_eo.append(top)
-            gamma_oe.append(lower)
-        else:
-            gamma_eo.append(lower)
-            gamma_oe.append(top)
-    algebra = CliffordAlgebra(r.algebra.n, r.algebra.gram.scale(k))
-    module = CliffordSupermodule(
-        algebra,
-        gamma_eo,
-        gamma_oe,
-        dim_even=r.dims[even_degree],
-        dim_odd=r.dims[odd_degree],
-    )
-
-    even_flags, odd_flags = [], []
-    for p in range(m + 1):
-        target = m if (m - p) % 2 == 0 else m - 1
-        composite = Matrix.identity(r.dims[p])
-        for step in range(p, target, 2):
-            composite = composite * r.h_at(step)
-        flag = Subspace.span(r.dims[target], composite.entries)
-        (even_flags if p % 2 == 0 else odd_flags).append(flag)
-    filtration = SuperFiltration(module, even_flags, odd_flags)
-    return OnShellModule(module, filtration, k)
+    if k == 0:
+        _require_shifts(r)
+        return GradedSpace(tuple(r.dims[p] - r.dim_at(p - 2) for p in range(r.top_degree + 1)))
+    v = _quotient(r, (k,))
+    gammas = v.gammas[0]
+    module = CliffordSupermodule(v.algebras[0], [g[(0,)] for g in gammas],
+                                 [g[(1,)] for g in gammas],
+                                 dim_even=v.dims[(0,)], dim_odd=v.dims[(1,)])
+    levels = list(v.flags.values())
+    return OnShellModule(module, SuperFiltration(module, levels[0::2], levels[1::2]), k)
 
 
 @dataclass(frozen=True)
@@ -238,37 +443,9 @@ def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
     flag-to-flag correspondence are all checked exactly; a failure is a
     defect of the correspondence itself, so it raises.
     """
-    r = deform(f)
-    s = quotient_at(r, 1)
-    m = r.top_degree
-    module = f.module
-
-    top_even = f.level(m if m % 2 == 0 else m - 1)
-    top_odd = f.level(m if m % 2 == 1 else m - 1)
-    even_map = top_even.coordinate_matrix(Matrix.identity(module.dim_even))
-    odd_map = top_odd.coordinate_matrix(Matrix.identity(module.dim_odd))
-
-    def verify() -> Certificate:
-        name = "roundtrip_iso"
-        if even_map.rank() != module.dim_even or s.module.dim_even != module.dim_even:
-            return failing(name, kind="bijective", parity=0)
-        if odd_map.rank() != module.dim_odd or s.module.dim_odd != module.dim_odd:
-            return failing(name, kind="bijective", parity=1)
-        for i in range(module.algebra.n):
-            if even_map * s.module.gamma_eo[i] != module.gamma_eo[i] * odd_map:
-                return failing(name, kind="intertwine", generator=i, parity=0)
-            if odd_map * s.module.gamma_oe[i] != module.gamma_oe[i] * even_map:
-                return failing(name, kind="intertwine", generator=i, parity=1)
-        for p in range(m + 1):
-            carrier = even_map if p % 2 == 0 else odd_map
-            if f.level(p).image(carrier) != s.filtration.level(p):
-                return failing(name, kind="flag", level=p)
-        return passing(name)
-
-    cert = verify()
-    if not cert:
-        raise RuntimeError(f"roundtrip correspondence failed: {cert.witness}")
-    return FilteredIso(even_map, odd_map, cert)
+    s = quotient_at(deform(f), 1)
+    maps, cert = _roundtrip(_filtered(f), _filtered(s.filtration), OffShellRep._words)
+    return FilteredIso(maps[(0,)], maps[(1,)], cert)
 
 
 # ---------------------------------------------------------------------------

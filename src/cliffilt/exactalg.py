@@ -347,30 +347,6 @@ class Subspace:
             raise ValueError("map domain does not match ambient dimension")
         return Subspace.span(m.cols, (self.basis * m).entries)
 
-    def quotient_dim(self, sub: "Subspace") -> int:
-        if not self.contains_subspace(sub):
-            raise ValueError("quotient by a non-subspace")
-        return self.dim - sub.dim
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a & b
-
-
-def contains(a: Subspace, v: Sequence) -> bool:
-    return a.contains(v)
-
-
-def image(m: Matrix, a: Subspace) -> Subspace:
-    return a.image(m)
-
-
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    return a.quotient_dim(b)

@@ -19,12 +19,14 @@ from cliffilt.bifiltration import (
     verify_2d,
 )
 from cliffilt.clifford import CliffordAlgebra
+from cliffilt.deformation import OffShellRep, deform, quotient_at, verify_offshell
 from cliffilt.exactalg import Matrix
 from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
     check_supermodule,
     degree_filtration,
     exterior_module,
+    irreducible_module,
     trivial_filtration,
 )
 
@@ -216,3 +218,67 @@ def test_verify_2d_mutation_rejected():
                              base.sp, base.sm, qp, base.qm)
         cert = verify_2d(mutant)
         assert not cert and cert.witness is not None
+
+
+def _bump(m, rng):
+    rows = [list(row) for row in m.entries]
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice([1, -1, 2])
+    return Matrix(m.rows, m.cols, rows)
+
+
+def test_one_dim_pipeline_is_the_first_column_of_two_dim():
+    # f tensored with the trivial (1|0) Cl(0) filtration is a bifiltration
+    # whose n = 0 column is f and whose n = 1 column is zero-dimensional
+    renamed = {"H_injective": "shift_plus_injective",
+               "anticommutator": "plus_anticommutator",
+               "H_Q_commutation": "shift_plus_Qp"}
+    point = trivial_filtration(exterior_module(0))
+    modules = [exterior_module(n) for n in range(1, 5)]
+    modules += [irreducible_module(n) for n in range(1, 6)]
+    rng = random.Random(21)
+    mutants = 0
+    for k in range(27):
+        f = random_filtration(modules[k % len(modules)], rng)
+        r = deform(f)
+        b = bideform(tensor_module(f, point))
+        m = r.top_degree
+        assert (b.top_plus, b.top_minus) == (m, 1)
+        assert b.dims == tuple((d, 0) for d in r.dims)
+        assert [b.sp[(p, 0)] for p in range(m - 1)] == list(r.h_maps)
+        for i, per in enumerate(r.q_maps):
+            assert [b.qp[i][(p, 0)] for p in range(m + 1)] == list(per)
+
+        shell = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        s = quotient_at(r, shell)
+        t = biquotient(b, shell, 1)
+        assert s.module.algebra == t.plus_algebra
+        assert (s.module.dim_even, s.module.dim_odd) == (t.dim(0, 0), t.dim(1, 0))
+        assert s.module.gamma_eo == tuple(g[(0, 0)] for g in t.gamma_plus)
+        assert s.module.gamma_oe == tuple(g[(1, 0)] for g in t.gamma_plus)
+        assert [s.filtration.level(p) for p in range(m + 1)] == [row[0] for row in t.biflags]
+
+        for _ in range(4):
+            h_maps = list(r.h_maps)
+            q_maps = [list(per) for per in r.q_maps]
+            sp = dict(b.sp)
+            qp = [dict(per) for per in b.qp]
+            if h_maps and rng.random() < 0.3:
+                p = rng.randrange(len(h_maps))
+                if not h_maps[p].rows or not h_maps[p].cols:
+                    continue
+                h_maps[p] = sp[(p, 0)] = _bump(h_maps[p], rng)
+            else:
+                i, p = rng.randrange(len(q_maps)), rng.randrange(m + 1)
+                if not q_maps[i][p].rows or not q_maps[i][p].cols:
+                    continue
+                q_maps[i][p] = qp[i][(p, 0)] = _bump(q_maps[i][p], rng)
+            one = verify_offshell(OffShellRep(r.algebra, r.dims, h_maps, q_maps))
+            two = verify_2d(BiGradedRep(b.plus_algebra, b.minus_algebra, b.dims,
+                                        sp, b.sm, qp, b.qm))
+            assert not one
+            want = {("m" if key == "level" else key): renamed.get(value, value)
+                    for key, value in one.witness.items()}
+            want["n"] = 0
+            assert two.witness == want
+            mutants += 1
+    assert mutants >= 80

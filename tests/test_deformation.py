@@ -148,6 +148,17 @@ def test_single_entry_mutations_rejected():
     assert rejected >= 10
 
 
+def test_quotient_rejects_non_injective_h():
+    # a zero H map would silently give a filtration with the wrong level dims
+    r = deform(degree_filtration(exterior_module(3)))
+    h = r.h_maps[0]
+    broken = OffShellRep(r.algebra, r.dims, [Matrix.zeros(h.rows, h.cols)] + list(r.h_maps[1:]),
+                         r.q_maps)
+    for shell in (1, 0):
+        with pytest.raises(ValueError):
+            quotient_at(broken, shell)
+
+
 def test_offshell_constructor_validates_shapes():
     r = deform(degree_filtration(exterior_module(2)))
     with pytest.raises(ValueError):
