@@ -31,23 +31,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificate import Certificate, failing, passing
+from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra, CliffordElement
-from .deformation import (
-    GradedRep,
-    _deform,
+from .deformation import GradedRep, _deform, _nest, _points, _quotient, _roundtrip, _verify, _Words
+from .exactalg import Matrix, Subspace, rational
+from .supermodule import (
+    CliffordSupermodule,
+    SuperFiltration,
+    _CheckWords,
     _Filtered,
     _fold,
-    _nest,
-    _points,
-    _quotient,
-    _roundtrip,
+    _module_flags,
+    _module_relations,
     _step,
-    _verify,
-    _Words,
+    kron,
 )
-from .exactalg import Matrix, Subspace, rational
-from .supermodule import CliffordSupermodule, SuperFiltration, kron
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +248,8 @@ class BifilteredSupermodule:
     gamma_plus[i] flips the first parity index, gamma_minus[j] the
     second; both are stored per source component.  The flags F_{m,n}
     live on the grid 0..top_plus x 0..top_minus, F_{m,n} inside the
-    component of parity (m mod 2, n mod 2); outside the grid flag_at
-    falls back two steps (the grid's own stabilization) and negative
-    indices give zero.
+    component of parity (m mod 2, n mod 2); past the top of a direction
+    the grid repeats with period two.
     """
 
     def __init__(self, plus_algebra, minus_algebra, dims, gamma_plus, gamma_minus, biflags):
@@ -296,68 +293,12 @@ class BifilteredSupermodule:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def flag_at(self, m: int, n: int) -> Subspace:
-        if m < 0 or n < 0:
-            return Subspace.zero(self.dims[(m % 2, n % 2)])
-        while m > self.top_plus:
-            m -= 2
-        while n > self.top_minus:
-            n -= 2
-        return self.biflags[m][n]
-
     def __repr__(self):
         d = self.dims
         return (
             f"BifilteredSupermodule(p={self.plus_algebra.n}, q={self.minus_algebra.n}, "
             f"dims {d[(0,0)]},{d[(0,1)]},{d[(1,0)]},{d[(1,1)]})"
         )
-
-
-def check_bifiltered_module(bf: BifilteredSupermodule) -> Certificate:
-    """Clifford relations of both families, anticommutation across
-    families, flag nesting, corner fullness, and gamma compatibility."""
-    name = "bifiltered_module"
-    gp, gm = bf.gamma_plus, bf.gamma_minus
-    gram_p = bf.plus_algebra.gram.entries
-    gram_m = bf.minus_algebra.gram.entries
-    for (a, b) in _COMPONENTS:
-        ident = Matrix.identity(bf.dims[(a, b)])
-        for i in range(bf.plus_algebra.n):
-            for j in range(i, bf.plus_algebra.n):
-                lhs = gp[i][(a, b)] * gp[j][(1 - a, b)] + gp[j][(a, b)] * gp[i][(1 - a, b)]
-                if lhs != ident.scale(2 * gram_p[i][j]):
-                    return failing(name, kind="plus_relation", i=i, j=j, component=(a, b))
-        for i in range(bf.minus_algebra.n):
-            for j in range(i, bf.minus_algebra.n):
-                lhs = gm[i][(a, b)] * gm[j][(a, 1 - b)] + gm[j][(a, b)] * gm[i][(a, 1 - b)]
-                if lhs != ident.scale(2 * gram_m[i][j]):
-                    return failing(name, kind="minus_relation", i=i, j=j, component=(a, b))
-        for i in range(bf.plus_algebra.n):
-            for j in range(bf.minus_algebra.n):
-                mixed = gp[i][(a, b)] * gm[j][(1 - a, b)] + gm[j][(a, b)] * gp[i][(a, 1 - b)]
-                if not mixed.is_zero():
-                    return failing(name, kind="families_commute", i=i, j=j, component=(a, b))
-    mp, mq = bf.top_plus, bf.top_minus
-    for m in range(mp + 1):
-        for n in range(mq + 1):
-            flag = bf.biflags[m][n]
-            if m + 2 <= mp and not bf.biflags[m + 2][n].contains_subspace(flag):
-                return failing(name, kind="nesting_plus", m=m, n=n)
-            if n + 2 <= mq and not bf.biflags[m][n + 2].contains_subspace(flag):
-                return failing(name, kind="nesting_minus", m=m, n=n)
-            for i in range(bf.plus_algebra.n):
-                image = flag.image(gp[i][(m % 2, n % 2)])
-                if not bf.flag_at(m + 1, n).contains_subspace(image):
-                    return failing(name, kind="compatibility_plus", i=i, m=m, n=n)
-            for j in range(bf.minus_algebra.n):
-                image = flag.image(gm[j][(m % 2, n % 2)])
-                if not bf.flag_at(m, n + 1).contains_subspace(image):
-                    return failing(name, kind="compatibility_minus", j=j, m=m, n=n)
-    for m in (mp - 1, mp):
-        for n in (mq - 1, mq):
-            if not bf.biflags[m][n].is_full:
-                return failing(name, kind="exhaustive", m=m, n=n)
-    return passing(name)
 
 
 def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
@@ -485,11 +426,31 @@ def _filtered(bf: BifilteredSupermodule) -> _Filtered:
                      bf.dims, (bf.gamma_plus, bf.gamma_minus), flags)
 
 
+_WORDS = _CheckWords(
+    "bifiltered_module", "bifiltered_module",
+    relation=lambda d, e, i, j, c: {
+        "kind": ("plus_relation", "families_commute", "minus_relation")[d + e],
+        "i": i, "j": j, "component": c},
+    nesting=lambda d, x: {"kind": ("nesting_plus", "nesting_minus")[d], "m": x[0], "n": x[1]},
+    exhaustive=lambda c, x: {"kind": "exhaustive", "m": x[0], "n": x[1]},
+    compatibility=lambda d, i, x: {"kind": ("compatibility_plus", "compatibility_minus")[d],
+                                   "ij"[d]: i, "m": x[0], "n": x[1]},
+)
+
+
+def check_bifiltered_module(bf: BifilteredSupermodule) -> Certificate:
+    """Clifford relations of both families and anticommutation across
+    families on every component, then flag nesting, corner fullness, and
+    gamma compatibility."""
+    v = _filtered(bf)
+    cert = _module_relations(v.algebras, v.dims, v.gammas, _WORDS)
+    return _module_flags(v, _WORDS) if cert else cert
+
+
 def bideform(bf: BifilteredSupermodule) -> BiGradedRep:
-    """Bigraded representation on the flag grid in canonical bases."""
-    cert = check_bifiltered_module(bf)
-    if not cert:
-        raise ValueError(f"bifiltered module invalid: {cert.witness}")
+    """Bigraded representation on the flag grid in canonical bases.
+    Raises CheckFailed unless check_bifiltered_module passes."""
+    require("bifiltered module", check_bifiltered_module(bf))
     return _deform(_filtered(bf), BiGradedRep)
 
 

@@ -30,3 +30,16 @@ def passing(check: str) -> Certificate:
 def failing(check: str, **witness) -> Certificate:
     return Certificate(check, False, witness)
 
+
+class CheckFailed(ValueError):
+    """An input failed the check that a computation on it requires."""
+
+    def __init__(self, what: str, cert: Certificate):
+        super().__init__(f"{what} invalid: {cert.witness}")
+        self.certificate = cert
+
+
+def require(what: str, cert: Certificate) -> None:
+    """Raise CheckFailed, carrying cert, unless cert passed."""
+    if not cert:
+        raise CheckFailed(what, cert)

@@ -2,9 +2,10 @@
 
 Every subcommand reads one JSON document (stdin when no input path is
 given), writes one JSON document (stdout unless -o is given), and exits
-0 on success, 1 when a verification fails (the failing certificate is
-the output), or 2 on malformed input or arguments.  Randomized
-subcommands take --seed and default to seed 0, so runs are reproducible.
+0 on success, 1 when a verification fails, the command's check of its
+input included (the failing certificate is the output), or 2 on
+malformed input or arguments.  Randomized subcommands take --seed and
+default to seed 0, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bifiltration, deformation, graph, invariants, serialize, supermodule
+from .certificate import CheckFailed, failing, passing, require
 from .exactalg import Matrix
 from .serialize import SerializeError
 
@@ -55,14 +57,6 @@ def _filtration_arg(obj) -> supermodule.SuperFiltration:
     return _expect(obj, supermodule.SuperFiltration)
 
 
-def _checked_filtration(obj, output) -> supermodule.SuperFiltration | int:
-    f = _filtration_arg(obj)
-    cert = supermodule.check_filtration(f)
-    if not cert:
-        return _emit_certificate(cert, output)
-    return f
-
-
 # --- subcommand bodies, each returning the process exit status ---
 
 
@@ -81,14 +75,12 @@ def _cmd_example(args) -> int:
 
 def _cmd_check(args) -> int:
     obj = _read_document(args.input)
-    if isinstance(obj, supermodule.SuperFiltration):
-        cert = supermodule.check_filtration(obj)
+    if isinstance(obj, (supermodule.SuperFiltration, deformation.OnShellModule)):
+        cert = supermodule.check_filtration(_filtration_arg(obj))
     elif isinstance(obj, supermodule.CliffordSupermodule):
         cert = supermodule.check_supermodule(obj)
     elif isinstance(obj, deformation.OffShellRep):
         cert = deformation.verify_offshell(obj)
-    elif isinstance(obj, deformation.OnShellModule):
-        cert = supermodule.check_filtration(obj.filtration)
     elif isinstance(obj, bifiltration.BifilteredSupermodule):
         cert = bifiltration.check_bifiltered_module(obj)
     elif isinstance(obj, bifiltration.BiGradedRep):
@@ -99,17 +91,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    f = _checked_filtration(_read_document(args.input), args.output)
-    if isinstance(f, int):
-        return f
+    f = _filtration_arg(_read_document(args.input))
     return _emit(deformation.deform(f), args.output)
 
 
 def _cmd_quotient(args) -> int:
     r = _expect(_read_document(args.input), deformation.OffShellRep)
-    cert = deformation.verify_offshell(r)
-    if not cert:
-        return _emit_certificate(cert, args.output)
+    require("off-shell representation", deformation.verify_offshell(r))
     try:
         shell = Fraction(args.k)
     except (ValueError, ZeroDivisionError):
@@ -120,31 +108,21 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    f = _checked_filtration(_read_document(args.input), args.output)
-    if isinstance(f, int):
-        return f
+    f = _filtration_arg(_read_document(args.input))
     try:
         deformation.canonical_roundtrip_iso(f)
     except RuntimeError as exc:
-        from .certificate import failing
-
         return _emit_certificate(failing("roundtrip", reason=str(exc)), args.output)
-    from .certificate import passing
-
     return _emit_certificate(passing("roundtrip"), args.output)
 
 
 def _cmd_invariants(args) -> int:
-    f = _checked_filtration(_read_document(args.input), args.output)
-    if isinstance(f, int):
-        return f
+    f = _filtration_arg(_read_document(args.input))
     return _emit(invariants.invariant_report(f), args.output)
 
 
 def _cmd_decompose(args) -> int:
-    f = _checked_filtration(_read_document(args.input), args.output)
-    if isinstance(f, int):
-        return f
+    f = _filtration_arg(_read_document(args.input))
     summands = invariants.decompose(f, candidates=args.candidates, seed=args.seed)
     return _emit(serialize.encode_decomposition(summands), args.output)
 
@@ -161,6 +139,8 @@ def _cmd_search(args) -> int:
         raise SerializeError(f"--target must be comma-separated integers, got {args.target!r}")
     try:
         found = invariants.filtration_search(module, target, args.budget, seed=args.seed)
+    except CheckFailed:
+        raise
     except ValueError as exc:
         raise SerializeError(str(exc))
     return _emit(serialize.encode_search_results(found), args.output)
@@ -170,25 +150,18 @@ def _cmd_tensor(args) -> int:
     f_plus = _filtration_arg(serialize.loads(open(args.p).read()))
     f_minus = _filtration_arg(serialize.loads(open(args.q).read()))
     for f in (f_plus, f_minus):
-        cert = supermodule.check_filtration(f)
-        if not cert:
-            return _emit_certificate(cert, args.output)
+        require("filtration", supermodule.check_filtration(f))
     return _emit(bifiltration.tensor_module(f_plus, f_minus), args.output)
 
 
 def _cmd_bideform(args) -> int:
     bf = _expect(_read_document(args.input), bifiltration.BifilteredSupermodule)
-    cert = bifiltration.check_bifiltered_module(bf)
-    if not cert:
-        return _emit_certificate(cert, args.output)
     return _emit(bifiltration.bideform(bf), args.output)
 
 
 def _cmd_biquotient(args) -> int:
     r = _expect(_read_document(args.input), bifiltration.BiGradedRep)
-    cert = bifiltration.verify_2d(r)
-    if not cert:
-        return _emit_certificate(cert, args.output)
+    require("bigraded representation", bifiltration.verify_2d(r))
     try:
         sp = Fraction(args.shell_plus)
         sm = Fraction(args.shell_minus)
@@ -220,17 +193,15 @@ def _load_basis(path: str):
 
 
 def _cmd_export_dot(args) -> int:
-    f = _checked_filtration(_read_document(args.input), args.output)
-    if isinstance(f, int):
-        return f
+    f = _filtration_arg(_read_document(args.input))
     basis_even = basis_odd = None
     if args.basis:
         basis_even, basis_odd = _load_basis(args.basis)
     try:
         g = graph.to_graph(f, basis_even=basis_even, basis_odd=basis_odd)
+    except CheckFailed:
+        raise
     except ValueError as exc:
-        from .certificate import failing
-
         return _emit_certificate(failing("adapted_basis", reason=str(exc)), args.output)
     _write(graph.to_dot(g), args.output)
     return 0
@@ -322,10 +293,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SerializeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except CheckFailed as exc:
+        return _emit_certificate(exc.certificate, args.output)
+    except (SerializeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,41 +30,28 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .certificate import Certificate, failing, passing
+from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra, CliffordElement
 from .exactalg import Matrix, Subspace, rational
 from .supermodule import (
     CliffordSupermodule,
     SuperFiltration,
+    _corner,
+    _filtered,
+    _Filtered,
+    _fold,
+    _parity,
+    _step,
     check_filtration,
 )
 
 # ---------------------------------------------------------------------------
-# The engine.  A grid point has one coordinate per direction; a parity
-# component is a tuple of 0s and 1s.
+# The engine, on the grid of `supermodule`'s filtered-module check.
 
 
 def _points(tops):
     """Grid points in lexicographic order, the first direction slowest."""
     return product(*(range(t + 1) for t in tops))
-
-
-def _step(x, d: int, by: int):
-    return x[:d] + (x[d] + by,) + x[d + 1:]
-
-
-def _fold(x, tops):
-    """The grid point whose data a point above the grid repeats."""
-    return tuple(c if c <= t else t - (c - t) % 2 for c, t in zip(x, tops))
-
-
-def _corner(parity, tops):
-    """The top grid point of a parity, where the flags are full."""
-    return tuple(t if t % 2 == a else t - 1 for a, t in zip(parity, tops))
-
-
-def _parity(x):
-    return tuple(c % 2 for c in x)
 
 
 def _nest(values: dict, tops, prefix=()):
@@ -160,18 +147,6 @@ def _check_maps(maps: dict, grid: dict, targets: dict, what: str) -> None:
     for x, cols in targets.items():
         if (maps[x].rows, maps[x].cols) != (grid[x], cols):
             raise ValueError(f"{what} map at {x} has the wrong shape")
-
-
-class _Filtered(NamedTuple):
-    """A filtered module over k directions.  dims and each gammas[d][i] are
-    keyed by parity component, gammas[d][i] mapping c to c with its d-th
-    parity flipped; flags holds F_x at every grid point in order."""
-
-    algebras: tuple
-    tops: tuple
-    dims: dict
-    gammas: tuple
-    flags: dict
 
 
 def _deform(v: _Filtered, cls):
@@ -377,23 +352,13 @@ class OnShellModule:
     shell: Fraction
 
 
-def _filtered(f: SuperFiltration) -> _Filtered:
-    m = f.module
-    gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(m.gamma_eo, m.gamma_oe))
-    flags = {(p,): f.level(p) for p in range(f.top_degree + 1)}
-    return _Filtered((m.algebra,), (f.top_degree,), {(0,): m.dim_even, (1,): m.dim_odd},
-                     (gammas,), flags)
-
-
 def deform(f: SuperFiltration) -> OffShellRep:
     """Graded representation with components V_p = F_p in canonical bases.
 
     H maps are the flag inclusions, Q maps the gamma action written in
-    the level bases.  Requires a valid filtration.
+    the level bases.  Raises CheckFailed unless check_filtration passes.
     """
-    cert = check_filtration(f)
-    if not cert:
-        raise ValueError(f"filtration invalid: {cert.witness}")
+    require("filtration", check_filtration(f))
     return _deform(_filtered(f), OffShellRep)
 
 

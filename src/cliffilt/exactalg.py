@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -71,6 +72,7 @@ class Matrix:
         return Matrix(len(entries), cols, entries)
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .certificate import require
 from .exactalg import Matrix, Subspace
 from .supermodule import SuperFiltration, check_filtration
 
@@ -74,11 +75,10 @@ def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
     Defaults to the coordinate basis of each parity component.  Heights
     are minimal filtration levels; each generator image must be plus or
     minus a single basis vector of the other parity or the basis is
-    rejected as not adapted.
+    rejected as not adapted.  Raises CheckFailed unless check_filtration
+    passes.
     """
-    cert = check_filtration(f)
-    if not cert:
-        raise ValueError(f"filtration invalid: {cert.witness}")
+    require("filtration", check_filtration(f))
     module = f.module
     if basis_even is None:
         basis_even = Matrix.identity(module.dim_even)

@@ -23,8 +23,9 @@ from functools import lru_cache
 
 import sympy
 
+from .certificate import require
 from .exactalg import Matrix, Subspace, kernel, solve
-from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration
+from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule
 
 CERTIFIED = "indecomposable (certified)"
 EXHAUSTED = "no decomposition found (budget exhausted)"
@@ -383,11 +384,9 @@ def decompose(f: SuperFiltration, candidates: int = 16, seed: int = 0) -> list[S
     endomorphism structure proves there is no idempotent, budget
     exhaustion otherwise.  Certificates are statements over the
     rationals; a certified summand may still split after extending
-    scalars.
+    scalars.  Raises CheckFailed unless check_filtration passes.
     """
-    cert = check_filtration(f)
-    if not cert:
-        raise ValueError(f"filtration invalid: {cert.witness}")
+    require("filtration", check_filtration(f))
     rng = random.Random(seed)
     return _decompose_worker(f, candidates, rng)
 
@@ -399,14 +398,18 @@ class InvariantReport:
     summand_reports: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-@lru_cache(maxsize=None)
+def _summand_reports(f: SuperFiltration) -> tuple:
+    """(gr dims, source dims) of each summand of f, sorted."""
+    reports = sorted(
+        (gr_dimensions(s.filtration), source_dimensions(s.filtration)) for s in decompose(f)
+    )
+    return tuple(reports)
+
+
+@lru_cache(maxsize=128)
 def invariant_report(f: SuperFiltration) -> InvariantReport:
     """All computed invariants of one filtration, cached per object."""
-    summands = decompose(f)
-    reports = sorted(
-        (gr_dimensions(s.filtration), source_dimensions(s.filtration)) for s in summands
-    )
-    return InvariantReport(gr_dimensions(f), source_dimensions(f), tuple(reports))
+    return InvariantReport(gr_dimensions(f), source_dimensions(f), _summand_reports(f))
 
 
 DISTINGUISHED = "DISTINGUISHED"
@@ -519,8 +522,10 @@ def filtration_search(
 
     Seeds the bottom flag with random subspaces of the target dimension
     and extends upward by the generator closure plus random complements;
-    finds are validated and deduplicated by invariant comparison.
+    finds are validated and deduplicated by invariant comparison.  Raises
+    CheckFailed unless check_supermodule passes.
     """
+    require("module", check_supermodule(module))
     target = tuple(int(t) for t in target_gr_dims)
     if len(target) < 2 or any(t < 0 for t in target):
         raise ValueError("need at least levels 0 and 1 with nonnegative entries")
@@ -537,6 +542,13 @@ def filtration_search(
     for p in range(m + 1):
         required.append(sum(target[p % 2:p + 1:2]))
     found: list[SuperFiltration] = []
+    memo: dict[SuperFiltration, tuple] = {}  # summand reports met in this search
+
+    def summands(f: SuperFiltration) -> tuple:
+        if f not in memo:
+            memo[f] = _summand_reports(f)
+        return memo[f]
+
     for _ in range(budget):
         bottom = _random_subspace(module.dim_even, target[0], rng)
         if bottom is None:
@@ -570,7 +582,10 @@ def filtration_search(
             continue
         if gr_dimensions(candidate) != target:
             continue
-        if any(invariant_equal(candidate, g).verdict != DISTINGUISHED for g in found):
+        # invariant_equal, on reports kept for the length of the search
+        source = source_dimensions(candidate)
+        if any(source_dimensions(g) == source and summands(g) == summands(candidate)
+               for g in found):
             continue
         found.append(candidate)
     return found

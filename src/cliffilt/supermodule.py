@@ -15,7 +15,8 @@ are indexed by p // 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from .certificate import Certificate, failing, passing
 from .clifford import CliffordAlgebra
@@ -56,6 +57,8 @@ class CliffordSupermodule:
             dim_odd = gamma_eo[0].cols
         elif dim_even is None or dim_odd is None:
             raise ValueError("dimensions required when the algebra has no generators")
+        elif min(dim_even, dim_odd) < 0:
+            raise ValueError("dimensions must be nonnegative")
         for m in gamma_eo:
             if (m.rows, m.cols) != (dim_even, dim_odd):
                 raise ValueError("gamma_eo shape mismatch")
@@ -68,6 +71,7 @@ class CliffordSupermodule:
         self.gamma_eo = tuple(gamma_eo)
         self.gamma_oe = tuple(gamma_oe)
         self._commutant: list[tuple[Matrix, Matrix]] | None = None
+        self._relations: Certificate | None = None
 
     def dim(self, parity: int) -> int:
         return self.dim_even if parity % 2 == 0 else self.dim_odd
@@ -172,23 +176,126 @@ class CliffordSupermodule:
         return pairs
 
 
+# ---------------------------------------------------------------------------
+# The filtered-module check over k directions (k = 1 here, k = 2 in
+# `bifiltration`).  A grid point has one coordinate per direction; a parity
+# component is a tuple of 0s and 1s.
+
+
+def _step(x, d: int, by: int):
+    return x[:d] + (x[d] + by,) + x[d + 1:]
+
+
+def _fold(x, tops):
+    """The grid point whose data a point above the grid repeats."""
+    return tuple(c if c <= t else t - (c - t) % 2 for c, t in zip(x, tops))
+
+
+def _corner(parity, tops):
+    """The top grid point of a parity, where the flags are full."""
+    return tuple(t if t % 2 == a else t - 1 for a, t in zip(parity, tops))
+
+
+def _parity(x):
+    return tuple(c % 2 for c in x)
+
+
+class _Filtered(NamedTuple):
+    """A filtered module over k directions.  dims and each gammas[d][i] are
+    keyed by parity component, gammas[d][i] mapping c to c with its d-th
+    parity flipped; flags holds F_x at every grid point in order."""
+
+    algebras: tuple
+    tops: tuple
+    dims: dict
+    gammas: tuple
+    flags: dict
+
+
+class _CheckWords(NamedTuple):
+    """Certificate names of the relations and flag steps for one k, and
+    functions building their witnesses."""
+
+    relations: str
+    flags: str
+    relation: Callable  # (d, e, i, j, component), families d <= e
+    nesting: Callable  # (d, point)
+    exhaustive: Callable  # (component, corner)
+    compatibility: Callable  # (d, i, point)
+
+
+def _is_scalar(a: Matrix, b: Matrix, s) -> bool:
+    """Whether a + b is s times the identity, compared entry by entry."""
+    for r, (row_a, row_b) in enumerate(zip(a.entries, b.entries)):
+        for c, (x, y) in enumerate(zip(row_a, row_b)):
+            if (x + y if y else x) != (s if r == c else 0):
+                return False
+    return True
+
+
+def _module_relations(algebras, dims: dict, gammas, w: _CheckWords) -> Certificate:
+    """Component by component: each family's Clifford relations
+    {g_i, g_j} = 2 G[i][j], then {g_i, g'_j} = 0 across families.  Each
+    product of two generators is formed once."""
+    k = len(algebras)
+    pairs = [(d, d) for d in range(k)] + list(combinations(range(k), 2))
+    for c in dims:
+        up = [_parity(_step(c, d, 1)) for d in range(k)]
+        for d, e in pairs:
+            gram = algebras[d].gram.entries
+            for i, g in enumerate(gammas[d]):
+                for j, h in enumerate(gammas[e]):
+                    if d == e and j < i:
+                        continue
+                    gh = g[c] * h[up[d]]
+                    hg = gh if (d, i) == (e, j) else h[c] * g[up[e]]
+                    if not _is_scalar(gh, hg, 2 * gram[i][j] if d == e else 0):
+                        return failing(w.relations, **w.relation(d, e, i, j, c))
+    return passing(w.relations)
+
+
+def _module_flags(v: _Filtered, w: _CheckWords) -> Certificate:
+    """Flag nesting along each direction, component by component; full
+    flags at the 2^k corners; then each family's compatibility with the
+    flags, g F_x <= F_{x + e_d} folded back onto the grid."""
+    for x in sorted(v.flags, key=_parity):
+        for d, top in enumerate(v.tops):
+            if x[d] <= top - 2 and not v.flags[_step(x, d, 2)].contains_subspace(v.flags[x]):
+                return failing(w.flags, **w.nesting(d, x))
+    for c in product((0, 1), repeat=len(v.tops)):
+        corner = _corner(c, v.tops)
+        if not v.flags[corner].is_full:
+            return failing(w.flags, **w.exhaustive(c, corner))
+    for x, flag in v.flags.items():
+        for d, family in enumerate(v.gammas):
+            target = v.flags[_fold(_step(x, d, 1), v.tops)]
+            for i, gamma in enumerate(family):
+                if not target.contains_subspace(flag.image(gamma[_parity(x)])):
+                    return failing(w.flags, **w.compatibility(d, i, x))
+    return passing(w.flags)
+
+
+_WORDS = _CheckWords(
+    "supermodule_relations", "filtration",
+    relation=lambda d, e, i, j, c: {"i": i, "j": j, "parity": c[0]},
+    nesting=lambda d, x: {"kind": "nesting", "parity": x[0] % 2, "level": x[0]},
+    exhaustive=lambda c, x: {"kind": "exhaustive", "parity": c[0]},
+    compatibility=lambda d, i, x: {"kind": "compatibility", "generator": i, "level": x[0]},
+)
+
+
+def _module_view(m: CliffordSupermodule) -> tuple:
+    """(algebras, dims, gammas) of m as a module over one direction."""
+    gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(m.gamma_eo, m.gamma_oe))
+    return (m.algebra,), {(0,): m.dim_even, (1,): m.dim_odd}, (gammas,)
+
+
 def check_supermodule(m: CliffordSupermodule) -> Certificate:
-    """Verify the Clifford relations on both parity components."""
-    name = "supermodule_relations"
-    n = m.algebra.n
-    gram = m.algebra.gram.entries
-    ideven = Matrix.identity(m.dim_even)
-    idodd = Matrix.identity(m.dim_odd)
-    for i in range(n):
-        for j in range(i, n):
-            want = 2 * gram[i][j]
-            even_side = m.gamma_eo[i] * m.gamma_oe[j] + m.gamma_eo[j] * m.gamma_oe[i]
-            if even_side != ideven.scale(want):
-                return failing(name, i=i, j=j, parity=0)
-            odd_side = m.gamma_oe[i] * m.gamma_eo[j] + m.gamma_oe[j] * m.gamma_eo[i]
-            if odd_side != idodd.scale(want):
-                return failing(name, i=i, j=j, parity=1)
-    return passing(name)
+    """Verify the Clifford relations on both parity components.  The
+    verdict is cached on the module."""
+    if m._relations is None:
+        m._relations = _module_relations(*_module_view(m), _WORDS)
+    return m._relations
 
 
 class SuperFiltration:
@@ -246,28 +353,17 @@ class SuperFiltration:
         return f"SuperFiltration(level dims {dims})"
 
 
-def check_filtration(f: SuperFiltration) -> Certificate:
-    """Nesting, exhaustiveness at the top, and gamma compatibility.
+def _filtered(f: SuperFiltration) -> _Filtered:
+    algebras, dims, gammas = _module_view(f.module)
+    flags = {(p,): f.level(p) for p in range(f.top_degree + 1)}
+    return _Filtered(algebras, (f.top_degree,), dims, gammas, flags)
 
-    Assumes the underlying module already passed check_supermodule.
-    """
-    name = "filtration"
-    m = f.module
-    for flags, parity in ((f.even_flags, 0), (f.odd_flags, 1)):
-        for k in range(len(flags) - 1):
-            if not flags[k + 1].contains_subspace(flags[k]):
-                return failing(name, kind="nesting", parity=parity, level=2 * k + parity)
-    if not f.even_flags[-1].is_full:
-        return failing(name, kind="exhaustive", parity=0)
-    if not f.odd_flags[-1].is_full:
-        return failing(name, kind="exhaustive", parity=1)
-    for p in range(f.top_degree + 1):
-        source = f.level(p)
-        target = f.level(p + 1)
-        for i in range(m.algebra.n):
-            if not target.contains_subspace(source.image(m.gamma(i, p))):
-                return failing(name, kind="compatibility", generator=i, level=p)
-    return passing(name)
+
+def check_filtration(f: SuperFiltration) -> Certificate:
+    """The module's Clifford relations (check_supermodule's verdict), then
+    nesting, exhaustiveness at the top, and gamma compatibility."""
+    cert = check_supermodule(f.module)
+    return _module_flags(_filtered(f), _WORDS) if cert else cert
 
 
 def trivial_filtration(m: CliffordSupermodule) -> SuperFiltration:

@@ -103,7 +103,7 @@ def test_tensor_module_structure():
     # flags are products, so bigraded dims are products of flag dims
     for m in range(bf.top_plus + 1):
         for n in range(bf.top_minus + 1):
-            assert bf.flag_at(m, n).dim == fp.level(m).dim * fm.level(n).dim
+            assert bf.biflags[m][n].dim == fp.level(m).dim * fm.level(n).dim
 
 
 def test_two_stage_deformation_dimension_table():

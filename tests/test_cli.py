@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -150,3 +151,17 @@ def test_input_path_positional(tmp_path, degree_doc):
     path.write_text(degree_doc)
     out = run(["check", str(path)])
     assert out.returncode == 0
+
+
+def test_non_clifford_module_rejected_by_every_command(degree_doc):
+    # doubling gamma_eo[0] breaks g_0^2 = 1 but keeps every flag compatible
+    doc = json.loads(degree_doc)
+    gamma = doc["gamma_eo"][0]
+    gamma["rows"] = [[str(2 * Fraction(x)) for x in row] for row in gamma["rows"]]
+    mutant = json.dumps(doc)
+    for args in (["check"], ["deform"], ["roundtrip"], ["invariants"], ["decompose"],
+                 ["export-dot"], ["search", "--target", "1,4,6,4,1", "--budget", "2"]):
+        out = run(args, stdin=mutant)
+        assert out.returncode == 1, args
+        cert = json.loads(out.stdout)
+        assert cert["check"] == "supermodule_relations" and cert["pass"] is False, args

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cliffilt.bifiltration import bideform, tensor_module
+from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import deform, quotient_at
 from cliffilt.graph import to_graph
 from cliffilt.invariants import decompose, invariant_report
@@ -18,11 +19,13 @@ from cliffilt.serialize import (
     loads,
 )
 from cliffilt.supermodule import (
+    CliffordSupermodule,
     check_filtration,
     degree_filtration,
     exterior_module,
     hodge_filtration,
     irreducible_cl5,
+    trivial_filtration,
 )
 
 
@@ -127,6 +130,14 @@ def test_malformed_documents_rejected():
     for text in cases:
         with pytest.raises(SerializeError):
             loads(text)
+
+
+def test_negative_dimensions_rejected():
+    doc = encode(trivial_filtration(CliffordSupermodule(CliffordAlgebra(0), [], [], 1, 0)))
+    doc["dim_even"] = -1
+    doc["even_flags"][0] = {"ambient": -1, "rows": []}
+    with pytest.raises(SerializeError):
+        decode(doc)
 
 
 def test_bad_rational_rejected():

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
+from cliffilt.clifford import CliffordAlgebra
 from cliffilt.exactalg import Matrix, Subspace
+from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
@@ -125,6 +128,26 @@ def test_supermodule_relation_defect_caught():
     assert not cert and cert.witness is not None
 
 
+def test_gamma_entry_mutants_rejected():
+    # a changed entry E of g_i breaks {g_i, g_i} = 2 G[i][i]: the change
+    # to g_i g_i is E times the other factor, which is invertible
+    rng = random.Random(53)
+    modules = [exterior_module(n) for n in range(1, 5)]
+    modules += [irreducible_module(n) for n in range(1, 6)]
+    for _ in range(80):
+        m = modules[rng.randrange(len(modules))]
+        f = random_filtration(m, rng)
+        gammas = [list(m.gamma_eo), list(m.gamma_oe)]
+        side, i = rng.randrange(2), rng.randrange(m.algebra.n)
+        target = gammas[side][i]
+        rows = [list(r) for r in target.entries]
+        rows[rng.randrange(target.rows)][rng.randrange(target.cols)] += rng.choice([1, -1, 2])
+        gammas[side][i] = Matrix(target.rows, target.cols, rows)
+        mutant = CliffordSupermodule(m.algebra, *gammas)
+        cert = check_filtration(SuperFiltration(mutant, f.even_flags, f.odd_flags))
+        assert not cert and cert.check == "supermodule_relations"
+
+
 def test_level_fetcher_stabilizes():
     f = degree_filtration(exterior_module(3))
     top = f.top_degree
@@ -170,3 +193,117 @@ def _inverse(m: Matrix) -> Matrix:
                   for i, row in enumerate(m.entries)])
     reduced, _ = rref(aug)
     return Matrix(m.rows, m.cols, [list(row[m.cols:]) for row in reduced.entries])
+
+
+# ---------------------------------------------------------------------------
+# The first witness of each check, pinned key by key: one single-defect
+# mutant per witness kind.  Key order is part of the serialized output.
+
+
+def _ext2_squared():
+    f = degree_filtration(exterior_module(2))
+    return tensor_module(f, f)
+
+
+def _bifiltered(replace_flags=(), replace_plus=(), replace_minus=(), base=None):
+    """A copy of `base` (degree(ext2) tensor degree(ext2) by default) with
+    flags {(m, n): Subspace} and gamma entries {(i, comp): Matrix} replaced."""
+    base = base or _ext2_squared()
+    flags = [list(row) for row in base.biflags]
+    for (m, n), flag in dict(replace_flags).items():
+        flags[m][n] = flag
+    plus = [dict(g) for g in base.gamma_plus]
+    for (i, comp), mat in dict(replace_plus).items():
+        plus[i][comp] = mat
+    minus = [dict(g) for g in base.gamma_minus]
+    for (j, comp), mat in dict(replace_minus).items():
+        minus[j][comp] = mat
+    return BifilteredSupermodule(base.plus_algebra, base.minus_algebra, base.dims,
+                                 plus, minus, flags)
+
+
+def _relations_mutant():
+    m = exterior_module(2)
+    return CliffordSupermodule(m.algebra, [m.gamma_eo[0], m.gamma_eo[1].scale(2)],
+                               list(m.gamma_oe))
+
+
+def _nesting_mutant():
+    f = degree_filtration(exterior_module(4))
+    two_forms = [[1 if c == k else 0 for c in range(8)] for k in range(1, 7)]
+    even = [f.even_flags[0], Subspace.span(8, two_forms), f.even_flags[2]]
+    return SuperFiltration(f.module, even, f.odd_flags)
+
+
+def _exhaustive_mutant():
+    f = degree_filtration(exterior_module(3))
+    return SuperFiltration(f.module, f.even_flags, f.odd_flags[:-1])
+
+
+def _compatibility_mutant():
+    m = exterior_module(2)
+    return SuperFiltration(m, [Subspace.span(2, [[1, 0]]), Subspace.full(2)],
+                           [Subspace.zero(2), Subspace.full(2)])
+
+
+def _gamma(side, i, comp):
+    base = _ext2_squared()
+    return (base.gamma_plus if side == "plus" else base.gamma_minus)[i][comp]
+
+
+def _trivial_corner_mutant():
+    point = trivial_filtration(CliffordSupermodule(CliffordAlgebra(0), [], [], 1, 0))
+    return _bifiltered({(0, 0): Subspace.zero(1)}, base=tensor_module(point, point))
+
+
+WITNESSES = {
+    "supermodule_relations": (
+        lambda: check_supermodule(_relations_mutant()),
+        "supermodule_relations", {"i": 0, "j": 1, "parity": 0}),
+    "nesting": (
+        lambda: check_filtration(_nesting_mutant()),
+        "filtration", {"kind": "nesting", "parity": 0, "level": 0}),
+    "exhaustive": (
+        lambda: check_filtration(_exhaustive_mutant()),
+        "filtration", {"kind": "exhaustive", "parity": 1}),
+    "compatibility": (
+        lambda: check_filtration(_compatibility_mutant()),
+        "filtration", {"kind": "compatibility", "generator": 0, "level": 0}),
+    "plus_relation": (
+        lambda: check_bifiltered_module(_bifiltered(replace_plus={
+            (0, (0, 0)): _gamma("plus", 0, (0, 0)).scale(2)})),
+        "bifiltered_module", {"kind": "plus_relation", "i": 0, "j": 0, "component": (0, 0)}),
+    "minus_relation": (
+        lambda: check_bifiltered_module(_bifiltered(replace_minus={
+            (0, (0, 0)): _gamma("minus", 0, (0, 0)).scale(2)})),
+        "bifiltered_module", {"kind": "minus_relation", "i": 0, "j": 0, "component": (0, 0)}),
+    "families_commute": (
+        # drop the sign twist of the minus family on the a = 1 half
+        lambda: check_bifiltered_module(_bifiltered(replace_minus={
+            (0, comp): -_gamma("minus", 0, comp) for comp in ((1, 0), (1, 1))})),
+        "bifiltered_module", {"kind": "families_commute", "i": 0, "j": 0, "component": (0, 0)}),
+    "nesting_plus": (
+        lambda: check_bifiltered_module(_bifiltered({(2, 0): Subspace.span(4, [[0, 0, 1, 0]])})),
+        "bifiltered_module", {"kind": "nesting_plus", "m": 0, "n": 0}),
+    "nesting_minus": (
+        lambda: check_bifiltered_module(_bifiltered({(0, 2): Subspace.span(4, [[0, 1, 0, 0]])})),
+        "bifiltered_module", {"kind": "nesting_minus", "m": 0, "n": 0}),
+    "compatibility_plus": (
+        lambda: check_bifiltered_module(_bifiltered({(1, 0): Subspace.zero(4)})),
+        "bifiltered_module", {"kind": "compatibility_plus", "i": 0, "m": 0, "n": 0}),
+    "compatibility_minus": (
+        lambda: check_bifiltered_module(_bifiltered({(0, 1): Subspace.zero(4)})),
+        "bifiltered_module", {"kind": "compatibility_minus", "j": 0, "m": 0, "n": 0}),
+    "exhaustive_2d": (
+        lambda: check_bifiltered_module(_trivial_corner_mutant()),
+        "bifiltered_module", {"kind": "exhaustive", "m": 0, "n": 0}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESSES))
+def test_first_witness_of_each_kind(kind):
+    run, check, witness = WITNESSES[kind]
+    cert = run()
+    assert not cert
+    assert cert.check == check
+    assert list(cert.witness.items()) == list(witness.items())
