@@ -54,11 +54,13 @@ from .supermodule import (
 class TwistedProduct:
     """Cl(p) x Cl(q) with the sign-twisted multiplication.
 
-    Basis elements are pairs of monomials; homogeneous elements multiply
-    by (a1 (x) b1)(a2 (x) b2) = (-1)^{|b1||a2|} a1 a2 (x) b1 b2.  The map
-    sending the pair (I, J) to the monomial I u (J + p) identifies the
-    result with Cl(p + q); `embed` realizes it and `check_twisted_tensor`
-    verifies it is an isomorphism of superalgebras.
+    Basis monomials are pairs of monomials; homogeneous elements multiply
+    by (a1 (x) b1)(a2 (x) b2) = (-1)^{|b1||a2|} a1 a2 (x) b1 b2.  Elements
+    are `CliffordElement`s over the product, which supplies what they
+    read: `monomials`, `monomial_index`, `dim` and `monomial_product`.
+    The map sending the pair (I, J) to the monomial I u (J + p)
+    identifies the result with Cl(p + q); `embed` realizes it and
+    `check_twisted_tensor` verifies it is an isomorphism of superalgebras.
     """
 
     def __init__(self, a: CliffordAlgebra, b: CliffordAlgebra):
@@ -70,9 +72,9 @@ class TwistedProduct:
         self.right = b
         self.p = a.n
         self.q = b.n
-        self.dim = a.dim * b.dim
-        self.pairs = tuple((i, j) for i in a.monomials for j in b.monomials)
-        self.pair_index = {pair: k for k, pair in enumerate(self.pairs)}
+        self.pairs = self.monomials = tuple((i, j) for i in a.monomials for j in b.monomials)
+        self.dim = len(self.pairs)
+        self.monomial_index = {pair: k for k, pair in enumerate(self.pairs)}
         self.ambient = CliffordAlgebra(a.n + b.n)
 
     def __eq__(self, other):
@@ -82,27 +84,39 @@ class TwistedProduct:
             and self.right == other.right
         )
 
+    def __hash__(self):
+        return hash((self.left, self.right))
+
     def __repr__(self):
         return f"TwistedProduct(Cl({self.p}), Cl({self.q}))"
 
-    def element(self, terms: dict) -> "TwistedElement":
-        return TwistedElement(self, terms)
+    def monomial_product(self, pair_a: tuple, pair_b: tuple) -> dict:
+        """Product of two basis pairs as {pair: coefficient}: the signed
+        product of the factors' monomial products."""
+        (a1, b1), (a2, b2) = pair_a, pair_b
+        sign = -1 if len(b1) % 2 and len(a2) % 2 else 1
+        return {(mi, mj): sign * ca * cb
+                for mi, ca in self.left.monomial_product(a1, a2).items()
+                for mj, cb in self.right.monomial_product(b1, b2).items()}
 
-    def zero(self) -> "TwistedElement":
-        return TwistedElement(self, {})
+    def element(self, terms: dict) -> CliffordElement:
+        return CliffordElement(self, terms)
 
-    def one(self) -> "TwistedElement":
-        return TwistedElement(self, {((), ()): Fraction(1)})
+    def zero(self) -> CliffordElement:
+        return CliffordElement(self, {})
 
-    def generator(self, k: int) -> "TwistedElement":
+    def one(self) -> CliffordElement:
+        return CliffordElement(self, {((), ()): Fraction(1)})
+
+    def generator(self, k: int) -> CliffordElement:
         """The k-th of the p + q combined odd generators."""
         if not 0 <= k < self.p + self.q:
             raise ValueError("generator index out of range")
         if k < self.p:
-            return TwistedElement(self, {((k,), ()): Fraction(1)})
-        return TwistedElement(self, {((), (k - self.p,)): Fraction(1)})
+            return CliffordElement(self, {((k,), ()): Fraction(1)})
+        return CliffordElement(self, {((), (k - self.p,)): Fraction(1)})
 
-    def embed(self, x: "TwistedElement") -> CliffordElement:
+    def embed(self, x: CliffordElement) -> CliffordElement:
         """Image in Cl(p+q) under (I, J) -> I u (J + p).
 
         The concatenated index word is already sorted, so no reordering
@@ -124,85 +138,22 @@ class TwistedProduct:
         return Subspace.span(self.dim, rows)
 
 
-class TwistedElement:
-    """Sparse element of a twisted product, keyed by monomial pairs."""
-
-    def __init__(self, algebra: TwistedProduct, terms: dict):
-        clean = {}
-        for pair, c in terms.items():
-            if pair not in algebra.pair_index:
-                raise ValueError(f"unknown basis pair {pair}")
-            c = rational(c)
-            if c:
-                clean[pair] = c
-        self.algebra = algebra
-        self.terms = clean
-
-    def _check(self, other: "TwistedElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different twisted products")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for pair, c in other.terms.items():
-            terms[pair] = terms.get(pair, Fraction(0)) + c
-        return TwistedElement(self.algebra, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TwistedElement(self.algebra, {p: -c for p, c in self.terms.items()})
-
-    def scale(self, c):
-        c = rational(c)
-        return TwistedElement(self.algebra, {p: c * v for p, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __mul__(self, other: "TwistedElement") -> "TwistedElement":
-        self._check(other)
-        alg = self.algebra
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                sign = -1 if (len(j1) % 2 and len(i2) % 2) else 1
-                coeff = sign * c1 * c2
-                for mi, ca in alg.left.monomial_product(i1, i2).items():
-                    for mj, cb in alg.right.monomial_product(j1, j2).items():
-                        pair = (mi, mj)
-                        out[pair] = out.get(pair, Fraction(0)) + coeff * ca * cb
-        return TwistedElement(alg, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def vector(self) -> tuple:
-        v = [Fraction(0)] * self.algebra.dim
-        for pair, c in self.terms.items():
-            v[self.algebra.pair_index[pair]] = c
-        return tuple(v)
-
-    def __repr__(self):
-        return f"TwistedElement({self.terms!r})"
-
-
 def twisted_tensor(a: CliffordAlgebra, b: CliffordAlgebra) -> TwistedProduct:
     """The twisted product presentation of Cl(a.n + b.n)."""
     return TwistedProduct(a, b)
 
 
+def _within(m: tuple, a: tuple, b: tuple) -> bool:
+    """Whether monomial m lies in the level |a| + |b| of its factor."""
+    return len(m) <= len(a) + len(b) and (len(m) - len(a) - len(b)) % 2 == 0
+
+
 def check_twisted_tensor(t: TwistedProduct) -> Certificate:
-    """Combined generators close Cl(p+q); embedding is an algebra iso."""
+    """Combined generators close Cl(p+q); embedding is an algebra iso.
+
+    Each product of two basis pairs is formed once, and tested for
+    multiplicativity of the embedding and for the bifiltration rule;
+    bijectivity of the embedding comes last."""
     name = "twisted_tensor"
     total = t.p + t.q
     gens = [t.generator(k) for k in range(total)]
@@ -214,25 +165,20 @@ def check_twisted_tensor(t: TwistedProduct) -> Certificate:
             if anti != want:
                 return failing(name, kind="generator_relation", i=i, j=j)
     # multiplicativity of the identification on every pair of basis
-    # elements, which is exactly the superalgebra isomorphism claim
-    for pa in t.pairs:
-        x = t.element({pa: 1})
-        for pb in t.pairs:
-            y = t.element({pb: 1})
-            if t.embed(x * y) != t.embed(x) * t.embed(y):
+    # elements, which is exactly the superalgebra isomorphism claim, and
+    # the product of bifiltration levels landing in the summed level
+    basis = {pair: t.element({pair: 1}) for pair in t.pairs}
+    images = {pair: t.embed(x) for pair, x in basis.items()}
+    for pa, x in basis.items():
+        for pb, y in basis.items():
+            prod = x * y
+            if t.embed(prod) != images[pa] * images[pb]:
                 return failing(name, kind="not_multiplicative", left=pa, right=pb)
-    images = {t.embed(t.element({pair: 1})) for pair in t.pairs}
-    if len(images) != t.dim:
+            if not all(_within(mi, pa[0], pb[0]) and _within(mj, pa[1], pb[1])
+                       for mi, mj in prod.terms):
+                return failing(name, kind="bifiltration", left=pa, right=pb)
+    if len(set(images.values())) != t.dim:
         return failing(name, kind="not_bijective")
-    # product of bifiltration levels lands in the summed level
-    for (i1, j1) in t.pairs:
-        for (i2, j2) in t.pairs:
-            prod = t.element({(i1, j1): 1}) * t.element({(i2, j2): 1})
-            for (mi, mj) in prod.terms:
-                ok_i = len(mi) <= len(i1) + len(i2) and (len(mi) - len(i1) - len(i2)) % 2 == 0
-                ok_j = len(mj) <= len(j1) + len(j2) and (len(mj) - len(j1) - len(j2)) % 2 == 0
-                if not (ok_i and ok_j):
-                    return failing(name, kind="bifiltration", left=(i1, j1), right=(i2, j2))
     return passing(name)
 
 
@@ -256,6 +202,8 @@ class BifilteredSupermodule:
         self.plus_algebra = plus_algebra
         self.minus_algebra = minus_algebra
         self.dims = {comp: int(dims[comp]) for comp in _COMPONENTS}
+        if min(self.dims.values()) < 0:
+            raise ValueError("dimensions must be nonnegative")
         gamma_plus = tuple(dict(g) for g in gamma_plus)
         gamma_minus = tuple(dict(g) for g in gamma_minus)
         if len(gamma_plus) != plus_algebra.n or len(gamma_minus) != minus_algebra.n:
@@ -472,11 +420,12 @@ def biquotient(r: BiGradedRep, shell_plus=1, shell_minus=1) -> BifilteredSupermo
     value; the output algebras carry the correspondingly scaled Gram
     matrices.  Flags are the images of the grid components under the
     composite shifts into the corner of matching biparity.  Raises
-    ValueError unless both shifts are injective and commute.
+    CheckFailed unless verify_2d passes.
     """
     shells = (rational(shell_plus), rational(shell_minus))
     if min(shells) <= 0:
         raise ValueError("shell values must be positive")
+    require("bigraded representation", verify_2d(r))
     v = _quotient(r, shells)
     return BifilteredSupermodule(*v.algebras, v.dims, *v.gammas, _nest(v.flags, v.tops))
 
@@ -497,8 +446,7 @@ def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
     generator families, and exact flag correspondence are verified.  A
     failure is a defect of the correspondence itself, so it raises.
     """
-    s = biquotient(bideform(bf), 1, 1)
-    maps, cert = _roundtrip(_filtered(bf), _filtered(s), BiGradedRep._words)
+    maps, cert = _roundtrip(_filtered(bf), _quotient(bideform(bf), (1, 1)), BiGradedRep._words)
     return BifilteredIso(maps, cert)
 
 

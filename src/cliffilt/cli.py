@@ -97,7 +97,6 @@ def _cmd_deform(args) -> int:
 
 def _cmd_quotient(args) -> int:
     r = _expect(_read_document(args.input), deformation.OffShellRep)
-    require("off-shell representation", deformation.verify_offshell(r))
     try:
         shell = Fraction(args.k)
     except (ValueError, ZeroDivisionError):
@@ -161,11 +160,12 @@ def _cmd_bideform(args) -> int:
 
 def _cmd_biquotient(args) -> int:
     r = _expect(_read_document(args.input), bifiltration.BiGradedRep)
-    require("bigraded representation", bifiltration.verify_2d(r))
     try:
         sp = Fraction(args.shell_plus)
         sm = Fraction(args.shell_minus)
         result = bifiltration.biquotient(r, shell_plus=sp, shell_minus=sm)
+    except CheckFailed:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializeError(str(exc))
     return _emit(result, args.output)

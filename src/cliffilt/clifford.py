@@ -170,7 +170,11 @@ class CliffordAlgebra:
 
 
 class CliffordElement:
-    """Sparse algebra element: {increasing index tuple: rational coefficient}."""
+    """Sparse algebra element: {basis monomial: rational coefficient}.
+
+    The algebra supplies `monomial_index`, `dim` and `monomial_product`;
+    a monomial of a `CliffordAlgebra` is an increasing index tuple.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -245,15 +249,6 @@ class CliffordElement:
         for mono, coeff in self.terms.items():
             v[self.algebra.monomial_index[mono]] = coeff
         return tuple(v)
-
-    def filtration_degree(self) -> int | None:
-        """Smallest p with self in F_p; None for 0 and for parity-mixed elements."""
-        if not self.terms:
-            return None
-        lengths = {len(m) for m in self.terms}
-        if len({l % 2 for l in lengths}) > 1:
-            return None
-        return max(lengths)
 
     def __repr__(self):
         if not self.terms:

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .certificate import Certificate, failing, passing, require
@@ -64,6 +65,8 @@ def _nest(values: dict, tops, prefix=()):
 def _grid(dims, k: int) -> tuple:
     """dims nested k deep, normalized to tuples of ints, and as {point: dim}."""
     if k == 0:
+        if int(dims) < 0:
+            raise ValueError("dimensions must be nonnegative")
         return int(dims), {(): int(dims)}
     rows = [_grid(row, k - 1) for row in dims]
     if len(rows) < 2 or any(row[1].keys() != rows[0][1].keys() for row in rows):
@@ -93,8 +96,10 @@ class GradedRep:
     `dims` nests one level per direction.  shifts[d] holds, at each grid
     point x with x_d <= top_d - 2, the shift from x to x + 2 e_d; qs[d][i]
     holds, at every grid point x, generator i of family d as a map from x
-    to x + e_d folded back onto the grid.  Subclasses fix k, translate
-    their constructor arguments and attributes, and name their `_words`.
+    to x + e_d folded back onto the grid.  Both are read-only mappings, so
+    the verdict of `_verify` can be kept on the rep.  Subclasses fix k,
+    translate their constructor arguments and attributes, and name their
+    `_words`.
     """
 
     _words: _Words
@@ -104,8 +109,8 @@ class GradedRep:
         k = len(algebras)
         dims, grid = _grid(dims, k)
         tops = tuple(max(x[d] for x in grid) for d in range(k))
-        shifts = tuple(dict(s) for s in shifts)
-        qs = tuple(tuple(dict(q) for q in family) for family in qs)
+        shifts = tuple(MappingProxyType(dict(s)) for s in shifts)
+        qs = tuple(tuple(MappingProxyType(dict(q)) for q in family) for family in qs)
         for d, (algebra, family) in enumerate(zip(algebras, qs)):
             if len(family) != algebra.n:
                 raise ValueError("need one Q family per generator")
@@ -116,6 +121,7 @@ class GradedRep:
                 _check_maps(q, grid, targets, "Q")
         self.algebras, self.dims, self.tops, self.shifts, self.qs = algebras, dims, tops, shifts, qs
         self._grid = grid
+        self._verdict: Certificate | None = None
 
     def component_dim(self, x) -> int:
         return 0 if min(x) < 0 else self._grid[_fold(x, self.tops)]
@@ -166,33 +172,29 @@ def _deform(v: _Filtered, cls):
     return rep
 
 
-def _singular_shift(r: GradedRep):
-    """(direction, point) of the first shift that is not injective, or None."""
-    for d, shifts in enumerate(r.shifts):
-        for x, mat in shifts.items():
-            if mat.rank() != mat.rows:
-                return d, x
-    return None
-
-
-def _shifts_commute(r: GradedRep, x, d: int, e: int) -> bool:
-    return r.shift(d, x) * r.shift(e, _step(x, d, 2)) == r.shift(e, x) * r.shift(d, _step(x, e, 2))
-
-
 def _verify(r: GradedRep) -> Certificate:
+    """The verdict of `_relations` on r, kept on the rep, whose maps are
+    read-only."""
+    if r._verdict is None:
+        r._verdict = _relations(r)
+    return r._verdict
+
+
+def _relations(r: GradedRep) -> Certificate:
     """Shift injectivity; then, point by point, shift commutation, each
     family's anticommutators, the mixed brackets and the shift-Q
     commutators.  The first failure is the witness."""
     w = r._words
-    singular = _singular_shift(r)
-    if singular is not None:
-        d, x = singular
-        return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
+    for d, shifts in enumerate(r.shifts):
+        for x, mat in shifts.items():
+            if mat.rank() != mat.rows:
+                return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
     pairs = list(combinations(range(len(r.tops)), 2))
     for x in _points(r.tops):
         at = dict(zip(w.point, x))
         for d, e in pairs:
-            if not _shifts_commute(r, x, d, e):
+            lhs = r.shift(d, x) * r.shift(e, _step(x, d, 2))
+            if lhs != r.shift(e, x) * r.shift(d, _step(x, e, 2)):
                 return failing(w.relations, kind="shifts_commute", **at)
         for d, algebra in enumerate(r.algebras):
             gram, up, s = algebra.gram.entries, _step(x, d, 1), r.shift(d, x)
@@ -219,25 +221,13 @@ def _verify(r: GradedRep) -> Certificate:
     return passing(w.relations)
 
 
-def _require_shifts(r: GradedRep) -> None:
-    """Raise ValueError unless the shifts are injective and commute: the
-    quotient needs both, and would silently be wrong without them."""
-    singular = _singular_shift(r)
-    if singular is not None:
-        raise ValueError(f"shift not injective at {singular[1]}")
-    for x in _points(r.tops):
-        for d, e in combinations(range(len(r.tops)), 2):
-            if not _shifts_commute(r, x, d, e):
-                raise ValueError(f"shifts do not commute at {x}")
-
-
 def _quotient(r: GradedRep, shells) -> _Filtered:
     """Evaluate each S_d at its shell value shells[d] > 0.  The corners
     carry the stored Q maps, those leaving the grid's top in their
     direction scaled by that shell value, and the algebras the scaled
     Gram matrices; the flag at x is the image of V_x under the composite
-    shifts into the corner of its parity, one direction after another."""
-    _require_shifts(r)
+    shifts into the corner of its parity, one direction after another.
+    Only a rep that satisfies the relations gives a filtered module."""
     tops = r.tops
     corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
     dims = {c: r._grid[corner] for c, corner in corners.items()}
@@ -374,13 +364,13 @@ def quotient_at(r: OffShellRep, k) -> OnShellModule | GradedSpace:
     Positive k yields a filtered supermodule on the top two components
     whose gamma operators close the scaled Clifford relations
     {g_i, g_j} = 2 k G[i][j]; the level-p flag is the image of V_p under
-    the iterated H maps.  Raises ValueError when H is not injective.
+    the iterated H maps.  Raises CheckFailed unless verify_offshell passes.
     """
     k = rational(k)
     if k < 0:
         raise ValueError("shell value must be nonnegative for the scaled Gram form")
+    require("off-shell representation", verify_offshell(r))
     if k == 0:
-        _require_shifts(r)
         return GradedSpace(tuple(r.dims[p] - r.dim_at(p - 2) for p in range(r.top_degree + 1)))
     v = _quotient(r, (k,))
     gammas = v.gammas[0]
@@ -408,8 +398,7 @@ def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
     flag-to-flag correspondence are all checked exactly; a failure is a
     defect of the correspondence itself, so it raises.
     """
-    s = quotient_at(deform(f), 1)
-    maps, cert = _roundtrip(_filtered(f), _filtered(s.filtration), OffShellRep._words)
+    maps, cert = _roundtrip(_filtered(f), _quotient(deform(f), (1,)), OffShellRep._words)
     return FilteredIso(maps[(0,)], maps[(1,)], cert)
 
 

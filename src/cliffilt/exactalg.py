@@ -80,9 +80,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, [[_ZERO] * cols for _ in range(rows)])
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 

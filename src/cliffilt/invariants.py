@@ -41,14 +41,17 @@ def gr_dimensions(f: SuperFiltration) -> tuple[int, ...]:
 def source_dimensions(f: SuperFiltration) -> tuple[int, ...]:
     """dim of F_p modulo the span of all gamma images of F_{p-1}."""
     module = f.module
-    out = []
-    for p in range(f.top_degree + 1):
-        below = f.level(p - 1)
-        span = Subspace.zero(module.dim(p % 2))
-        for i in range(module.algebra.n):
-            span = span + below.image(module.gamma(i, (p - 1) % 2))
-        out.append(f.level(p).dim - span.dim)
-    return tuple(out)
+    return tuple(
+        f.level(p).dim - _grown(module, p, f.level(p - 1), Subspace.zero(module.dim(p % 2))).dim
+        for p in range(f.top_degree + 1)
+    )
+
+
+def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace) -> Subspace:
+    """span plus the images of below, the level p - 1, under every generator."""
+    for i in range(module.algebra.n):
+        span = span + below.image(module.gamma(i, (p - 1) % 2))
+    return span
 
 
 def _residual(flag: Subspace, v) -> tuple:
@@ -450,16 +453,20 @@ def _random_vector(dim: int, rng) -> tuple:
     return tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
 
 
+def _filled(span: Subspace, target: int, rng, draws: int = 80) -> Subspace:
+    """span plus random vectors until its dimension reaches target, or
+    after `draws` vectors."""
+    for _ in range(draws):
+        if span.dim >= target:
+            break
+        span = span + Subspace.span(span.ambient, [_random_vector(span.ambient, rng)])
+    return span
+
+
 def _random_subspace(dim: int, target: int, rng) -> Subspace | None:
     """Random subspace of exactly the target dimension, a few retries."""
     for _ in range(25):
-        span = Subspace.zero(dim)
-        guard = 0
-        while span.dim < target and guard < 60:
-            guard += 1
-            grown = span + Subspace.span(dim, [_random_vector(dim, rng)])
-            if grown.dim > span.dim:
-                span = grown
+        span = _filled(Subspace.zero(dim), target, rng, draws=60)
         if span.dim == target:
             return span
     return None
@@ -485,27 +492,15 @@ def random_filtration(module: CliffordSupermodule, rng) -> SuperFiltration:
         bottom = Subspace.full(de)
     flags = [bottom]
     for p in range(1, m + 1):
-        parity = p % 2
-        ambient = module.dim(parity)
-        span = flags[p - 2] if p >= 2 else Subspace.zero(ambient)
-        prev = flags[p - 1]
-        for i in range(n):
-            span = span + prev.image(module.gamma(i, (p - 1) % 2))
+        ambient = module.dim(p % 2)
+        span = _grown(module, p, flags[p - 1], flags[p - 2] if p >= 2 else Subspace.zero(ambient))
         if p >= m - 1:
             flags.append(Subspace.full(ambient))
             continue
-        room = ambient - span.dim
-        extra = rng.randint(0, room)
+        extra = rng.randint(0, ambient - span.dim)
         if p == 1 and bottom.dim == 0 and do > 0 and span.dim == 0:
             extra = max(extra, 1)
-        guard = 0
-        while extra > 0 and guard < 80:
-            guard += 1
-            grown = span + Subspace.span(ambient, [_random_vector(ambient, rng)])
-            if grown.dim > span.dim:
-                span = grown
-                extra -= 1
-        flags.append(span)
+        flags.append(_filled(span, span.dim + extra, rng))
     even_flags = [flags[p] for p in range(0, m + 1, 2)]
     odd_flags = [flags[p] for p in range(1, m + 1, 2)]
     f = SuperFiltration(module, even_flags, odd_flags)
@@ -556,19 +551,12 @@ def filtration_search(
         flags = [bottom]
         ok = True
         for p in range(1, m + 1):
-            parity = p % 2
-            ambient = module.dim(parity)
-            span = flags[p - 2] if p >= 2 else Subspace.zero(ambient)
-            prev = flags[p - 1]
-            for i in range(module.algebra.n):
-                span = span + prev.image(module.gamma(i, (p - 1) % 2))
+            span = _grown(module, p, flags[p - 1],
+                          flags[p - 2] if p >= 2 else Subspace.zero(module.dim(p % 2)))
             if span.dim > required[p]:
                 ok = False
                 break
-            guard = 0
-            while span.dim < required[p] and guard < 80:
-                guard += 1
-                span = span + Subspace.span(ambient, [_random_vector(ambient, rng)])
+            span = _filled(span, required[p], rng)
             if span.dim != required[p]:
                 ok = False
                 break

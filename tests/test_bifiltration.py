@@ -18,6 +18,7 @@ from cliffilt.bifiltration import (
     twisted_tensor,
     verify_2d,
 )
+from cliffilt.certificate import CheckFailed
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import OffShellRep, deform, quotient_at, verify_offshell
 from cliffilt.exactalg import Matrix
@@ -177,6 +178,21 @@ def test_biquotient_scaled_shells():
         biquotient(r, shell_plus=0)
     with pytest.raises(ValueError):
         biquotient(r, shell_minus=-1)
+
+
+def test_biquotient_requires_bigraded_relations():
+    # doubling one Q+ map leaves both shifts injective and commuting
+    r = bideform(tensor_module(degree_filtration(exterior_module(2)),
+                               degree_filtration(exterior_module(2))))
+    qp = [dict(per) for per in r.qp]
+    key = max(x for x, m in qp[0].items() if not m.is_zero())
+    qp[0][key] = qp[0][key].scale(2)
+    bad = BiGradedRep(r.plus_algebra, r.minus_algebra, r.dims, r.sp, r.sm, qp, r.qm)
+    with pytest.raises(CheckFailed) as caught:
+        biquotient(bad)
+    cert = caught.value.certificate
+    assert not cert and cert.check == "bigraded_relations"
+    assert cert == verify_2d(bad)
 
 
 def test_membership_identities_random():

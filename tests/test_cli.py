@@ -116,6 +116,31 @@ def test_tensor_bideform_biquotient_chain(tmp_path, degree_doc):
     assert run(["check"], stdin=back.stdout).returncode == 0
 
 
+def test_quotients_reject_invalid_reps(tmp_path, degree_doc):
+    # a doubled Q map breaks the relations the quotients assume (exit 1 with
+    # the certificate); a bad shell value is still a malformed argument
+    def doubled(rows):
+        return [[str(2 * Fraction(x)) for x in row] for row in rows]
+
+    rep = json.loads(run(["deform"], stdin=degree_doc).stdout)
+    rep["q_maps"][0][-1]["rows"] = doubled(rep["q_maps"][0][-1]["rows"])
+    for k in ("1", "0"):
+        out = run(["quotient", "--k", k], stdin=json.dumps(rep))
+        assert out.returncode == 1 and json.loads(out.stdout)["check"] == "offshell_relations"
+    assert run(["quotient", "--k", "x"], stdin=json.dumps(rep)).returncode == 2
+
+    p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+    p_path.write_text(degree_doc)
+    q_path.write_text(run(["example", "cl1-trivial"]).stdout)
+    bf = run(["tensor", "--p", str(p_path), "--q", str(q_path)])
+    birep = json.loads(run(["bideform"], stdin=bf.stdout).stdout)
+    top = birep["q_plus"][0][-1][-1]
+    top["rows"] = doubled(top["rows"])
+    out = run(["biquotient"], stdin=json.dumps(birep))
+    assert out.returncode == 1 and json.loads(out.stdout)["check"] == "bigraded_relations"
+    assert run(["biquotient", "--shell-plus", "0"], stdin=json.dumps(birep)).returncode == 2
+
+
 def test_export_dot(degree_doc, tmp_path):
     out = run(["export-dot"], stdin=degree_doc)
     assert out.returncode == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffilt.certificate import CheckFailed
 from cliffilt.deformation import (
     GradedSpace,
     OffShellRep,
@@ -157,6 +158,30 @@ def test_quotient_rejects_non_injective_h():
     for shell in (1, 0):
         with pytest.raises(ValueError):
             quotient_at(broken, shell)
+
+
+def test_quotient_requires_offshell_relations():
+    # a doubled top-degree Q keeps H injective, so only the relations the
+    # quotient assumes can reject the rep
+    r = deform(degree_filtration(exterior_module(4)))
+    q_maps = [list(per) for per in r.q_maps]
+    per = next(per for per in q_maps if not per[-1].is_zero())
+    per[-1] = per[-1].scale(2)
+    bad = OffShellRep(r.algebra, r.dims, r.h_maps, q_maps)
+    for shell in (1, 0):
+        with pytest.raises(CheckFailed) as caught:
+            quotient_at(bad, shell)
+        cert = caught.value.certificate
+        assert not cert and cert.check == "offshell_relations"
+        assert cert == verify_offshell(bad)
+
+
+def test_verified_rep_is_read_only():
+    # verify_offshell keeps its verdict on the rep, so the maps cannot change
+    r = deform(degree_filtration(exterior_module(2)))
+    assert verify_offshell(r)
+    with pytest.raises(TypeError):
+        r.shifts[0][(0,)] = Matrix.zeros(r.dims[0], r.dims[2])
 
 
 def test_offshell_constructor_validates_shapes():

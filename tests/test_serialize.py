@@ -132,10 +132,25 @@ def test_malformed_documents_rejected():
             loads(text)
 
 
-def test_negative_dimensions_rejected():
-    doc = encode(trivial_filtration(CliffordSupermodule(CliffordAlgebra(0), [], [], 1, 0)))
-    doc["dim_even"] = -1
-    doc["even_flags"][0] = {"ambient": -1, "rows": []}
+@pytest.mark.parametrize("kind", ["filtration", "offshell_rep", "bifiltered_module",
+                                  "bigraded_rep"])
+def test_negative_dimensions_rejected(kind):
+    # data over Cl(0) whose (1|0) component is made -1-dimensional: with no
+    # generators, no map shape contradicts the negative dimension
+    point = trivial_filtration(CliffordSupermodule(CliffordAlgebra(0), [], [], 1, 0))
+    if kind == "filtration":
+        doc = encode(point)
+        doc["dim_even"] = -1
+        doc["even_flags"][0] = {"ambient": -1, "rows": []}
+    elif kind == "offshell_rep":
+        doc = encode(deform(point))
+        doc["dims"][0] = -1
+    else:
+        bf = tensor_module(point, point)
+        doc = encode(bf if kind == "bifiltered_module" else bideform(bf))
+        doc["dims"][0][0] = -1
+        if kind == "bifiltered_module":
+            doc["biflags"][0][0] = {"ambient": -1, "rows": []}
     with pytest.raises(SerializeError):
         decode(doc)
 
