@@ -10,6 +10,9 @@ translations H+P and H-P) and odd operators Q+_i, Q-_j of bidegrees
 (1,0) and (0,1); the quotient by (shift - k) in both directions
 collapses back onto the four corners of the grid.
 
+`BifilteredSupermodule` is the k = 2 case of the one filtered-module
+type, `supermodule.FilteredModule`, whose maps and flags are read-only,
+so `check_bifiltered_module` keeps its verdict on the module.
 `bideform`, `verify_2d`, `biquotient` and `canonical_biroundtrip_iso`
 are the k = 2 case of the construction that `deformation` writes once
 over k directions; its k = 1 case is the 1d pipeline, which is the
@@ -33,17 +36,20 @@ from fractions import Fraction
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra, CliffordElement
-from .deformation import GradedRep, _deform, _nest, _points, _quotient, _roundtrip, _verify, _Words
+from .deformation import GradedRep, _deform, _quotient, _roundtrip, _verify, _Words
 from .exactalg import Matrix, Subspace, rational
 from .supermodule import (
     CliffordSupermodule,
+    FilteredModule,
     SuperFiltration,
+    _checked,
     _CheckWords,
-    _Filtered,
     _fold,
-    _module_flags,
     _module_relations,
+    _nest,
+    _points,
     _step,
+    check_filtration,
     kron,
 )
 
@@ -188,52 +194,39 @@ def check_twisted_tensor(t: TwistedProduct) -> Certificate:
 _COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-class BifilteredSupermodule:
-    """Four parity components acted on by two anticommuting Clifford families.
+class BifilteredSupermodule(FilteredModule):
+    """Four parity components acted on by two anticommuting Clifford
+    families: the k = 2 case of `supermodule.FilteredModule`.
 
     gamma_plus[i] flips the first parity index, gamma_minus[j] the
-    second; both are stored per source component.  The flags F_{m,n}
+    second; both are keyed by source component.  The flags F_{m,n}
     live on the grid 0..top_plus x 0..top_minus, F_{m,n} inside the
     component of parity (m mod 2, n mod 2); past the top of a direction
     the grid repeats with period two.
     """
 
+    _words = _CheckWords(
+        "bifiltered_module", "bifiltered_module",
+        relation=lambda d, e, i, j, c: {
+            "kind": ("plus_relation", "families_commute", "minus_relation")[d + e],
+            "i": i, "j": j, "component": c},
+        nesting=lambda d, x: {"kind": ("nesting_plus", "nesting_minus")[d], "m": x[0], "n": x[1]},
+        exhaustive=lambda c, x: {"kind": "exhaustive", "m": x[0], "n": x[1]},
+        compatibility=lambda d, i, x: {"kind": ("compatibility_plus", "compatibility_minus")[d],
+                                       "ij"[d]: i, "m": x[0], "n": x[1]},
+    )
+
     def __init__(self, plus_algebra, minus_algebra, dims, gamma_plus, gamma_minus, biflags):
-        self.plus_algebra = plus_algebra
-        self.minus_algebra = minus_algebra
-        self.dims = {comp: int(dims[comp]) for comp in _COMPONENTS}
-        if min(self.dims.values()) < 0:
-            raise ValueError("dimensions must be nonnegative")
-        gamma_plus = tuple(dict(g) for g in gamma_plus)
-        gamma_minus = tuple(dict(g) for g in gamma_minus)
-        if len(gamma_plus) != plus_algebra.n or len(gamma_minus) != minus_algebra.n:
-            raise ValueError("one action matrix family per generator")
-        for g in gamma_plus:
-            for (a, b) in _COMPONENTS:
-                if (g[(a, b)].rows, g[(a, b)].cols) != (self.dims[(a, b)], self.dims[(1 - a, b)]):
-                    raise ValueError("gamma_plus shape mismatch")
-        for g in gamma_minus:
-            for (a, b) in _COMPONENTS:
-                if (g[(a, b)].rows, g[(a, b)].cols) != (self.dims[(a, b)], self.dims[(a, 1 - b)]):
-                    raise ValueError("gamma_minus shape mismatch")
-        self.gamma_plus = gamma_plus
-        self.gamma_minus = gamma_minus
-        biflags = tuple(tuple(row) for row in biflags)
-        if len(biflags) < 2 or any(len(row) != len(biflags[0]) for row in biflags) or len(biflags[0]) < 2:
-            raise ValueError("flag grid must cover at least 0..1 in each direction")
-        for m, row in enumerate(biflags):
-            for n, flag in enumerate(row):
-                if flag.ambient != self.dims[(m % 2, n % 2)]:
-                    raise ValueError(f"flag ({m},{n}) lives in the wrong component")
-        self.biflags = biflags
+        flags = {(m, n): flag for m, row in enumerate(biflags) for n, flag in enumerate(row)}
+        super().__init__((plus_algebra, minus_algebra), dims, (gamma_plus, gamma_minus), flags)
 
-    @property
-    def top_plus(self) -> int:
-        return len(self.biflags) - 1
-
-    @property
-    def top_minus(self) -> int:
-        return len(self.biflags[0]) - 1
+    plus_algebra = property(lambda self: self.algebras[0])
+    minus_algebra = property(lambda self: self.algebras[1])
+    top_plus = property(lambda self: self.tops[0])
+    top_minus = property(lambda self: self.tops[1])
+    gamma_plus = property(lambda self: self.gammas[0])
+    gamma_minus = property(lambda self: self.gammas[1])
+    biflags = property(lambda self: _nest(self.flags, self.tops))
 
     def dim(self, a: int, b: int) -> int:
         return self.dims[(a, b)]
@@ -302,8 +295,11 @@ def tensor_module(f_plus: SuperFiltration, f_minus: SuperFiltration) -> Bifilter
     the minus family acts through the first factor's parity sign, which
     is what makes the two families anticommute.  The grid flag F_{m,n}
     is the span of tensors from level m of the first filtration and
-    level n of the second.
+    level n of the second.  Raises CheckFailed unless check_filtration
+    passes on both factors.
     """
+    for f in (f_plus, f_minus):
+        require("filtration", check_filtration(f))
     mod_p, mod_m = f_plus.module, f_minus.module
     dims = {
         (a, b): mod_p.dim(a) * mod_m.dim(b) for (a, b) in _COMPONENTS
@@ -368,38 +364,18 @@ class BiGradedRep(GradedRep):
         return f"BiGradedRep(grid {self.top_plus}x{self.top_minus})"
 
 
-def _filtered(bf: BifilteredSupermodule) -> _Filtered:
-    flags = {(m, n): flag for m, row in enumerate(bf.biflags) for n, flag in enumerate(row)}
-    return _Filtered((bf.plus_algebra, bf.minus_algebra), (bf.top_plus, bf.top_minus),
-                     bf.dims, (bf.gamma_plus, bf.gamma_minus), flags)
-
-
-_WORDS = _CheckWords(
-    "bifiltered_module", "bifiltered_module",
-    relation=lambda d, e, i, j, c: {
-        "kind": ("plus_relation", "families_commute", "minus_relation")[d + e],
-        "i": i, "j": j, "component": c},
-    nesting=lambda d, x: {"kind": ("nesting_plus", "nesting_minus")[d], "m": x[0], "n": x[1]},
-    exhaustive=lambda c, x: {"kind": "exhaustive", "m": x[0], "n": x[1]},
-    compatibility=lambda d, i, x: {"kind": ("compatibility_plus", "compatibility_minus")[d],
-                                   "ij"[d]: i, "m": x[0], "n": x[1]},
-)
-
-
 def check_bifiltered_module(bf: BifilteredSupermodule) -> Certificate:
     """Clifford relations of both families and anticommutation across
     families on every component, then flag nesting, corner fullness, and
-    gamma compatibility."""
-    v = _filtered(bf)
-    cert = _module_relations(v.algebras, v.dims, v.gammas, _WORDS)
-    return _module_flags(v, _WORDS) if cert else cert
+    gamma compatibility.  The verdict is kept on the module."""
+    return _checked(bf, _module_relations)
 
 
 def bideform(bf: BifilteredSupermodule) -> BiGradedRep:
     """Bigraded representation on the flag grid in canonical bases.
     Raises CheckFailed unless check_bifiltered_module passes."""
     require("bifiltered module", check_bifiltered_module(bf))
-    return _deform(_filtered(bf), BiGradedRep)
+    return _deform(bf, BiGradedRep)
 
 
 def verify_2d(r: BiGradedRep) -> Certificate:
@@ -426,8 +402,7 @@ def biquotient(r: BiGradedRep, shell_plus=1, shell_minus=1) -> BifilteredSupermo
     if min(shells) <= 0:
         raise ValueError("shell values must be positive")
     require("bigraded representation", verify_2d(r))
-    v = _quotient(r, shells)
-    return BifilteredSupermodule(*v.algebras, v.dims, *v.gammas, _nest(v.flags, v.tops))
+    return _quotient(r, shells, BifilteredSupermodule)
 
 
 @dataclass(frozen=True)
@@ -446,7 +421,8 @@ def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
     generator families, and exact flag correspondence are verified.  A
     failure is a defect of the correspondence itself, so it raises.
     """
-    maps, cert = _roundtrip(_filtered(bf), _quotient(bideform(bf), (1, 1)), BiGradedRep._words)
+    maps, cert = _roundtrip(bf, _quotient(bideform(bf), (1, 1), BifilteredSupermodule),
+                            BiGradedRep._words)
     return BifilteredIso(maps, cert)
 
 

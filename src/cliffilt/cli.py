@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bifiltration, deformation, graph, invariants, serialize, supermodule
-from .certificate import CheckFailed, failing, passing, require
+from .certificate import CheckFailed, failing, passing
 from .exactalg import Matrix
 from .serialize import SerializeError
 
@@ -148,8 +148,6 @@ def _cmd_search(args) -> int:
 def _cmd_tensor(args) -> int:
     f_plus = _filtration_arg(serialize.loads(open(args.p).read()))
     f_minus = _filtration_arg(serialize.loads(open(args.q).read()))
-    for f in (f_plus, f_minus):
-        require("filtration", supermodule.check_filtration(f))
     return _emit(bifiltration.tensor_module(f_plus, f_minus), args.output)
 
 

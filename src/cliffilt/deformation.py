@@ -1,9 +1,11 @@
 """Deformation of filtered supermodules into graded off-shell data.
 
-The correspondence is written once, over k filtration directions.  One
-Clifford family per direction acts on 2^k parity components, family d
-flipping the d-th parity and mapping the flag F_x at each point x of the
-grid 0..top_1 x ... x 0..top_k into F_{x + e_d}.  `_deform` makes a
+The correspondence is written once, over k filtration directions,
+between the two types that span every k: `supermodule.FilteredModule`
+and `GradedRep`.  In a `FilteredModule` one Clifford family per
+direction acts on 2^k parity components, family d flipping the d-th
+parity and mapping the flag F_x at each point x of the grid
+0..top_1 x ... x 0..top_k into F_{x + e_d}.  `_deform` makes a
 `GradedRep` of it: components V_x = F_x in canonical bases, per
 direction a shift S_d of degree 2 e_d (the flag inclusions) and odd Q
 of degree e_d (the gamma action), with S_d injective,
@@ -18,8 +20,8 @@ k = 1, with the shift the Hamiltonian H, is the correspondence between
 filtered Cl(N)-supermodules and graded off-shell representations of
 p^{1|N}: `deform`, `verify_offshell`, `quotient_at` (which also takes
 shell 0, the graded quotient by the image of H) and
-`canonical_roundtrip_iso` over `OffShellRep`.  `bifiltration` holds the
-k = 2 case.
+`canonical_roundtrip_iso`, from `SuperFiltration` to `OffShellRep`.
+`bifiltration` holds the k = 2 case.
 """
 
 from __future__ import annotations
@@ -36,30 +38,20 @@ from .clifford import CliffordAlgebra, CliffordElement
 from .exactalg import Matrix, Subspace, rational
 from .supermodule import (
     CliffordSupermodule,
+    FilteredModule,
     SuperFiltration,
+    _check_maps,
     _corner,
-    _filtered,
-    _Filtered,
     _fold,
+    _nest,
     _parity,
+    _points,
     _step,
     check_filtration,
 )
 
 # ---------------------------------------------------------------------------
-# The engine, on the grid of `supermodule`'s filtered-module check.
-
-
-def _points(tops):
-    """Grid points in lexicographic order, the first direction slowest."""
-    return product(*(range(t + 1) for t in tops))
-
-
-def _nest(values: dict, tops, prefix=()):
-    """Values at the grid points as tuples nested one level per direction."""
-    if len(prefix) == len(tops):
-        return values[prefix]
-    return tuple(_nest(values, tops, prefix + (c,)) for c in range(tops[len(prefix)] + 1))
+# The engine, on the grid of `supermodule`'s filtered modules.
 
 
 def _grid(dims, k: int) -> tuple:
@@ -146,16 +138,7 @@ class GradedRep:
             getattr(self, a) == getattr(other, a) for a in ("algebras", "dims", "shifts", "qs"))
 
 
-def _check_maps(maps: dict, grid: dict, targets: dict, what: str) -> None:
-    """Maps sit exactly at the points of `targets`, each of the right shape."""
-    if maps.keys() != targets.keys():
-        raise ValueError(f"{what} maps are not keyed by the expected grid points")
-    for x, cols in targets.items():
-        if (maps[x].rows, maps[x].cols) != (grid[x], cols):
-            raise ValueError(f"{what} map at {x} has the wrong shape")
-
-
-def _deform(v: _Filtered, cls):
+def _deform(v: FilteredModule, cls):
     """The graded representation of a valid filtered module, as a `cls`."""
     shifts = [{} for _ in v.tops]
     qs = [[{} for _ in family] for family in v.gammas]
@@ -221,9 +204,9 @@ def _relations(r: GradedRep) -> Certificate:
     return passing(w.relations)
 
 
-def _quotient(r: GradedRep, shells) -> _Filtered:
-    """Evaluate each S_d at its shell value shells[d] > 0.  The corners
-    carry the stored Q maps, those leaving the grid's top in their
+def _quotient(r: GradedRep, shells, cls):
+    """Evaluate each S_d at its shell value shells[d] > 0, as a `cls`.  The
+    corners carry the stored Q maps, those leaving the grid's top in their
     direction scaled by that shell value, and the algebras the scaled
     Gram matrices; the flag at x is the image of V_x under the composite
     shifts into the corner of its parity, one direction after another.
@@ -247,10 +230,13 @@ def _quotient(r: GradedRep, shells) -> _Filtered:
             at = at[:d] + (corner[d],) + at[d + 1:]
         flags[x] = Subspace.span(dims[_parity(x)], composite.entries)
     algebras = tuple(CliffordAlgebra(a.n, a.gram.scale(s)) for a, s in zip(r.algebras, shells))
-    return _Filtered(algebras, tops, dims, gammas, flags)
+    quotient = cls.__new__(cls)
+    FilteredModule.__init__(quotient, algebras, dims, gammas, flags)
+    return quotient
 
 
-def _roundtrip(source: _Filtered, back: _Filtered, words: _Words) -> tuple[dict, Certificate]:
+def _roundtrip(source: FilteredModule, back: FilteredModule,
+               words: _Words) -> tuple[dict, Certificate]:
     """Maps identifying `source` with `back`, the quotient at shell 1 of
     its deformation, and their certificate; a failure is a defect of the
     correspondence itself, so it raises.  The map on component c sends a
@@ -267,7 +253,7 @@ def _roundtrip(source: _Filtered, back: _Filtered, words: _Words) -> tuple[dict,
                 return failing(name, kind="bijective", **labels[c])
         for c in maps:
             for d, (kind, key) in enumerate(words.intertwine):
-                flipped = c[:d] + (1 - c[d],) + c[d + 1:]
+                flipped = _parity(_step(c, d, 1))
                 for i, (gamma, image) in enumerate(zip(source.gammas[d], back.gammas[d])):
                     if gamma[c] * maps[flipped] != maps[c] * image[c]:
                         return failing(name, kind=kind, **{key: i}, **labels[c])
@@ -349,7 +335,7 @@ def deform(f: SuperFiltration) -> OffShellRep:
     the level bases.  Raises CheckFailed unless check_filtration passes.
     """
     require("filtration", check_filtration(f))
-    return _deform(_filtered(f), OffShellRep)
+    return _deform(f, OffShellRep)
 
 
 def verify_offshell(r: OffShellRep) -> Certificate:
@@ -372,13 +358,8 @@ def quotient_at(r: OffShellRep, k) -> OnShellModule | GradedSpace:
     require("off-shell representation", verify_offshell(r))
     if k == 0:
         return GradedSpace(tuple(r.dims[p] - r.dim_at(p - 2) for p in range(r.top_degree + 1)))
-    v = _quotient(r, (k,))
-    gammas = v.gammas[0]
-    module = CliffordSupermodule(v.algebras[0], [g[(0,)] for g in gammas],
-                                 [g[(1,)] for g in gammas],
-                                 dim_even=v.dims[(0,)], dim_odd=v.dims[(1,)])
-    levels = list(v.flags.values())
-    return OnShellModule(module, SuperFiltration(module, levels[0::2], levels[1::2]), k)
+    f = _quotient(r, (k,), SuperFiltration)
+    return OnShellModule(f.module, f, k)
 
 
 @dataclass(frozen=True)
@@ -398,7 +379,7 @@ def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
     flag-to-flag correspondence are all checked exactly; a failure is a
     defect of the correspondence itself, so it raises.
     """
-    maps, cert = _roundtrip(_filtered(f), _quotient(deform(f), (1,)), OffShellRep._words)
+    maps, cert = _roundtrip(f, _quotient(deform(f), (1,), SuperFiltration), OffShellRep._words)
     return FilteredIso(maps[(0,)], maps[(1,)], cert)
 
 

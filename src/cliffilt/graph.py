@@ -221,10 +221,7 @@ def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:
     Returns h(v) = min over (s, h_s) in sources of h_s + d(v, s), the
     inverse of source_set on valid assignments.
     """
-    adjacency = {k: [] for k in range(len(graph.vertices))}
-    for e in graph.edges:
-        adjacency[e.source].append(e.target)
-        adjacency[e.target].append(e.source)
+    adjacency = _adjacency(graph)
     best = {v: h for v, h in sources}
     frontier = sorted(best, key=lambda v: best[v])
     while frontier:
@@ -238,14 +235,19 @@ def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:
     return [best[v] for v in range(len(graph.vertices))]
 
 
-def _components(graph: AdinkraGraph) -> list[list[int]]:
+def _adjacency(graph: AdinkraGraph) -> dict[int, list[int]]:
+    """The neighbours of each vertex, in edge order."""
     adjacency = {k: [] for k in range(len(graph.vertices))}
     for e in graph.edges:
         adjacency[e.source].append(e.target)
         adjacency[e.target].append(e.source)
+    return adjacency
+
+
+def _components(adjacency: dict[int, list[int]]) -> list[list[int]]:
     seen = set()
     comps = []
-    for start in range(len(graph.vertices)):
+    for start in adjacency:
         if start in seen:
             continue
         stack, comp = [start], []
@@ -275,15 +277,12 @@ def enumerate_heights(graph: AdinkraGraph, budget: int = 10000):
     n_vertices = len(graph.vertices)
     if n_vertices == 0:
         return [], False
-    adjacency = {k: [] for k in range(n_vertices)}
-    for e in graph.edges:
-        adjacency[e.source].append(e.target)
-        adjacency[e.target].append(e.source)
+    adjacency = _adjacency(graph)
 
     exhausted = False
     explored = 0
     per_component = []
-    for comp in _components(graph):
+    for comp in _components(adjacency):
         results = []
         root = comp[0]
         # partial: vertex -> relative height; frontier of edges to decide

@@ -24,6 +24,7 @@ from functools import lru_cache
 import sympy
 
 from .certificate import require
+from .clifford import _is_positive_definite
 from .exactalg import Matrix, Subspace, kernel, solve
 from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule
 
@@ -204,10 +205,9 @@ def _try_split(f: SuperFiltration, endos, candidates: int, rng):
     """Search for an element whose minimal polynomial factors over Q."""
     module = f.module
     ident = _pair_identity(module)
-    pool = [pair for pair in endos]
 
     def attempt(pair):
-        if _flatten(pair) == _flatten(ident):
+        if pair == ident:
             return None
         minpoly = _minimal_polynomial(module, pair)
         factors = _factor_rational_poly(minpoly)
@@ -231,7 +231,7 @@ def _try_split(f: SuperFiltration, endos, candidates: int, rng):
             return None
         return split
 
-    for pair in pool:
+    for pair in endos:
         found = attempt(pair)
         if found:
             return found
@@ -313,8 +313,7 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
         for pair in endos:
             tr = (_trace(pair[0]) + _trace(pair[1])) / dim_total
             shifted = (pair[0] - ident[0].scale(tr), pair[1] - ident[1].scale(tr))
-            if _flatten(shifted) != _flatten((Matrix.zeros(pair[0].rows, pair[0].cols),
-                                              Matrix.zeros(pair[1].rows, pair[1].cols))):
+            if not (shifted[0].is_zero() and shifted[1].is_zero()):
                 traceless.append(shifted)
         basis_rows = [_flatten(p) for p in traceless]
         if Matrix.from_rows(basis_rows, cols=len(basis_rows[0])).rank() != 3:
@@ -339,16 +338,8 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
                     return EXHAUSTED
                 row.append(diag)
             norm_rows.append(row)
-        # negative definite symmetric form: Gaussian pivots all negative
-        work = [list(r) for r in norm_rows]
-        for k in range(3):
-            if work[k][k] >= 0:
-                return EXHAUSTED
-            for r in range(k + 1, 3):
-                factor = work[r][k] / work[k][k]
-                for c in range(3):
-                    work[r][c] -= factor * work[k][c]
-        return CERTIFIED
+        # the trace-zero part squares to a negative definite form
+        return CERTIFIED if _is_positive_definite(-Matrix(3, 3, norm_rows)) else EXHAUSTED
     return EXHAUSTED
 
 

@@ -188,6 +188,9 @@ def _enc_bigraded(r: BiGradedRep) -> dict:
             for m in range(mp + 1)
         ]
 
+    def q_grid(family):
+        return [shift_grid(per, lambda m, n: True) for per in family]
+
     return {
         "schema": SCHEMA,
         "kind": "bigraded_rep",
@@ -198,14 +201,8 @@ def _enc_bigraded(r: BiGradedRep) -> dict:
         "dims": [list(row) for row in r.dims],
         "shift_plus": shift_grid(r.sp, lambda m, n: m <= mp - 2),
         "shift_minus": shift_grid(r.sm, lambda m, n: n <= mq - 2),
-        "q_plus": [
-            [[_enc_matrix(per[(m, n)]) for n in range(mq + 1)] for m in range(mp + 1)]
-            for per in r.qp
-        ],
-        "q_minus": [
-            [[_enc_matrix(per[(m, n)]) for n in range(mq + 1)] for m in range(mp + 1)]
-            for per in r.qm
-        ],
+        "q_plus": q_grid(r.qp),
+        "q_minus": q_grid(r.qm),
     }
 
 

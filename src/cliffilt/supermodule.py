@@ -10,12 +10,19 @@ row vectors.  A super filtration is a parity-separated flag
 that is exhaustive at the top two levels and satisfies
 g_i . F_p <= F_{p+1}.  Levels below zero are zero and the flag lists
 are indexed by p // 2.
+
+`FilteredModule` is the one filtered-module type, over k filtration
+directions: `SuperFiltration` is its k = 1 case and
+`bifiltration.BifilteredSupermodule` its k = 2 case.  Its maps and flags
+are read-only, so `check_filtration` keeps its verdict on the filtration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .certificate import Certificate, failing, passing
@@ -59,12 +66,9 @@ class CliffordSupermodule:
             raise ValueError("dimensions required when the algebra has no generators")
         elif min(dim_even, dim_odd) < 0:
             raise ValueError("dimensions must be nonnegative")
-        for m in gamma_eo:
-            if (m.rows, m.cols) != (dim_even, dim_odd):
-                raise ValueError("gamma_eo shape mismatch")
-        for m in gamma_oe:
-            if (m.rows, m.cols) != (dim_odd, dim_even):
-                raise ValueError("gamma_oe shape mismatch")
+        dims = {(0,): dim_even, (1,): dim_odd}
+        for eo, oe in zip(gamma_eo, gamma_oe):
+            _check_maps({(0,): eo, (1,): oe}, dims, {(0,): dim_odd, (1,): dim_even}, "gamma")
         self.algebra = algebra
         self.dim_even = dim_even
         self.dim_odd = dim_odd
@@ -177,9 +181,9 @@ class CliffordSupermodule:
 
 
 # ---------------------------------------------------------------------------
-# The filtered-module check over k directions (k = 1 here, k = 2 in
-# `bifiltration`).  A grid point has one coordinate per direction; a parity
-# component is a tuple of 0s and 1s.
+# Filtered modules over k directions (k = 1 here, k = 2 in `bifiltration`).
+# A grid point has one coordinate per direction; a parity component is a
+# tuple of 0s and 1s.
 
 
 def _step(x, d: int, by: int):
@@ -200,16 +204,25 @@ def _parity(x):
     return tuple(c % 2 for c in x)
 
 
-class _Filtered(NamedTuple):
-    """A filtered module over k directions.  dims and each gammas[d][i] are
-    keyed by parity component, gammas[d][i] mapping c to c with its d-th
-    parity flipped; flags holds F_x at every grid point in order."""
+def _points(tops):
+    """Grid points in lexicographic order, the first direction slowest."""
+    return product(*(range(t + 1) for t in tops))
 
-    algebras: tuple
-    tops: tuple
-    dims: dict
-    gammas: tuple
-    flags: dict
+
+def _nest(values: dict, tops, prefix=()):
+    """Values at the grid points as tuples nested one level per direction."""
+    if len(prefix) == len(tops):
+        return values[prefix]
+    return tuple(_nest(values, tops, prefix + (c,)) for c in range(tops[len(prefix)] + 1))
+
+
+def _check_maps(maps: dict, grid: dict, targets: dict, what: str) -> None:
+    """Maps sit exactly at the points of `targets`, each of the right shape."""
+    if maps.keys() != targets.keys():
+        raise ValueError(f"{what} maps are not keyed by the expected grid points")
+    for x, cols in targets.items():
+        if (maps[x].rows, maps[x].cols) != (grid[x], cols):
+            raise ValueError(f"{what} map at {x} has the wrong shape")
 
 
 class _CheckWords(NamedTuple):
@@ -224,6 +237,53 @@ class _CheckWords(NamedTuple):
     compatibility: Callable  # (d, i, point)
 
 
+class FilteredModule:
+    """A filtered module over k directions.
+
+    One Clifford family per direction acts on the 2^k parity components:
+    dims and each gammas[d][i] are keyed by component, gammas[d][i]
+    mapping c to c with its d-th parity flipped.  flags holds F_x, inside
+    the component of x's parity, at every point x of the grid
+    0..top_1 x ... x 0..top_k, which covers 0..1 in each direction; past
+    the top of a direction the grid repeats with period two.  All three
+    are read-only mappings, so a check's verdict can be kept on the
+    module.  Subclasses fix k, translate their constructor arguments and
+    attributes, and name their `_words`.
+    """
+
+    _words: _CheckWords
+
+    def __init__(self, algebras, dims, gammas, flags):
+        algebras = tuple(algebras)
+        dims = MappingProxyType({c: int(dims[c]) for c in product((0, 1), repeat=len(algebras))})
+        if min(dims.values()) < 0:
+            raise ValueError("dimensions must be nonnegative")
+        gammas = tuple(tuple(MappingProxyType(dict(g)) for g in family) for family in gammas)
+        for d, (algebra, family) in enumerate(zip(algebras, gammas)):
+            if len(family) != algebra.n:
+                raise ValueError("need one gamma family per generator")
+            targets = {c: dims[_parity(_step(c, d, 1))] for c in dims}
+            for gamma in family:
+                _check_maps(gamma, dims, targets, "gamma")
+        flags = MappingProxyType(dict(flags))
+        tops = tuple(max((x[d] for x in flags), default=0) for d in range(len(algebras)))
+        if min(tops) < 1 or flags.keys() != set(_points(tops)):
+            raise ValueError("the flag grid must be rectangular and cover 0..1 in each direction")
+        for x, flag in flags.items():
+            if flag.ambient != dims[_parity(x)]:
+                raise ValueError(f"flag {x} lives in the wrong component")
+        self.algebras, self.tops, self.dims = algebras, tops, dims
+        self.gammas, self.flags = gammas, flags
+        self._verdict: Certificate | None = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, a) == getattr(other, a) for a in ("algebras", "dims", "gammas", "flags"))
+
+    def __hash__(self):
+        return hash((self.algebras, tuple(self.flags.values())))
+
+
 def _is_scalar(a: Matrix, b: Matrix, s) -> bool:
     """Whether a + b is s times the identity, compared entry by entry."""
     for r, (row_a, row_b) in enumerate(zip(a.entries, b.entries)):
@@ -233,18 +293,18 @@ def _is_scalar(a: Matrix, b: Matrix, s) -> bool:
     return True
 
 
-def _module_relations(algebras, dims: dict, gammas, w: _CheckWords) -> Certificate:
+def _module_relations(v: FilteredModule) -> Certificate:
     """Component by component: each family's Clifford relations
     {g_i, g_j} = 2 G[i][j], then {g_i, g'_j} = 0 across families.  Each
     product of two generators is formed once."""
-    k = len(algebras)
+    w, k = v._words, len(v.algebras)
     pairs = [(d, d) for d in range(k)] + list(combinations(range(k), 2))
-    for c in dims:
+    for c in v.dims:
         up = [_parity(_step(c, d, 1)) for d in range(k)]
         for d, e in pairs:
-            gram = algebras[d].gram.entries
-            for i, g in enumerate(gammas[d]):
-                for j, h in enumerate(gammas[e]):
+            gram = v.algebras[d].gram.entries
+            for i, g in enumerate(v.gammas[d]):
+                for j, h in enumerate(v.gammas[e]):
                     if d == e and j < i:
                         continue
                     gh = g[c] * h[up[d]]
@@ -254,10 +314,11 @@ def _module_relations(algebras, dims: dict, gammas, w: _CheckWords) -> Certifica
     return passing(w.relations)
 
 
-def _module_flags(v: _Filtered, w: _CheckWords) -> Certificate:
+def _module_flags(v: FilteredModule) -> Certificate:
     """Flag nesting along each direction, component by component; full
     flags at the 2^k corners; then each family's compatibility with the
     flags, g F_x <= F_{x + e_d} folded back onto the grid."""
+    w = v._words
     for x in sorted(v.flags, key=_parity):
         for d, top in enumerate(v.tops):
             if x[d] <= top - 2 and not v.flags[_step(x, d, 2)].contains_subspace(v.flags[x]):
@@ -275,95 +336,79 @@ def _module_flags(v: _Filtered, w: _CheckWords) -> Certificate:
     return passing(w.flags)
 
 
-_WORDS = _CheckWords(
-    "supermodule_relations", "filtration",
-    relation=lambda d, e, i, j, c: {"i": i, "j": j, "parity": c[0]},
-    nesting=lambda d, x: {"kind": "nesting", "parity": x[0] % 2, "level": x[0]},
-    exhaustive=lambda c, x: {"kind": "exhaustive", "parity": c[0]},
-    compatibility=lambda d, i, x: {"kind": "compatibility", "generator": i, "level": x[0]},
-)
+def _checked(v: FilteredModule, relations: Callable) -> Certificate:
+    """The verdict of relations(v), then of the flag steps, kept on v."""
+    if v._verdict is None:
+        cert = relations(v)
+        v._verdict = _module_flags(v) if cert else cert
+    return v._verdict
 
 
-def _module_view(m: CliffordSupermodule) -> tuple:
-    """(algebras, dims, gammas) of m as a module over one direction."""
-    gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(m.gamma_eo, m.gamma_oe))
-    return (m.algebra,), {(0,): m.dim_even, (1,): m.dim_odd}, (gammas,)
-
-
-def check_supermodule(m: CliffordSupermodule) -> Certificate:
-    """Verify the Clifford relations on both parity components.  The
-    verdict is cached on the module."""
-    if m._relations is None:
-        m._relations = _module_relations(*_module_view(m), _WORDS)
-    return m._relations
-
-
-class SuperFiltration:
-    """Parity-separated increasing flags on a supermodule.
+class SuperFiltration(FilteredModule):
+    """Parity-separated increasing flags on a supermodule: the k = 1 case.
 
     even_flags[k] is F_{2k} inside the even part, odd_flags[k] is
     F_{2k+1} inside the odd part.  Both lists are nonempty; levels past
     the stored top repeat the final flag and negative levels are zero.
     """
 
-    def __init__(self, module, even_flags, odd_flags):
-        even_flags = tuple(even_flags)
-        odd_flags = tuple(odd_flags)
-        if not even_flags or not odd_flags:
-            raise ValueError("need at least one flag per parity")
-        for s in even_flags:
-            if s.ambient != module.dim_even:
-                raise ValueError("even flag ambient mismatch")
-        for s in odd_flags:
-            if s.ambient != module.dim_odd:
-                raise ValueError("odd flag ambient mismatch")
-        self.module = module
-        self.even_flags = even_flags
-        self.odd_flags = odd_flags
+    _words = _CheckWords(
+        "supermodule_relations", "filtration",
+        relation=lambda d, e, i, j, c: {"i": i, "j": j, "parity": c[0]},
+        nesting=lambda d, x: {"kind": "nesting", "parity": x[0] % 2, "level": x[0]},
+        exhaustive=lambda c, x: {"kind": "exhaustive", "parity": c[0]},
+        compatibility=lambda d, i, x: {"kind": "compatibility", "generator": i, "level": x[0]},
+    )
 
-    @property
-    def top_degree(self) -> int:
-        return max(2 * (len(self.even_flags) - 1), 2 * len(self.odd_flags) - 1)
+    def __init__(self, module, even_flags, odd_flags):
+        levels = (tuple(even_flags), tuple(odd_flags))
+        if not all(levels):
+            raise ValueError("need at least one flag per parity")
+        top = max(2 * len(levels[0]) - 2, 2 * len(levels[1]) - 1)
+        flags = {(p,): levels[p % 2][min(p // 2, len(levels[p % 2]) - 1)] for p in range(top + 1)}
+        gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(module.gamma_eo, module.gamma_oe))
+        super().__init__((module.algebra,), {(0,): module.dim_even, (1,): module.dim_odd},
+                         (gammas,), flags)
+        self.module = module
+
+    @cached_property
+    def module(self) -> CliffordSupermodule:
+        """The module, built from the gamma maps when only those were given."""
+        gammas = self.gammas[0]
+        return CliffordSupermodule(self.algebras[0], [g[(0,)] for g in gammas],
+                                   [g[(1,)] for g in gammas],
+                                   dim_even=self.dims[(0,)], dim_odd=self.dims[(1,)])
+
+    top_degree = property(lambda self: self.tops[0])
+    even_flags = property(lambda self: tuple(self.flags.values())[0::2])
+    odd_flags = property(lambda self: tuple(self.flags.values())[1::2])
 
     def level(self, p: int) -> Subspace:
-        if p % 2 == 0:
-            if p < 0:
-                return Subspace.zero(self.module.dim_even)
-            return self.even_flags[min(p // 2, len(self.even_flags) - 1)]
         if p < 0:
-            return Subspace.zero(self.module.dim_odd)
-        return self.odd_flags[min((p - 1) // 2, len(self.odd_flags) - 1)]
+            return Subspace.zero(self.dims[(p % 2,)])
+        return self.flags[_fold((p,), self.tops)]
 
     def level_dims(self) -> list[int]:
         return [self.level(p).dim for p in range(self.top_degree + 1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperFiltration)
-            and self.module == other.module
-            and self.even_flags == other.even_flags
-            and self.odd_flags == other.odd_flags
-        )
-
-    def __hash__(self):
-        return hash((self.module, self.even_flags, self.odd_flags))
 
     def __repr__(self):
         dims = ", ".join(str(d) for d in self.level_dims())
         return f"SuperFiltration(level dims {dims})"
 
 
-def _filtered(f: SuperFiltration) -> _Filtered:
-    algebras, dims, gammas = _module_view(f.module)
-    flags = {(p,): f.level(p) for p in range(f.top_degree + 1)}
-    return _Filtered(algebras, (f.top_degree,), dims, gammas, flags)
+def check_supermodule(m: CliffordSupermodule) -> Certificate:
+    """Verify the Clifford relations on both parity components.  The
+    verdict is cached on the module."""
+    if m._relations is None:
+        m._relations = _module_relations(trivial_filtration(m))
+    return m._relations
 
 
 def check_filtration(f: SuperFiltration) -> Certificate:
     """The module's Clifford relations (check_supermodule's verdict), then
-    nesting, exhaustiveness at the top, and gamma compatibility."""
-    cert = check_supermodule(f.module)
-    return _module_flags(_filtered(f), _WORDS) if cert else cert
+    nesting, exhaustiveness at the top, and gamma compatibility.  The
+    verdict is kept on the filtration."""
+    return _checked(f, lambda f: check_supermodule(f.module))
 
 
 def trivial_filtration(m: CliffordSupermodule) -> SuperFiltration:

@@ -21,9 +21,10 @@ from cliffilt.bifiltration import (
 from cliffilt.certificate import CheckFailed
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import OffShellRep, deform, quotient_at, verify_offshell
-from cliffilt.exactalg import Matrix
+from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
+    SuperFiltration,
     check_supermodule,
     degree_filtration,
     exterior_module,
@@ -105,6 +106,31 @@ def test_tensor_module_structure():
     for m in range(bf.top_plus + 1):
         for n in range(bf.top_minus + 1):
             assert bf.biflags[m][n].dim == fp.level(m).dim * fm.level(n).dim
+
+
+def test_checked_bifiltered_module_keeps_its_verdict():
+    # check_bifiltered_module keeps its verdict on the module, whose dims,
+    # gamma maps and flags are read-only
+    bf = tensor_module(degree_filtration(exterior_module(2)),
+                       degree_filtration(exterior_module(1)))
+    assert check_bifiltered_module(bf) is check_bifiltered_module(bf)
+    with pytest.raises(TypeError):
+        bf.gamma_plus[0][(0, 0)] = bf.gamma_plus[0][(0, 0)].scale(2)
+    with pytest.raises(TypeError):
+        bf.dims[(0, 0)] = 3
+
+
+def test_tensor_module_requires_filtrations():
+    # exterior(2) by degree with its top even flag missing a row
+    good = degree_filtration(exterior_module(2))
+    bad = SuperFiltration(good.module, [good.even_flags[0], Subspace.span(2, [[1, 0]])],
+                          good.odd_flags)
+    for factors in ((bad, good), (good, bad)):
+        with pytest.raises(CheckFailed) as caught:
+            tensor_module(*factors)
+        cert = caught.value.certificate
+        assert cert.check == "filtration"
+        assert cert.witness == {"kind": "exhaustive", "parity": 0}
 
 
 def test_two_stage_deformation_dimension_table():

@@ -26,6 +26,7 @@ from cliffilt.supermodule import (
     exterior_module,
     hodge_filtration,
     irreducible_cl5,
+    irreducible_module,
     trivial_filtration,
 )
 
@@ -64,6 +65,15 @@ def test_endomorphism_dimensions():
     assert len(filtered_endomorphisms(hodge_filtration(exterior_module(4)))) == 2
     # scalars plus the three extra quaternion units on the trivial filtration
     assert len(filtered_endomorphisms(trivial_filtration(irreducible_cl5()))) == 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_decompose_certifies_quaternion_endomorphisms(n):
+    # the trivial filtration of an irreducible module whose filtered
+    # endomorphisms are a rational quaternion division algebra
+    summands = decompose(trivial_filtration(irreducible_module(n)))
+    assert [s.status for s in summands] == [CERTIFIED]
+    assert len(filtered_endomorphisms(summands[0].filtration)) == 4
 
 
 def test_decompose_hodge_two_summands():

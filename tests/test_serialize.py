@@ -1,10 +1,12 @@
 """Round trips and rejection paths of the JSON layer."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from cliffilt.bifiltration import bideform, tensor_module
+from cliffilt import cli
+from cliffilt.bifiltration import bideform, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import deform, quotient_at
 from cliffilt.graph import to_graph
@@ -153,6 +155,45 @@ def test_negative_dimensions_rejected(kind):
             doc["biflags"][0][0] = {"ambient": -1, "rows": []}
     with pytest.raises(SerializeError):
         decode(doc)
+
+
+def _wrong_gamma_shape(family):
+    def defect(doc):
+        doc[family][0][0][0] = {"shape": [1, 1], "rows": [["1"]]}
+    return defect
+
+
+def _flag_in_wrong_component(doc):
+    doc["biflags"][0][1] = doc["biflags"][0][0]
+
+
+def _one_row_grid(doc):
+    doc["biflags"] = doc["biflags"][:1]
+
+
+def _ragged_grid(doc):
+    doc["biflags"][-1] = doc["biflags"][-1][:-1]
+
+
+@pytest.mark.parametrize("defect", [
+    _wrong_gamma_shape("gamma_plus"), _wrong_gamma_shape("gamma_minus"),
+    _flag_in_wrong_component, _one_row_grid, _ragged_grid,
+], ids=["gamma_plus shape", "gamma_minus shape", "flag ambient", "one-row grid",
+        "ragged grid"])
+def test_malformed_bifiltered_documents_rejected(defect, tmp_path):
+    # ext2 tensor ext1 has two generator families; ext2 tensor the (1|0)
+    # point has components of dimensions 2, 0, 2, 0, so a flag in the wrong
+    # component shows there
+    point = trivial_filtration(CliffordSupermodule(CliffordAlgebra(0), [], [], 1, 0))
+    minus = point if defect is _flag_in_wrong_component else degree_filtration(exterior_module(1))
+    doc = encode(tensor_module(degree_filtration(exterior_module(2)), minus))
+    assert check_bifiltered_module(decode(doc))
+    defect(doc)
+    with pytest.raises(SerializeError):
+        decode(doc)
+    path = tmp_path / "bf.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path), "-o", str(tmp_path / "out.json")]) == 2
 
 
 def test_bad_rational_rejected():

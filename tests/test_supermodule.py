@@ -53,6 +53,17 @@ def test_degree_filtration_valid():
         assert f.level(1).dim == n
 
 
+def test_checked_filtration_keeps_its_verdict():
+    # check_filtration keeps its verdict on the filtration, whose flags and
+    # gamma maps are read-only
+    f = degree_filtration(exterior_module(3))
+    assert check_filtration(f) is check_filtration(f)
+    with pytest.raises(TypeError):
+        f.flags[(0,)] = Subspace.full(4)
+    with pytest.raises(TypeError):
+        f.gammas[0][0][(0,)] = f.module.gamma_oe[0]
+
+
 def test_hodge_filtration_valid_and_distinct():
     f = hodge_filtration(exterior_module(4))
     assert check_filtration(f)
