@@ -139,7 +139,10 @@ class GradedRep:
 
 
 def _deform(v: FilteredModule, cls):
-    """The graded representation of a valid filtered module, as a `cls`."""
+    """The graded representation of a valid filtered module, as a `cls`.
+    It is kept on the module: both are read-only, so it cannot go stale."""
+    if v._deformed is not None:
+        return v._deformed
     shifts = [{} for _ in v.tops]
     qs = [[{} for _ in family] for family in v.gammas]
     for x, flag in v.flags.items():
@@ -152,6 +155,7 @@ def _deform(v: FilteredModule, cls):
     rep = cls.__new__(cls)
     dims = _nest({x: flag.dim for x, flag in v.flags.items()}, v.tops)
     GradedRep.__init__(rep, v.algebras, dims, shifts, qs)
+    v._deformed = rep
     return rep
 
 

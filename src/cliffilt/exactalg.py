@@ -10,6 +10,13 @@ Conventions used throughout the package:
 * a subspace is stored by the reduced row-echelon basis of its row
   span, with zero rows dropped.  Two subspaces are equal iff their
   stored bases are identical, so equality is a syntactic check.
+
+Every elimination (spans, sums, images, intersections, kernels and
+solves) goes through one `rref`.  It is sparse and incremental: a row is
+reduced only where it is nonzero, against basis rows kept as dicts of
+their nonzero entries, and rows that reduce to zero cost no more than
+that.  Its output is the unique reduced row-echelon form, whatever the
+order of elimination, which is what makes subspace equality syntactic.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def _freeze_row(row: Iterable) -> tuple:
-    return tuple(rational(x) for x in row)
+    return tuple(x if type(x) is Fraction else rational(x) for x in row)
 
 
 class Matrix:
@@ -177,35 +184,55 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form with zero rows dropped, plus pivot columns.
 
-    The row span is preserved, every pivot is 1 and is the only nonzero
-    entry in its column, and pivot columns increase strictly.  Dropping
-    zero rows makes the result a canonical basis of the row span.
+    The elimination is sparse and incremental.  Each basis row is kept
+    as a {column: value} dict of its nonzero entries, under its pivot
+    column.  An input row is reduced only at the pivot columns where it
+    is nonzero; a row that reduces to zero is dropped, and otherwise it
+    is scaled so its leading entry is 1 and that column is cleared from
+    the basis rows already kept.  Rows past full rank are not read.
+
+    The result is the unique reduced row-echelon basis of the row span:
+    every pivot is 1 and is the only nonzero entry in its column, and
+    pivot columns increase strictly.  It does not depend on the order of
+    elimination, so two spans are equal iff their results are.
     """
-    work = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    basis: dict[int, dict[int, Fraction]] = {}
+    for entries in m.entries:
+        row = {j: x for j, x in enumerate(entries) if x}
+        # basis rows vanish at each other's pivots, so reducing at one
+        # pivot leaves the row's entries at the others unchanged
+        for p in [j for j in row if j in basis]:
+            _subtract(row, row[p], basis[p])
+        if not row:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c] ** -1
+        lead = min(row)
+        inv = row[lead] ** -1
         if inv != 1:
-            work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [x - f * y for x, y in zip(work[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
+            row = {j: x * inv for j, x in row.items()}
+        for other in basis.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        basis[lead] = row
+        if len(basis) == m.cols:
             break
-    return Matrix(r, m.cols, work[:r]), tuple(pivots)
+    pivots = tuple(sorted(basis))
+    dense = []
+    for p in pivots:
+        out = [_ZERO] * m.cols
+        for j, x in basis[p].items():
+            out[j] = x
+        dense.append(out)
+    return Matrix(len(dense), m.cols, dense), pivots
+
+
+def _subtract(row: dict, f: Fraction, other: dict) -> None:
+    """row -= f * other, on rows stored as dicts of their nonzero entries."""
+    for j, y in other.items():
+        x = row.get(j, _ZERO) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -300,7 +327,9 @@ class Subspace:
             c = v[p]
             coords.append(c)
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
+                for j, y in enumerate(row):
+                    if y:
+                        v[j] -= c * y
         if any(v):
             return None
         return tuple(coords)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
 from .certificate import require
 from .clifford import _is_positive_definite
 from .exactalg import Matrix, Subspace, kernel, solve
@@ -49,10 +47,12 @@ def source_dimensions(f: SuperFiltration) -> tuple[int, ...]:
 
 
 def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace) -> Subspace:
-    """span plus the images of below, the level p - 1, under every generator."""
+    """span plus the images of below, the level p - 1, under every generator,
+    reduced together in one elimination."""
+    rows = list(span.basis.entries)
     for i in range(module.algebra.n):
-        span = span + below.image(module.gamma(i, (p - 1) % 2))
-    return span
+        rows += (below.basis * module.gamma(i, (p - 1) % 2)).entries
+    return Subspace.span(span.ambient, rows)
 
 
 def _residual(flag: Subspace, v) -> tuple:
@@ -145,7 +145,12 @@ def _minimal_polynomial(module, pair) -> list[Fraction]:
 
 
 def _factor_rational_poly(coeffs: list[Fraction]):
-    """Irreducible factorization over Q; returns [(ascending coeffs, power)]."""
+    """Irreducible factorization over Q; returns [(ascending coeffs, power)].
+
+    sympy is imported here, on the first factorization, because importing
+    it costs most of the package's import time."""
+    import sympy
+
     t = sympy.Symbol("t")
     poly = sympy.Poly(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain="QQ"
@@ -528,6 +533,7 @@ def filtration_search(
     for p in range(m + 1):
         required.append(sum(target[p % 2:p + 1:2]))
     found: list[SuperFiltration] = []
+    sources: list[tuple] = []  # source dimensions of each find
     memo: dict[SuperFiltration, tuple] = {}  # summand reports met in this search
 
     def summands(f: SuperFiltration) -> tuple:
@@ -563,8 +569,9 @@ def filtration_search(
             continue
         # invariant_equal, on reports kept for the length of the search
         source = source_dimensions(candidate)
-        if any(source_dimensions(g) == source and summands(g) == summands(candidate)
-               for g in found):
+        if any(s == source and summands(g) == summands(candidate)
+               for g, s in zip(found, sources)):
             continue
         found.append(candidate)
+        sources.append(source)
     return found

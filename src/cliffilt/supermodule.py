@@ -246,9 +246,9 @@ class FilteredModule:
     the component of x's parity, at every point x of the grid
     0..top_1 x ... x 0..top_k, which covers 0..1 in each direction; past
     the top of a direction the grid repeats with period two.  All three
-    are read-only mappings, so a check's verdict can be kept on the
-    module.  Subclasses fix k, translate their constructor arguments and
-    attributes, and name their `_words`.
+    are read-only mappings, so a check's verdict and the deformation can
+    be kept on the module.  Subclasses fix k, translate their constructor
+    arguments and attributes, and name their `_words`.
     """
 
     _words: _CheckWords
@@ -275,6 +275,7 @@ class FilteredModule:
         self.algebras, self.tops, self.dims = algebras, tops, dims
         self.gammas, self.flags = gammas, flags
         self._verdict: Certificate | None = None
+        self._deformed = None  # the graded rep, kept by deformation._deform
 
     def __eq__(self, other):
         return type(other) is type(self) and all(

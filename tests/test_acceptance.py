@@ -5,6 +5,7 @@ prints a single CRITERION line so a verbose run reads as a checklist,
 and the stated runtime budgets are asserted, not just observed.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from cliffilt.invariants import (
     random_filtration,
     source_dimensions,
 )
+from cliffilt.serialize import dumps, encode_search_results
 from cliffilt.supermodule import (
     check_filtration,
     check_supermodule,
@@ -193,6 +195,12 @@ def test_criterion_08_cl5_search():
         dims = source_dimensions(f)
         assert dims[0] == 2
         variants.add(dims)
+    # the finds themselves, recorded before the sparse elimination: a
+    # change that moves the random stream or the set of finds fails here
+    assert len(found) == 2
+    text = dumps(encode_search_results(found))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "835e5b2e133bd586600e8c28eac1c29c5235a26b077dee0c046d4eb8c0e1683b")
     detail = f"{len(found)} filtrations, source dims {sorted(variants)}"
     conclude(8, time.monotonic() - start, detail)
 

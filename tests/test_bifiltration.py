@@ -120,6 +120,24 @@ def test_checked_bifiltered_module_keeps_its_verdict():
         bf.dims[(0, 0)] = 3
 
 
+def test_bideform_is_kept_on_the_module(monkeypatch):
+    # the module and its deformation are read-only, so the deformation is
+    # built once; the roundtrip then only forms its own component maps
+    bf = tensor_module(degree_filtration(exterior_module(2)),
+                       degree_filtration(exterior_module(2)))
+    assert bideform(bf) is bideform(bf)
+    calls = []
+    original = Subspace.coordinate_matrix
+
+    def counting(self, vectors):
+        calls.append(vectors.rows)
+        return original(self, vectors)
+
+    monkeypatch.setattr(Subspace, "coordinate_matrix", counting)
+    assert canonical_biroundtrip_iso(bf).certificate
+    assert len(calls) == len(bf.dims)
+
+
 def test_tensor_module_requires_filtrations():
     # exterior(2) by degree with its top even flag missing a row
     good = degree_filtration(exterior_module(2))

@@ -15,7 +15,7 @@ from cliffilt.deformation import (
     quotient_at,
     verify_offshell,
 )
-from cliffilt.exactalg import Matrix
+from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.invariants import gr_dimensions, random_filtration
 from cliffilt.supermodule import (
     check_filtration,
@@ -209,3 +209,20 @@ def test_deform_requires_valid_filtration():
                           [Subspace.zero(2), Subspace.full(2)])
     with pytest.raises(ValueError):
         deform(bad)
+
+
+def test_deform_is_kept_on_the_filtration(monkeypatch):
+    # the filtration and its deformation are read-only, so the deformation
+    # is built once; the roundtrip then only forms its own component maps
+    f = hodge_filtration(exterior_module(4))
+    assert deform(f) is deform(f)
+    calls = []
+    original = Subspace.coordinate_matrix
+
+    def counting(self, vectors):
+        calls.append(vectors.rows)
+        return original(self, vectors)
+
+    monkeypatch.setattr(Subspace, "coordinate_matrix", counting)
+    assert canonical_roundtrip_iso(f).certificate
+    assert len(calls) == 2

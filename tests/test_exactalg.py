@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffilt import exactalg
 from cliffilt.exactalg import Matrix, Subspace, kernel, rational, rref, solve
 
 
@@ -143,3 +144,145 @@ def test_zero_row_matrices_keep_shape():
     assert z.rows == 0 and z.cols == 3
     assert (z * Matrix.identity(3)).cols == 3
     assert Subspace.span(3, []).dim == 0
+
+
+def _dense_rref(m: Matrix) -> tuple[list, tuple]:
+    """Reference dense Gauss-Jordan elimination: every cell of every row
+    for every pivot, the kernel's former algorithm."""
+    work = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = work[r][c] ** -1
+        if inv != 1:
+            work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                row_r = work[r]
+                work[i] = [x - f * y for x, y in zip(work[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], tuple(pivots)
+
+
+def _oracle_matrices():
+    """About 300 seeded matrices of the shapes the package eliminates."""
+    rng = random.Random(2027)
+    out = [Matrix.zeros(0, 0), Matrix.zeros(0, 4), Matrix.zeros(3, 0),
+           Matrix.zeros(1, 1), Matrix.zeros(4, 3)]
+
+    def sparse_pm1(rows, cols, density):
+        return [[rng.choice((-1, 1)) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    # tall sparse +-1 systems with mostly dependent rows, like the
+    # commutant systems (512 x 64) scaled down
+    for _ in range(60):
+        cols = rng.randint(4, 12)
+        rank = rng.randint(1, cols)
+        basis = sparse_pm1(rank, cols, 0.3)
+        rows = []
+        for _ in range(rng.randint(3 * cols, 6 * cols)):
+            if rng.random() < 0.3:
+                rows.append([rng.choice((-1, 1)) if rng.random() < 0.15 else 0
+                             for _ in range(cols)])
+                continue
+            row = [0] * cols
+            for b in rng.sample(basis, min(len(basis), rng.randint(1, 3))):
+                c = rng.choice((-1, 1))
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append(row)
+        out.append(Matrix.from_rows(rows))
+    # rank-deficient inputs with duplicate and zero rows
+    for _ in range(80):
+        cols = rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(cols)]
+                for _ in range(rng.randint(1, 4))]
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        rows += [[0] * cols for _ in range(rng.randint(0, 2))]
+        rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+        rng.shuffle(rows)
+        out.append(Matrix.from_rows(rows))
+    # Fraction entries with denominators, wide and square
+    for _ in range(100):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        out.append(Matrix(rows, cols, [
+            [Fraction(rng.randint(-7, 7), rng.randint(1, 9)) if rng.random() < 0.7 else 0
+             for _ in range(cols)] for _ in range(rows)]))
+    # full rank reached before the last row, and a zero column
+    for _ in range(55):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n + rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            rows = [row[:-1] + [0] for row in rows]
+        out.append(Matrix.from_rows(rows))
+    return out
+
+
+ORACLE = _oracle_matrices()
+
+
+def test_rref_matches_dense_oracle():
+    assert len(ORACLE) >= 300
+    for m in ORACLE:
+        reduced, pivots = rref(m)
+        rows, want_pivots = _dense_rref(m)
+        assert pivots == want_pivots
+        assert reduced.rows == len(rows) and reduced.cols == m.cols
+        assert reduced.entries == tuple(rows)
+        assert all(type(x) is Fraction for row in reduced.entries for x in row)
+
+
+def test_kernel_and_solve_on_oracle_matrices():
+    rng = random.Random(31)
+    for m in ORACLE:
+        rows, pivots = _dense_rref(m)
+        rank = len(rows)
+        k = kernel(m)
+        assert k.rows == m.rows - rank and k.cols == m.rows
+        for row in k.entries:
+            assert (Matrix(1, m.rows, [list(row)]) * m).is_zero()
+        coeffs = [rng.randint(-2, 2) for _ in range(m.rows)]
+        target = (Matrix(1, m.rows, [coeffs]) * m).entries[0]
+        x = solve(m, target)
+        assert x is not None and len(x) == m.rows
+        assert (Matrix(1, m.rows, [list(x)]) * m).entries[0] == target
+        # a target outside the row space has no solution
+        if rank < m.cols:
+            outside = next(j for j in range(m.cols) if j not in pivots)
+            e = [0] * m.cols
+            e[outside] = 1
+            assert solve(m, e) is None
+
+
+def test_every_elimination_goes_through_rref(monkeypatch):
+    """Subspace spans, sums and images, kernels and solves all eliminate
+    through `rref`, so a counter on it sees every elimination."""
+    calls = []
+    original = exactalg.rref
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(exactalg, "rref", counting)
+    a = Subspace.span(3, [[1, 2, 0], [2, 4, 0]])
+    b = Subspace.span(3, [[0, 1, 1]])
+    m = Matrix(3, 2, [[1, 0], [0, 1], [1, 1]])
+    for operation in (lambda: Subspace.span(3, [[1, 0, 1]]), lambda: a + b,
+                      lambda: a.image(m), lambda: kernel(m), lambda: solve(m, (1, 1))):
+        before = len(calls)
+        operation()
+        assert len(calls) > before

@@ -1,9 +1,13 @@
 """Classification invariants: graded dims, sources, decomposition."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliffilt
 from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.invariants import (
     CERTIFIED,
@@ -193,3 +197,13 @@ def test_search_deduplicates_by_invariants():
     for i, a in enumerate(found):
         for b in found[i + 1:]:
             assert invariant_equal(a, b).verdict == DISTINGUISHED
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is imported on the first factorization, not with the package
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cliffilt; "
+            "print('sympy' in sys.modules)")
+    src = str(Path(cliffilt.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
