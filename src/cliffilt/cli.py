@@ -11,6 +11,7 @@ default to seed 0, so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -216,7 +217,10 @@ def _cmd_envcheck(args) -> int:
     return _emit_certificate(cert, args.output)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so in-process callers of `main` share one."""
     parser = argparse.ArgumentParser(
         prog="cliffilt",
         description="Filtered Clifford supermodules and graded supersymmetry representations.",

@@ -24,6 +24,11 @@ from .exactalg import Matrix, Subspace, rational
 
 _ZERO = Fraction(0)
 
+# The algebra has 2**n basis monomials, all built by the constructor; the
+# bound is checked before anything else, so input naming a larger n is
+# rejected without allocating.
+MAX_GENERATORS = 16
+
 
 def _canonical_monomials(n: int) -> tuple[tuple[int, ...], ...]:
     out = []
@@ -52,6 +57,8 @@ class CliffordAlgebra:
     """Finite dimensional Clifford algebra with memoized monomial products."""
 
     def __init__(self, n: int, gram: Matrix | None = None):
+        if n > MAX_GENERATORS:
+            raise ValueError(f"generator count {n} exceeds the limit of {MAX_GENERATORS}")
         if n < 0:
             raise ValueError("generator count must be nonnegative")
         if gram is None:

@@ -232,7 +232,7 @@ def _quotient(r: GradedRep, shells, cls):
                 at = at[:d] + (c,) + at[d + 1:]
                 composite = composite * r.shift(d, at)
             at = at[:d] + (corner[d],) + at[d + 1:]
-        flags[x] = Subspace.span(dims[_parity(x)], composite.entries)
+        flags[x] = Subspace.row_space(composite)
     algebras = tuple(CliffordAlgebra(a.n, a.gram.scale(s)) for a, s in zip(r.algebras, shells))
     quotient = cls.__new__(cls)
     FilteredModule.__init__(quotient, algebras, dims, gammas, flags)

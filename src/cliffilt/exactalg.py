@@ -2,8 +2,9 @@
 
 Conventions used throughout the package:
 
-* scalars are `fractions.Fraction` values (always reduced, positive
-  denominator),
+* every scalar that crosses a public boundary (a matrix entry, a
+  coordinate, a solution) is a `fractions.Fraction`, always reduced with
+  a positive denominator,
 * vectors are rows, and a linear map is a matrix acting on the right,
   so applying `m` to `v` computes ``v * m`` and composition "first f
   then g" is the product ``f * g``,
@@ -11,24 +12,39 @@ Conventions used throughout the package:
   span, with zero rows dropped.  Two subspaces are equal iff their
   stored bases are identical, so equality is a syntactic check.
 
+Inside the kernel a matrix also has an integer form ``(d, rows)``: the
+matrix equals ``rows / d``, where ``d`` is the least common denominator
+of its entries, and each row lists its nonzero ``(column, int)`` pairs.
+A matrix the kernel builds gets its form with it; any other matrix gets
+it on first use.  It is kept on the matrix, which is immutable, so it
+lives exactly as long as the matrix does.  Products, sums, scalings and
+eliminations read only this form, so their inner loops add and multiply
+`int`s; a `Fraction` is built only for each nonzero entry of a result,
+where the result is written out.
+
 Every elimination (spans, sums, images, intersections, kernels and
-solves) goes through one `rref`.  It is sparse and incremental: a row is
-reduced only where it is nonzero, against basis rows kept as dicts of
-their nonzero entries, and rows that reduce to zero cost no more than
-that.  Its output is the unique reduced row-echelon form, whatever the
-order of elimination, which is what makes subspace equality syntactic.
+solves) goes through one `rref`.  It is sparse, incremental and
+fraction-free: a row is reduced only where it is nonzero, against basis
+rows kept as dicts of their nonzero integer entries, and rows that
+reduce to zero cost no more than that.  Its output is the unique reduced
+row-echelon form, whatever the order of elimination, which is what makes
+subspace equality syntactic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+# the integers that most entries of kernel-built matrices are, built once
+_SMALL = {c: Fraction(c) for c in range(-16, 17)}
+
+_set = object.__setattr__
 
 
 def rational(value) -> Fraction:
@@ -53,21 +69,76 @@ def _freeze_row(row: Iterable) -> tuple:
     return tuple(x if type(x) is Fraction else rational(x) for x in row)
 
 
+def _least(d: int, rows: Iterable[Sequence[tuple[int, int]]]) -> tuple[int, tuple]:
+    """The integer form of ``rows / d`` with the least d, which is d
+    divided by its gcd with every entry."""
+    rows = tuple(rows)
+    if d != 1:
+        g = gcd(d, *[c for row in rows for _, c in row])
+        if g != 1:
+            return d // g, tuple([(j, c // g) for j, c in row] for row in rows)
+    return d, rows
+
+
 class Matrix:
     """Immutable dense rational matrix."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_int")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
         entries = tuple(_freeze_row(r) for r in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        _set(self, "_int", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @staticmethod
+    def _built(rows: int, cols: int, entries: tuple, ints: tuple | None = None) -> "Matrix":
+        """A matrix the kernel has just built, taken as it is.
+
+        `entries` must be a tuple of `rows` tuples of `cols` Fractions, and
+        `ints`, if given, its integer form with the least d.
+        """
+        m = object.__new__(Matrix)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "entries", entries)
+        _set(m, "_int", ints)
+        return m
+
+    @staticmethod
+    def _from_ints(cols: int, d: int, rows: Sequence[Sequence[tuple[int, int]]]) -> "Matrix":
+        """The matrix ``rows / d``, for rows of nonzero (column, int) pairs."""
+        d, rows = _least(d, rows)
+        entries = []
+        for row in rows:
+            out = [_ZERO] * cols
+            if d == 1:
+                for j, c in row:
+                    x = _SMALL.get(c)
+                    out[j] = Fraction(c) if x is None else x
+            else:
+                for j, c in row:
+                    out[j] = Fraction(c, d)
+            entries.append(tuple(out))
+        return Matrix._built(len(entries), cols, tuple(entries), (d, rows))
+
+    def _ints(self) -> tuple[int, tuple]:
+        """The integer form (d, rows): built on first use, then kept."""
+        form = self._int
+        if form is None:
+            d = lcm(*{x.denominator for row in self.entries for x in row})
+            form = (d, tuple(
+                tuple([(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x])
+                for row in self.entries
+            ))
+            _set(self, "_int", form)
+        return form
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -81,17 +152,20 @@ class Matrix:
     @staticmethod
     @lru_cache(maxsize=64)
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return Matrix._from_ints(n, 1, [((i, 1),) for i in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[_ZERO] * cols for _ in range(rows)])
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return Matrix._built(rows, cols, ((_ZERO,) * cols,) * rows, (1, ((),) * rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        d, rows = self._ints()
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(rows):
+            for j, c in row:
+                cols[j].append((i, c))
+        return Matrix._built(self.cols, self.rows, entries, (d, tuple(cols)))
 
     def is_zero(self) -> bool:
         return all(not x for r in self.entries for x in r)
@@ -111,28 +185,36 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other."""
         self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
+        da, arows = self._ints()
+        db, brows = other._ints()
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        out = []
+        for arow, brow in zip(arows, brows):
+            acc = {j: x * fa for j, x in arow}
+            for j, y in brow:
+                acc[j] = acc.get(j, 0) + y * fb
+            out.append([(j, x) for j, x in acc.items() if x])
+        return Matrix._from_ints(self.cols, d, out)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.entries])
+        d, rows = self._ints()
+        p = c.numerator
+        rows = [[(j, x * p) for j, x in row] for row in rows] if p else [()] * self.rows
+        return Matrix._from_ints(self.cols, d * c.denominator, rows)
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -142,18 +224,17 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        orows = other.entries
+        da, arows = self._ints()
+        db, brows = other._ints()
+        cols = other.cols
         out = []
-        for row in self.entries:
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    orow = orows[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+        for arow in arows:
+            acc = [0] * cols
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc[j] += a * b
+            out.append([(j, c) for j, c in enumerate(acc) if c])
+        return Matrix._from_ints(cols, da * db, out)
 
     def apply(self, v: Sequence) -> tuple:
         """Row vector times matrix: v (length rows) -> v * self (length cols)."""
@@ -171,7 +252,25 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("cannot stack matrices with different column counts")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        da, arows = self._ints()
+        db, brows = other._ints()
+        d = lcm(da, db)
+        rows = [[(j, x * f) for j, x in row] if f != 1 else row
+                for part, f in ((arows, d // da), (brows, d // db)) for row in part]
+        return Matrix._built(
+            self.rows + other.rows, self.cols, self.entries + other.entries, (d, tuple(rows))
+        )
+
+    def _columns(self, keep: Sequence[int]) -> "Matrix":
+        """The columns `keep` of this matrix, in that order."""
+        d, rows = self._ints()
+        at = {j: i for i, j in enumerate(keep)}
+        return Matrix._built(
+            self.rows,
+            len(keep),
+            tuple(tuple(r[j] for j in keep) for r in self.entries),
+            _least(d, ([(at[j], c) for j, c in row if j in at] for row in rows)),
+        )
 
     def rank(self) -> int:
         return rref(self)[0].rows
@@ -184,70 +283,95 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form with zero rows dropped, plus pivot columns.
 
-    The elimination is sparse and incremental.  Each basis row is kept
-    as a {column: value} dict of its nonzero entries, under its pivot
-    column.  An input row is reduced only at the pivot columns where it
-    is nonzero; a row that reduces to zero is dropped, and otherwise it
-    is scaled so its leading entry is 1 and that column is cleared from
-    the basis rows already kept.  Rows past full rank are not read.
+    The elimination is sparse, incremental and fraction-free.  It reads
+    the integer form of `m`, since scaling a row does not change its
+    span.  Each basis row is kept as a {column: int} dict of its nonzero
+    entries, under its pivot column; it is zero at every other pivot
+    column, its entries have no common factor, and its pivot entry is
+    positive.  An input row is reduced only at the pivot columns where it
+    is nonzero, each time as ``s * row - f * basis_row`` with the least
+    integer multipliers that clear that column; a row that reduces to
+    zero is dropped, and otherwise it is divided by the gcd of its entries
+    and its leading column is cleared from the basis rows already kept the
+    same way.  Rows past full rank are not read.
 
-    The result is the unique reduced row-echelon basis of the row span:
-    every pivot is 1 and is the only nonzero entry in its column, and
-    pivot columns increase strictly.  It does not depend on the order of
-    elimination, so two spans are equal iff their results are.
+    Each basis row is then a multiple of a row of the unique reduced
+    row-echelon basis of the row span: every pivot 1 and the only nonzero
+    entry in its column, pivot columns strictly increasing.  The division
+    by the pivot happens only when the result is written out, as
+    Fractions.  The result does not depend on the order of elimination,
+    so two spans are equal iff their results are.
     """
-    basis: dict[int, dict[int, Fraction]] = {}
-    for entries in m.entries:
-        row = {j: x for j, x in enumerate(entries) if x}
+    basis: dict[int, dict[int, int]] = {}
+    for pairs in m._ints()[1]:
+        if not pairs:
+            continue
+        row = dict(pairs)
         # basis rows vanish at each other's pivots, so reducing at one
-        # pivot leaves the row's entries at the others unchanged
+        # pivot only scales the row's entries at the others
         for p in [j for j in row if j in basis]:
-            _subtract(row, row[p], basis[p])
+            row = _combine(row, p, basis[p])
         if not row:
             continue
         lead = min(row)
-        inv = row[lead] ** -1
-        if inv != 1:
-            row = {j: x * inv for j, x in row.items()}
-        for other in basis.values():
+        row = _primitive(row, lead)
+        for q, other in basis.items():
             if lead in other:
-                _subtract(other, other[lead], row)
+                basis[q] = _primitive(_combine(other, lead, row), q)
         basis[lead] = row
         if len(basis) == m.cols:
             break
     pivots = tuple(sorted(basis))
-    dense = []
+    d = lcm(*[basis[p][p] for p in pivots])
+    rows = []
     for p in pivots:
-        out = [_ZERO] * m.cols
-        for j, x in basis[p].items():
-            out[j] = x
-        dense.append(out)
-    return Matrix(len(dense), m.cols, dense), pivots
+        f = d // basis[p][p]
+        rows.append(tuple([(j, x * f) for j, x in basis[p].items()]))
+    return Matrix._from_ints(m.cols, d, rows), pivots
 
 
-def _subtract(row: dict, f: Fraction, other: dict) -> None:
-    """row -= f * other, on rows stored as dicts of their nonzero entries."""
+def _combine(row: dict, p: int, other: dict) -> dict:
+    """``s * row - f * other`` with the least integers s > 0 and f that
+    clear column p, on rows stored as dicts of their nonzero entries.
+    `row` may be updated in place; use the returned dict."""
+    a, b = row[p], other[p]
+    g = gcd(a, b)
+    s, f = b // g, a // g
+    if s != 1:
+        row = {j: x * s for j, x in row.items()}
     for j, y in other.items():
-        x = row.get(j, _ZERO) - f * y
+        x = row.get(j, 0) - f * y
         if x:
             row[j] = x
         else:
             del row[j]
+    return row
+
+
+def _primitive(row: dict, lead: int) -> dict:
+    """The row divided by the gcd of its entries, signed so row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {j: x // g for j, x in row.items()}
 
 
 def kernel(m: Matrix) -> Matrix:
     """Canonical basis (as rows) of the row kernel {v : v * m = 0}."""
     reduced, pivots = rref(m.transpose())
+    d, rows = reduced._ints()
     pivot_set = set(pivots)
-    free = [j for j in range(m.rows) if j not in pivot_set]
-    rows = []
-    for f in free:
-        v = [_ZERO] * m.rows
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i][f]
-        rows.append(v)
-    basis, _ = rref(Matrix(len(rows), m.rows, rows))
+    by_pivot = [dict(row) for row in rows]
+    # the kernel vector of free column f, times d: d at f, and minus
+    # column f of the reduced rows at their pivots
+    vectors = [
+        ((f, d), *[(p, -row[f]) for p, row in zip(pivots, by_pivot) if f in row])
+        for f in range(m.rows)
+        if f not in pivot_set
+    ]
+    basis, _ = rref(Matrix._from_ints(m.rows, d, vectors))
     return basis
 
 
@@ -256,9 +380,17 @@ def solve(m: Matrix, target: Sequence) -> tuple | None:
     target = _freeze_row(target)
     if len(target) != m.cols:
         raise ValueError("target length does not match matrix columns")
-    # Solve m^T x^T = target^T by reducing the augmented transpose.
-    aug = [list(m.column(j)) + [target[j]] for j in range(m.cols)]
-    reduced, pivots = rref(Matrix(m.cols, m.rows + 1, aug))
+    # Solve m^T x^T = target^T by reducing the augmented transpose, with
+    # each of its rows (one equation) scaled to integers on its own.
+    d, columns = m.transpose()._ints()
+    aug = []
+    for col, t in zip(columns, target):
+        q = t.denominator
+        row = [(i, c * q) for i, c in col]
+        if t:
+            row.append((m.rows, t.numerator * d))
+        aug.append(row)
+    reduced, pivots = rref(Matrix._from_ints(m.rows + 1, 1, aug))
     if m.rows in pivots:
         return None
     v = [_ZERO] * m.rows
@@ -285,8 +417,12 @@ class Subspace:
         m = Matrix.from_rows(list(rows), cols=ambient)
         if m.cols != ambient:
             raise ValueError("row length does not match ambient dimension")
+        return Subspace.row_space(m)
+
+    @staticmethod
+    def row_space(m: Matrix) -> "Subspace":
         basis, pivots = rref(m)
-        return Subspace(ambient, basis, pivots)
+        return Subspace(m.cols, basis, pivots)
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -318,21 +454,28 @@ class Subspace:
         return self._reduce(v) is not None
 
     def _reduce(self, v: Sequence) -> tuple | None:
-        """Coordinates of v in the basis rows, or None if v lies outside."""
-        v = list(_freeze_row(v))
+        """Coordinates of v in the basis rows, or None if v lies outside.
+
+        The basis is the identity at its pivot columns, so the coordinates
+        are the entries of v there.  In integers, with v = w / e and
+        basis = rows / d: v lies in the span iff d * w is the sum over the
+        pivots p of w[p] times the basis row of p.
+        """
+        v = _freeze_row(v)
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        coords = []
-        for row, p in zip(self.basis.entries, self.pivots):
-            c = v[p]
-            coords.append(c)
+        e = lcm(*{x.denominator for x in v})
+        w = [x.numerator * (e // x.denominator) for x in v]
+        d, rows = self.basis._ints()
+        rest = [x * d for x in w]
+        for row, p in zip(rows, self.pivots):
+            c = w[p]
             if c:
-                for j, y in enumerate(row):
-                    if y:
-                        v[j] -= c * y
-        if any(v):
+                for j, b in row:
+                    rest[j] -= c * b
+        if any(rest):
             return None
-        return tuple(coords)
+        return tuple(v[p] for p in self.pivots)
 
     def coordinates(self, v: Sequence) -> tuple:
         coords = self._reduce(v)
@@ -341,22 +484,30 @@ class Subspace:
         return coords
 
     def coordinate_matrix(self, vectors: Matrix) -> Matrix:
-        """Coordinates of each row of `vectors` with respect to this basis."""
-        return Matrix.from_rows(
-            [self.coordinates(r) for r in vectors.entries], cols=self.dim
-        )
+        """Coordinates of each row of `vectors` with respect to this basis.
+
+        The basis is the identity at its pivot columns, so the coordinates
+        of a row are its entries there; one product checks that every row
+        lies in the span.
+        """
+        if vectors.cols != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        coords = vectors._columns(self.pivots)
+        if coords * self.basis != vectors:
+            raise ValueError("vector is not in the subspace")
+        return coords
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-        return all(self.contains(r) for r in other.basis.entries)
+        # as in coordinate_matrix: one product checks every basis row
+        rows = other.basis
+        return rows._columns(self.pivots) * self.basis == rows
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-        stacked = self.basis.stack(other.basis)
-        basis, pivots = rref(stacked)
-        return Subspace(self.ambient, basis, pivots)
+        return Subspace.row_space(self.basis.stack(other.basis))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection, computed from the kernel of the stacked bases."""
@@ -366,15 +517,13 @@ class Subspace:
         if a.rows == 0 or b.rows == 0:
             return Subspace.zero(self.ambient)
         coeffs = kernel(a.stack(b))
-        rows = [a.apply(c[: a.rows]) for c in coeffs.entries]
-        return Subspace.span(self.ambient, rows)
+        return Subspace.row_space(coeffs._columns(range(a.rows)) * a)
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of this subspace under the right-action map v -> v * m."""
         if m.rows != self.ambient:
             raise ValueError("map domain does not match ambient dimension")
-        return Subspace.span(m.cols, (self.basis * m).entries)
+        return Subspace.row_space(self.basis * m)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
-

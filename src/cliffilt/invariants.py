@@ -49,10 +49,10 @@ def source_dimensions(f: SuperFiltration) -> tuple[int, ...]:
 def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace) -> Subspace:
     """span plus the images of below, the level p - 1, under every generator,
     reduced together in one elimination."""
-    rows = list(span.basis.entries)
+    stacked = span.basis
     for i in range(module.algebra.n):
-        rows += (below.basis * module.gamma(i, (p - 1) % 2)).entries
-    return Subspace.span(span.ambient, rows)
+        stacked = stacked.stack(below.basis * module.gamma(i, (p - 1) % 2))
+    return Subspace.row_space(stacked)
 
 
 def _residual(flag: Subspace, v) -> tuple:
@@ -133,15 +133,14 @@ def _trace(m: Matrix) -> Fraction:
 def _minimal_polynomial(module, pair) -> list[Fraction]:
     """Monic minimal polynomial (ascending coefficients) of an even pair."""
     power = _pair_identity(module)
-    seen = [_flatten(power)]
+    seen = Matrix.from_rows([_flatten(power)])
     while True:
         power = _pair_mul(power, pair)
         flat = _flatten(power)
-        stacked = Matrix.from_rows(seen, cols=len(flat))
-        coeffs = solve(stacked, flat)
+        coeffs = solve(seen, flat)
         if coeffs is not None:
             return [-c for c in coeffs] + [Fraction(1)]
-        seen.append(flat)
+        seen = seen.stack(Matrix.from_rows([flat]))
 
 
 def _factor_rational_poly(coeffs: list[Fraction]):
@@ -187,7 +186,7 @@ def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
         w = w_even if p % 2 == 0 else w_odd
         inter = f.level(p) & w
         coords = w.coordinate_matrix(inter.basis)
-        flag = Subspace.span(w.dim, coords.entries)
+        flag = Subspace.row_space(coords)
         (even_flags if p % 2 == 0 else odd_flags).append(flag)
     return SuperFiltration(sub, even_flags, odd_flags)
 
@@ -228,8 +227,8 @@ def _try_split(f: SuperFiltration, endos, candidates: int, rng):
                     for b, cb in enumerate(lifted):
                         nxt[a + b] += ca * cb
                 full = nxt
-            w_even = Subspace.span(module.dim_even, kernel(_poly_eval(full, pair[0])).entries)
-            w_odd = Subspace.span(module.dim_odd, kernel(_poly_eval(full, pair[1])).entries)
+            w_even = Subspace.row_space(kernel(_poly_eval(full, pair[0])))
+            w_odd = Subspace.row_space(kernel(_poly_eval(full, pair[1])))
             split.append((w_even, w_odd))
         total = sum(we.dim + wo.dim for we, wo in split)
         if total != module.dim_even + module.dim_odd:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -137,38 +138,40 @@ class CliffordSupermodule:
             eoi, oei = self.gamma_eo[i], self.gamma_oe[i]
             blocks.append(
                 [
-                    (Matrix.identity(n0), eoi, _ONE),
-                    ((eoi * oe0).scale(inv_g00), eo0, -_ONE),
+                    (Matrix.identity(n0), eoi, 1),
+                    ((eoi * oe0).scale(inv_g00), eo0, -1),
                 ]
             )
             blocks.append(
                 [
-                    (oe0.scale(inv_g00), eo0 * oei, _ONE),
-                    (oei, Matrix.identity(n0), -_ONE),
+                    (oe0.scale(inv_g00), eo0 * oei, 1),
+                    (oei, Matrix.identity(n0), -1),
                 ]
             )
 
+        # One equation per entry (r, c) of each block, over the unknowns
+        # P[k][l] numbered k * n0 + l, summed in integers: with the integer
+        # forms B = bi / db and C = ci / dc, a part adds sign * bi[r][k] *
+        # ci[l][c] / (db * dc), and scaling an equation by the block's
+        # common denominator does not change the kernel.
         unknowns = n0 * n0
-        columns: list[list[Fraction]] = []
+        equations = []
         for parts in blocks:
-            out_rows = parts[0][0].rows
-            out_cols = parts[0][1].cols
-            for r in range(out_rows):
-                for c in range(out_cols):
-                    col = [Fraction(0)] * unknowns
-                    for b, cmat, sign in parts:
-                        brow = b.entries[r]
-                        for k in range(n0):
-                            bk = brow[k]
-                            if bk:
-                                for l in range(cmat.rows):
-                                    cv = cmat.entries[l][c]
-                                    if cv:
-                                        col[k * n0 + l] += sign * bk * cv
-                    columns.append(col)
-        if columns:
-            system = Matrix(unknowns, len(columns), list(map(list, zip(*columns))))
-            basis = kernel(system)
+            forms = [(b._ints(), cmat.transpose()._ints(), sign) for b, cmat, sign in parts]
+            common = lcm(*[db * dc for (db, _), (dc, _), _ in forms])
+            weighted = [(brows, ccols, sign * common // (db * dc))
+                        for (db, brows), (dc, ccols), sign in forms]
+            for r in range(parts[0][0].rows):
+                for c in range(parts[0][1].cols):
+                    eq: dict[int, int] = {}
+                    for brows, ccols, w in weighted:
+                        for k, bk in brows[r]:
+                            for l, cv in ccols[c]:
+                                u = k * n0 + l
+                                eq[u] = eq.get(u, 0) + w * bk * cv
+                    equations.append([(u, x) for u, x in eq.items() if x])
+        if equations:
+            basis = kernel(Matrix._from_ints(unknowns, 1, equations).transpose())
         else:
             basis = Matrix.identity(unknowns)
 

@@ -164,6 +164,18 @@ def test_envcheck():
     assert run(["envcheck", "--n", "1", "--max-degree", "2"]).returncode == 2
 
 
+def test_generator_count_over_bound_exits_two():
+    # 17 generators, one past the bound: a missing bound costs one Cl(17)
+    out = run(["envcheck", "--n", "17"])
+    assert out.returncode == 2 and "limit of 16" in out.stderr
+    doc = json.loads(run(["example", "cl1-trivial"]).stdout)
+    doc["n"] = 17
+    doc["gram"] = {"shape": [17, 17],
+                   "rows": [["1" if i == j else "0" for j in range(17)] for i in range(17)]}
+    out = run(["check"], stdin=json.dumps(doc))
+    assert out.returncode == 2 and "limit of 16" in out.stderr
+
+
 def test_output_file_flag(tmp_path, degree_doc):
     path = tmp_path / "out.json"
     out = run(["invariants", "-o", str(path)], stdin=degree_doc)

@@ -120,3 +120,30 @@ def test_pipeline_stage_bytes(outputs, name):
 
 def test_every_stage_pinned(outputs):
     assert sorted(outputs) == sorted(PINNED)
+
+
+def test_stages_share_one_parser(outputs, tmp_path):
+    """`cli.main` builds its parser once per process; options of one call
+    (an output file, a shell value, a seed) do not carry into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    degree = outputs["example exterior4-degree"][1]
+    hodge = outputs["example exterior4-hodge"][1]
+    path = tmp_path / "rep.json"
+    assert run(["deform", "-o", str(path)], degree) == (0, "")
+    rep = path.read_text()
+    assert sha(rep) == PINNED["deform degree"][1]
+    onshell = outputs["quotient --k 2/3"][1]
+    for argv, stdin_text, name in [
+        (["decompose", "--seed", "5", "--candidates", "1"], hodge, None),
+        (["decompose"], hodge, "decompose hodge"),
+        (["quotient", "--k", "2/3"], rep, "quotient --k 2/3"),
+        (["quotient", "--k", "0"], rep, "quotient --k 0"),
+        (["check"], onshell, "check onshell"),
+        (["roundtrip"], degree, "roundtrip degree"),
+        (["envcheck", "--n", "3", "--max-degree", "6"], "", "envcheck --n 3"),
+    ]:
+        code, text = run(argv, stdin_text)
+        if name is None:
+            assert code == 0
+        else:
+            assert (code, sha(text)) == PINNED[name], name

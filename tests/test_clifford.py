@@ -7,7 +7,12 @@ from math import comb
 
 import pytest
 
-from cliffilt.clifford import CliffordAlgebra, check_filtered_superalgebra, filtration_level
+from cliffilt.clifford import (
+    MAX_GENERATORS,
+    CliffordAlgebra,
+    check_filtered_superalgebra,
+    filtration_level,
+)
 from cliffilt.exactalg import Matrix
 
 
@@ -29,6 +34,12 @@ def test_products_match_oracle_exhaustive_n4():
             got = alg.basis_element(I) * alg.basis_element(J)
             sign, sym = oracle_product(I, J)
             assert got.terms == {sym: Fraction(sign)}, (I, J)
+
+
+def test_generator_count_bounded():
+    # one past the bound, so a missing bound costs one Cl(17) and no more
+    with pytest.raises(ValueError, match="limit of 16"):
+        CliffordAlgebra(MAX_GENERATORS + 1)
 
 
 def test_hand_cases():

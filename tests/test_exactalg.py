@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -176,6 +177,9 @@ def _dense_rref(m: Matrix) -> tuple[list, tuple]:
     return [tuple(row) for row in work[:r]], tuple(pivots)
 
 
+BIG_PRIMES = (999983, 999979, 999961, 999959, 999953, 999931)
+
+
 def _oracle_matrices():
     """About 300 seeded matrices of the shapes the package eliminates."""
     rng = random.Random(2027)
@@ -227,6 +231,18 @@ def _oracle_matrices():
                 for _ in range(n + rng.randint(0, 5))]
         if rng.random() < 0.5:
             rows = [row[:-1] + [0] for row in rows]
+        out.append(Matrix.from_rows(rows))
+    # large denominators (a prime near 10**6, times 1 or 7), with a
+    # dependent row
+    big = random.Random(2029)
+    for _ in range(30):
+        cols = big.randint(1, 6)
+        rows = [[Fraction(big.randint(-10**6, 10**6), big.choice(BIG_PRIMES) * big.choice((1, 7)))
+                 if big.random() < 0.7 else 0 for _ in range(cols)]
+                for _ in range(big.randint(1, 5))]
+        rows.append([Fraction(3, 999983) * a - Fraction(5, 999979) * b
+                     for a, b in zip(rows[0], rows[-1])])
+        big.shuffle(rows)
         out.append(Matrix.from_rows(rows))
     return out
 
@@ -286,3 +302,125 @@ def test_every_elimination_goes_through_rref(monkeypatch):
         before = len(calls)
         operation()
         assert len(calls) > before
+
+
+def _random_matrix(rng, rows, cols, max_den):
+    """Negative entries, denominators up to max_den, about a third zeros."""
+    return Matrix(rows, cols, [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) if rng.random() < 0.7 else 0
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def _naive_product(a: Matrix, b: Matrix) -> tuple:
+    return tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+              for j in range(b.cols))
+        for i in range(a.rows))
+
+
+def test_product_matches_naive_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = _random_matrix(rng, rows, inner, rng.choice((1, 9, 10**6)))
+        b = _random_matrix(rng, inner, cols, rng.choice((1, 9, 10**6)))
+        got = a * b
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.entries == _naive_product(a, b)
+
+
+def _kernel_results():
+    """(operation, result) for every kernel operation on seeded inputs:
+    negative entries, denominators up to 10**6, 0 x k and k x 0 shapes."""
+    rng = random.Random(43)
+    for _ in range(80):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        max_den = rng.choice((1, 10**6))
+        a = _random_matrix(rng, rows, cols, max_den)
+        c = _random_matrix(rng, rows, cols, max_den)
+        yield "product", a * _random_matrix(rng, cols, rng.randint(0, 5), max_den)
+        yield "rref", rref(a)[0]
+        yield "kernel", kernel(a)
+        yield "transpose", a.transpose()
+        yield "scale", a.scale(Fraction(-7, 10**6 - 1))
+        yield "add", a + c
+        yield "sub", a - c
+        yield "neg", -a
+        yield "stack", a.stack(c)
+        combo = Matrix(2, rows, [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(2)])
+        inside = combo * a
+        yield "coordinate_matrix", Subspace.row_space(a).coordinate_matrix(inside)
+        yield "solve", solve(a, inside.entries[0])
+
+
+def test_kernel_results_are_fractions():
+    """Only Fractions leave the kernel, whatever it computed in."""
+    for name, result in _kernel_results():
+        rows = result.entries if isinstance(result, Matrix) else (result,)
+        assert all(type(x) is Fraction for row in rows for x in row), name
+
+
+def test_integer_form_matches_entries():
+    """A matrix equals rows / d of its integer form, d the least common
+    denominator of its entries."""
+    for name, m in _kernel_results():
+        if not isinstance(m, Matrix):
+            continue
+        d, rows = m._ints()
+        assert d == lcm(*[x.denominator for row in m.entries for x in row]), name
+        dense = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+        for i, row in enumerate(rows):
+            for j, c in row:
+                assert c, name
+                dense[i][j] = Fraction(c, d)
+        assert tuple(map(tuple, dense)) == m.entries, name
+
+
+def test_rref_basis_rows_stay_primitive(monkeypatch):
+    """The elimination keeps each basis row with no common factor and a
+    positive pivot, so its integers stay as small as the RREF allows."""
+    kept = []
+    original = exactalg._combine
+
+    def recording(row, p, other):
+        kept.append((p, dict(other)))
+        return original(row, p, other)
+
+    monkeypatch.setattr(exactalg, "_combine", recording)
+    for m in ORACLE:
+        rref(m)
+    assert kept
+    for p, other in kept:
+        assert other[p] > 0 and gcd(*other.values()) == 1
+
+
+def test_coordinate_matrix_rejects_rows_outside_span():
+    s = Subspace.span(3, [[1, 0, 2], [0, 1, -1]])
+    assert s.coordinate_matrix(Matrix(2, 3, [[2, -3, 7], [0, 0, 0]])).entries == ((2, -3), (0, 0))
+    with pytest.raises(ValueError, match="not in the subspace"):
+        s.coordinate_matrix(Matrix(2, 3, [[2, -3, 7], [1, 1, 0]]))
+    rng = random.Random(47)
+    for m in ORACLE[:120]:
+        space = Subspace.row_space(m)
+        free = [j for j in range(m.cols) if j not in space.pivots]
+        if not free:
+            continue
+        e = [0] * m.cols
+        e[rng.choice(free)] = Fraction(1, rng.randint(1, 10**6))
+        combo = [rng.randint(-2, 2) for _ in range(m.rows)]
+        row = [x + y for x, y in zip((Matrix(1, m.rows, [combo]) * m).entries[0], e)]
+        assert not space.contains(row)
+        with pytest.raises(ValueError, match="not in the subspace"):
+            space.coordinate_matrix(Matrix(1, m.cols, [row]))
+
+
+def test_contains_subspace_matches_sum():
+    rng = random.Random(53)
+    for m in ORACLE[:150]:
+        space = Subspace.row_space(m)
+        rows = [(Matrix(1, m.rows, [[rng.randint(-2, 2) for _ in range(m.rows)]]) * m).entries[0]
+                for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 10**6)) for _ in range(m.cols)])
+        other = Subspace.span(m.cols, rows)
+        assert space.contains_subspace(other) == (space + other == space)
