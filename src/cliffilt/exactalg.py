@@ -179,7 +179,10 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        # the integer form with the least d, each row's pairs sorted, is
+        # the same for equal matrices however they were built
+        d, rows = self._ints()
+        return hash((self.rows, self.cols, d, tuple(tuple(sorted(r)) for r in rows)))
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:

@@ -5,6 +5,13 @@ The format is versioned by a top-level "schema" field (currently
 like "-3/2" so round-trips stay exact; matrices carry their shape
 explicitly because zero-row maps are meaningful.  Encoding is
 deterministic: equal objects produce byte-identical text.
+
+Decoding is strict about scalars: a rational must be a JSON string that
+`Fraction` accepts, and a shape, dimension, count or index must be a
+JSON integer.  A JSON float, a bool or a numeric string in their place
+is a `SerializeError`, as is any other malformed part.  The rows of a
+matrix or a flag must be lists, and each distinct string among their
+entries is parsed once.
 """
 
 from __future__ import annotations
@@ -29,14 +36,43 @@ class SerializeError(ValueError):
 
 
 def _rat(value) -> str:
-    return str(Fraction(value))
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 def _unrat(value) -> Fraction:
+    if type(value) is not str:
+        raise SerializeError(f"rational {value!r} is not a string")
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SerializeError(f"bad rational {value!r}") from exc
+
+
+def _unrat_rows(rows) -> list[list[Fraction]]:
+    """Rows of rational strings as Fractions, each distinct string parsed
+    once for this call."""
+    if type(rows) is not list:
+        raise SerializeError("rows must be a list")
+    parsed: dict[str, Fraction] = {}
+    out = []
+    for row in rows:
+        if type(row) is not list:
+            raise SerializeError("each row must be a list")
+        try:
+            for x in row:
+                if x not in parsed:  # only strings are ever keys
+                    parsed[x] = _unrat(x)
+        except TypeError as exc:  # an unhashable entry
+            raise SerializeError(f"bad rational: {exc}") from exc
+        out.append([parsed[x] for x in row])
+    return out
+
+
+def _count(value) -> int:
+    """A JSON integer; no bool, float or numeric string."""
+    if type(value) is not int:
+        raise SerializeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _enc_matrix(m: Matrix) -> dict:
@@ -46,8 +82,7 @@ def _enc_matrix(m: Matrix) -> dict:
 def _dec_matrix(obj) -> Matrix:
     try:
         rows, cols = obj["shape"]
-        entries = [[_unrat(x) for x in row] for row in obj["rows"]]
-        return Matrix(int(rows), int(cols), entries)
+        return Matrix(_count(rows), _count(cols), _unrat_rows(obj["rows"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"bad matrix: {exc}") from exc
 
@@ -58,15 +93,14 @@ def _enc_flag(s: Subspace) -> dict:
 
 def _dec_flag(obj) -> Subspace:
     try:
-        rows = [[_unrat(x) for x in row] for row in obj["rows"]]
-        return Subspace.span(int(obj["ambient"]), rows)
+        return Subspace.span(_count(obj["ambient"]), _unrat_rows(obj["rows"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"bad subspace: {exc}") from exc
 
 
 def _dec_algebra(obj, n_key="n", gram_key="gram") -> CliffordAlgebra:
     try:
-        return CliffordAlgebra(int(obj[n_key]), _dec_matrix(obj[gram_key]))
+        return CliffordAlgebra(_count(obj[n_key]), _dec_matrix(obj[gram_key]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"bad algebra: {exc}") from exc
 
@@ -90,7 +124,7 @@ def _dec_module(obj) -> CliffordSupermodule:
     gamma_oe = [_dec_matrix(g) for g in obj["gamma_oe"]]
     return CliffordSupermodule(
         algebra, gamma_eo, gamma_oe,
-        dim_even=int(obj["dim_even"]), dim_odd=int(obj["dim_odd"]),
+        dim_even=_count(obj["dim_even"]), dim_odd=_count(obj["dim_odd"]),
     )
 
 
@@ -123,7 +157,7 @@ def _enc_offshell(r: OffShellRep) -> dict:
 
 def _dec_offshell(obj) -> OffShellRep:
     algebra = _dec_algebra(obj)
-    dims = [int(d) for d in obj["dims"]]
+    dims = [_count(d) for d in obj["dims"]]
     h_maps = [_dec_matrix(h) for h in obj["h_maps"]]
     q_maps = [[_dec_matrix(q) for q in per] for per in obj["q_maps"]]
     return OffShellRep(algebra, dims, h_maps, q_maps)
@@ -168,7 +202,7 @@ def _enc_bifiltered(bf: BifilteredSupermodule) -> dict:
 def _dec_bifiltered(obj) -> BifilteredSupermodule:
     plus = _dec_algebra(obj, "p", "gram_plus")
     minus = _dec_algebra(obj, "q", "gram_minus")
-    dims = {(a, b): int(obj["dims"][a][b]) for (a, b) in _COMPONENTS}
+    dims = {(a, b): _count(obj["dims"][a][b]) for (a, b) in _COMPONENTS}
 
     def grid(encoded):
         return [{(a, b): _dec_matrix(per[a][b]) for (a, b) in _COMPONENTS} for per in encoded]
@@ -209,7 +243,7 @@ def _enc_bigraded(r: BiGradedRep) -> dict:
 def _dec_bigraded(obj) -> BiGradedRep:
     plus = _dec_algebra(obj, "p", "gram_plus")
     minus = _dec_algebra(obj, "q", "gram_minus")
-    dims = [[int(d) for d in row] for row in obj["dims"]]
+    dims = [[_count(d) for d in row] for row in obj["dims"]]
 
     def shift_grid(encoded):
         return {
@@ -259,10 +293,10 @@ def _enc_graph(g: AdinkraGraph) -> dict:
 def _dec_graph(obj) -> AdinkraGraph:
     module = _dec_module(obj["module"])
     vertices = [
-        Vertex(int(v["parity"]), int(v["height"]), tuple(_unrat(x) for x in v["vector"]))
+        Vertex(_count(v["parity"]), _count(v["height"]), tuple(_unrat(x) for x in v["vector"]))
         for v in obj["vertices"]
     ]
-    edges = [Edge(int(s), int(t), int(i), int(sign)) for s, t, i, sign in obj["edges"]]
+    edges = [Edge(*map(_count, (s, t, i, sign))) for s, t, i, sign in obj["edges"]]
     return AdinkraGraph(module, vertices, edges)
 
 
@@ -278,10 +312,10 @@ def _enc_report(r: InvariantReport) -> dict:
 
 def _dec_report(obj) -> InvariantReport:
     return InvariantReport(
-        tuple(int(x) for x in obj["gr_dims"]),
-        tuple(int(x) for x in obj["source_dims"]),
+        tuple(_count(x) for x in obj["gr_dims"]),
+        tuple(_count(x) for x in obj["source_dims"]),
         tuple(
-            (tuple(int(x) for x in gr), tuple(int(x) for x in src))
+            (tuple(_count(x) for x in gr), tuple(_count(x) for x in src))
             for gr, src in obj["summand_reports"]
         ),
     )
@@ -347,7 +381,7 @@ _DECODERS = {
     "module": _dec_module,
     "filtration": _dec_filtration,
     "offshell_rep": _dec_offshell,
-    "graded_space": lambda obj: GradedSpace(tuple(int(d) for d in obj["dims"])),
+    "graded_space": lambda obj: GradedSpace(tuple(_count(d) for d in obj["dims"])),
     "onshell_module": _dec_onshell,
     "bifiltered_module": _dec_bifiltered,
     "bigraded_rep": _dec_bigraded,
@@ -374,7 +408,7 @@ def decode(obj):
     if obj.get("schema") != SCHEMA:
         raise SerializeError(f"unsupported schema {obj.get('schema')!r}")
     kind = obj.get("kind")
-    if kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _DECODERS:
         raise SerializeError(f"unknown kind {kind!r}")
     try:
         return _DECODERS[kind](obj)

@@ -289,11 +289,20 @@ class FilteredModule:
 
 
 def _is_scalar(a: Matrix, b: Matrix, s) -> bool:
-    """Whether a + b is s times the identity, compared entry by entry."""
-    for r, (row_a, row_b) in enumerate(zip(a.entries, b.entries)):
-        for c, (x, y) in enumerate(zip(row_a, row_b)):
-            if (x + y if y else x) != (s if r == c else 0):
-                return False
+    """Whether a + b is s times the identity, compared in integer forms:
+    with a = A / da and b = B / db scaled to d = lcm(da, db), each row r
+    of A (d / da) + B (d / db) has s d at column r and nothing else."""
+    da, arows = a._ints()
+    db, brows = b._ints()
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    t = Fraction(s) * d
+    for r, (arow, brow) in enumerate(zip(arows, brows)):
+        acc = {j: x * fa for j, x in arow}
+        for j, y in brow:
+            acc[j] = acc.get(j, 0) + y * fb
+        if {j: x for j, x in acc.items() if x} != ({r: t} if t else {}):
+            return False
     return True
 
 

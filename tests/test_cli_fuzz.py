@@ -1,0 +1,121 @@
+"""Seeded fuzz of the command line over mutated README documents.
+
+Each example is one README document with one defect: a scalar replaced
+by a float, a bool, a huge int, a garbage string, a wrong rational or a
+nested list; one key deleted; or one row of a matrix or flag truncated.
+`check`, `deform` and `roundtrip` then run on it through `cli.main` in
+process.  Each must exit 0, 1 or 2 and leave no traceback: a malformed
+document exits 2 with a one-line message.
+"""
+
+import functools
+import io
+import json
+import sys
+import traceback
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from cliffilt import cli
+
+COMMANDS = (["check"], ["deform"], ["roundtrip"])
+
+
+def _run(argv, stdin_text=""):
+    """Exit code, stdout and stderr of `cli.main`; an exception that
+    escapes it is returned as its traceback on stderr, with code None."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), out, err
+    try:
+        code = cli.main(argv)
+    except Exception:
+        code = None
+        err.write(traceback.format_exc())
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+EXAMPLES = ("exterior4-degree", "exterior4-hodge", "cl5-irreducible", "cl1-trivial")
+STAGES = ("deform", "quotient --k 2/3")
+
+
+@functools.cache
+def _documents() -> dict[str, str]:
+    """The README example documents and the 1d pipeline's stages, by name."""
+    docs = {}
+    for name in EXAMPLES:
+        code, docs[name], _ = _run(["example", name])
+        assert code == 0
+    text = docs["exterior4-degree"]
+    for stage in STAGES:
+        code, text, _ = _run(stage.split(), text)
+        assert code == 0
+        docs[stage] = text
+    return docs
+
+
+def _nodes(node, path=()):
+    """(path, node) for the node and everything inside it."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, path + (i,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _targets(doc, kind):
+    """Paths a mutation of this kind can apply to."""
+    if kind == "scalar":
+        return [p for p, n in _nodes(doc) if p and not isinstance(n, (dict, list))]
+    if kind == "delete":
+        return [p for p, _ in _nodes(doc) if p and isinstance(_parent(doc, p), dict)]
+    # a nonempty row: a list inside the "rows" of a matrix or flag
+    return [p for p, n in _nodes(doc)
+            if len(p) >= 2 and p[-2] == "rows" and isinstance(n, list) and n]
+
+
+BAD_SCALARS = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([2**64, -(2**64), 10**40]),
+    st.text(max_size=6),
+    st.sampled_from(["0", "2", "-1/3"]),  # well formed, but the wrong value
+    st.lists(st.lists(st.sampled_from(["0", "1", 1]), max_size=2), min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(data):
+    name = data.draw(st.sampled_from(EXAMPLES + STAGES), label="document")
+    doc = json.loads(_documents()[name])
+    kind = data.draw(st.sampled_from(["scalar", "delete", "truncate"]), label="mutation")
+    targets = _targets(doc, kind)
+    if data.draw(st.booleans(), label="shallow"):  # kind, n, shapes, dims as often as entries
+        targets = [p for p in targets if len(p) <= 3] or targets
+    path = targets[data.draw(st.integers(0, len(targets) - 1), label="target")]
+    parent = _parent(doc, path)
+    if kind == "scalar":
+        parent[path[-1]] = data.draw(BAD_SCALARS, label="value")
+    elif kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]].pop()
+    mutated = json.dumps(doc)
+    for argv in COMMANDS:
+        code, _, err = _run(argv, mutated)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, path, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, path, err)

@@ -424,3 +424,38 @@ def test_contains_subspace_matches_sum():
             rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 10**6)) for _ in range(m.cols)])
         other = Subspace.span(m.cols, rows)
         assert space.contains_subspace(other) == (space + other == space)
+
+
+def _equal_builds(rng, a: Matrix):
+    """Matrices equal to `a`, each built another way, so their integer
+    forms come from another path (and rref rows from dict order)."""
+    rows, cols = a.rows, a.cols
+    fresh = Matrix(rows, cols, [[Fraction(x.numerator, x.denominator) for x in row]
+                                for row in a.entries])
+    yield fresh
+    yield a * Matrix.identity(cols)
+    yield Matrix.identity(rows) * a
+    yield a.transpose().transpose()
+    yield a.stack(Matrix.zeros(0, cols))
+    yield Matrix.zeros(0, cols).stack(a)
+    yield a._columns(range(cols))
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 10**6))
+    yield a.scale(c).scale(1 / c)
+    yield a + Matrix.zeros(rows, cols)
+
+
+def test_equal_matrices_hash_equal():
+    """Equal matrices hash equal, whichever way each was built."""
+    rng = random.Random(71)
+    for _ in range(120):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a = _random_matrix(rng, rows, cols, rng.choice((1, 9, 10**6)))
+        # an invertible (unit lower triangular) mix of the rows keeps the
+        # span, so both sides have the same rref
+        mix = Matrix(rows, rows, [[rng.randint(-3, 3) if j < i else int(i == j)
+                                   for j in range(rows)] for i in range(rows)])
+        pairs = [(rref(a)[0], rref(mix * a)[0]), (kernel(a), kernel(a.scale(3)))]
+        pairs += [(a, other) for other in _equal_builds(rng, a)]
+        for x, y in [*pairs, *[(p, q) for p, _ in pairs for q in _equal_builds(rng, p)]]:
+            assert x == y and hash(x) == hash(y), (x, y)
+        assert len({a, *_equal_builds(rng, a)}) == 1

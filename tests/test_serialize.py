@@ -1,11 +1,12 @@
 """Round trips and rejection paths of the JSON layer."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from cliffilt import cli
+from cliffilt import cli, serialize
 from cliffilt.bifiltration import bideform, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import deform, quotient_at
@@ -126,6 +127,7 @@ def test_malformed_documents_rejected():
         '{"kind": "module"}',
         '{"schema": "cliffilt/2", "kind": "module"}',
         '{"schema": "cliffilt/1", "kind": "mystery"}',
+        '{"schema": "cliffilt/1", "kind": ["module"]}',
         '{"schema": "cliffilt/1", "kind": "module", "n": 1}',
         '{"schema": "cliffilt/1", "kind": "filtration", "n": "x"}',
     ]
@@ -201,6 +203,101 @@ def test_bad_rational_rejected():
     doc["even_flags"][0]["rows"][0][0] = "1/0"
     with pytest.raises(SerializeError):
         decode(doc)
+
+
+def _check_exit(doc, tmp_path) -> int:
+    """Exit code of an in-process `cliffilt check` on the document."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return cli.main(["check", str(path), "-o", str(tmp_path / "out.json")])
+
+
+def _set_entry(value):
+    def defect(doc):
+        doc["gamma_eo"][0]["rows"][0][0] = value
+    return defect
+
+
+def _set_shape(doc):
+    doc["gram"]["shape"] = [2.9, 2.2]
+
+
+def _set_field(key, value):
+    def defect(doc):
+        doc[key] = value
+    return defect
+
+
+def _set_ambient(value):
+    def defect(doc):
+        doc["even_flags"][0]["ambient"] = value
+    return defect
+
+
+# each of these used to decode: 0.1 as 3602879701896397/36028797018963968,
+# 1.0 and true as 1, the shape as 2 x 2, the dimensions and counts as ints
+INEXACT = {
+    "float entry 0.1": _set_entry(0.1),
+    "float entry 1.0": _set_entry(1.0),
+    "bool entry true": _set_entry(True),
+    "int entry 1": _set_entry(1),
+    "float shape": _set_shape,
+    "float dim_even": _set_field("dim_even", 2.5),
+    "bool dim_odd": _set_field("dim_odd", True),
+    "numeric string n": _set_field("n", "2"),
+    "float ambient": _set_ambient(2.0),
+    "string ambient": _set_ambient("2"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(INEXACT))
+def test_inexact_scalars_exit_two(defect, tmp_path, capsys):
+    doc = encode(degree_filtration(exterior_module(2)))
+    assert _check_exit(doc, tmp_path) == 0
+    INEXACT[defect](doc)
+    assert _check_exit(doc, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# strings Fraction reads although they are not what the encoder writes
+NON_CANONICAL = ["2/4", "-0", "+3", " 7 ", "1.5", "1e2", "1_000", "007"]
+REJECTED = ["1/0", "abc", "", "1 / 2", "0x10", "-6/-3"]
+
+
+def _oracle_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_unrat_rows_matches_fraction_oracle():
+    rng = random.Random(61)
+    pool = ["0", "1", "-1", *NON_CANONICAL]
+    for _ in range(200):
+        extra = [str(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+                 for _ in range(3)]
+        cols = rng.randint(0, 6)
+        rows = [[rng.choice(pool + extra) for _ in range(cols)] for _ in range(rng.randint(0, 6))]
+        got = serialize._unrat_rows(rows)
+        assert got == _oracle_rows(rows)
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_unrat_rows_rejects_what_fraction_rejects(text, tmp_path):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Fraction(text)
+    # after the same text has been read as a good entry elsewhere in the call
+    with pytest.raises(SerializeError):
+        serialize._unrat_rows([["1", "2/4"], ["2/4", text]])
+    doc = encode(degree_filtration(exterior_module(2)))
+    doc["even_flags"][0]["rows"][0][0] = text
+    assert _check_exit(doc, tmp_path) == 2
+
+
+@pytest.mark.parametrize("rows", [[["1", 1]], [["1"], [True]], [["0", 0.0]], [[["1"]]],
+                                  "11", [("1",)], [{"1": 1}], None])
+def test_unrat_rows_rejects_non_strings(rows):
+    with pytest.raises(SerializeError):
+        serialize._unrat_rows(rows)
 
 
 def test_unknown_object_rejected():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
+    _is_scalar,
     check_filtration,
     check_supermodule,
     degree_filtration,
@@ -318,3 +320,65 @@ def test_first_witness_of_each_kind(kind):
     assert not cert
     assert cert.check == check
     assert list(cert.witness.items()) == list(witness.items())
+
+
+def _is_scalar_oracle(a: Matrix, b: Matrix, s) -> bool:
+    """The former check: one Fraction sum and compare per entry."""
+    for r, (row_a, row_b) in enumerate(zip(a.entries, b.entries)):
+        for c, (x, y) in enumerate(zip(row_a, row_b)):
+            if (x + y if y else x) != (s if r == c else 0):
+                return False
+    return True
+
+
+def _scalar_pairs():
+    """(a, b, s) with a + b = s I or one entry away from it: denominators
+    on both sides or on one, s = 0, products from the kernel, and a and b
+    the same."""
+    rng = random.Random(67)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        da, db = rng.choice((1, 2, 6, 10**6)), rng.choice((1, 3, 10**6 + 3))
+        s = rng.choice((0, 0, 1, 2, Fraction(1, 2), Fraction(-4, 3)))
+        a = Matrix(n, n, [[Fraction(rng.randint(-9, 9), rng.randint(1, da)) if rng.random() < 0.6
+                           else 0 for _ in range(n)] for _ in range(n)])
+        if rng.random() < 0.3:  # a product, whose integer form comes with it
+            a = a * Matrix.identity(n).scale(Fraction(1, db))
+        rest = Matrix.identity(n).scale(s) - a
+        b = Matrix(n, n, [list(row) for row in rest.entries])
+        yield a, b, s
+        if n:
+            r, c = rng.randrange(n), rng.randrange(n)
+            bump = [[Fraction(rng.choice((-1, 1)), rng.randint(1, db)) if (i, j) == (r, c) else 0
+                     for j in range(n)] for i in range(n)]
+            yield a, b + Matrix(n, n, bump), s  # one entry off (diagonal when r == c)
+            yield a, b, s + Fraction(1, db)
+        yield a, a, s
+        twice = a.scale(Fraction(1, 2))
+        yield twice, twice, s
+        # the denominator of s on one side only, so the sides' d differ
+        c = Matrix(n, n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        lifted = c + Matrix.identity(n).scale(s)
+        yield lifted, -c, s
+        yield -c, lifted, s
+
+
+def test_is_scalar_matches_entrywise_oracle():
+    outcomes = set()
+    for a, b, s in _scalar_pairs():
+        got = _is_scalar(a, b, s)
+        assert got == _is_scalar_oracle(a, b, s), (a, b, s)
+        outcomes.add((got, s == 0))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_is_scalar_on_module_relations():
+    # {g_i, g_j} over the odd-to-even round trip of Cl(5) and of exterior(3)
+    for m in (irreducible_cl5(), exterior_module(3)):
+        gram = m.algebra.gram.entries
+        for i in range(m.algebra.n):
+            for j in range(m.algebra.n):
+                gh = m.gamma_eo[i] * m.gamma_oe[j]
+                hg = m.gamma_eo[j] * m.gamma_oe[i]
+                for s in (2 * gram[i][j], 2 * gram[i][j] + 1, 0):
+                    assert _is_scalar(gh, hg, s) == _is_scalar_oracle(gh, hg, s)
