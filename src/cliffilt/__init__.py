@@ -11,7 +11,6 @@ from .bifiltration import (
     canonical_biroundtrip_iso,
     check_bifiltered_module,
     check_twisted_tensor,
-    membership_identities,
     tensor_module,
     total_module,
     twisted_tensor,

@@ -30,7 +30,6 @@ two-dimensional super translation algebra.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,11 +43,8 @@ from .supermodule import (
     SuperFiltration,
     _checked,
     _CheckWords,
-    _fold,
     _module_relations,
     _nest,
-    _points,
-    _step,
     check_filtration,
     kron,
 )
@@ -424,61 +420,3 @@ def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
     maps, cert = _roundtrip(bf, _quotient(bideform(bf), (1, 1), BifilteredSupermodule),
                             BiGradedRep._words)
     return BifilteredIso(maps, cert)
-
-
-# ---------------------------------------------------------------------------
-# Membership identities in the truncated quotient model
-
-def _vadd(u, v):
-    if u is None:
-        return v
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _push(z: dict, move) -> dict:
-    """Sum of the images of the parts of z, where move(x) gives the map
-    applied to the part at x and the grid point its image lands on."""
-    out: dict = {}
-    for x, vec in z.items():
-        mat, key = move(x)
-        out[key] = _vadd(out.get(key), mat.apply(vec))
-    return {k: v for k, v in out.items() if any(v)}
-
-
-def _z_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, vec in b.items():
-        cur = out.get(key)
-        if cur is None:
-            out[key] = tuple(-c for c in vec)
-        else:
-            out[key] = tuple(x - y for x, y in zip(cur, vec))
-    return {k: v for k, v in out.items() if any(v)}
-
-
-def membership_identities(r: BiGradedRep, samples: int = 20, seed: int = 0) -> Certificate:
-    """Quotient-model identity witnessing ideal membership.
-
-    On random truncated elements z, checks that sigma tau z - z, computed
-    by the one-step composed shift, equals (sigma - 1)(tau z) + (tau - 1) z
-    computed one shift at a time: the explicit membership witness in the
-    ideal generated by sigma - 1 and tau - 1.  It fails where the two
-    shifts do not commute on z.
-    """
-    name = "membership_identities"
-    rng = random.Random(seed)
-    for sample in range(samples):
-        z = {}
-        for x in _points(r.tops):
-            vec = tuple(Fraction(rng.randint(-2, 2)) for _ in range(r.component_dim(x)))
-            if any(vec):
-                z[x] = vec
-        composed = _push(z, lambda x: (r.shift(0, x) * r.shift(1, _step(x, 0, 2)),
-                                       _fold((x[0] + 2, x[1] + 2), r.tops)))
-        tau_z = _push(z, lambda x: (r.shift(1, x), _fold(_step(x, 1, 2), r.tops)))
-        sigma_tau_z = _push(tau_z, lambda x: (r.shift(0, x), _fold(_step(x, 0, 2), r.tops)))
-        lhs = _z_sub(composed, z)
-        rhs = _z_sub(_z_sub(sigma_tau_z, tau_z), _z_sub(z, tau_z))
-        if lhs != rhs:
-            return failing(name, kind="sigma_tau_membership", sample=sample)
-    return passing(name)

@@ -48,12 +48,20 @@ _set = object.__setattr__
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4' or '5', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '5', and Fractions to Fraction.
+
+    This is the one reader of rational text.  It reads what `Fraction`
+    reads from a string except exponent notation, which raises
+    ValueError: from "1e10000000" `Fraction` would build 10**10000000
+    exactly, which takes seconds.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation in rational {value!r}")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

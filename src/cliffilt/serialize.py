@@ -7,7 +7,8 @@ explicitly because zero-row maps are meaningful.  Encoding is
 deterministic: equal objects produce byte-identical text.
 
 Decoding is strict about scalars: a rational must be a JSON string that
-`Fraction` accepts, and a shape, dimension, count or index must be a
+`exactalg.rational` accepts (what `Fraction` reads, without exponent
+notation), and a shape, dimension, count or index must be a
 JSON integer.  A JSON float, a bool or a numeric string in their place
 is a `SerializeError`, as is any other malformed part.  The rows of a
 matrix or a flag must be lists, and each distinct string among their
@@ -23,7 +24,7 @@ from .bifiltration import _COMPONENTS, BifilteredSupermodule, BiGradedRep
 from .certificate import Certificate
 from .clifford import CliffordAlgebra
 from .deformation import GradedSpace, OffShellRep, OnShellModule
-from .exactalg import Matrix, Subspace
+from .exactalg import Matrix, Subspace, rational
 from .graph import AdinkraGraph, Edge, Vertex
 from .invariants import InvariantReport, Summand
 from .supermodule import CliffordSupermodule, SuperFiltration
@@ -43,7 +44,7 @@ def _unrat(value) -> Fraction:
     if type(value) is not str:
         raise SerializeError(f"rational {value!r} is not a string")
     try:
-        return Fraction(value)
+        return rational(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializeError(f"bad rational {value!r}") from exc
 
@@ -273,8 +274,12 @@ def _enc_certificate(c: Certificate) -> dict:
 
 
 def _dec_certificate(obj) -> Certificate:
-    witness = obj.get("witness")
-    return Certificate(str(obj["check"]), bool(obj["pass"]), witness)
+    check, passed, witness = obj["check"], obj["pass"], obj.get("witness")
+    if type(check) is not str or type(passed) is not bool:
+        raise SerializeError("a certificate needs a string check and a boolean pass")
+    if witness is not None and type(witness) is not dict:
+        raise SerializeError("a certificate witness must be an object or null")
+    return Certificate(check, passed, witness)
 
 
 def _enc_graph(g: AdinkraGraph) -> dict:

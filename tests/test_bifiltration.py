@@ -12,7 +12,6 @@ from cliffilt.bifiltration import (
     canonical_biroundtrip_iso,
     check_bifiltered_module,
     check_twisted_tensor,
-    membership_identities,
     tensor_module,
     total_module,
     twisted_tensor,
@@ -239,10 +238,17 @@ def test_biquotient_requires_bigraded_relations():
     assert cert == verify_2d(bad)
 
 
-def test_membership_identities_random():
-    bf = tensor_module(degree_filtration(exterior_module(2)),
-                       degree_filtration(exterior_module(1)))
-    assert membership_identities(bideform(bf), samples=15, seed=3)
+def test_noncommuting_shifts_fail():
+    f = degree_filtration(exterior_module(2))
+    r = bideform(tensor_module(f, f))
+    assert r.tops == (2, 2) and verify_2d(r)
+    # twice S+ out of (0, 0): still injective, but S+ S- != S- S+ there
+    sp = dict(r.sp)
+    sp[(0, 0)] = sp[(0, 0)].scale(2)
+    assert sp[(0, 0)].rank() == sp[(0, 0)].rows
+    bad = BiGradedRep(r.plus_algebra, r.minus_algebra, r.dims, sp, r.sm, r.qp, r.qm)
+    cert = verify_2d(bad)
+    assert not cert and cert.witness == {"kind": "shifts_commute", "m": 0, "n": 0}
 
 
 def test_random_tensor_suite():

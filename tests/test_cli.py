@@ -75,6 +75,8 @@ def test_malformed_inputs_exit_two():
     rep = run(["deform"], stdin=run(["example", "cl1-trivial"]).stdout)
     assert run(["quotient", "--k", "-2"], stdin=rep.stdout).returncode == 2
     assert run(["quotient", "--k", "x"], stdin=rep.stdout).returncode == 2
+    # Fraction would build 10**10000000 exactly, which takes seconds
+    assert run(["quotient", "--k", "1e10000000"], stdin=rep.stdout).returncode == 2
 
 
 def test_decompose_emits_summands():
@@ -139,6 +141,8 @@ def test_quotients_reject_invalid_reps(tmp_path, degree_doc):
     out = run(["biquotient"], stdin=json.dumps(birep))
     assert out.returncode == 1 and json.loads(out.stdout)["check"] == "bigraded_relations"
     assert run(["biquotient", "--shell-plus", "0"], stdin=json.dumps(birep)).returncode == 2
+    out = run(["biquotient", "--shell-minus", "1e10000000"], stdin=json.dumps(birep))
+    assert out.returncode == 2
 
 
 def test_export_dot(degree_doc, tmp_path):
@@ -156,8 +160,43 @@ def test_export_dot(degree_doc, tmp_path):
     assert saved.returncode == 0 and path.read_text().startswith("digraph")
 
 
+def _identity_rows(dim):
+    return [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+
+
+def _set_basis_entry(value):
+    def defect(basis):
+        basis["even"][0][0] = value
+    return defect
+
+
+def _ragged(basis):
+    basis["odd"][1].pop()
+
+
+# each of these gave exit 0 (the first three) or a traceback (the last)
+BAD_BASIS = {
+    "float entry": _set_basis_entry(1.0),
+    "bool entry": _set_basis_entry(True),
+    "exponent entry": _set_basis_entry("1e0"),
+    "ragged row": _ragged,
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_BASIS))
+def test_export_dot_basis_follows_document_rules(defect, degree_doc, tmp_path):
+    path = tmp_path / "basis.json"
+    basis = {"even": _identity_rows(8), "odd": _identity_rows(8)}
+    path.write_text(json.dumps(basis))
+    assert run(["export-dot", "--basis", str(path)], stdin=degree_doc).returncode == 0
+    BAD_BASIS[defect](basis)
+    path.write_text(json.dumps(basis))
+    out = run(["export-dot", "--basis", str(path)], stdin=degree_doc)
+    assert out.returncode == 2 and out.stderr.startswith("error: bad basis file")
+
+
 def test_envcheck():
-    out = run(["envcheck", "--n", "2", "--samples", "20"])
+    out = run(["envcheck", "--n", "2"])
     assert out.returncode == 0
     cert = json.loads(out.stdout)
     assert cert["check"] == "enveloping_quotient" and cert["pass"] is True

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffilt import cli, deformation
 from cliffilt.certificate import CheckFailed
 from cliffilt.deformation import (
     GradedSpace,
@@ -17,7 +18,9 @@ from cliffilt.deformation import (
 )
 from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.invariants import gr_dimensions, random_filtration
+from cliffilt.serialize import loads
 from cliffilt.supermodule import (
+    CliffordSupermodule,
     check_filtration,
     check_supermodule,
     degree_filtration,
@@ -194,10 +197,53 @@ def test_offshell_constructor_validates_shapes():
 
 
 def test_enveloping_quotient_small():
-    assert enveloping_quotient_check(1, 4, kernel_samples=20, seed=0)
-    assert enveloping_quotient_check(2, 4, kernel_samples=20, seed=1)
+    assert enveloping_quotient_check(1, 4)
+    assert enveloping_quotient_check(2, 4)
     with pytest.raises(ValueError):
         enveloping_quotient_check(2, 2)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_exterior_module_is_regular(n):
+    """envcheck rests on this: exterior_module(n) is Cl(n) acting on itself
+    by left multiplication in the monomial basis, and degree_filtration is
+    the word-length filtration."""
+    m = exterior_module(n)
+    alg = m.algebra
+    subsets = [[s for s in alg.monomials if len(s) % 2 == c] for c in (0, 1)]
+    assert (m.dim_even, m.dim_odd) == tuple(len(s) for s in subsets)
+    for i in range(n):
+        for c, gamma in ((0, m.gamma_eo[i]), (1, m.gamma_oe[i])):
+            for s, row in zip(subsets[c], gamma.entries):
+                product = (alg.gamma(i) * alg.basis_element(s)).terms
+                assert list(row) == [product.get(t, 0) for t in subsets[1 - c]]
+    f = degree_filtration(m)
+    for p in range(n + 3):
+        rows = []
+        for vec in f.level(p).basis.entries:
+            row = [0] * alg.dim
+            for s, x in zip(subsets[p % 2], vec):
+                row[alg.monomial_index[s]] = x
+            rows.append(row)
+        assert Subspace.span(alg.dim, rows) == alg.filtration_level(p)
+
+
+def _one_sign_flipped(n):
+    m = exterior_module(n)
+    eo = [list(row) for row in m.gamma_eo[0].entries]
+    eo[0][0] = -eo[0][0]
+    gamma_eo = [Matrix(m.dim_even, m.dim_odd, eo), *m.gamma_eo[1:]]
+    return CliffordSupermodule(m.algebra, gamma_eo, m.gamma_oe,
+                               dim_even=m.dim_even, dim_odd=m.dim_odd)
+
+
+def test_enveloping_quotient_fails_on_a_broken_module(monkeypatch, capsys):
+    monkeypatch.setattr(deformation, "exterior_module", _one_sign_flipped)
+    cert = enveloping_quotient_check(2, 4)
+    assert not cert and cert.check == "enveloping_quotient"
+    assert cert.witness["stage"] == "supermodule_relations"
+    assert cli.main(["envcheck", "--n", "2"]) == 1
+    assert loads(capsys.readouterr().out) == cert
 
 
 def test_deform_requires_valid_filtration():

@@ -10,6 +10,7 @@ from cliffilt import cli, serialize
 from cliffilt.bifiltration import bideform, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import deform, quotient_at
+from cliffilt.exactalg import rational
 from cliffilt.graph import to_graph
 from cliffilt.invariants import decompose, invariant_report
 from cliffilt.serialize import (
@@ -86,6 +87,18 @@ def test_graph_and_certificate_roundtrips():
 
     cert = check_filtration(degree_filtration(exterior_module(2)))
     assert roundtrip(cert) == cert
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pass", "false"), ("pass", 0), ("pass", 1), ("pass", None),
+    ("check", 3), ("witness", [1]), ("witness", "none"),
+])
+def test_certificate_decoding_is_strict(field, value):
+    doc = encode(check_filtration(degree_filtration(exterior_module(2))))
+    assert loads(json.dumps(doc))
+    doc[field] = value
+    with pytest.raises(SerializeError):
+        loads(json.dumps(doc))
 
 
 def test_report_and_composites_roundtrip():
@@ -260,8 +273,10 @@ def test_inexact_scalars_exit_two(defect, tmp_path, capsys):
 
 
 # strings Fraction reads although they are not what the encoder writes
-NON_CANONICAL = ["2/4", "-0", "+3", " 7 ", "1.5", "1e2", "1_000", "007"]
+NON_CANONICAL = ["2/4", "-0", "+3", " 7 ", "1.5", "1_000", "007"]
 REJECTED = ["1/0", "abc", "", "1 / 2", "0x10", "-6/-3"]
+# strings Fraction reads as exact rationals; "1e10000000" takes it seconds
+EXPONENTS = ["1e2", "1E-3", "2.5e1", "1e10000000"]
 
 
 def _oracle_rows(rows):
@@ -286,6 +301,17 @@ def test_unrat_rows_rejects_what_fraction_rejects(text, tmp_path):
     with pytest.raises((ValueError, ZeroDivisionError)):
         Fraction(text)
     # after the same text has been read as a good entry elsewhere in the call
+    with pytest.raises(SerializeError):
+        serialize._unrat_rows([["1", "2/4"], ["2/4", text]])
+    doc = encode(degree_filtration(exterior_module(2)))
+    doc["even_flags"][0]["rows"][0][0] = text
+    assert _check_exit(doc, tmp_path) == 2
+
+
+@pytest.mark.parametrize("text", EXPONENTS)
+def test_exponent_notation_rejected(text, tmp_path):
+    with pytest.raises(ValueError, match="exponent"):
+        rational(text)
     with pytest.raises(SerializeError):
         serialize._unrat_rows([["1", "2/4"], ["2/4", text]])
     doc = encode(degree_filtration(exterior_module(2)))
