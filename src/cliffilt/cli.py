@@ -202,7 +202,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_envcheck(args) -> int:
-    max_degree = args.max_degree if args.max_degree is not None else args.n + 2
+    max_degree = args.max_degree if args.max_degree is not None else max(3, args.n + 2)
     try:
         cert = deformation.enveloping_quotient_check(args.n, max_degree)
     except ValueError as exc:
@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
             with_input=False)
     p.add_argument("--n", type=int, required=True, help="number of Clifford generators")
     p.add_argument("--max-degree", type=int, default=None,
-                   help="truncation degree, at least 3 (default n+2); the certificate "
-                        "covers every degree")
+                   help="truncation degree, at least 3 (default max(3, n+2)); the "
+                        "certificate covers every degree")
 
     return parser
 

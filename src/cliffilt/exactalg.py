@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * every scalar that crosses a public boundary (a matrix entry, a
-  coordinate, a solution) is a `fractions.Fraction`, always reduced with
+  coordinate) is a `fractions.Fraction`, always reduced with
   a positive denominator,
 * vectors are rows, and a linear map is a matrix acting on the right,
   so applying `m` to `v` computes ``v * m`` and composition "first f
@@ -15,20 +15,22 @@ Conventions used throughout the package:
 Inside the kernel a matrix also has an integer form ``(d, rows)``: the
 matrix equals ``rows / d``, where ``d`` is the least common denominator
 of its entries, and each row lists its nonzero ``(column, int)`` pairs.
-A matrix the kernel builds gets its form with it; any other matrix gets
-it on first use.  It is kept on the matrix, which is immutable, so it
-lives exactly as long as the matrix does.  Products, sums, scalings and
-eliminations read only this form, so their inner loops add and multiply
-`int`s; a `Fraction` is built only for each nonzero entry of a result,
-where the result is written out.
+A matrix the kernel builds keeps only this form, and builds its
+`Fraction` entries on their first read; any other matrix gets the form
+on first use.  Both are kept on the matrix, which is immutable, so they
+live exactly as long as the matrix does.  Products, sums, scalings,
+stacks, transposes, comparisons and eliminations read only this form,
+so their inner loops add and multiply `int`s, and a result nobody reads
+entrywise never builds a `Fraction`.
 
-Every elimination (spans, sums, images, intersections, kernels and
-solves) goes through one `rref`.  It is sparse, incremental and
-fraction-free: a row is reduced only where it is nonzero, against basis
-rows kept as dicts of their nonzero integer entries, and rows that
-reduce to zero cost no more than that.  Its output is the unique reduced
-row-echelon form, whatever the order of elimination, which is what makes
-subspace equality syntactic.
+Every elimination (spans, sums, images, intersections and kernels) goes
+through one `rref`.  It is sparse, incremental and fraction-free: a row
+is reduced only where it is nonzero, against basis rows kept as dicts of
+their nonzero integer entries, and rows that reduce to zero cost no more
+than that.  Its output is the unique reduced row-echelon form, whatever
+the order of elimination, which is what makes subspace equality
+syntactic.  Its two steps, `_reduced` and `_insert`, also serve callers
+that keep an echelon basis of their own.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _least(d: int, rows: Iterable[Sequence[tuple[int, int]]]) -> tuple[int, tupl
 class Matrix:
     """Immutable dense rational matrix."""
 
-    __slots__ = ("rows", "cols", "entries", "_int")
+    __slots__ = ("rows", "cols", "_entries", "_int")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
         entries = tuple(_freeze_row(r) for r in entries)
@@ -99,51 +101,58 @@ class Matrix:
             raise ValueError("entry grid does not match declared shape")
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", entries)
+        _set(self, "_entries", entries)
         _set(self, "_int", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def _built(rows: int, cols: int, entries: tuple, ints: tuple | None = None) -> "Matrix":
-        """A matrix the kernel has just built, taken as it is.
-
-        `entries` must be a tuple of `rows` tuples of `cols` Fractions, and
-        `ints`, if given, its integer form with the least d.
-        """
+    def _built(rows: int, cols: int, ints: tuple) -> "Matrix":
+        """A matrix the kernel has just built, from its integer form with
+        the least d; its entries are built on first read."""
         m = object.__new__(Matrix)
         _set(m, "rows", rows)
         _set(m, "cols", cols)
-        _set(m, "entries", entries)
+        _set(m, "_entries", None)
         _set(m, "_int", ints)
         return m
 
     @staticmethod
     def _from_ints(cols: int, d: int, rows: Sequence[Sequence[tuple[int, int]]]) -> "Matrix":
         """The matrix ``rows / d``, for rows of nonzero (column, int) pairs."""
-        d, rows = _least(d, rows)
-        entries = []
-        for row in rows:
-            out = [_ZERO] * cols
-            if d == 1:
-                for j, c in row:
-                    x = _SMALL.get(c)
-                    out[j] = Fraction(c) if x is None else x
-            else:
-                for j, c in row:
-                    out[j] = Fraction(c, d)
-            entries.append(tuple(out))
-        return Matrix._built(len(entries), cols, tuple(entries), (d, rows))
+        ints = _least(d, rows)
+        return Matrix._built(len(ints[1]), cols, ints)
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of Fractions: built on first read, then kept."""
+        entries = self._entries
+        if entries is None:
+            d, rows = self._int
+            out = []
+            for row in rows:
+                full = [_ZERO] * self.cols
+                if d == 1:
+                    for j, c in row:
+                        x = _SMALL.get(c)
+                        full[j] = Fraction(c) if x is None else x
+                else:
+                    for j, c in row:
+                        full[j] = Fraction(c, d)
+                out.append(tuple(full))
+            entries = tuple(out)
+            _set(self, "_entries", entries)
+        return entries
 
     def _ints(self) -> tuple[int, tuple]:
         """The integer form (d, rows): built on first use, then kept."""
         form = self._int
         if form is None:
-            d = lcm(*{x.denominator for row in self.entries for x in row})
+            d = lcm(*{x.denominator for row in self._entries for x in row})
             form = (d, tuple(
                 tuple([(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x])
-                for row in self.entries
+                for row in self._entries
             ))
             _set(self, "_int", form)
         return form
@@ -164,26 +173,29 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix._built(rows, cols, ((_ZERO,) * cols,) * rows, (1, ((),) * rows))
+        return Matrix._built(rows, cols, (1, ((),) * rows))
 
     def transpose(self) -> "Matrix":
-        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         d, rows = self._ints()
         cols = [[] for _ in range(self.cols)]
         for i, row in enumerate(rows):
             for j, c in row:
                 cols[j].append((i, c))
-        return Matrix._built(self.cols, self.rows, entries, (d, tuple(cols)))
+        return Matrix._built(self.cols, self.rows, (d, tuple(cols)))
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.entries for x in r)
+        return not any(self._ints()[1])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+        # equal matrices have the same integer form with the least d, up
+        # to the order of the pairs in each row
+        if not (isinstance(other, Matrix) and self.rows == other.rows
+                and self.cols == other.cols):
+            return False
+        da, arows = self._ints()
+        db, brows = other._ints()
+        return da == db and all(
+            a == b or dict(a) == dict(b) for a, b in zip(arows, brows)
         )
 
     def __hash__(self):
@@ -268,20 +280,14 @@ class Matrix:
         d = lcm(da, db)
         rows = [[(j, x * f) for j, x in row] if f != 1 else row
                 for part, f in ((arows, d // da), (brows, d // db)) for row in part]
-        return Matrix._built(
-            self.rows + other.rows, self.cols, self.entries + other.entries, (d, tuple(rows))
-        )
+        return Matrix._built(self.rows + other.rows, self.cols, (d, tuple(rows)))
 
     def _columns(self, keep: Sequence[int]) -> "Matrix":
         """The columns `keep` of this matrix, in that order."""
         d, rows = self._ints()
         at = {j: i for i, j in enumerate(keep)}
-        return Matrix._built(
-            self.rows,
-            len(keep),
-            tuple(tuple(r[j] for j in keep) for r in self.entries),
-            _least(d, ([(at[j], c) for j, c in row if j in at] for row in rows)),
-        )
+        kept = _least(d, ([(at[j], c) for j, c in row if j in at] for row in rows))
+        return Matrix._built(self.rows, len(keep), kept)
 
     def rank(self) -> int:
         return rref(self)[0].rows
@@ -315,23 +321,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """
     basis: dict[int, dict[int, int]] = {}
     for pairs in m._ints()[1]:
-        if not pairs:
-            continue
-        row = dict(pairs)
-        # basis rows vanish at each other's pivots, so reducing at one
-        # pivot only scales the row's entries at the others
-        for p in [j for j in row if j in basis]:
-            row = _combine(row, p, basis[p])
-        if not row:
-            continue
-        lead = min(row)
-        row = _primitive(row, lead)
-        for q, other in basis.items():
-            if lead in other:
-                basis[q] = _primitive(_combine(other, lead, row), q)
-        basis[lead] = row
-        if len(basis) == m.cols:
-            break
+        row = _reduced(basis, dict(pairs))
+        if row:
+            _insert(basis, row)
+            if len(basis) == m.cols:
+                break
     pivots = tuple(sorted(basis))
     d = lcm(*[basis[p][p] for p in pivots])
     rows = []
@@ -339,6 +333,27 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         f = d // basis[p][p]
         rows.append(tuple([(j, x * f) for j, x in basis[p].items()]))
     return Matrix._from_ints(m.cols, d, rows), pivots
+
+
+def _reduced(basis: dict, row: dict) -> dict:
+    """The row reduced at every pivot of `basis` where it is nonzero.
+    `row` may be updated in place; use the returned dict."""
+    # basis rows vanish at each other's pivots, so reducing at one pivot
+    # only scales the row's entries at the others
+    for p in [j for j in row if j in basis]:
+        row = _combine(row, p, basis[p])
+    return row
+
+
+def _insert(basis: dict, row: dict) -> None:
+    """Add a nonzero row that `_reduced` returned to `basis`, under its
+    leading column, and clear that column from the other basis rows."""
+    lead = min(row)
+    row = _primitive(row, lead)
+    for q, other in basis.items():
+        if lead in other:
+            basis[q] = _primitive(_combine(other, lead, row), q)
+    basis[lead] = row
 
 
 def _combine(row: dict, p: int, other: dict) -> dict:
@@ -384,30 +399,6 @@ def kernel(m: Matrix) -> Matrix:
     ]
     basis, _ = rref(Matrix._from_ints(m.rows, d, vectors))
     return basis
-
-
-def solve(m: Matrix, target: Sequence) -> tuple | None:
-    """One solution v of v * m = target, or None if the system is inconsistent."""
-    target = _freeze_row(target)
-    if len(target) != m.cols:
-        raise ValueError("target length does not match matrix columns")
-    # Solve m^T x^T = target^T by reducing the augmented transpose, with
-    # each of its rows (one equation) scaled to integers on its own.
-    d, columns = m.transpose()._ints()
-    aug = []
-    for col, t in zip(columns, target):
-        q = t.denominator
-        row = [(i, c * q) for i, c in col]
-        if t:
-            row.append((m.rows, t.numerator * d))
-        aug.append(row)
-    reduced, pivots = rref(Matrix._from_ints(m.rows + 1, 1, aug))
-    if m.rows in pivots:
-        return None
-    v = [_ZERO] * m.rows
-    for i, p in enumerate(pivots):
-        v[p] = reduced.entries[i][m.rows]
-    return tuple(v)
 
 
 class Subspace:

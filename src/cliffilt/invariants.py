@@ -20,10 +20,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from math import isqrt, lcm
 
 from .certificate import require
 from .clifford import _is_positive_definite
-from .exactalg import Matrix, Subspace, kernel, solve
+from .exactalg import Matrix, Subspace, _insert, _primitive, _reduced, kernel
 from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule
 
 CERTIFIED = "indecomposable (certified)"
@@ -130,24 +132,64 @@ def _trace(m: Matrix) -> Fraction:
     return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
 
 
+def _flat_ints(pair) -> tuple[int, dict]:
+    """(d, row) with row / d the flattened pair, as a {column: int} dict
+    of its nonzero entries: the even block's rows, then the odd block's."""
+    d = lcm(pair[0]._ints()[0], pair[1]._ints()[0])
+    row = {}
+    offset = 0
+    for m in pair:
+        dm, rows = m._ints()
+        f = d // dm
+        for r in rows:
+            for j, c in r:
+                row[offset + j] = c * f
+            offset += m.cols
+    return d, row
+
+
 def _minimal_polynomial(module, pair) -> list[Fraction]:
-    """Monic minimal polynomial (ascending coefficients) of an even pair."""
+    """Monic minimal polynomial (ascending coefficients) of an even pair.
+
+    Each power P^k is reduced once, fraction-free, as the integer row
+    ``[flat(P^k) * d | d * e_k]`` (d clears its denominators) against the
+    echelon rows of the earlier powers, by `rref`'s own steps.  Every row
+    keeps the form ``[sum_j y_j flat(P^j) | y]``, so the first power whose
+    flat part reduces to zero gives the relation ``sum_j y_j P^j = 0``;
+    y_k is nonzero, the lower powers being independent.
+    """
+    width = module.dim_even ** 2 + module.dim_odd ** 2
+    basis: dict[int, dict[int, int]] = {}
     power = _pair_identity(module)
-    seen = Matrix.from_rows([_flatten(power)])
-    while True:
-        power = _pair_mul(power, pair)
-        flat = _flatten(power)
-        coeffs = solve(seen, flat)
-        if coeffs is not None:
-            return [-c for c in coeffs] + [Fraction(1)]
-        seen = seen.stack(Matrix.from_rows([flat]))
+    for k in count():
+        if k:
+            power = _pair_mul(power, pair)
+        d, row = _flat_ints(power)
+        row[width + k] = d
+        row = _reduced(basis, row)
+        if min(row) >= width:
+            top = row[width + k]
+            return [Fraction(row.get(width + j, 0), top) for j in range(k + 1)]
+        _insert(basis, row)
 
 
 def _factor_rational_poly(coeffs: list[Fraction]):
     """Irreducible factorization over Q; returns [(ascending coeffs, power)].
 
-    sympy is imported here, on the first factorization, because importing
-    it costs most of the package's import time."""
+    `coeffs` has a nonzero leading coefficient.  A polynomial of degree 1,
+    or of degree 2 whose discriminant is not the square of a rational, is
+    irreducible: it is returned as its primitive integer multiple with a
+    positive leading coefficient, as sympy returns it.  Every other
+    polynomial goes to sympy, which is imported here, on the first such
+    factorization, because importing it costs most of the package's
+    import time."""
+    degree = len(coeffs) - 1
+    if degree == 0:
+        return []
+    if degree == 1 or (
+        degree == 2 and not _is_rational_square(coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2])
+    ):
+        return [(_primitive_multiple(coeffs), 1)]
     import sympy
 
     t = sympy.Symbol("t")
@@ -160,6 +202,21 @@ def _factor_rational_poly(coeffs: list[Fraction]):
         asc = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
         out.append((asc, int(power)))
     return out
+
+
+def _is_rational_square(x: Fraction) -> bool:
+    # a Fraction is in lowest terms, so it is a square iff both parts are
+    p, q = x.numerator, x.denominator
+    return p >= 0 and isqrt(p) ** 2 == p and isqrt(q) ** 2 == q
+
+
+def _primitive_multiple(coeffs: list[Fraction]) -> list[Fraction]:
+    """The integer multiple of a polynomial with coprime coefficients and
+    a positive leading coefficient."""
+    d = lcm(*[c.denominator for c in coeffs])
+    top = len(coeffs) - 1
+    row = _primitive({j: c.numerator * (d // c.denominator) for j, c in enumerate(coeffs)}, top)
+    return [Fraction(row[j]) for j in range(top + 1)]
 
 
 def _poly_eval(coeffs: list[Fraction], m: Matrix) -> Matrix:

@@ -203,6 +203,14 @@ def test_envcheck():
     assert run(["envcheck", "--n", "1", "--max-degree", "2"]).returncode == 2
 
 
+def test_envcheck_n_zero_default_degree():
+    # the default truncation degree is at least the required 3
+    out = run(["envcheck", "--n", "0"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"] is True
+    assert run(["envcheck", "--n", "0", "--max-degree", "2"]).returncode == 2
+
+
 def test_generator_count_over_bound_exits_two():
     # 17 generators, one past the bound: a missing bound costs one Cl(17)
     out = run(["envcheck", "--n", "17"])

@@ -113,6 +113,22 @@ def test_check_filtered_superalgebra():
     assert check_filtered_superalgebra(CliffordAlgebra(2, gram))
 
 
+@pytest.mark.parametrize("extra", [(0, 1, 2), (2,)])
+def test_filtered_superalgebra_failure_names_the_product(monkeypatch, extra):
+    # a product g0 * g1 with a term outside F_2 (too long, or odd)
+    original = CliffordAlgebra.monomial_product
+
+    def patched(self, a, b):
+        terms = original(self, a, b)
+        return {**terms, extra: Fraction(1)} if (a, b) == ((0,), (1,)) else terms
+
+    monkeypatch.setattr(CliffordAlgebra, "monomial_product", patched)
+    cert = check_filtered_superalgebra(CliffordAlgebra(3))
+    assert not cert
+    assert cert.check == "filtered_superalgebra"
+    assert cert.witness == {"left": [0], "right": [1], "level": 2}
+
+
 def test_gram_must_be_positive_definite():
     with pytest.raises(ValueError):
         CliffordAlgebra(2, Matrix(2, 2, [[1, 2], [2, 1]]))

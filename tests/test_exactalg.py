@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from cliffilt import exactalg
-from cliffilt.exactalg import Matrix, Subspace, kernel, rational, rref, solve
+from cliffilt.exactalg import Matrix, Subspace, kernel, rational, rref
 
 
 def test_rational_normalization():
@@ -105,7 +105,7 @@ def test_image_and_coordinates():
     assert coords.entries == ((2, -3),)
 
 
-def test_kernel_and_solve_consistency():
+def test_kernel_consistency():
     rng = random.Random(7)
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -115,12 +115,6 @@ def test_kernel_and_solve_consistency():
         assert k.rows == rows - m.rank()
         for row in k.entries:
             assert (Matrix(1, rows, [list(row)]) * m).is_zero()
-        # a solvable target: random combination of rows
-        coeffs = [rng.randint(-3, 3) for _ in range(rows)]
-        target = (Matrix(1, rows, [coeffs]) * m).entries[0]
-        x = solve(m, target)
-        assert x is not None
-        assert (Matrix(1, rows, [list(x)]) * m).entries[0] == tuple(target)
 
 
 def test_composed_operations_match_recomputation():
@@ -261,31 +255,18 @@ def test_rref_matches_dense_oracle():
         assert all(type(x) is Fraction for row in reduced.entries for x in row)
 
 
-def test_kernel_and_solve_on_oracle_matrices():
-    rng = random.Random(31)
+def test_kernel_on_oracle_matrices():
     for m in ORACLE:
-        rows, pivots = _dense_rref(m)
-        rank = len(rows)
+        rows, _ = _dense_rref(m)
         k = kernel(m)
-        assert k.rows == m.rows - rank and k.cols == m.rows
+        assert k.rows == m.rows - len(rows) and k.cols == m.rows
         for row in k.entries:
             assert (Matrix(1, m.rows, [list(row)]) * m).is_zero()
-        coeffs = [rng.randint(-2, 2) for _ in range(m.rows)]
-        target = (Matrix(1, m.rows, [coeffs]) * m).entries[0]
-        x = solve(m, target)
-        assert x is not None and len(x) == m.rows
-        assert (Matrix(1, m.rows, [list(x)]) * m).entries[0] == target
-        # a target outside the row space has no solution
-        if rank < m.cols:
-            outside = next(j for j in range(m.cols) if j not in pivots)
-            e = [0] * m.cols
-            e[outside] = 1
-            assert solve(m, e) is None
 
 
 def test_every_elimination_goes_through_rref(monkeypatch):
-    """Subspace spans, sums and images, kernels and solves all eliminate
-    through `rref`, so a counter on it sees every elimination."""
+    """Subspace spans, sums and images and kernels all eliminate through
+    `rref`, so a counter on it sees every elimination."""
     calls = []
     original = exactalg.rref
 
@@ -298,7 +279,7 @@ def test_every_elimination_goes_through_rref(monkeypatch):
     b = Subspace.span(3, [[0, 1, 1]])
     m = Matrix(3, 2, [[1, 0], [0, 1], [1, 1]])
     for operation in (lambda: Subspace.span(3, [[1, 0, 1]]), lambda: a + b,
-                      lambda: a.image(m), lambda: kernel(m), lambda: solve(m, (1, 1))):
+                      lambda: a.image(m), lambda: kernel(m)):
         before = len(calls)
         operation()
         assert len(calls) > before
@@ -350,22 +331,18 @@ def _kernel_results():
         combo = Matrix(2, rows, [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(2)])
         inside = combo * a
         yield "coordinate_matrix", Subspace.row_space(a).coordinate_matrix(inside)
-        yield "solve", solve(a, inside.entries[0])
 
 
 def test_kernel_results_are_fractions():
     """Only Fractions leave the kernel, whatever it computed in."""
     for name, result in _kernel_results():
-        rows = result.entries if isinstance(result, Matrix) else (result,)
-        assert all(type(x) is Fraction for row in rows for x in row), name
+        assert all(type(x) is Fraction for row in result.entries for x in row), name
 
 
 def test_integer_form_matches_entries():
     """A matrix equals rows / d of its integer form, d the least common
     denominator of its entries."""
     for name, m in _kernel_results():
-        if not isinstance(m, Matrix):
-            continue
         d, rows = m._ints()
         assert d == lcm(*[x.denominator for row in m.entries for x in row]), name
         dense = [[Fraction(0)] * m.cols for _ in range(m.rows)]
@@ -374,6 +351,20 @@ def test_integer_form_matches_entries():
                 assert c, name
                 dense[i][j] = Fraction(c, d)
         assert tuple(map(tuple, dense)) == m.entries, name
+
+
+def test_kernel_results_build_entries_on_first_read():
+    """A matrix the kernel builds keeps only its integer form until its
+    entries are read; they are then rows / d as Fractions, and kept."""
+    for name, m in _kernel_results():
+        assert m._entries is None, name
+        d, rows = m._ints()
+        grid = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+        for i, row in enumerate(rows):
+            for j, c in row:
+                grid[i][j] = Fraction(c, d)
+        assert m.entries == tuple(map(tuple, grid)), name
+        assert m.entries is m.entries, name
 
 
 def test_rref_basis_rows_stay_primitive(monkeypatch):
@@ -456,6 +447,15 @@ def test_equal_matrices_hash_equal():
                                    for j in range(rows)] for i in range(rows)])
         pairs = [(rref(a)[0], rref(mix * a)[0]), (kernel(a), kernel(a.scale(3)))]
         pairs += [(a, other) for other in _equal_builds(rng, a)]
+        # the same integer form with each row's pairs in another order
+        d, ints = a._ints()
+        shuffled = [list(row) for row in ints]
+        for row in shuffled:
+            rng.shuffle(row)
+        pairs.append((a, Matrix._built(rows, cols, (d, tuple(tuple(reversed(r)) for r in ints)))))
+        pairs.append((a, Matrix._built(rows, cols, (d, tuple(shuffled)))))
         for x, y in [*pairs, *[(p, q) for p, _ in pairs for q in _equal_builds(rng, p)]]:
             assert x == y and hash(x) == hash(y), (x, y)
         assert len({a, *_equal_builds(rng, a)}) == 1
+        if not a.is_zero():
+            assert a != a.scale(2) and a != a.transpose().transpose().scale(-1)

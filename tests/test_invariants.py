@@ -3,7 +3,9 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,8 @@ from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
     INDISTINGUISHABLE,
+    _factor_rational_poly,
+    _minimal_polynomial,
     decompose,
     filtered_endomorphisms,
     filtration_search,
@@ -200,10 +204,138 @@ def test_search_deduplicates_by_invariants():
 
 
 def test_import_leaves_sympy_unloaded():
-    # sympy is imported on the first factorization, not with the package
+    # sympy is imported on the first factorization that may split, not
+    # with the package: t^2 + 1, 3t + 2, t^2 - 2 and t^2 - 1/8
+    # (discriminant 1/2) cannot split, t^2 - 1 can
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import cliffilt; "
-            "print('sympy' in sys.modules)")
+            "print('sympy' in sys.modules); "
+            "from fractions import Fraction as F; "
+            "from cliffilt.invariants import _factor_rational_poly as factor; "
+            "factor([F(1), F(0), F(1)]); factor([F(2), F(3)]); "
+            "factor([F(-2), F(0), F(1)]); factor([F(-1, 8), F(0), F(1)]); "
+            "print('sympy' in sys.modules); "
+            "factor([F(-1), F(0), F(1)]); print('sympy' in sys.modules)")
     src = str(Path(cliffilt.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split() == ["False", "False", "True"]
+
+
+def _dense_solve(rows: list, target: list) -> list | None:
+    """x with sum_i x[i] * rows[i] == target, or None: dense Gauss-Jordan
+    elimination on the augmented transposed system."""
+    n = len(rows)
+    eqs = [[row[j] for row in rows] + [target[j]] for j in range(len(target))]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        at = next((i for i in range(r, len(eqs)) if eqs[i][c]), None)
+        if at is None:
+            continue
+        if c == n:
+            return None
+        eqs[r], eqs[at] = eqs[at], eqs[r]
+        eqs[r] = [x / eqs[r][c] for x in eqs[r]]
+        for i in range(len(eqs)):
+            if i != r and eqs[i][c]:
+                f = eqs[i][c]
+                eqs[i] = [x - f * y for x, y in zip(eqs[i], eqs[r])]
+        pivots.append(c)
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = eqs[i][n]
+    return x
+
+
+def _reference_minimal_polynomial(pair) -> list:
+    """The former algorithm: solve each power, from scratch, as a
+    combination of the lower ones, until it is one."""
+    def flat(p):
+        return [x for m in p for row in m.entries for x in row]
+
+    power = (Matrix.identity(pair[0].rows), Matrix.identity(pair[1].rows))
+    seen = [flat(power)]
+    while True:
+        power = (power[0] * pair[0], power[1] * pair[1])
+        coeffs = _dense_solve(seen, flat(power))
+        if coeffs is not None:
+            return [-c for c in coeffs] + [Fraction(1)]
+        seen.append(flat(power))
+
+
+def _seeded_block(rng, n: int) -> Matrix:
+    """A dense rational, nilpotent, repeated-root or scalar n x n block."""
+    kind = rng.choice(("dense", "nilpotent", "repeated", "scalar"))
+    if kind == "dense":
+        return Matrix(n, n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                             for _ in range(n)])
+    if kind == "nilpotent":
+        return Matrix(n, n, [[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+                             for i in range(n)])
+    if kind == "scalar":
+        return Matrix.identity(n).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    # eigenvalues from a set of two, with Jordan blocks of random sizes,
+    # conjugated by 1 + c E_ij (i != j), whose inverse is 1 - c E_ij
+    roots = [Fraction(rng.randint(-2, 2), 2) for _ in range(2)]
+    jordan = Matrix(n, n, [[rng.choice(roots) if i == j else
+                            (rng.randint(0, 1) if j == i + 1 else 0) for j in range(n)]
+                           for i in range(n)])
+    if n < 2:
+        return jordan
+    i, j = rng.sample(range(n), 2)
+    c = rng.randint(1, 3)
+    unit = Matrix(n, n, [[int(r == i and s == j) for s in range(n)] for r in range(n)])
+    return (Matrix.identity(n) + unit.scale(c)) * jordan * (Matrix.identity(n) - unit.scale(c))
+
+
+def test_minimal_polynomial_matches_solve_reference():
+    rng = random.Random(97)
+    degrees = set()
+    for _ in range(60):
+        de, do = rng.randint(0, 5), rng.randint(0, 5)
+        if de + do == 0:
+            de = 1
+        pair = (_seeded_block(rng, de), _seeded_block(rng, do))
+        module = SimpleNamespace(dim_even=de, dim_odd=do)
+        got = _minimal_polynomial(module, pair)
+        assert got == _reference_minimal_polynomial(pair), pair
+        degrees.add(len(got) - 1)
+    # two 8 x 8 blocks with sixteen distinct eigenvalues: degree 16
+    pair = (Matrix(8, 8, [[i + 1 if i == j else int(j == i + 1) for j in range(8)]
+                          for i in range(8)]),
+            Matrix(8, 8, [[Fraction(-i - 1, 2) if i == j else 0 for j in range(8)]
+                          for i in range(8)]))
+    got = _minimal_polynomial(SimpleNamespace(dim_even=8, dim_odd=8), pair)
+    assert len(got) == 17 and got == _reference_minimal_polynomial(pair)
+    assert {1, 2, 3}.issubset(degrees)
+
+
+def _sympy_factors(coeffs: list) -> list:
+    import sympy
+
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      t, domain="QQ")
+    return [([Fraction(c.p, c.q) for c in reversed(f.all_coeffs())], int(power))
+            for f, power in poly.factor_list()[1]]
+
+
+def test_factor_rational_poly_matches_sympy():
+    rng = random.Random(89)
+
+    def rat():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+    cases = [[Fraction(5)], [Fraction(1), Fraction(0), Fraction(1)]]
+    for _ in range(80):
+        a, b, c, u = rat(), rat(), rat(), rat()
+        cases += [
+            [b, a],  # linear
+            [u * a * c, u * (a + c), u],  # u (t + a)(t + c): splits
+            [u * a * a, 2 * u * a, u],  # u (t + a)^2: a double root
+            [b * b + a * a * c * c, -2 * b, Fraction(1)],  # roots b +- a c i
+            [c, b, a],  # non-monic, either way
+            [c, b, a, u],  # a cubic goes to sympy
+        ]
+    for coeffs in cases:
+        assert _factor_rational_poly(coeffs) == _sympy_factors(coeffs), coeffs
