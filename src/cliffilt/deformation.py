@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra, check_filtered_superalgebra
-from .exactalg import Matrix, Subspace, rational
+from .exactalg import Matrix, Subspace, _vanishes, rational
 from .supermodule import (
     CliffordSupermodule,
     FilteredModule,
@@ -172,7 +172,10 @@ def _verify(r: GradedRep) -> Certificate:
 def _relations(r: GradedRep) -> Certificate:
     """Shift injectivity; then, point by point, shift commutation, each
     family's anticommutators, the mixed brackets and the shift-Q
-    commutators.  The first failure is the witness."""
+    commutators.  The first failure is the witness.  Each relation is one
+    `_vanishes` call, a sum of products that must vanish, so no product is
+    built: {Q_i, Q_j} = 2 G[i][j] S_d takes the shift as its target with
+    s = 2 G[i][j], and {Q_i, Q_i} is the one term 2 Q_i Q_i."""
     w = r._words
     for d, shifts in enumerate(r.shifts):
         for x, mat in shifts.items():
@@ -182,29 +185,31 @@ def _relations(r: GradedRep) -> Certificate:
     for x in _points(r.tops):
         at = dict(zip(w.point, x))
         for d, e in pairs:
-            lhs = r.shift(d, x) * r.shift(e, _step(x, d, 2))
-            if lhs != r.shift(e, x) * r.shift(d, _step(x, e, 2)):
+            if not _vanishes([(1, r.shift(d, x), r.shift(e, _step(x, d, 2))),
+                              (-1, r.shift(e, x), r.shift(d, _step(x, e, 2)))]):
                 return failing(w.relations, kind="shifts_commute", **at)
         for d, algebra in enumerate(r.algebras):
             gram, up, s = algebra.gram.entries, _step(x, d, 1), r.shift(d, x)
             for i in range(algebra.n):
                 for j in range(i, algebra.n):
-                    lhs = r.q(d, i, x) * r.q(d, j, up) + r.q(d, j, x) * r.q(d, i, up)
-                    if lhs != s.scale(2 * gram[i][j]):
+                    if i == j:
+                        terms = [(2, r.q(d, i, x), r.q(d, i, up))]
+                    else:
+                        terms = [(1, r.q(d, i, x), r.q(d, j, up)), (1, r.q(d, j, x), r.q(d, i, up))]
+                    if not _vanishes(terms, s, 2 * gram[i][j]):
                         return failing(w.relations, kind=w.anticommutator[d], i=i, j=j, **at)
         for d, e in pairs:
             for i in range(r.algebras[d].n):
                 for j in range(r.algebras[e].n):
-                    mixed = (r.q(d, i, x) * r.q(e, j, _step(x, d, 1))
-                             + r.q(e, j, x) * r.q(d, i, _step(x, e, 1)))
-                    if not mixed.is_zero():
+                    if not _vanishes([(1, r.q(d, i, x), r.q(e, j, _step(x, d, 1))),
+                                      (1, r.q(e, j, x), r.q(d, i, _step(x, e, 1)))]):
                         return failing(w.relations, kind="mixed_bracket",
                                        **{w.generator[d]: i, w.generator[e]: j}, **at)
         for d, algebra in enumerate(r.algebras):
             for i in range(algebra.n):
                 for e in range(len(r.tops)):
-                    lhs = r.shift(e, x) * r.q(d, i, _step(x, e, 2))
-                    if lhs != r.q(d, i, x) * r.shift(e, _step(x, d, 1)):
+                    if not _vanishes([(1, r.shift(e, x), r.q(d, i, _step(x, e, 2))),
+                                      (-1, r.q(d, i, x), r.shift(e, _step(x, d, 1)))]):
                         return failing(w.relations, kind=w.shift_q[d][e],
                                        **{w.generator[d]: i}, **at)
     return passing(w.relations)
@@ -261,7 +266,7 @@ def _roundtrip(source: FilteredModule, back: FilteredModule,
             for d, (kind, key) in enumerate(words.intertwine):
                 flipped = _parity(_step(c, d, 1))
                 for i, (gamma, image) in enumerate(zip(source.gammas[d], back.gammas[d])):
-                    if gamma[c] * maps[flipped] != maps[c] * image[c]:
+                    if not _vanishes([(1, gamma[c], maps[flipped]), (-1, maps[c], image[c])]):
                         return failing(name, kind=kind, **{key: i}, **labels[c])
         for x, flag in source.flags.items():
             if flag.image(maps[_parity(x)]) != back.flags[x]:

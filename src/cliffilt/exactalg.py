@@ -21,7 +21,10 @@ on first use.  Both are kept on the matrix, which is immutable, so they
 live exactly as long as the matrix does.  Products, sums, scalings,
 stacks, transposes, comparisons and eliminations read only this form,
 so their inner loops add and multiply `int`s, and a result nobody reads
-entrywise never builds a `Fraction`.
+entrywise never builds a `Fraction`.  A product that is only compared is
+never built at all: `_vanishes` decides whether a sum of products minus
+a scaled target is zero row by row over one common denominator, and
+every relation check and span membership test goes through it.
 
 Every elimination (spans, sums, images, intersections and kernels) goes
 through one `rref`.  It is sparse, incremental and fraction-free: a row
@@ -297,6 +300,48 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None = None,
+              s=0) -> bool:
+    """Whether the sum of c * A * B over the terms (c, A, B), minus s times
+    `target`, is zero.  The integer c and the rational s are exact.
+
+    Nothing is built: with A = ai / da and B = bi / db, each term is
+    weighted by c * D / (da * db) over one common denominator D, and
+    `target` = ti / dt by s * D / dt; row r of the weighted sum of ai * bi
+    minus ti is summed in integers and read before the next row, so the
+    first nonzero row ends the check.  Shapes that do not match raise
+    ValueError, as the products would.
+    """
+    if type(s) is not int:  # an int has its numerator and denominator too
+        s = rational(s)
+    shape = None if target is None else (target.rows, target.cols)
+    forms = []
+    for c, a, b in terms:
+        if a.cols != b.rows or shape not in (None, (a.rows, b.cols)):
+            raise ValueError(f"shape mismatch: {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+        shape = (a.rows, b.cols)
+        forms.append((c, a._ints(), b._ints()))
+    if shape is None:
+        return True
+    t = ((1, ((),) * shape[0]) if target is None or not s else target._ints())
+    d = lcm(s.denominator * t[0], *[da * db for _, (da, _), (db, _) in forms])
+    weighted = [(c * (d // (da * db)), arows, brows) for c, (da, arows), (db, brows) in forms]
+    f = s.numerator * (d // (s.denominator * t[0]))
+    cols = shape[1]
+    for r, trow in enumerate(t[1]):
+        acc = [0] * cols
+        for w, arows, brows in weighted:
+            for k, a in arows[r]:
+                a *= w
+                for j, b in brows[k]:
+                    acc[j] += a * b
+        for j, x in trow:
+            acc[j] -= f * x
+        if any(acc):
+            return False
+    return True
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form with zero rows dropped, plus pivot columns.
 
@@ -489,22 +534,26 @@ class Subspace:
         """Coordinates of each row of `vectors` with respect to this basis.
 
         The basis is the identity at its pivot columns, so the coordinates
-        of a row are its entries there; one product checks that every row
-        lies in the span.
+        of a row are its entries there; one `_vanishes` checks that every
+        row lies in the span.
         """
         if vectors.cols != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
         coords = vectors._columns(self.pivots)
-        if coords * self.basis != vectors:
+        if not _vanishes([(1, coords, self.basis)], vectors, 1):
             raise ValueError("vector is not in the subspace")
         return coords
+
+    def _contains_rows(self, rows: Matrix) -> bool:
+        """Whether every row of `rows` lies in this subspace: as in
+        coordinate_matrix, each row is its entries at the pivots times the
+        basis, and that product is only compared, never built."""
+        return _vanishes([(1, rows._columns(self.pivots), self.basis)], rows, 1)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-        # as in coordinate_matrix: one product checks every basis row
-        rows = other.basis
-        return rows._columns(self.pivots) * self.basis == rows
+        return self._contains_rows(other.basis)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:

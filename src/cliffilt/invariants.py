@@ -57,17 +57,6 @@ def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace)
     return Subspace.row_space(stacked)
 
 
-def _residual(flag: Subspace, v) -> tuple:
-    """Remainder of v after pivot elimination against the flag basis."""
-    work = list(v)
-    for row, piv in zip(flag.basis.entries, flag.pivots):
-        c = work[piv]
-        if c:
-            for k in range(len(work)):
-                work[k] -= c * row[k]
-    return tuple(work)
-
-
 def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
     """Basis of even maps commuting with the action and preserving flags.
 
@@ -79,25 +68,35 @@ def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
     pairs = module.graded_commutant()
     if not pairs:
         return []
-    columns = []
+    # per flag and pair k, the residuals of the flag's basis rows under
+    # P_k after pivot elimination against the flag: the images minus their
+    # entries at the pivots times the basis
+    blocks = []
     for p in range(f.top_degree + 1):
         flag = f.level(p)
         if flag.is_full:
             continue
-        block = 0 if p % 2 == 0 else 1
-        for v in flag.basis.entries:
-            columns.append([_residual(flag, pairs[k][block].apply(v)) for k in range(len(pairs))])
-    if not columns:
+        residuals = []
+        for pair in pairs:
+            images = flag.basis * pair[p % 2]
+            residuals.append((images - images._columns(flag.pivots) * flag.basis)._ints())
+        blocks.append((flag.ambient, flag.dim, residuals))
+    # row k lists, flag after flag, the residual of each basis row under
+    # P_k, over one common denominator
+    d = lcm(*[rd for _, _, residuals in blocks for rd, _ in residuals])
+    rows = [[] for _ in pairs]
+    offset = 0
+    for width, size, residuals in blocks:
+        for row, (rd, block) in zip(rows, residuals):
+            scale = d // rd
+            for v, residual in enumerate(block):
+                row.extend((offset + v * width + j, c * scale) for j, c in residual)
+        offset += width * size
+    if not offset:
         coeff_rows = [tuple(Fraction(1 if c == k else 0) for c in range(len(pairs)))
                       for k in range(len(pairs))]
     else:
-        rows = []
-        for k in range(len(pairs)):
-            row = []
-            for col in columns:
-                row.extend(col[k])
-            rows.append(tuple(row))
-        coeff_rows = kernel(Matrix.from_rows(rows, cols=len(rows[0]))).entries
+        coeff_rows = kernel(Matrix._from_ints(offset, d, rows)).entries
     out = []
     for coeffs in coeff_rows:
         p_even = Matrix.zeros(module.dim_even, module.dim_even)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .bifiltration import _COMPONENTS, BifilteredSupermodule, BiGradedRep
 from .certificate import Certificate
@@ -76,8 +77,28 @@ def _count(value) -> int:
     return value
 
 
+def _enc_rows(m: Matrix) -> list[list[str]]:
+    """The entries of m as rational strings, printed from its integer form
+    (d, rows): column j of a row is c / d in lowest terms for its pair
+    (j, c), and "0" where it has none.  Each distinct c is formatted once,
+    so a matrix the kernel built never builds its Fraction entries."""
+    d, rows = m._ints()
+    text: dict[int, str] = {}
+    out = []
+    for row in rows:
+        line = ["0"] * m.cols
+        for j, c in row:
+            s = text.get(c)
+            if s is None:
+                g = gcd(c, d)
+                s = text[c] = str(c // g) if g == d else f"{c // g}/{d // g}"
+            line[j] = s
+        out.append(line)
+    return out
+
+
 def _enc_matrix(m: Matrix) -> dict:
-    return {"shape": [m.rows, m.cols], "rows": [[_rat(x) for x in row] for row in m.entries]}
+    return {"shape": [m.rows, m.cols], "rows": _enc_rows(m)}
 
 
 def _dec_matrix(obj) -> Matrix:
@@ -89,7 +110,7 @@ def _dec_matrix(obj) -> Matrix:
 
 
 def _enc_flag(s: Subspace) -> dict:
-    return {"ambient": s.ambient, "rows": [[_rat(x) for x in row] for row in s.basis.entries]}
+    return {"ambient": s.ambient, "rows": _enc_rows(s.basis)}
 
 
 def _dec_flag(obj) -> Subspace:

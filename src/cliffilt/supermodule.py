@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .certificate import Certificate, failing, passing
 from .clifford import CliffordAlgebra
-from .exactalg import Matrix, Subspace, kernel
+from .exactalg import Matrix, Subspace, _vanishes, kernel
 
 _ONE = Fraction(1)
 
@@ -288,41 +288,27 @@ class FilteredModule:
         return hash((self.algebras, tuple(self.flags.values())))
 
 
-def _is_scalar(a: Matrix, b: Matrix, s) -> bool:
-    """Whether a + b is s times the identity, compared in integer forms:
-    with a = A / da and b = B / db scaled to d = lcm(da, db), each row r
-    of A (d / da) + B (d / db) has s d at column r and nothing else."""
-    da, arows = a._ints()
-    db, brows = b._ints()
-    d = lcm(da, db)
-    fa, fb = d // da, d // db
-    t = Fraction(s) * d
-    for r, (arow, brow) in enumerate(zip(arows, brows)):
-        acc = {j: x * fa for j, x in arow}
-        for j, y in brow:
-            acc[j] = acc.get(j, 0) + y * fb
-        if {j: x for j, x in acc.items() if x} != ({r: t} if t else {}):
-            return False
-    return True
-
-
 def _module_relations(v: FilteredModule) -> Certificate:
     """Component by component: each family's Clifford relations
     {g_i, g_j} = 2 G[i][j], then {g_i, g'_j} = 0 across families.  Each
-    product of two generators is formed once."""
+    relation is one `_vanishes` call, so no product of two generators is
+    built; g_i g_i counts twice as one term."""
     w, k = v._words, len(v.algebras)
     pairs = [(d, d) for d in range(k)] + list(combinations(range(k), 2))
     for c in v.dims:
         up = [_parity(_step(c, d, 1)) for d in range(k)]
         for d, e in pairs:
             gram = v.algebras[d].gram.entries
+            one = Matrix.identity(v.dims[c]) if d == e else None
             for i, g in enumerate(v.gammas[d]):
                 for j, h in enumerate(v.gammas[e]):
                     if d == e and j < i:
                         continue
-                    gh = g[c] * h[up[d]]
-                    hg = gh if (d, i) == (e, j) else h[c] * g[up[e]]
-                    if not _is_scalar(gh, hg, 2 * gram[i][j] if d == e else 0):
+                    if (d, i) == (e, j):
+                        terms = [(2, g[c], g[up[d]])]
+                    else:
+                        terms = [(1, g[c], h[up[d]]), (1, h[c], g[up[e]])]
+                    if not _vanishes(terms, one, 2 * gram[i][j] if d == e else 0):
                         return failing(w.relations, **w.relation(d, e, i, j, c))
     return passing(w.relations)
 
@@ -330,7 +316,9 @@ def _module_relations(v: FilteredModule) -> Certificate:
 def _module_flags(v: FilteredModule) -> Certificate:
     """Flag nesting along each direction, component by component; full
     flags at the 2^k corners; then each family's compatibility with the
-    flags, g F_x <= F_{x + e_d} folded back onto the grid."""
+    flags, g F_x <= F_{x + e_d} folded back onto the grid: the rows of
+    F_x's basis times g must lie in the target flag, which one `_vanishes`
+    decides without an elimination of the image."""
     w = v._words
     for x in sorted(v.flags, key=_parity):
         for d, top in enumerate(v.tops):
@@ -344,7 +332,7 @@ def _module_flags(v: FilteredModule) -> Certificate:
         for d, family in enumerate(v.gammas):
             target = v.flags[_fold(_step(x, d, 1), v.tops)]
             for i, gamma in enumerate(family):
-                if not target.contains_subspace(flag.image(gamma[_parity(x)])):
+                if not target._contains_rows(flag.basis * gamma[_parity(x)]):
                     return failing(w.flags, **w.compatibility(d, i, x))
     return passing(w.flags)
 

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from cliffilt import exactalg
-from cliffilt.exactalg import Matrix, Subspace, kernel, rational, rref
+from cliffilt.exactalg import Matrix, Subspace, _vanishes, kernel, rational, rref
 
 
 def test_rational_normalization():
@@ -308,6 +308,55 @@ def test_product_matches_naive_oracle():
         got = a * b
         assert (got.rows, got.cols) == (rows, cols)
         assert got.entries == _naive_product(a, b)
+
+
+def _vanishing_cases():
+    """(terms, target, s, shape): 0 to 3 terms with c in {-1, 1, 2}, 0-row
+    and 0-column shapes, denominators up to 10**6 + 3, factors from the
+    kernel, and targets that the sum is or is one entry away from, or None."""
+    rng = random.Random(47)
+    for _ in range(400):
+        rows, inner, cols = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        max_den = rng.choice((1, 6, 10**6 + 3))
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            a = _random_matrix(rng, rows, inner, max_den)
+            if rng.random() < 0.3:  # a product, whose integer form comes with it
+                a = a * Matrix.identity(inner).scale(Fraction(1, rng.choice((3, 10**6))))
+            terms.append((rng.choice((-1, 1, 2)), a, _random_matrix(rng, inner, cols, max_den)))
+        s = rng.choice((0, 1, -2, Fraction(1, 2), Fraction(-4, 10**6 + 3)))
+        yield terms, None, s, (rows, cols)
+        yield terms, _random_matrix(rng, rows, cols, max_den), s, (rows, cols)
+        if s:
+            total = sum(((a * b).scale(c) for c, a, b in terms), Matrix.zeros(rows, cols))
+            target = total.scale(1 / Fraction(s))
+            yield terms, target, s, (rows, cols)
+            if rows and cols:
+                bump = [[Fraction(1, max_den) if (i, j) == (rows - 1, 0) else 0
+                         for j in range(cols)] for i in range(rows)]
+                yield terms, target + Matrix(rows, cols, bump), s, (rows, cols)
+
+
+def test_vanishes_matches_matrix_arithmetic():
+    outcomes = set()
+    for terms, target, s, shape in _vanishing_cases():
+        zero = Matrix.zeros(*shape)
+        total = sum(((a * b).scale(c) for c, a, b in terms), zero)
+        want = total == (zero if target is None else target.scale(s))
+        got = _vanishes(terms, target, s)
+        assert got == want, (terms, target, s)
+        outcomes.add((got, len(terms), target is None))
+    assert {(got, n) for got, n, _ in outcomes} == {(g, n) for g in (True, False) for n in range(4)}
+    assert {none for *_, none in outcomes} == {True, False}
+
+
+def test_vanishes_rejects_shape_mismatch():
+    a, b = Matrix.zeros(2, 3), Matrix.zeros(3, 2)
+    for terms, target in [([(1, a, a)], None), ([(1, a, b), (1, b, a)], None),
+                          ([(1, a, b)], Matrix.zeros(2, 3)), ([(1, a, b)], Matrix.zeros(3, 2))]:
+        with pytest.raises(ValueError):
+            _vanishes(terms, target, 0)
+    assert _vanishes([], None) and _vanishes([], a, 0) and _vanishes([(2, a, b)], None, 5)
 
 
 def _kernel_results():

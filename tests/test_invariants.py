@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import cliffilt
-from cliffilt.exactalg import Matrix, Subspace
+from cliffilt.exactalg import Matrix, Subspace, kernel
 from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
@@ -163,6 +163,56 @@ def test_invariance_under_module_automorphism():
         if any(a != b for a, b in zip(flags_even, f.even_flags)):
             moved += 1
     assert moved >= 1
+
+
+def _former_filtered_endomorphisms(f):
+    """The former assembly, kept as the reference: each flag residual in
+    Fractions, by `Matrix.apply` on one basis row and pivot elimination."""
+    pairs = f.module.graded_commutant()
+    rows = [[] for _ in pairs]
+    for p in range(f.top_degree + 1):
+        flag = f.level(p)
+        if flag.is_full:
+            continue
+        for v in flag.basis.entries:
+            for row, pair in zip(rows, pairs):
+                work = list(pair[p % 2].apply(v))
+                for basis_row, pivot in zip(flag.basis.entries, flag.pivots):
+                    c = work[pivot]
+                    work = [x - c * y for x, y in zip(work, basis_row)]
+                row.extend(work)
+    if not rows[0]:
+        return pairs
+    out = []
+    for coeffs in kernel(Matrix.from_rows(rows)).entries:
+        terms = [(c, pe, po) for c, (pe, po) in zip(coeffs, pairs) if c]
+        out.append((sum((pe.scale(c) for c, pe, _ in terms[1:]), terms[0][1].scale(terms[0][0])),
+                    sum((po.scale(c) for c, _, po in terms[1:]), terms[0][2].scale(terms[0][0]))))
+    return out
+
+
+def test_filtered_endomorphisms_match_former_assembly():
+    # random filtrations, and the same moved by a rational module
+    # automorphism, so flag bases and residuals carry unequal denominators
+    rng = random.Random(107)
+    modules = [exterior_module(n) for n in (1, 2, 3)] + [irreducible_module(n) for n in (2, 3, 4)]
+    moved = 0
+    for k in range(36):
+        f = random_filtration(modules[k % len(modules)], rng)
+        want = _former_filtered_endomorphisms(f)
+        assert filtered_endomorphisms(f) == want
+        pe, po = Matrix.identity(f.module.dim_even), Matrix.identity(f.module.dim_odd)
+        for a, b in f.module.graded_commutant():
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+            pe, po = pe + a.scale(c), po + b.scale(c)
+        if pe.rank() < pe.rows or po.rank() < po.rows:
+            continue
+        g = SuperFiltration(f.module, [flag.image(pe) for flag in f.even_flags],
+                            [flag.image(po) for flag in f.odd_flags])
+        assert check_filtration(g)
+        assert filtered_endomorphisms(g) == _former_filtered_endomorphisms(g)
+        moved += 1
+    assert moved >= 20
 
 
 def test_random_filtrations_always_valid():

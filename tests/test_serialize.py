@@ -10,7 +10,7 @@ from cliffilt import cli, serialize
 from cliffilt.bifiltration import bideform, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import deform, quotient_at
-from cliffilt.exactalg import rational
+from cliffilt.exactalg import Matrix, Subspace, rational, rref
 from cliffilt.graph import to_graph
 from cliffilt.invariants import decompose, invariant_report
 from cliffilt.serialize import (
@@ -277,6 +277,33 @@ NON_CANONICAL = ["2/4", "-0", "+3", " 7 ", "1.5", "1_000", "007"]
 REJECTED = ["1/0", "abc", "", "1 / 2", "0x10", "-6/-3"]
 # strings Fraction reads as exact rationals; "1e10000000" takes it seconds
 EXPONENTS = ["1e2", "1E-3", "2.5e1", "1e10000000"]
+
+
+def _kernel_built_matrices():
+    """Products, scalings, eliminations and stacks: d != 1, negative
+    entries, zero rows and 0 x n shapes."""
+    rng = random.Random(63)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        den = rng.choice((1, 7, 10**6 + 3))
+        grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, den)) if rng.random() < 0.6 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+        a = Matrix(rows, cols, grid)
+        yield a * Matrix.identity(cols).scale(Fraction(-3, rng.choice((1, 4, 10**6))))
+        yield a.scale(Fraction(5, 6)).stack(Matrix.zeros(rng.randint(0, 2), cols))
+        yield Matrix.zeros(rng.randint(0, 2), cols).stack(-a)
+        yield rref(a)[0]
+
+
+def test_encoded_rows_match_rat_over_entries():
+    for m in _kernel_built_matrices():
+        got = serialize._enc_matrix(m)
+        assert m._entries is None  # printed without building the Fraction grid
+        assert got == {"shape": [m.rows, m.cols],
+                       "rows": [[serialize._rat(x) for x in row] for row in m.entries]}
+        space = Subspace.row_space(m)
+        got = serialize._enc_flag(space)
+        assert got["rows"] == [[serialize._rat(x) for x in row] for row in space.basis.entries]
 
 
 def _oracle_rows(rows):

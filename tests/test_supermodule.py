@@ -5,12 +5,11 @@ import pytest
 
 from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
-from cliffilt.exactalg import Matrix, Subspace
+from cliffilt.exactalg import Matrix, Subspace, _vanishes
 from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
-    _is_scalar,
     check_filtration,
     check_supermodule,
     degree_filtration,
@@ -364,9 +363,11 @@ def _scalar_pairs():
 
 
 def test_is_scalar_matches_entrywise_oracle():
+    # a + b = s I as one call: the terms a I and b I against the target I
     outcomes = set()
     for a, b, s in _scalar_pairs():
-        got = _is_scalar(a, b, s)
+        one = Matrix.identity(a.rows)
+        got = _vanishes([(1, a, one), (1, b, one)], one, s)
         assert got == _is_scalar_oracle(a, b, s), (a, b, s)
         outcomes.add((got, s == 0))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
@@ -380,5 +381,7 @@ def test_is_scalar_on_module_relations():
             for j in range(m.algebra.n):
                 gh = m.gamma_eo[i] * m.gamma_oe[j]
                 hg = m.gamma_eo[j] * m.gamma_oe[i]
+                terms = [(1, m.gamma_eo[i], m.gamma_oe[j]), (1, m.gamma_eo[j], m.gamma_oe[i])]
                 for s in (2 * gram[i][j], 2 * gram[i][j] + 1, 0):
-                    assert _is_scalar(gh, hg, s) == _is_scalar_oracle(gh, hg, s)
+                    got = _vanishes(terms, Matrix.identity(m.dim_even), s)
+                    assert got == _is_scalar_oracle(gh, hg, s)
