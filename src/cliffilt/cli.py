@@ -12,17 +12,29 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from . import bifiltration, deformation, graph, invariants, serialize, supermodule
 from .certificate import CheckFailed, failing, passing
-from .exactalg import Matrix, rational
+from .exactalg import rational
 from .serialize import SerializeError
 
 
+def _read_text(path: str | None) -> str:
+    """The text of the file at path, or of stdin; bytes that do not decode
+    are a SerializeError."""
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SerializeError(f"cannot decode {path or 'stdin'}: {exc}") from exc
+
+
 def _read_document(path: str | None):
-    text = sys.stdin.read() if path is None or path == "-" else open(path).read()
-    return serialize.loads(text)
+    return serialize.loads(_read_text(path))
 
 
 def _write(text: str, path: str | None):
@@ -146,8 +158,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    f_plus = _filtration_arg(serialize.loads(open(args.p).read()))
-    f_minus = _filtration_arg(serialize.loads(open(args.q).read()))
+    f_plus = _filtration_arg(_read_document(args.p))
+    f_minus = _filtration_arg(_read_document(args.q))
     return _emit(bifiltration.tensor_module(f_plus, f_minus), args.output)
 
 
@@ -175,14 +187,11 @@ def _cmd_verify2d(args) -> int:
 
 
 def _load_basis(path: str):
-    import json
-
     try:
-        with open(path) as handle:
-            obj = json.load(handle)
-        parts = [serialize._unrat_rows(obj[key]) for key in ("even", "odd")]
-        return tuple(Matrix(len(rows), len(rows[0]) if rows else 0, rows) for rows in parts)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        obj = json.loads(_read_text(path))
+        parts = [obj[key] for key in ("even", "odd")]
+        return tuple(serialize._read_rows(rows, len(rows[0]) if rows else 0) for rows in parts)
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SerializeError(f"bad basis file: {exc}")
 
 

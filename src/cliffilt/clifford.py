@@ -78,7 +78,7 @@ class CliffordAlgebra:
         self._level_cache: dict[int, Subspace] = {}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CliffordAlgebra)
             and self.n == other.n
             and self.gram == other.gram

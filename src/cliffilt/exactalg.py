@@ -15,16 +15,17 @@ Conventions used throughout the package:
 Inside the kernel a matrix also has an integer form ``(d, rows)``: the
 matrix equals ``rows / d``, where ``d`` is the least common denominator
 of its entries, and each row lists its nonzero ``(column, int)`` pairs.
-A matrix the kernel builds keeps only this form, and builds its
-`Fraction` entries on their first read; any other matrix gets the form
-on first use.  Both are kept on the matrix, which is immutable, so they
-live exactly as long as the matrix does.  Products, sums, scalings,
-stacks, transposes, comparisons and eliminations read only this form,
-so their inner loops add and multiply `int`s, and a result nobody reads
-entrywise never builds a `Fraction`.  A product that is only compared is
-never built at all: `_vanishes` decides whether a sum of products minus
-a scaled target is zero row by row over one common denominator, and
-every relation check and span membership test goes through it.
+A matrix the kernel builds, or a document decodes, keeps only this
+form, and builds its `Fraction` entries on their first read; a matrix
+built from entries gets the form on first use.  Both are kept on the
+matrix, which is immutable, so they live exactly as long as the matrix
+does.  Products, sums, scalings, stacks, transposes, comparisons and
+eliminations read only this form, so their inner loops add and multiply
+`int`s, and a result nobody reads entrywise never builds a `Fraction`.
+A product that is only compared is never built at all: `_vanishes`
+decides whether a sum of products minus a scaled target is zero row by
+row over one common denominator, and every relation check and span
+membership test goes through it.
 
 Every elimination (spans, sums, images, intersections and kernels) goes
 through one `rref`.  It is sparse, incremental and fraction-free: a row

@@ -6,20 +6,33 @@ like "-3/2" so round-trips stay exact; matrices carry their shape
 explicitly because zero-row maps are meaningful.  Encoding is
 deterministic: equal objects produce byte-identical text.
 
+Matrices travel in the kernel's integer form (d, rows) both ways.  A
+matrix or flag is read straight into it: each distinct string among its
+entries is parsed once, d is the lcm of their denominators, and no
+`Fraction` grid is built.  A matrix is printed from it, each distinct
+numerator formatted once.  The text is that of `json.dumps(doc,
+indent=2)`, but built by joins over the document, with strings quoted
+by json's C encoder, since an indent sends `json` to its pure-Python
+encoder.
+
 Decoding is strict about scalars: a rational must be a JSON string that
 `exactalg.rational` accepts (what `Fraction` reads, without exponent
 notation), and a shape, dimension, count or index must be a
 JSON integer.  A JSON float, a bool or a numeric string in their place
 is a `SerializeError`, as is any other malformed part.  The rows of a
-matrix or a flag must be lists, and each distinct string among their
-entries is parsed once.
+matrix or a flag must be lists of the declared length.  Text that is
+not JSON, or nests deeper than the JSON reader recurses, is a
+`SerializeError` too.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
+from operator import itemgetter
 
 from .bifiltration import _COMPONENTS, BifilteredSupermodule, BiGradedRep
 from .certificate import Certificate
@@ -50,24 +63,35 @@ def _unrat(value) -> Fraction:
         raise SerializeError(f"bad rational {value!r}") from exc
 
 
-def _unrat_rows(rows) -> list[list[Fraction]]:
-    """Rows of rational strings as Fractions, each distinct string parsed
-    once for this call."""
+# the texts of the integers most entries are, read without `rational`
+_SMALL_TEXT = {str(c): c for c in range(-16, 17)}
+_nonzero = itemgetter(1)
+
+
+def _read_rows(rows, cols: int) -> Matrix:
+    """The matrix whose rows are `rows`, lists of cols rational strings,
+    read straight into its integer form (d, rows): each distinct string
+    is parsed once, and d, the lcm of their denominators, is already the
+    least."""
     if type(rows) is not list:
         raise SerializeError("rows must be a list")
-    parsed: dict[str, Fraction] = {}
-    out = []
     for row in rows:
         if type(row) is not list:
             raise SerializeError("each row must be a list")
-        try:
-            for x in row:
-                if x not in parsed:  # only strings are ever keys
-                    parsed[x] = _unrat(x)
-        except TypeError as exc:  # an unhashable entry
-            raise SerializeError(f"bad rational: {exc}") from exc
-        out.append([parsed[x] for x in row])
-    return out
+        if len(row) != cols:
+            raise SerializeError(f"a row has {len(row)} entries, not {cols}")
+    try:
+        values = dict.fromkeys(chain.from_iterable(rows))
+    except TypeError as exc:  # an unhashable entry
+        raise SerializeError(f"bad rational: {exc}") from exc
+    for x in values:
+        c = _SMALL_TEXT.get(x)
+        values[x] = c if c is not None and type(x) is str else _unrat(x)
+    d = lcm(*{v.denominator for v in values.values()})
+    scaled = {x: v.numerator * (d // v.denominator) for x, v in values.items()}
+    ints = tuple([tuple(filter(_nonzero, enumerate(map(scaled.__getitem__, row))))
+                  for row in rows])
+    return Matrix._built(len(rows), cols, (d, ints))
 
 
 def _count(value) -> int:
@@ -104,7 +128,10 @@ def _enc_matrix(m: Matrix) -> dict:
 def _dec_matrix(obj) -> Matrix:
     try:
         rows, cols = obj["shape"]
-        return Matrix(_count(rows), _count(cols), _unrat_rows(obj["rows"]))
+        m = _read_rows(obj["rows"], _count(cols))
+        if m.rows != _count(rows):
+            raise SerializeError(f"{m.rows} rows, not {rows}")
+        return m
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"bad matrix: {exc}") from exc
 
@@ -115,7 +142,7 @@ def _enc_flag(s: Subspace) -> dict:
 
 def _dec_flag(obj) -> Subspace:
     try:
-        return Subspace.span(_count(obj["ambient"]), _unrat_rows(obj["rows"]))
+        return Subspace.row_space(_read_rows(obj["rows"], _count(obj["ambient"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"bad subspace: {exc}") from exc
 
@@ -444,16 +471,61 @@ def decode(obj):
         raise SerializeError(f"malformed {kind} document: {exc}") from exc
 
 
+# how json writes the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _text(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for a value nested at `indent`,
+    built by joins; a list of strings is quoted in one C pass."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        try:
+            body = (",\n" + inner).join(map(_quote, value))
+        except TypeError:  # not all strings
+            body = (",\n" + inner).join([_text(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([
+            _quote(k if isinstance(k, str) else _key(k)) + ": " + _text(v, inner)
+            for k, v in value.items()
+        ])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key that is not a string, written as json writes it."""
+    if key is None or isinstance(key, (int, float)):
+        return _text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON text; accepts typed objects or plain dicts."""
+    """Deterministic JSON text, the bytes of `json.dumps(doc, indent=2)`;
+    accepts typed objects or plain dicts."""
     if not isinstance(obj, dict):
         obj = encode(obj)
-    return json.dumps(obj, indent=2) + "\n"
+    return _text(obj, "") + "\n"
 
 
 def loads(text: str):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, a bad byte encoding
         raise SerializeError(f"not JSON: {exc}") from exc
     return decode(obj)

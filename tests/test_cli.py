@@ -195,6 +195,20 @@ def test_export_dot_basis_follows_document_rules(defect, degree_doc, tmp_path):
     assert out.returncode == 2 and out.stderr.startswith("error: bad basis file")
 
 
+# each of these raised a traceback from the JSON reader or the file read
+HOSTILE = {"deep nesting": b"[" * 100000, "utf-16 byte order mark": b"\xff\xfe{"}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_files_exit_two(name, degree_doc, tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(HOSTILE[name])
+    for args in (["check", str(path)], ["export-dot", "--basis", str(path)]):
+        out = run(args, stdin=degree_doc)
+        assert out.returncode == 2, (args, out.stderr)
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
 def test_envcheck():
     out = run(["envcheck", "--n", "2"])
     assert out.returncode == 0

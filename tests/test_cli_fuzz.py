@@ -14,6 +14,7 @@ import json
 import sys
 import traceback
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -119,3 +120,22 @@ def test_mutated_documents_exit_cleanly(data):
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, path, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, path, err)
+
+
+# inputs no mutation of a README document reaches: nesting deeper than the
+# JSON reader recurses, and bytes that do not decode as text
+HOSTILE = {"deep nesting": b"[" * 100000, "utf-16 byte order mark": b"\xff\xfe{"}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_files_exit_cleanly(name, tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(HOSTILE[name])
+    runs = [argv + [str(path)] for argv in COMMANDS] + [["export-dot", "--basis", str(path)]]
+    for argv in runs:
+        code, _, err = _run(argv, _documents()["exterior4-degree"])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if name == "deep nesting":  # the same text on stdin
+        for argv in COMMANDS:
+            code, _, err = _run(argv, HOSTILE[name].decode())
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)

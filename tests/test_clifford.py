@@ -150,3 +150,15 @@ def test_general_gram_contraction():
     u, v = alg.gamma(0), alg.gamma(1)
     assert u * v + v * u == alg.one()
     assert u * u == alg.one()
+
+
+def test_algebra_equality_is_by_value():
+    a = CliffordAlgebra(2)
+    b = CliffordAlgebra(2, Matrix.from_rows([[1, 0], [0, 1]]))
+    other = CliffordAlgebra(2, Matrix.from_rows([[2, 1], [1, 1]]))
+    assert a == a and a is not b and a == b and hash(a) == hash(b)
+    assert a != other and other != b and a != CliffordAlgebra(3)
+    # elements of equal algebras combine; of different algebras do not
+    assert a.gamma(0) + b.gamma(1) == b.gamma(1) + a.gamma(0)
+    with pytest.raises(ValueError, match="different algebras"):
+        a.gamma(0) + other.gamma(0)

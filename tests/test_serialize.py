@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffilt import cli, serialize
 from cliffilt.bifiltration import bideform, check_bifiltered_module, tensor_module
@@ -311,6 +313,7 @@ def _oracle_rows(rows):
 
 
 def test_unrat_rows_matches_fraction_oracle():
+    # named for the Fraction-grid reader that `_read_rows` replaced
     rng = random.Random(61)
     pool = ["0", "1", "-1", *NON_CANONICAL]
     for _ in range(200):
@@ -318,9 +321,9 @@ def test_unrat_rows_matches_fraction_oracle():
                  for _ in range(3)]
         cols = rng.randint(0, 6)
         rows = [[rng.choice(pool + extra) for _ in range(cols)] for _ in range(rng.randint(0, 6))]
-        got = serialize._unrat_rows(rows)
-        assert got == _oracle_rows(rows)
-        assert all(type(x) is Fraction for row in got for x in row)
+        got = serialize._read_rows(rows, cols)
+        assert [list(row) for row in got.entries] == _oracle_rows(rows)
+        assert all(type(x) is Fraction for row in got.entries for x in row)
 
 
 @pytest.mark.parametrize("text", REJECTED)
@@ -329,7 +332,7 @@ def test_unrat_rows_rejects_what_fraction_rejects(text, tmp_path):
         Fraction(text)
     # after the same text has been read as a good entry elsewhere in the call
     with pytest.raises(SerializeError):
-        serialize._unrat_rows([["1", "2/4"], ["2/4", text]])
+        serialize._read_rows([["1", "2/4"], ["2/4", text]], 2)
     doc = encode(degree_filtration(exterior_module(2)))
     doc["even_flags"][0]["rows"][0][0] = text
     assert _check_exit(doc, tmp_path) == 2
@@ -340,7 +343,7 @@ def test_exponent_notation_rejected(text, tmp_path):
     with pytest.raises(ValueError, match="exponent"):
         rational(text)
     with pytest.raises(SerializeError):
-        serialize._unrat_rows([["1", "2/4"], ["2/4", text]])
+        serialize._read_rows([["1", "2/4"], ["2/4", text]], 2)
     doc = encode(degree_filtration(exterior_module(2)))
     doc["even_flags"][0]["rows"][0][0] = text
     assert _check_exit(doc, tmp_path) == 2
@@ -349,8 +352,80 @@ def test_exponent_notation_rejected(text, tmp_path):
 @pytest.mark.parametrize("rows", [[["1", 1]], [["1"], [True]], [["0", 0.0]], [[["1"]]],
                                   "11", [("1",)], [{"1": 1}], None])
 def test_unrat_rows_rejects_non_strings(rows):
+    # the declared width is the first row's, so only the entries are wrong
     with pytest.raises(SerializeError):
-        serialize._unrat_rows(rows)
+        serialize._read_rows(rows, len(rows[0]) if isinstance(rows, list) else 0)
+
+
+@pytest.mark.parametrize("rows, cols", [([["1", "0"], ["0"]], 2), ([["1"]], 2), ([[]], 1)])
+def test_read_rows_rejects_wrong_width(rows, cols):
+    with pytest.raises(SerializeError):
+        serialize._read_rows(rows, cols)
+
+
+def test_decoded_matrices_build_no_fraction_grid():
+    doc = encode(degree_filtration(exterior_module(3)))
+    for m in (*map(serialize._dec_matrix, doc["gamma_eo"] + doc["gamma_oe"]),
+              *(serialize._dec_flag(s).basis for s in doc["even_flags"] + doc["odd_flags"])):
+        assert m._entries is None
+    m = serialize._read_rows([["1/2", "0"], ["-0", "+3"]], 2)
+    assert m._entries is None and m._ints() == (2, (((0, 1),), ((1, 6),)))
+
+
+def test_read_rows_matches_matrix_of_fractions():
+    """The integer form and entries of a read matrix are those of the
+    Matrix built from the same texts as Fractions: same least d, same
+    nonzero pairs."""
+    rng = random.Random(67)
+    pool = ["0", "1", "-16", "16", "17", *NON_CANONICAL]
+    for _ in range(200):
+        extra = [f"{rng.randint(-10**6, 10**6)}/{rng.randint(1, 10**6)}" for _ in range(3)]
+        cols = rng.randint(0, 6)
+        rows = [[rng.choice(pool + extra) for _ in range(cols)] for _ in range(rng.randint(0, 6))]
+        got = serialize._read_rows(rows, cols)
+        want = Matrix(len(rows), cols, [[Fraction(x) for x in row] for row in rows])
+        assert got._ints() == want._ints()
+        assert got.entries == want.entries
+        assert got == want and hash(got) == hash(want)
+
+
+_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", '"\\"', "\x00\x1f\x7f", "\t\n\r", "é€😀", "\u2028", "\ud800"]),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), _STRINGS,
+    st.integers(), st.sampled_from([2**64, -(2**200), 10**40]),
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.booleans(), st.none(), st.floats())
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_STRINGS, max_size=4),  # a matrix row
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tree=_TREES)
+def test_emitter_matches_json_dumps(tree):
+    assert serialize._text(tree, "") == json.dumps(tree, indent=2)
+    doc = {"tree": tree, 7: [tree], None: (tree,)}
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), object(), {1, 2}, b"1", ["1", object()],
+                                   {"a": ["0", Fraction(1)]}, {(1, 2): "0"}, {"a": {b"k": 1}}])
+def test_emitter_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps({"doc": value}, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps({"doc": value})
+    assert str(got.value) == str(want.value)
 
 
 def test_unknown_object_rejected():
