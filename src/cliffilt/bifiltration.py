@@ -26,162 +26,38 @@ alone; it is neither stored as a matrix nor checked.
 The mixed bracket {Q+_i, Q-_j} is required to vanish; together with
 {Q+-_i, Q+-_j} = 2 G[i][j] (H+-P) this makes the generators close the
 two-dimensional super translation algebra.
+
+The twisted product Cl(p) (x)^ Cl(q) (`twisted_tensor`) has no
+arithmetic of its own: `check_twisted_tensor` certifies it as Cl(p + q)
+by running its bifiltered regular module through this pipeline, stage by
+stage, and identifying that module with Cl(p + q) acting on itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .certificate import Certificate, failing, passing, require
-from .clifford import CliffordAlgebra, CliffordElement
+from .clifford import CliffordAlgebra
 from .deformation import GradedRep, _deform, _quotient, _roundtrip, _verify, _Words
-from .exactalg import Matrix, Subspace, rational
+from .exactalg import Matrix, Subspace, _vanishes, rational
 from .supermodule import (
     CliffordSupermodule,
     FilteredModule,
     SuperFiltration,
     _checked,
     _CheckWords,
+    _graded_subsets,
     _module_relations,
     _nest,
+    _parity,
     check_filtration,
+    degree_filtration,
+    exterior_module,
     kron,
 )
-
-
-# ---------------------------------------------------------------------------
-# Twisted tensor product of two Clifford algebras
-
-class TwistedProduct:
-    """Cl(p) x Cl(q) with the sign-twisted multiplication.
-
-    Basis monomials are pairs of monomials; homogeneous elements multiply
-    by (a1 (x) b1)(a2 (x) b2) = (-1)^{|b1||a2|} a1 a2 (x) b1 b2.  Elements
-    are `CliffordElement`s over the product, which supplies what they
-    read: `monomials`, `monomial_index`, `dim` and `monomial_product`.
-    The map sending the pair (I, J) to the monomial I u (J + p)
-    identifies the result with Cl(p + q); `embed` realizes it and
-    `check_twisted_tensor` verifies it is an isomorphism of superalgebras.
-    """
-
-    def __init__(self, a: CliffordAlgebra, b: CliffordAlgebra):
-        # identity Gram matrices only: the mixed generators must square
-        # to the standard form for the combined algebra to be Cl(p+q)
-        if a.gram != Matrix.identity(a.n) or b.gram != Matrix.identity(b.n):
-            raise ValueError("twisted product requires identity Gram matrices")
-        self.left = a
-        self.right = b
-        self.p = a.n
-        self.q = b.n
-        self.pairs = self.monomials = tuple((i, j) for i in a.monomials for j in b.monomials)
-        self.dim = len(self.pairs)
-        self.monomial_index = {pair: k for k, pair in enumerate(self.pairs)}
-        self.ambient = CliffordAlgebra(a.n + b.n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedProduct)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def __repr__(self):
-        return f"TwistedProduct(Cl({self.p}), Cl({self.q}))"
-
-    def monomial_product(self, pair_a: tuple, pair_b: tuple) -> dict:
-        """Product of two basis pairs as {pair: coefficient}: the signed
-        product of the factors' monomial products."""
-        (a1, b1), (a2, b2) = pair_a, pair_b
-        sign = -1 if len(b1) % 2 and len(a2) % 2 else 1
-        return {(mi, mj): sign * ca * cb
-                for mi, ca in self.left.monomial_product(a1, a2).items()
-                for mj, cb in self.right.monomial_product(b1, b2).items()}
-
-    def element(self, terms: dict) -> CliffordElement:
-        return CliffordElement(self, terms)
-
-    def zero(self) -> CliffordElement:
-        return CliffordElement(self, {})
-
-    def one(self) -> CliffordElement:
-        return CliffordElement(self, {((), ()): Fraction(1)})
-
-    def generator(self, k: int) -> CliffordElement:
-        """The k-th of the p + q combined odd generators."""
-        if not 0 <= k < self.p + self.q:
-            raise ValueError("generator index out of range")
-        if k < self.p:
-            return CliffordElement(self, {((k,), ()): Fraction(1)})
-        return CliffordElement(self, {((), (k - self.p,)): Fraction(1)})
-
-    def embed(self, x: CliffordElement) -> CliffordElement:
-        """Image in Cl(p+q) under (I, J) -> I u (J + p).
-
-        The concatenated index word is already sorted, so no reordering
-        sign appears.
-        """
-        terms = {}
-        for (mi, mj), c in x.terms.items():
-            terms[mi + tuple(j + self.p for j in mj)] = c
-        return self.ambient.element(terms)
-
-    def filtration_level(self, m: int, n: int) -> Subspace:
-        """Coordinate span of pairs with |I| <= m, |J| <= n, matching parities."""
-        if m < 0 or n < 0:
-            return Subspace.zero(self.dim)
-        rows = []
-        for k, (mi, mj) in enumerate(self.pairs):
-            if len(mi) <= m and (len(mi) - m) % 2 == 0 and len(mj) <= n and (len(mj) - n) % 2 == 0:
-                rows.append(tuple(Fraction(1 if c == k else 0) for c in range(self.dim)))
-        return Subspace.span(self.dim, rows)
-
-
-def twisted_tensor(a: CliffordAlgebra, b: CliffordAlgebra) -> TwistedProduct:
-    """The twisted product presentation of Cl(a.n + b.n)."""
-    return TwistedProduct(a, b)
-
-
-def _within(m: tuple, a: tuple, b: tuple) -> bool:
-    """Whether monomial m lies in the level |a| + |b| of its factor."""
-    return len(m) <= len(a) + len(b) and (len(m) - len(a) - len(b)) % 2 == 0
-
-
-def check_twisted_tensor(t: TwistedProduct) -> Certificate:
-    """Combined generators close Cl(p+q); embedding is an algebra iso.
-
-    Each product of two basis pairs is formed once, and tested for
-    multiplicativity of the embedding and for the bifiltration rule;
-    bijectivity of the embedding comes last."""
-    name = "twisted_tensor"
-    total = t.p + t.q
-    gens = [t.generator(k) for k in range(total)]
-    one = t.one()
-    for i in range(total):
-        for j in range(i, total):
-            anti = gens[i] * gens[j] + gens[j] * gens[i]
-            want = one.scale(2) if i == j else t.zero()
-            if anti != want:
-                return failing(name, kind="generator_relation", i=i, j=j)
-    # multiplicativity of the identification on every pair of basis
-    # elements, which is exactly the superalgebra isomorphism claim, and
-    # the product of bifiltration levels landing in the summed level
-    basis = {pair: t.element({pair: 1}) for pair in t.pairs}
-    images = {pair: t.embed(x) for pair, x in basis.items()}
-    for pa, x in basis.items():
-        for pb, y in basis.items():
-            prod = x * y
-            if t.embed(prod) != images[pa] * images[pb]:
-                return failing(name, kind="not_multiplicative", left=pa, right=pb)
-            if not all(_within(mi, pa[0], pb[0]) and _within(mj, pa[1], pb[1])
-                       for mi, mj in prod.terms):
-                return failing(name, kind="bifiltration", left=pa, right=pb)
-    if len(set(images.values())) != t.dim:
-        return failing(name, kind="not_bijective")
-    return passing(name)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +115,21 @@ class BifilteredSupermodule(FilteredModule):
 
 
 def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
-    """Assemble a matrix from a {(row_block, col_block): Matrix} dict."""
-    total_rows = sum(row_dims)
-    total_cols = sum(col_dims)
-    entries = [[Fraction(0)] * total_cols for _ in range(total_rows)]
+    """Assemble a matrix from a {(row_block, col_block): Matrix} dict, in
+    integer form over the blocks' common denominator."""
     row_off = [sum(row_dims[:k]) for k in range(len(row_dims))]
     col_off = [sum(col_dims[:k]) for k in range(len(col_dims))]
+    forms = {key: mat._ints() for key, mat in blocks.items()}
+    d = lcm(*[form[0] for form in forms.values()])
+    rows = [[] for _ in range(sum(row_dims))]
     for (bi, bj), mat in blocks.items():
         if (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
             raise ValueError("block shape mismatch")
-        for r in range(mat.rows):
-            row = entries[row_off[bi] + r]
-            for c in range(mat.cols):
-                row[col_off[bj] + c] = mat.entries[r][c]
-    return Matrix(total_rows, total_cols, entries)
+        dm, mrows = forms[(bi, bj)]
+        w, off = d // dm, col_off[bj]
+        for r, row in enumerate(mrows):
+            rows[row_off[bi] + r] += [(off + j, c * w) for j, c in row]
+    return Matrix._from_ints(sum(col_dims), d, rows)
 
 
 def total_module(bf: BifilteredSupermodule) -> CliffordSupermodule:
@@ -420,3 +297,116 @@ def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
     maps, cert = _roundtrip(bf, _quotient(bideform(bf), (1, 1), BifilteredSupermodule),
                             BiGradedRep._words)
     return BifilteredIso(maps, cert)
+
+
+# ---------------------------------------------------------------------------
+# Cl(p) (x)^ Cl(q) on its bifiltered regular module
+
+class TwistedProduct:
+    """Cl(p) (x)^ Cl(q), held by its two identity-Gram factors.
+
+    Homogeneous elements multiply by (a1 (x) b1)(a2 (x) b2) =
+    (-1)^{|b1||a2|} a1 a2 (x) b1 b2.  The product has no arithmetic of its
+    own: its regular module `module` is `tensor_module` of the factors'
+    `degree_filtration(exterior_module(.))`, whose minus family carries
+    that sign, and `check_twisted_tensor` certifies it as Cl(p + q).  The
+    module is built on first use and kept: the factors are read-only, so
+    it cannot go stale.
+    """
+
+    def __init__(self, a: CliffordAlgebra, b: CliffordAlgebra):
+        # identity Gram matrices only: the mixed generators must square
+        # to the standard form for the combined algebra to be Cl(p+q)
+        if a.gram != Matrix.identity(a.n) or b.gram != Matrix.identity(b.n):
+            raise ValueError("twisted product requires identity Gram matrices")
+        self.left = a
+        self.right = b
+        self.p = a.n
+        self.q = b.n
+
+    @cached_property
+    def module(self) -> BifilteredSupermodule:
+        """The bifiltered regular module: component (a, b) is spanned by the
+        pairs (I, J) of monomials with |I| = a, |J| = b (mod 2), and
+        F_{m,n} by those with |I| <= m and |J| <= n."""
+        return tensor_module(degree_filtration(exterior_module(self.p)),
+                             degree_filtration(exterior_module(self.q)))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TwistedProduct)
+            and self.left == other.left
+            and self.right == other.right
+        )
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"TwistedProduct(Cl({self.p}), Cl({self.q}))"
+
+
+def twisted_tensor(a: CliffordAlgebra, b: CliffordAlgebra) -> TwistedProduct:
+    """The twisted product presentation of Cl(a.n + b.n); builds nothing."""
+    return TwistedProduct(a, b)
+
+
+def _identification(bf: BifilteredSupermodule) -> Certificate:
+    """The last stage of `check_twisted_tensor`, on its module `bf`.  The
+    word I u (J + p) is already sorted, so no reordering sign appears."""
+    name = "identification"
+    p, q = bf.plus_algebra.n, bf.minus_algebra.n
+    labels = {c: [(i, jj) for i in _graded_subsets(p, c[0]) for jj in _graded_subsets(q, c[1])]
+              for c in bf.dims}
+    perms = []
+    # total_module orders the even part (0,0), (1,1) and the odd part (0,1), (1,0)
+    for c, parts in ((0, ((0, 0), (1, 1))), (1, ((0, 1), (1, 0)))):
+        index = {s: k for k, s in enumerate(_graded_subsets(p + q, c))}
+        images = [index[i + tuple(j + p for j in jj)] for x in parts for i, jj in labels[x]]
+        if any(bf.dims[x] != len(labels[x]) for x in parts) or sorted(images) != list(range(len(index))):
+            return failing(name, kind="not_bijective", parity=c)
+        perms.append(Matrix._from_ints(len(index), 1, [((k, 1),) for k in images]))
+    for x, flag in bf.flags.items():
+        units = [((k, 1),) for k, (i, jj) in enumerate(labels[_parity(x)])
+                 if len(i) <= x[0] and len(jj) <= x[1]]
+        if flag != Subspace.row_space(Matrix._from_ints(flag.ambient, 1, units)):
+            return failing(name, kind="bifiltration", m=x[0], n=x[1])
+    ambient, total = exterior_module(p + q), total_module(bf)
+    for k in range(p + q):
+        for c in (0, 1):
+            if not _vanishes([(1, total.gamma(k, c), perms[1 - c]),
+                              (-1, perms[c], ambient.gamma(k, c))]):
+                return failing(name, kind="not_multiplicative", generator=k, parity=c)
+    return passing(name)
+
+
+def check_twisted_tensor(t: TwistedProduct) -> Certificate:
+    """Certify Cl(p) (x)^ Cl(q) = Cl(p + q) on the regular module
+    `t.module`.  The stages, each exact and the first failure the witness
+    (under `stage`):
+
+    * `check_bifiltered_module`: each family's Clifford relations, the
+      anticommutation of the two (the twisted sign), and the flags:
+      nested, full at the corners, g+ F_{m,n} <= F_{m+1,n} and
+      g- F_{m,n} <= F_{m,n+1};
+    * `verify_2d` of `bideform`;
+    * `canonical_biroundtrip_iso` (it raises if the correspondence fails);
+    * `identification`: the basis permutation (I, J) -> I u (J + p) hits
+      each monomial of Cl(p + q) once (`not_bijective`); each F_{m,n} is
+      spanned by the pairs with |I| <= m and |J| <= n (`bifiltration`:
+      with the flag steps above, a product of two levels lands in the
+      summed level); and each generator of `total_module(t.module)` is
+      carried onto the same generator of `exterior_module(p + q)`,
+      Cl(p + q) acting on itself (`not_multiplicative`).  The generators
+      span the algebra, so the permutation is a superalgebra isomorphism.
+    """
+    name = "twisted_tensor"
+    bf = t.module
+    cert = check_bifiltered_module(bf)
+    if cert:  # bideform raises CheckFailed on a module that fails
+        cert = verify_2d(bideform(bf))
+    if cert:
+        cert = canonical_biroundtrip_iso(bf).certificate
+    if cert:
+        cert = _identification(bf)
+    return passing(name) if cert else failing(name, stage=cert.check, **cert.witness)

@@ -436,28 +436,22 @@ def exterior_module(n: int) -> CliffordSupermodule:
     Basis vectors are the subsets of {0..n-1} split by size parity and
     ordered by size then lexicographically; both operations move e_i
     past the smaller indices, so g_i e_S = (-1)^{#{j in S, j < i}} e_{S xor {i}}.
+    Each g_i is a signed permutation, so its matrices are built in
+    integer form, one (column, +-1) pair per row.
     """
     algebra = CliffordAlgebra(n)
-    even = _graded_subsets(n, 0)
-    odd = _graded_subsets(n, 1)
-    even_index = {s: k for k, s in enumerate(even)}
-    odd_index = {s: k for k, s in enumerate(odd)}
-    gamma_eo, gamma_oe = [], []
+    subsets = (_graded_subsets(n, 0), _graded_subsets(n, 1))
+    index = [{s: k for k, s in enumerate(part)} for part in subsets]
+    gammas = ([], [])
     for i in range(n):
-        eo = [[0] * len(odd) for _ in even]
-        oe = [[0] * len(even) for _ in odd]
-        for subsets, index_out, grid in ((even, odd_index, eo), (odd, even_index, oe)):
-            for r, s in enumerate(subsets):
-                sign = (-1) ** sum(1 for j in s if j < i)
-                if i in s:
-                    t = tuple(j for j in s if j != i)
-                else:
-                    t = tuple(sorted(s + (i,)))
-                grid[r][index_out[t]] = sign
-        gamma_eo.append(Matrix(len(even), len(odd), eo))
-        gamma_oe.append(Matrix(len(odd), len(even), oe))
+        for c, part in enumerate(subsets):
+            rows = []
+            for s in part:
+                t = tuple(j for j in s if j != i) if i in s else tuple(sorted(s + (i,)))
+                rows.append(((index[1 - c][t], -1 if sum(j < i for j in s) % 2 else 1),))
+            gammas[c].append(Matrix._from_ints(len(subsets[1 - c]), 1, rows))
     return CliffordSupermodule(
-        algebra, gamma_eo, gamma_oe, dim_even=len(even), dim_odd=len(odd)
+        algebra, *gammas, dim_even=len(subsets[0]), dim_odd=len(subsets[1])
     )
 
 
@@ -479,13 +473,8 @@ def degree_filtration(m: CliffordSupermodule) -> SuperFiltration:
         out = []
         tops = range(parity, n + 1, 2) if n >= parity else [parity]
         for p in tops:
-            rows = []
-            for k, s in enumerate(subsets):
-                if len(s) <= p:
-                    row = [0] * len(subsets)
-                    row[k] = 1
-                    rows.append(row)
-            out.append(Subspace.span(len(subsets), rows))
+            units = [((k, 1),) for k, s in enumerate(subsets) if len(s) <= p]
+            out.append(Subspace.row_space(Matrix._from_ints(len(subsets), 1, units)))
         return out or [Subspace.zero(len(subsets))]
 
     return SuperFiltration(m, flags(even, 0), flags(odd, 1))

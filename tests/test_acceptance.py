@@ -18,7 +18,9 @@ from cliffilt.bifiltration import (
     bideform,
     canonical_biroundtrip_iso,
     check_bifiltered_module,
+    check_twisted_tensor,
     tensor_module,
+    total_module,
     twisted_tensor,
     verify_2d,
 )
@@ -161,13 +163,14 @@ def test_criterion_06_enveloping_quotient():
 def test_criterion_07_two_dimensional():
     start = time.monotonic()
     t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(3))
-    two = t.one().scale(2)
+    assert check_twisted_tensor(t)
+    assert check_bifiltered_module(t.module)
+    total = total_module(t.module)
     for i in range(5):
-        gi = t.generator(i)
         for j in range(5):
-            gj = t.generator(j)
-            expected = two if i == j else t.zero()
-            assert gi * gj + gj * gi == expected
+            for c in (0, 1):
+                anti = total.gamma(i, c) * total.gamma(j, 1 - c) + total.gamma(j, c) * total.gamma(i, 1 - c)
+                assert anti == Matrix.identity(total.dim(c)).scale(2 if i == j else 0)
 
     rng = random.Random(314)
     checked = 0

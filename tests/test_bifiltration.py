@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cliffilt import bifiltration
 from cliffilt.bifiltration import (
+    BifilteredSupermodule,
     BiGradedRep,
     bideform,
     biquotient,
@@ -26,6 +28,7 @@ from cliffilt.supermodule import (
     SuperFiltration,
     check_supermodule,
     degree_filtration,
+    direct_sum_filtration,
     exterior_module,
     irreducible_module,
     trivial_filtration,
@@ -34,42 +37,53 @@ from cliffilt.supermodule import (
 
 def test_twisted_tensor_cl2_cl3_closes_cl5():
     t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(3))
-    gens = [t.generator(k) for k in range(5)]
+    assert check_twisted_tensor(t)
+    assert check_bifiltered_module(t.module)
+    # the combined generators of the regular module close Cl(5)
+    total = total_module(t.module)
     for i in range(5):
         for j in range(5):
-            anti = gens[i] * gens[j] + gens[j] * gens[i]
-            expected = t.one().scale(2) if i == j else t.zero()
-            assert anti == expected, (i, j)
-    assert check_twisted_tensor(t)
+            for c in (0, 1):
+                anti = total.gamma(i, c) * total.gamma(j, 1 - c) + total.gamma(j, c) * total.gamma(i, 1 - c)
+                want = Matrix.identity(total.dim(c)).scale(2 if i == j else 0)
+                assert anti == want, (i, j, c)
+
+
+def _identification(p, q):
+    """exterior_module(p + q), and the permutation (I, J) -> I u (J + p) as
+    two 0/1 matrices, from the monomial orders of Cl(p), Cl(q), Cl(p + q)."""
+    subsets = [[[s for s in CliffordAlgebra(n).monomials if len(s) % 2 == c] for c in (0, 1)]
+               for n in (p, q, p + q)]
+    perms = []
+    for c, parts in ((0, ((0, 0), (1, 1))), (1, ((0, 1), (1, 0)))):
+        target = subsets[2][c]
+        rows = [[1 if t == i + tuple(j + p for j in jj) else 0 for t in target]
+                for a, b in parts for i in subsets[0][a] for jj in subsets[1][b]]
+        perms.append(Matrix(len(rows), len(target), rows))
+    return exterior_module(p + q), perms
 
 
 def test_twisted_embedding_is_algebra_iso():
-    t = twisted_tensor(CliffordAlgebra(1), CliffordAlgebra(2))
-    seen = set()
-    for mi in t.left.monomials:
-        for mj in t.right.monomials:
-            x = t.element({(mi, mj): 1})
-            image = t.embed(x)
-            assert len(image.terms) == 1
-            seen.add(next(iter(image.terms)))
-    assert len(seen) == 8
-
-
-def test_twisted_associativity_random():
-    rng = random.Random(13)
-    for p, q in ((1, 1), (2, 2), (2, 3), (0, 3), (4, 0)):
+    for p, q in ((1, 2), (2, 2), (0, 3), (3, 1)):
         t = twisted_tensor(CliffordAlgebra(p), CliffordAlgebra(q))
+        assert check_twisted_tensor(t)
+        ambient, perms = _identification(p, q)
+        for perm in perms:
+            # each basis pair goes to one monomial, and each monomial is hit once
+            assert perm.rows == perm.cols
+            assert perm * perm.transpose() == Matrix.identity(perm.rows)
+        total = total_module(t.module)
+        for k in range(p + q):
+            for c in (0, 1):
+                assert total.gamma(k, c) * perms[1 - c] == perms[c] * ambient.gamma(k, c), (p, q, k, c)
 
-        def rand_elem():
-            e = t.zero()
-            for _ in range(rng.randint(1, 3)):
-                pair = t.pairs[rng.randrange(len(t.pairs))]
-                e = e + t.element({pair: rng.randint(-3, 3)})
-            return e
 
-        for _ in range(8):
-            a, b, c = rand_elem(), rand_elem(), rand_elem()
-            assert (a * b) * c == a * (b * c)
+def test_twisted_tensor_builds_on_first_use():
+    t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(1))
+    assert "module" not in vars(t)
+    assert t.module is t.module
+    assert t.module == tensor_module(degree_filtration(exterior_module(2)),
+                                     degree_filtration(exterior_module(1)))
 
 
 def test_twisted_rejects_general_gram():
@@ -78,19 +92,103 @@ def test_twisted_rejects_general_gram():
         twisted_tensor(CliffordAlgebra(2, gram), CliffordAlgebra(1))
 
 
-def test_twisted_bifiltration_product_rule():
-    t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(2))
-    for m1, n1, m2, n2 in ((1, 0, 1, 1), (2, 1, 0, 1), (1, 2, 1, 0)):
-        lev1 = t.filtration_level(m1, n1)
-        lev2 = t.filtration_level(m2, n2)
-        target = t.filtration_level(m1 + m2, n1 + n2)
-        def from_vector(v):
-            return t.element({pair: c for pair, c in zip(t.pairs, v) if c})
+def _word_image(bf, word, x):
+    """Rows of F_x times the generators of `word` ((family, index) pairs),
+    the last applied first, with the component they land in."""
+    rows, c = bf.flags[x].basis, tuple(v % 2 for v in x)
+    for d, i in reversed(word):
+        rows = rows * bf.gammas[d][i][c]
+        c = tuple(v ^ (e == d) for e, v in enumerate(c))
+    return rows
 
-        for v in lev1.basis.entries:
-            for w in lev2.basis.entries:
-                prod = from_vector(v) * from_vector(w)
-                assert target.contains(prod.vector())
+
+def test_twisted_bifiltration_product_rule():
+    # a basis pair (I, J) of level (m1, n1) acts as the word g+_I g-_J; it
+    # carries level (m2, n2) of the regular module into (m1 + m2, n1 + n2)
+    t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(2))
+    bf = t.module
+    for m1, n1, m2, n2 in ((1, 0, 1, 1), (2, 1, 0, 1), (1, 2, 1, 0)):
+        target = bf.flags[(m1 + m2, n1 + n2)]
+        for i in t.left.monomials:
+            for jj in t.right.monomials:
+                if len(i) > m1 or (m1 - len(i)) % 2 or len(jj) > n1 or (n1 - len(jj)) % 2:
+                    continue
+                word = [(0, a) for a in i] + [(1, b) for b in jj]
+                image = _word_image(bf, word, (m2, n2))
+                assert all(target.contains(row) for row in image.entries), (i, jj)
+
+
+def _mutant(bf, gammas=None, flags=None):
+    gp, gm = gammas or bf.gammas
+    grid = dict(bf.flags) | (flags or {})
+    biflags = [[grid[(m, n)] for n in range(bf.top_minus + 1)] for m in range(bf.top_plus + 1)]
+    return BifilteredSupermodule(bf.plus_algebra, bf.minus_algebra, bf.dims, gp, gm, biflags)
+
+
+def _sign_flipped_minus(bf):
+    gm = [dict(g) for g in bf.gamma_minus]
+    block = [list(row) for row in gm[0][(0, 0)].entries]
+    k = next(c for c, x in enumerate(block[0]) if x)
+    block[0][k] = -block[0][k]
+    gm[0][(0, 0)] = Matrix(len(block), len(block[0]), block)
+    return _mutant(bf, (bf.gamma_plus, gm))
+
+
+def _untwisted_minus(bf):
+    # the Koszul sign dropped: the minus family commutes with the plus one
+    gm = [{c: g[c].scale(-1) if c[0] else g[c] for c in g} for g in bf.gamma_minus]
+    return _mutant(bf, (bf.gamma_plus, gm))
+
+
+def _unit_level_full(bf):
+    return _mutant(bf, flags={(0, 0): Subspace.full(bf.dims[(0, 0)])})
+
+
+def _coarse_bifiltration(bf):
+    # the same generators, but the larger factor all at levels 0 and 1:
+    # a bifiltered module, not the word-length bifiltration
+    p, q = bf.plus_algebra.n, bf.minus_algebra.n
+    f = [degree_filtration(exterior_module(n)) for n in (p, q)]
+    f[p < q] = trivial_filtration(f[p < q].module)
+    return tensor_module(*f)
+
+
+def _first_plus_negated(bf):
+    gp = [dict(g) for g in bf.gamma_plus]
+    gp[0] = {c: m.scale(-1) for c, m in gp[0].items()}
+    return _mutant(bf, (gp, bf.gamma_minus))
+
+
+def _minus_factor_doubled(bf):
+    f = degree_filtration(exterior_module(bf.minus_algebra.n))
+    return tensor_module(degree_filtration(exterior_module(bf.plus_algebra.n)),
+                         direct_sum_filtration(f, f))
+
+
+_FLAG_KINDS = ("nesting_plus", "nesting_minus", "compatibility_plus", "compatibility_minus")
+
+
+@pytest.mark.parametrize("mutate, stage, kinds", [
+    (_sign_flipped_minus, "bifiltered_module", ("minus_relation",)),
+    (_untwisted_minus, "bifiltered_module", ("families_commute",)),
+    (_unit_level_full, "bifiltered_module", _FLAG_KINDS),
+    (_coarse_bifiltration, "identification", ("bifiltration",)),
+    (_first_plus_negated, "identification", ("not_multiplicative",)),
+    (_minus_factor_doubled, "identification", ("not_bijective",)),
+])
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (1, 3), (2, 2)])
+def test_twisted_tensor_rejects_mutants(monkeypatch, mutate, stage, kinds, p, q):
+    # the last three mutants are valid bifiltered modules, which pass the
+    # engine's own stages, so only the identification can reject them
+    original = bifiltration.tensor_module
+    bf = mutate(original(degree_filtration(exterior_module(p)), degree_filtration(exterior_module(q))))
+    if stage == "identification":
+        assert check_bifiltered_module(bf) and verify_2d(bideform(bf))
+        assert canonical_biroundtrip_iso(bf).certificate
+    monkeypatch.setattr(bifiltration, "tensor_module", lambda *factors: bf)
+    cert = check_twisted_tensor(twisted_tensor(CliffordAlgebra(p), CliffordAlgebra(q)))
+    assert not cert and cert.check == "twisted_tensor"
+    assert cert.witness["stage"] == stage and cert.witness["kind"] in kinds
 
 
 def test_tensor_module_structure():
