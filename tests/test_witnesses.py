@@ -49,6 +49,13 @@ OFFSHELL = {
     "H_Q_commutation_i": (("h", 1, None, 2, 3, 1),
                           ("kind", "H_Q_commutation"), ("i", 2), ("level", 0)),
     "H_injective": (("h", 0, None, 0, 0, -1), ("kind", "H_injective"), ("level", 0)),
+    # Q maps at the top degree 3: read at degree 1 against the identity H
+    # of the top two degrees, and at degree 2 as the second factor of an
+    # anticommutator
+    "top_degree_H_Q": (("q", 3, 0, 0, 0, 1),
+                       ("kind", "H_Q_commutation"), ("i", 0), ("level", 1)),
+    "top_degree_anticommutator": (("q", 3, 2, 3, 1, -1),
+                                  ("kind", "anticommutator"), ("i", 0), ("j", 2), ("level", 2)),
 }
 
 
@@ -88,18 +95,55 @@ BIGRADED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BIGRADED))
-def test_bigraded_mutant_witness(name):
-    (which, i, x, r, c, by), *items = BIGRADED[name]
+# the same on the 3 x 2 grid of Lambda(R^3) tensor Lambda(R^2), where the
+# top row (m = 3), the top column (n = 2) and the last stored shifts
+# (m = 1 for sp, n = 0 for sm) are all distinct: relations there read
+# the identity shifts of the top two rows and the Q maps folded back
+# from above the grid
+BIGRADED_TOP = {
+    "top_row_qp": (("qp", 0, (3, 0), 0, 0, 1),
+                   ("kind", "shift_plus_Qp"), ("i", 0), ("m", 1), ("n", 0)),
+    "top_row_qm": (("qm", 0, (3, 0), 0, 0, 1),
+                   ("kind", "shift_plus_Qm"), ("j", 0), ("m", 1), ("n", 0)),
+    "top_row_qm_folded": (("qm", 0, (3, 2), 6, 0, 1),
+                          ("kind", "mixed_bracket"), ("i", 0), ("j", 0), ("m", 2), ("n", 2)),
+    "top_column_qm_folded": (("qm", 0, (1, 2), 0, 0, 1),
+                             ("kind", "mixed_bracket"), ("i", 0), ("j", 0), ("m", 0), ("n", 2)),
+    "top_column_qp": (("qp", 0, (2, 2), 2, 0, 1),
+                      ("kind", "plus_anticommutator"), ("i", 0), ("j", 0), ("m", 1), ("n", 2)),
+    "shift_plus_top_minus_2": (("sp", None, (1, 0), 0, 0, 1),
+                               ("kind", "shift_plus_Qp"), ("i", 0), ("m", 0), ("n", 0)),
+    "shift_plus_top_minus_2_column": (("sp", None, (1, 2), 1, 1, 1),
+                                      ("kind", "shift_plus_Qp"), ("i", 0), ("m", 0), ("n", 2)),
+    "shift_minus_top_minus_2": (("sm", None, (3, 0), 0, 0, 1),
+                                ("kind", "shifts_commute"), ("m", 1), ("n", 0)),
+    "shift_minus_top_minus_2_Qp": (("sm", None, (2, 0), 1, 1, 1),
+                                   ("kind", "shift_minus_Qp"), ("i", 0), ("m", 1), ("n", 0)),
+}
+
+
+def _bigraded_mutant_certificate(n_plus, which, i, x, r, c, by):
     f = degree_filtration(exterior_module(2))
-    base = bideform(tensor_module(f, f))
+    base = bideform(tensor_module(degree_filtration(exterior_module(n_plus)), f))
     maps = {"sp": dict(base.sp), "sm": dict(base.sm),
             "qp": [dict(per) for per in base.qp], "qm": [dict(per) for per in base.qm]}
     held = maps[which] if i is None else maps[which][i]
     held[x] = _bump(held[x], r, c, by)
     mutant = BiGradedRep(base.plus_algebra, base.minus_algebra, base.dims,
                          maps["sp"], maps["sm"], maps["qp"], maps["qm"])
-    _pinned(verify_2d(mutant), "bigraded_relations", *items)
+    return verify_2d(mutant)
+
+
+@pytest.mark.parametrize("name", sorted(BIGRADED))
+def test_bigraded_mutant_witness(name):
+    spec, *items = BIGRADED[name]
+    _pinned(_bigraded_mutant_certificate(2, *spec), "bigraded_relations", *items)
+
+
+@pytest.mark.parametrize("name", sorted(BIGRADED_TOP))
+def test_bigraded_top_mutant_witness(name):
+    spec, *items = BIGRADED_TOP[name]
+    _pinned(_bigraded_mutant_certificate(3, *spec), "bigraded_relations", *items)
 
 
 # (gamma_eo or gamma_oe, generator, row, column) -> witness items on
