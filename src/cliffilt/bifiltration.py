@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
@@ -170,6 +171,13 @@ def tensor_module(f_plus: SuperFiltration, f_minus: SuperFiltration) -> Bifilter
     is the span of tensors from level m of the first filtration and
     level n of the second.  Raises CheckFailed unless check_filtration
     passes on both factors.
+
+    The flags need no elimination: the Kronecker product of two reduced
+    row-echelon bases A and B is one, with pivots p_i * w + q_k for the
+    pivots p_i of A and q_k of B and w the columns of B.  Row (i, k) is
+    A[i][p_i] B[k][q_k] = 1 there and zero before it, and 0 at every
+    other such pivot, since A[i] vanishes at the other p's and B[k] at
+    the other q's; the pivots increase with (i, k) taken i-major.
     """
     for f in (f_plus, f_minus):
         require("filtration", check_filtration(f))
@@ -193,11 +201,12 @@ def tensor_module(f_plus: SuperFiltration, f_minus: SuperFiltration) -> Bifilter
     biflags = []
     for m in range(f_plus.top_degree + 1):
         row = []
+        lev_p = f_plus.level(m)
         for n in range(f_minus.top_degree + 1):
-            lev_p = f_plus.level(m)
             lev_m = f_minus.level(n)
-            tensor = kron(lev_p.basis, lev_m.basis)
-            row.append(Subspace.span(dims[(m % 2, n % 2)], tensor.entries))
+            w = lev_m.ambient
+            pivots = tuple(p * w + q for p in lev_p.pivots for q in lev_m.pivots)
+            row.append(Subspace(dims[(m % 2, n % 2)], kron(lev_p.basis, lev_m.basis), pivots))
         biflags.append(row)
     return BifilteredSupermodule(
         mod_p.algebra, mod_m.algebra, dims, gamma_plus, gamma_minus, biflags
@@ -280,9 +289,10 @@ def biquotient(r: BiGradedRep, shell_plus=1, shell_minus=1) -> BifilteredSupermo
 
 @dataclass(frozen=True)
 class BifilteredIso:
-    """Isomorphism of bifiltered modules given per parity component."""
+    """Isomorphism of bifiltered modules given per parity component, as a
+    read-only mapping."""
 
-    component_maps: dict
+    component_maps: MappingProxyType
     certificate: Certificate
 
 
@@ -294,8 +304,7 @@ def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
     generator families, and exact flag correspondence are verified.  A
     failure is a defect of the correspondence itself, so it raises.
     """
-    maps, cert = _roundtrip(bf, _quotient(bideform(bf), (1, 1), BifilteredSupermodule),
-                            BiGradedRep._words)
+    maps, cert = _roundtrip(bf, bideform(bf), BiGradedRep._words)
     return BifilteredIso(maps, cert)
 
 
@@ -367,9 +376,9 @@ def _identification(bf: BifilteredSupermodule) -> Certificate:
             return failing(name, kind="not_bijective", parity=c)
         perms.append(Matrix._from_ints(len(index), 1, [((k, 1),) for k in images]))
     for x, flag in bf.flags.items():
-        units = [((k, 1),) for k, (i, jj) in enumerate(labels[_parity(x)])
+        units = [k for k, (i, jj) in enumerate(labels[_parity(x)])
                  if len(i) <= x[0] and len(jj) <= x[1]]
-        if flag != Subspace.row_space(Matrix._from_ints(flag.ambient, 1, units)):
+        if flag != Subspace._units(flag.ambient, units):
             return failing(name, kind="bifiltration", m=x[0], n=x[1])
     ambient, total = exterior_module(p + q), total_module(bf)
     for k in range(p + q):

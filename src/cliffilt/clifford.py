@@ -24,6 +24,7 @@ identification (I, J) -> I u (J + p) with Cl(p + q) acting on itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .certificate import Certificate, failing, passing
@@ -31,9 +32,9 @@ from .exactalg import Matrix, Subspace, rational
 
 _ZERO = Fraction(0)
 
-# The algebra has 2**n basis monomials, all built by the constructor; the
-# bound is checked before anything else, so input naming a larger n is
-# rejected without allocating.
+# The algebra has 2**n basis monomials, built on first use; the bound is
+# checked before anything else, so input naming a larger n is rejected
+# without allocating.
 MAX_GENERATORS = 16
 
 
@@ -45,18 +46,26 @@ def _canonical_monomials(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _is_positive_definite(gram: Matrix) -> bool:
-    """Sylvester criterion with exact leading principal minors."""
+    """Sylvester criterion with exact leading principal minors, decided
+    fraction-free on the integer form rows / d: d > 0 does not change the
+    signs, and Bareiss elimination leaves the k-th leading principal
+    minor of the rows in the k-th diagonal entry, each step dividing
+    exactly by the previous pivot."""
     n = gram.rows
-    work = [list(r) for r in gram.entries]
-    # Fraction Gaussian elimination without pivoting keeps the product of
-    # the leading entries equal to the ratio of consecutive leading minors.
+    work = [[0] * n for _ in range(n)]
+    for i, row in enumerate(gram._ints()[1]):
+        for j, c in row:
+            work[i][j] = c
+    prev = 1
     for k in range(n):
-        if work[k][k] <= 0:
+        pivot = work[k][k]
+        if pivot <= 0:
             return False
         for i in range(k + 1, n):
-            if work[i][k]:
-                f = work[i][k] / work[k][k]
-                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
+            wi, f = work[i], work[i][k]
+            for j in range(k + 1, n):
+                wi[j] = (pivot * wi[j] - f * work[k][j]) // prev
+        prev = pivot
     return True
 
 
@@ -78,11 +87,21 @@ class CliffordAlgebra:
             raise ValueError("Gram matrix must be positive definite")
         self.n = n
         self.gram = gram
-        self.monomials = _canonical_monomials(n)
-        self.dim = len(self.monomials)
-        self.monomial_index = {m: i for i, m in enumerate(self.monomials)}
         self._product_cache: dict[tuple, dict] = {}
         self._level_cache: dict[int, Subspace] = {}
+
+    @cached_property
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        """The 2**n basis monomials in canonical order: built on first use."""
+        return _canonical_monomials(self.n)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
+    @cached_property
+    def monomial_index(self) -> dict[tuple[int, ...], int]:
+        return {m: i for i, m in enumerate(self.monomials)}
 
     def __eq__(self, other):
         return self is other or (

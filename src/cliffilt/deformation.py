@@ -47,6 +47,7 @@ from .supermodule import (
     _parity,
     _points,
     _step,
+    _twice_gram,
     check_filtration,
     degree_filtration,
     exterior_module,
@@ -175,41 +176,53 @@ def _relations(r: GradedRep) -> Certificate:
     commutators.  The first failure is the witness.  Each relation is one
     `_vanishes` call, a sum of products that must vanish, so no product is
     built: {Q_i, Q_j} = 2 G[i][j] S_d takes the shift as its target with
-    s = 2 G[i][j], and {Q_i, Q_i} is the one term 2 Q_i Q_i."""
-    w = r._words
+    s = 2 G[i][j], and {Q_i, Q_i} is the one term 2 Q_i Q_i.
+
+    The maps are looked up once per call: tables local to the call hold,
+    at each point of the box 0..top + 2 that a relation reads, each
+    direction's shift and each generator's Q map as `shift` and `q` give
+    them (references to the stored maps, not copies), and 2 G[i][j] is
+    read once from each Gram matrix's integer form."""
+    w, tops = r._words, r.tops
     for d, shifts in enumerate(r.shifts):
         for x, mat in shifts.items():
             if mat.rank() != mat.rows:
                 return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
-    pairs = list(combinations(range(len(r.tops)), 2))
-    for x in _points(r.tops):
+    box = list(_points(tuple(t + 2 for t in tops)))
+    shift = [{x: r.shift(d, x) for x in box} for d in range(len(tops))]
+    q = [[{x: r.q(d, i, x) for x in box} for i in range(len(family))]
+         for d, family in enumerate(r.qs)]
+    twice = [_twice_gram(algebra) for algebra in r.algebras]
+    pairs = list(combinations(range(len(tops)), 2))
+    for x in _points(tops):
         at = dict(zip(w.point, x))
         for d, e in pairs:
-            if not _vanishes([(1, r.shift(d, x), r.shift(e, _step(x, d, 2))),
-                              (-1, r.shift(e, x), r.shift(d, _step(x, e, 2)))]):
+            if not _vanishes([(1, shift[d][x], shift[e][_step(x, d, 2)]),
+                              (-1, shift[e][x], shift[d][_step(x, e, 2)])]):
                 return failing(w.relations, kind="shifts_commute", **at)
-        for d, algebra in enumerate(r.algebras):
-            gram, up, s = algebra.gram.entries, _step(x, d, 1), r.shift(d, x)
-            for i in range(algebra.n):
-                for j in range(i, algebra.n):
+        for d, family in enumerate(q):
+            up, s = _step(x, d, 1), shift[d][x]
+            for i, qi in enumerate(family):
+                for j in range(i, len(family)):
                     if i == j:
-                        terms = [(2, r.q(d, i, x), r.q(d, i, up))]
+                        terms = [(2, qi[x], qi[up])]
                     else:
-                        terms = [(1, r.q(d, i, x), r.q(d, j, up)), (1, r.q(d, j, x), r.q(d, i, up))]
-                    if not _vanishes(terms, s, 2 * gram[i][j]):
+                        qj = family[j]
+                        terms = [(1, qi[x], qj[up]), (1, qj[x], qi[up])]
+                    if not _vanishes(terms, s, twice[d][i][j]):
                         return failing(w.relations, kind=w.anticommutator[d], i=i, j=j, **at)
         for d, e in pairs:
-            for i in range(r.algebras[d].n):
-                for j in range(r.algebras[e].n):
-                    if not _vanishes([(1, r.q(d, i, x), r.q(e, j, _step(x, d, 1))),
-                                      (1, r.q(e, j, x), r.q(d, i, _step(x, e, 1)))]):
+            up_d, up_e = _step(x, d, 1), _step(x, e, 1)
+            for i, qi in enumerate(q[d]):
+                for j, qj in enumerate(q[e]):
+                    if not _vanishes([(1, qi[x], qj[up_d]), (1, qj[x], qi[up_e])]):
                         return failing(w.relations, kind="mixed_bracket",
                                        **{w.generator[d]: i, w.generator[e]: j}, **at)
-        for d, algebra in enumerate(r.algebras):
-            for i in range(algebra.n):
-                for e in range(len(r.tops)):
-                    if not _vanishes([(1, r.shift(e, x), r.q(d, i, _step(x, e, 2))),
-                                      (-1, r.q(d, i, x), r.shift(e, _step(x, d, 1)))]):
+        for d, family in enumerate(q):
+            up = _step(x, d, 1)
+            for i, qi in enumerate(family):
+                for e, se in enumerate(shift):
+                    if not _vanishes([(1, se[x], qi[_step(x, e, 2)]), (-1, qi[x], se[up])]):
                         return failing(w.relations, kind=w.shift_q[d][e],
                                        **{w.generator[d]: i}, **at)
     return passing(w.relations)
@@ -246,12 +259,17 @@ def _quotient(r: GradedRep, shells, cls):
     return quotient
 
 
-def _roundtrip(source: FilteredModule, back: FilteredModule,
-               words: _Words) -> tuple[dict, Certificate]:
-    """Maps identifying `source` with `back`, the quotient at shell 1 of
-    its deformation, and their certificate; a failure is a defect of the
+def _roundtrip(source: FilteredModule, rep: GradedRep,
+               words: _Words) -> tuple[MappingProxyType, Certificate]:
+    """Maps identifying `source` with the quotient at shell 1 of `rep`, its
+    deformation, and their certificate; a failure is a defect of the
     correspondence itself, so it raises.  The map on component c sends a
-    vector to its coordinates in the basis of the corner flag of parity c."""
+    vector to its coordinates in the basis of the corner flag of parity c.
+    The result is kept on `source`, as its deformation is: the module is
+    read-only, so it cannot go stale."""
+    if source._iso is not None:
+        return source._iso
+    back = _quotient(rep, (1,) * len(source.tops), type(source))
     name, tops = words.roundtrip, source.tops
     maps = {c: source.flags[_corner(c, tops)].coordinate_matrix(Matrix.identity(dim))
             for c, dim in source.dims.items()}
@@ -276,7 +294,8 @@ def _roundtrip(source: FilteredModule, back: FilteredModule,
     cert = verify()
     if not cert:
         raise RuntimeError(f"{name.removesuffix('_iso')} correspondence failed: {cert.witness}")
-    return maps, cert
+    source._iso = (MappingProxyType(maps), cert)
+    return source._iso
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +409,7 @@ def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
     flag-to-flag correspondence are all checked exactly; a failure is a
     defect of the correspondence itself, so it raises.
     """
-    maps, cert = _roundtrip(f, _quotient(deform(f), (1,), SuperFiltration), OffShellRep._words)
+    maps, cert = _roundtrip(f, deform(f), OffShellRep._words)
     return FilteredIso(maps[(0,)], maps[(1,)], cert)
 
 

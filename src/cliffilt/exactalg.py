@@ -19,9 +19,10 @@ A matrix the kernel builds, or a document decodes, keeps only this
 form, and builds its `Fraction` entries on their first read; a matrix
 built from entries gets the form on first use.  Both are kept on the
 matrix, which is immutable, so they live exactly as long as the matrix
-does.  Products, sums, scalings, stacks, transposes, comparisons and
-eliminations read only this form, so their inner loops add and multiply
-`int`s, and a result nobody reads entrywise never builds a `Fraction`.
+does.  Products, Kronecker products (`supermodule.kron`), sums,
+scalings, stacks, transposes, comparisons and eliminations read only
+this form, so their inner loops add and multiply `int`s, and a result
+nobody reads entrywise never builds a `Fraction`.
 A product that is only compared is never built at all: `_vanishes`
 decides whether a sum of products minus a scaled target is zero row by
 row over one common denominator, and every relation check and span
@@ -479,6 +480,14 @@ class Subspace:
     @staticmethod
     def full(ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix.identity(ambient), tuple(range(ambient)))
+
+    @staticmethod
+    def _units(ambient: int, columns: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at increasing `columns`: those rows
+        are already its reduced row-echelon basis, so nothing is eliminated."""
+        columns = tuple(columns)
+        return Subspace(ambient, Matrix._from_ints(ambient, 1, [((k, 1),) for k in columns]),
+                        columns)
 
     @property
     def dim(self) -> int:

@@ -93,20 +93,26 @@ def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
                 row.extend((offset + v * width + j, c * scale) for j, c in residual)
         offset += width * size
     if not offset:
-        coeff_rows = [tuple(Fraction(1 if c == k else 0) for c in range(len(pairs)))
-                      for k in range(len(pairs))]
-    else:
-        coeff_rows = kernel(Matrix._from_ints(offset, d, rows)).entries
-    out = []
-    for coeffs in coeff_rows:
-        p_even = Matrix.zeros(module.dim_even, module.dim_even)
-        p_odd = Matrix.zeros(module.dim_odd, module.dim_odd)
-        for c, (pe, po) in zip(coeffs, pairs):
-            if c:
-                p_even = p_even + pe.scale(c)
-                p_odd = p_odd + po.scale(c)
-        out.append((p_even, p_odd))
-    return out
+        return list(pairs)
+    # each kernel row is the coefficients c_k of one sum of c_k P_k
+    dk, coeff_rows = kernel(Matrix._from_ints(offset, d, rows))._ints()
+    return [tuple(_combination(coeffs, dk, [pair[c] for pair in pairs]) for c in (0, 1))
+            for coeffs in coeff_rows]
+
+
+def _combination(coeffs, d: int, mats: list[Matrix]) -> Matrix:
+    """The sum of (c / d) mats[k] over the (k, c) pairs of `coeffs`, summed
+    in integers over d times the lcm of the matrices' denominators."""
+    forms = [(c, mats[k]._ints()) for k, c in coeffs]
+    common = lcm(*[dm for _, (dm, _) in forms])
+    acc = [{} for _ in range(mats[0].rows)]
+    for c, (dm, mrows) in forms:
+        w = c * (common // dm)
+        for row, mrow in zip(acc, mrows):
+            for j, x in mrow:
+                row[j] = row.get(j, 0) + w * x
+    return Matrix._from_ints(mats[0].cols, d * common,
+                             [[(j, x) for j, x in row.items() if x] for row in acc])
 
 
 def _flatten(pair) -> tuple:

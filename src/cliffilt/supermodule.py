@@ -30,16 +30,16 @@ from .certificate import Certificate, failing, passing
 from .clifford import CliffordAlgebra
 from .exactalg import Matrix, Subspace, _vanishes, kernel
 
-_ONE = Fraction(1)
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row (i, k) and column (j, l) ordered i-major."""
-    rows = []
-    for ra in a.entries:
-        for rb in b.entries:
-            rows.append([x * y for x in ra for y in rb])
-    return Matrix(a.rows * b.rows, a.cols * b.cols, rows)
+    """Kronecker product; row (i, k) and column (j, l) ordered i-major.
+    In integer forms: one pair (j * b.cols + l, x * y) per product of
+    nonzero entries, over da * db."""
+    da, arows = a._ints()
+    db, brows = b._ints()
+    w = b.cols
+    rows = [[(j * w + l, x * y) for j, x in ra for l, y in rb] for ra in arows for rb in brows]
+    return Matrix._from_ints(a.cols * w, da * db, rows)
 
 
 class CliffordSupermodule:
@@ -116,19 +116,14 @@ class CliffordSupermodule:
         if self.algebra.n == 0 or n0 == 0 or n1 == 0:
             # No constraints couple the parities: every pair of square
             # blocks commutes with an empty or one-sided action.
-            pairs = []
-            for r in range(n0):
-                for c in range(n0):
-                    p = [[_ONE if (i, j) == (r, c) else 0 for j in range(n0)] for i in range(n0)]
-                    pairs.append((Matrix(n0, n0, p), Matrix.zeros(n1, n1)))
-            for r in range(n1):
-                for c in range(n1):
-                    q = [[_ONE if (i, j) == (r, c) else 0 for j in range(n1)] for i in range(n1)]
-                    pairs.append((Matrix.zeros(n0, n0), Matrix(n1, n1, q)))
-            return pairs
+            def unit(n, r, c):
+                return Matrix._from_ints(n, 1, [((c, 1),) if i == r else () for i in range(n)])
 
-        g00 = self.algebra.gram.entries[0][0]
-        inv_g00 = g00 ** -1
+            return ([(unit(n0, r, c), Matrix.zeros(n1, n1)) for r in range(n0) for c in range(n0)]
+                    + [(Matrix.zeros(n0, n0), unit(n1, r, c)) for r in range(n1) for c in range(n1)])
+
+        dg, grows = self.algebra.gram._ints()
+        inv_g00 = Fraction(dg, dict(grows[0])[0])  # nonzero: the Gram matrix is definite
         eo0, oe0 = self.gamma_eo[0], self.gamma_oe[0]
 
         # R is determined by P through generator 0 (R = oe0 P eo0 / g00),
@@ -175,11 +170,15 @@ class CliffordSupermodule:
         else:
             basis = Matrix.identity(unknowns)
 
+        # kernel row u = k * n0 + l is P[k][l], in the kernel's integer form
+        d, rows = basis._ints()
         pairs = []
-        for row in basis.entries:
-            p = Matrix(n0, n0, [row[i * n0 : (i + 1) * n0] for i in range(n0)])
-            r = (oe0 * p * eo0).scale(inv_g00)
-            pairs.append((p, r))
+        for row in rows:
+            blocks = [[] for _ in range(n0)]
+            for u, x in row:
+                blocks[u // n0].append((u % n0, x))
+            p = Matrix._from_ints(n0, d, blocks)
+            pairs.append((p, (oe0 * p * eo0).scale(inv_g00)))
         return pairs
 
 
@@ -279,6 +278,7 @@ class FilteredModule:
         self.gammas, self.flags = gammas, flags
         self._verdict: Certificate | None = None
         self._deformed = None  # the graded rep, kept by deformation._deform
+        self._iso = None  # the roundtrip maps and certificate, kept by deformation._roundtrip
 
     def __eq__(self, other):
         return type(other) is type(self) and all(
@@ -288,6 +288,17 @@ class FilteredModule:
         return hash((self.algebras, tuple(self.flags.values())))
 
 
+def _twice_gram(algebra: CliffordAlgebra) -> list[list]:
+    """2 G[i][j] for each pair of generators, read from the Gram matrix's
+    integer form: an int 0 where G vanishes, a Fraction elsewhere."""
+    d, rows = algebra.gram._ints()
+    table = [[0] * algebra.n for _ in range(algebra.n)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            table[i][j] = Fraction(2 * c, d)
+    return table
+
+
 def _module_relations(v: FilteredModule) -> Certificate:
     """Component by component: each family's Clifford relations
     {g_i, g_j} = 2 G[i][j], then {g_i, g'_j} = 0 across families.  Each
@@ -295,10 +306,10 @@ def _module_relations(v: FilteredModule) -> Certificate:
     built; g_i g_i counts twice as one term."""
     w, k = v._words, len(v.algebras)
     pairs = [(d, d) for d in range(k)] + list(combinations(range(k), 2))
+    twice = [_twice_gram(algebra) for algebra in v.algebras]
     for c in v.dims:
         up = [_parity(_step(c, d, 1)) for d in range(k)]
         for d, e in pairs:
-            gram = v.algebras[d].gram.entries
             one = Matrix.identity(v.dims[c]) if d == e else None
             for i, g in enumerate(v.gammas[d]):
                 for j, h in enumerate(v.gammas[e]):
@@ -308,7 +319,7 @@ def _module_relations(v: FilteredModule) -> Certificate:
                         terms = [(2, g[c], g[up[d]])]
                     else:
                         terms = [(1, g[c], h[up[d]]), (1, h[c], g[up[e]])]
-                    if not _vanishes(terms, one, 2 * gram[i][j] if d == e else 0):
+                    if not _vanishes(terms, one, twice[d][i][j] if d == e else 0):
                         return failing(w.relations, **w.relation(d, e, i, j, c))
     return passing(w.relations)
 
@@ -473,8 +484,8 @@ def degree_filtration(m: CliffordSupermodule) -> SuperFiltration:
         out = []
         tops = range(parity, n + 1, 2) if n >= parity else [parity]
         for p in tops:
-            units = [((k, 1),) for k, s in enumerate(subsets) if len(s) <= p]
-            out.append(Subspace.row_space(Matrix._from_ints(len(subsets), 1, units)))
+            out.append(Subspace._units(len(subsets), [k for k, s in enumerate(subsets)
+                                                      if len(s) <= p]))
         return out or [Subspace.zero(len(subsets))]
 
     return SuperFiltration(m, flags(even, 0), flags(odd, 1))

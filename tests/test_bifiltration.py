@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffilt import bifiltration
+from cliffilt import bifiltration, deformation, exactalg
 from cliffilt.bifiltration import (
     BifilteredSupermodule,
     BiGradedRep,
@@ -233,6 +233,32 @@ def test_bideform_is_kept_on_the_module(monkeypatch):
     monkeypatch.setattr(Subspace, "coordinate_matrix", counting)
     assert canonical_biroundtrip_iso(bf).certificate
     assert len(calls) == len(bf.dims)
+
+
+def test_biroundtrip_is_kept_on_the_module(monkeypatch):
+    # the roundtrip's maps and certificate are kept on the read-only module
+    # and cannot be changed; a warm check_twisted_tensor runs no elimination
+    t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(1))
+    first = canonical_biroundtrip_iso(t.module)
+    with pytest.raises(TypeError):
+        first.component_maps[(0, 0)] = Matrix.identity(1)
+    assert check_twisted_tensor(t)
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(bifiltration, "_quotient", counting("_quotient", bifiltration._quotient))
+    monkeypatch.setattr(deformation, "_quotient", counting("_quotient", deformation._quotient))
+    monkeypatch.setattr(exactalg, "rref", counting("rref", exactalg.rref))
+    again = canonical_biroundtrip_iso(t.module)
+    assert again.component_maps is first.component_maps
+    assert again.certificate is first.certificate
+    assert check_twisted_tensor(t)
+    assert calls == []
 
 
 def test_tensor_module_requires_filtrations():

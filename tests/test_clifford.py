@@ -10,6 +10,7 @@ import pytest
 from cliffilt.clifford import (
     MAX_GENERATORS,
     CliffordAlgebra,
+    _is_positive_definite,
     check_filtered_superalgebra,
     filtration_level,
 )
@@ -136,6 +137,45 @@ def test_gram_must_be_positive_definite():
         CliffordAlgebra(1, Matrix(1, 1, [[0]]))
     with pytest.raises(ValueError):
         CliffordAlgebra(2, Matrix(2, 2, [[1, 1], [0, 1]]))  # not symmetric
+
+
+def _sylvester_oracle(m: Matrix) -> bool:
+    """Every leading principal minor positive, each minor a Fraction
+    determinant by cofactor expansion."""
+    def det(rows):
+        if not rows:
+            return Fraction(1)
+        return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j in range(len(rows)))
+
+    rows = [list(r) for r in m.entries]
+    return all(det([r[:k] for r in rows[:k]]) > 0 for k in range(1, m.rows + 1))
+
+
+def test_positive_definite_matches_sylvester_oracle():
+    # symmetric matrices with large denominators, about half of them
+    # positive definite (a random B B^T plus a shift)
+    rng = random.Random(131)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        b = Matrix(n, n, [[Fraction(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in range(n)]
+                          for _ in range(n)])
+        shift = Fraction(rng.randint(-3, 3), rng.randint(1, 1000))
+        m = b * b.transpose() + Matrix.identity(n).scale(shift)
+        got = _is_positive_definite(m)
+        assert got == _sylvester_oracle(m), m
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_algebra_builds_monomials_on_first_use():
+    alg = CliffordAlgebra(MAX_GENERATORS)
+    assert not {"monomials", "monomial_index"} & vars(alg).keys()
+    assert alg.dim == 2 ** MAX_GENERATORS
+    small = CliffordAlgebra(3)
+    assert small.monomial_index[(0, 2)] == small.monomials.index((0, 2)) == 5
+    assert small.dim == len(small.monomials)
 
 
 def test_monomial_order_cardinality_then_lex():

@@ -272,3 +272,17 @@ def test_deform_is_kept_on_the_filtration(monkeypatch):
     monkeypatch.setattr(Subspace, "coordinate_matrix", counting)
     assert canonical_roundtrip_iso(f).certificate
     assert len(calls) == 2
+
+
+def test_roundtrip_is_kept_on_the_filtration(monkeypatch):
+    # the roundtrip's maps and certificate are kept on the read-only
+    # filtration: a second call builds no quotient and no coordinates
+    f = hodge_filtration(exterior_module(4))
+    first = canonical_roundtrip_iso(f)
+    calls = []
+    monkeypatch.setattr(deformation, "_quotient", lambda *args: calls.append(args))
+    monkeypatch.setattr(Subspace, "coordinate_matrix", lambda *args: calls.append(args))
+    again = canonical_roundtrip_iso(f)
+    assert again == first and again.certificate is first.certificate
+    assert again.even_map is first.even_map and again.odd_map is first.odd_map
+    assert calls == []

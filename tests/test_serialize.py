@@ -372,6 +372,20 @@ def test_decoded_matrices_build_no_fraction_grid():
     assert m._entries is None and m._ints() == (2, (((0, 1),), ((1, 6),)))
 
 
+def test_decoded_algebra_builds_no_fraction_grid():
+    # a decoded Gram matrix stays in integer form through the algebra's
+    # checks and the module relations, and no monomial table is built
+    half = Fraction(1, 2)
+    m = exterior_module(2)
+    doc = encode(trivial_filtration(CliffordSupermodule(
+        CliffordAlgebra(2, Matrix.identity(2).scale(half * half)),
+        [g.scale(half) for g in m.gamma_eo], [g.scale(half) for g in m.gamma_oe])))
+    f = serialize.decode(doc)
+    assert check_filtration(f)
+    assert f.module.algebra.gram._entries is None
+    assert not {"monomials", "monomial_index"} & vars(f.module.algebra).keys()
+
+
 def test_read_rows_matches_matrix_of_fractions():
     """The integer form and entries of a read matrix are those of the
     Matrix built from the same texts as Fractions: same least d, same

@@ -6,7 +6,7 @@ import pytest
 from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.exactalg import Matrix, Subspace, _vanishes
-from cliffilt.invariants import random_filtration
+from cliffilt.invariants import filtered_endomorphisms, random_filtration
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
@@ -19,6 +19,7 @@ from cliffilt.supermodule import (
     hodge_filtration,
     irreducible_cl5,
     irreducible_module,
+    kron,
     trivial_filtration,
 )
 
@@ -385,3 +386,86 @@ def test_is_scalar_on_module_relations():
                 for s in (2 * gram[i][j], 2 * gram[i][j] + 1, 0):
                     got = _vanishes(terms, Matrix.identity(m.dim_even), s)
                     assert got == _is_scalar_oracle(gh, hg, s)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products on integer forms, and the flags of tensor_module
+
+
+def _former_kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product as it was defined on Fraction entries."""
+    rows = []
+    for ra in a.entries:
+        for rb in b.entries:
+            rows.append([x * y for x in ra for y in rb])
+    return Matrix(a.rows * b.rows, a.cols * b.cols, rows)
+
+
+def _form(m: Matrix) -> tuple:
+    """The integer form with each row as a tuple of its pairs."""
+    d, rows = m._ints()
+    return d, tuple(tuple(row) for row in rows)
+
+
+def _random_rational_matrix(rng, top: int) -> Matrix:
+    rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+    return Matrix(rows, cols, [
+        [Fraction(rng.randint(-top, top), rng.randint(1, top)) if rng.random() < 0.6 else 0
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def test_kron_matches_former_fraction_definition():
+    rng = random.Random(113)
+    empty = 0
+    for _ in range(300):
+        top = rng.choice((3, 10**6))
+        a, b = _random_rational_matrix(rng, top), _random_rational_matrix(rng, top)
+        got, want = kron(a, b), _former_kron(a, b)
+        assert got._entries is None
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert _form(got) == _form(want)
+        assert got.entries == want.entries
+        assert got == want and hash(got) == hash(want)
+        empty += 0 in (got.rows, got.cols)
+    assert empty
+    # the least d: 1/2 (x) 2 is 1 over 1, not 2 over 2
+    one = kron(Matrix(1, 1, [[Fraction(1, 2)]]), Matrix(1, 1, [[2]]))
+    assert _form(one) == (1, (((0, 1),),))
+    assert one == Matrix.identity(1)
+
+
+def test_tensor_flags_are_row_spaces_of_kronecker_products():
+    # the Kronecker product of two reduced echelon bases is one, so each
+    # flag is the row space of kron of the factors' levels, basis and pivots
+    rng = random.Random(127)
+    fractional = 0
+    for _ in range(12):
+        fp = random_filtration(exterior_module(rng.randint(0, 3)), rng)
+        fm = random_filtration(exterior_module(rng.randint(0, 3)), rng)
+        bf = tensor_module(fp, fm)
+        for (m, n), flag in bf.flags.items():
+            want = Subspace.row_space(kron(fp.level(m).basis, fm.level(n).basis))
+            assert flag.ambient == want.ambient
+            assert flag.basis == want.basis and flag.pivots == want.pivots
+            fractional += flag.basis._ints()[0] > 1
+    assert fractional
+
+
+def test_tensor_module_builds_no_fraction_grid():
+    f = degree_filtration(exterior_module(2))
+    bf = tensor_module(f, f)
+    for family in bf.gammas:
+        for gamma in family:
+            assert all(m._entries is None for m in gamma.values())
+    assert all(flag.basis._entries is None for flag in bf.flags.values())
+
+
+def test_commutant_and_endomorphisms_build_no_fraction_grid():
+    # the commutant's pairs come from the kernel's integer rows, and the
+    # filtered endomorphisms are integer combinations of them
+    for m in (exterior_module(3), irreducible_module(3), exterior_module(0)):
+        for pair in m.graded_commutant():
+            assert all(x._entries is None for x in pair)
+        for pair in filtered_endomorphisms(degree_filtration(m) if m.algebra.n else
+                                           trivial_filtration(m)):
+            assert all(x._entries is None for x in pair)
