@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import cliffilt
-from cliffilt.exactalg import Matrix, Subspace, kernel
+from cliffilt.exactalg import Matrix, Subspace, kernel, rref
 from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
@@ -26,7 +26,9 @@ from cliffilt.invariants import (
     random_filtration,
     source_dimensions,
 )
+from cliffilt.clifford import CliffordAlgebra
 from cliffilt.supermodule import (
+    CliffordSupermodule,
     SuperFiltration,
     check_filtration,
     degree_filtration,
@@ -213,6 +215,51 @@ def test_filtered_endomorphisms_match_former_assembly():
         assert filtered_endomorphisms(g) == _former_filtered_endomorphisms(g)
         moved += 1
     assert moved >= 20
+
+
+def _invertible(n: int, rng) -> tuple[Matrix, Matrix]:
+    """A seeded invertible rational matrix and its inverse."""
+    while True:
+        m = Matrix(n, n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                          for _ in range(n)])
+        if m.rank() == n:
+            break
+    aug = Matrix(n, 2 * n, [list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m.entries)])
+    return m, Matrix(n, n, [row[n:] for row in rref(aug)[0].entries])
+
+
+def _conjugated(m, c: Fraction, rng):
+    """m with its gammas scaled by c, so its Gram matrix by c^2, and
+    conjugated by seeded rational changes of basis: the gammas are no
+    longer signed permutations and the commutant's pairs carry unequal
+    denominators."""
+    (p, p_inv), (q, q_inv) = _invertible(m.dim_even, rng), _invertible(m.dim_odd, rng)
+    return CliffordSupermodule(
+        CliffordAlgebra(m.algebra.n, m.algebra.gram.scale(c * c)),
+        [p_inv * g.scale(c) * q for g in m.gamma_eo], [q_inv * g.scale(c) * p for g in m.gamma_oe])
+
+
+def test_commutant_and_endomorphisms_on_conjugated_modules():
+    # the pairs, built from the kernel's integer rows with R = oe0 P eo0 / G[0][0],
+    # still commute with the action; the endomorphisms, summed in integers,
+    # still match the former assembly
+    rng = random.Random(139)
+    denominators = set()
+    for base in (exterior_module(2), exterior_module(3), irreducible_module(3)):
+        m = _conjugated(base, Fraction(2, 3), rng)
+        pairs = m.graded_commutant()
+        assert len(pairs) == len(base.graded_commutant())
+        for pe, po in pairs:
+            for i in range(m.algebra.n):
+                assert pe * m.gamma(i, 0) == m.gamma(i, 0) * po
+                assert po * m.gamma(i, 1) == m.gamma(i, 1) * pe
+            denominators |= {pe._ints()[0], po._ints()[0]}
+        for _ in range(3):
+            # summands give endomorphisms that are combinations of several pairs
+            f = direct_sum_filtration(random_filtration(m, rng), random_filtration(m, rng))
+            assert filtered_endomorphisms(f) == _former_filtered_endomorphisms(f)
+    assert len(denominators) > 2
 
 
 def test_random_filtrations_always_valid():
