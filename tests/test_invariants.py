@@ -1,8 +1,11 @@
 """Classification invariants: graded dims, sources, decomposition."""
 
+import hashlib
+import io
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,11 +13,14 @@ from types import SimpleNamespace
 import pytest
 
 import cliffilt
+from cliffilt import cli, serialize
+from cliffilt.certificate import CheckFailed
 from cliffilt.exactalg import Matrix, Subspace, kernel, rref
 from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
     INDISTINGUISHABLE,
+    _certify_indecomposable,
     _factor_rational_poly,
     _minimal_polynomial,
     decompose,
@@ -31,6 +37,7 @@ from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
     check_filtration,
+    check_supermodule,
     degree_filtration,
     direct_sum_filtration,
     exterior_module,
@@ -260,6 +267,179 @@ def test_commutant_and_endomorphisms_on_conjugated_modules():
             f = direct_sum_filtration(random_filtration(m, rng), random_filtration(m, rng))
             assert filtered_endomorphisms(f) == _former_filtered_endomorphisms(f)
     assert len(denominators) > 2
+
+
+def _two_block_commutant(m):
+    """The former commutant system, kept as the reference.  R is fixed by P
+    through generator 0, R = oe0 P eo0 / G[0][0], and each generator i >= 1
+    states both P eo_i = eo_i R and R oe_i = oe_i P, one equation per entry
+    over the unknowns P[k][l], in Fractions."""
+    n0 = m.dim_even
+    inv = 1 / m.algebra.gram.entries[0][0]
+    eo0, oe0 = m.gamma_eo[0], m.gamma_oe[0]
+    one = Matrix.identity(n0)
+    blocks = []
+    for eoi, oei in zip(m.gamma_eo[1:], m.gamma_oe[1:]):
+        blocks.append([(one, eoi, 1), ((eoi * oe0).scale(inv), eo0, -1)])
+        blocks.append([(oe0.scale(inv), eo0 * oei, 1), (oei, one, -1)])
+    equations = [[sum(sign * b.entries[r][k] * c.entries[l][col] for b, c, sign in parts)
+                  for k in range(n0) for l in range(n0)]
+                 for parts in blocks
+                 for r in range(parts[0][0].rows) for col in range(parts[0][1].cols)]
+    basis = (kernel(Matrix.from_rows(equations, cols=n0 * n0).transpose()) if equations
+             else Matrix.identity(n0 * n0))
+    ps = [Matrix(n0, n0, [row[k * n0:(k + 1) * n0] for k in range(n0)]) for row in basis.entries]
+    return [(p, (oe0 * p * eo0).scale(inv)) for p in ps]
+
+
+def _mixed(m, a):
+    """m, whose Gram matrix is the identity, on the generators
+    g'_i = sum_j a[i][j] g_j, so over the Gram matrix A A^T."""
+    n = m.algebra.n
+    am = Matrix(n, n, a)
+
+    def mix(gammas, i):
+        return sum((g.scale(a[i][j]) for j, g in enumerate(gammas[1:], 1)),
+                   gammas[0].scale(a[i][0]))
+
+    return CliffordSupermodule(CliffordAlgebra(n, am * am.transpose()),
+                               [mix(m.gamma_eo, i) for i in range(n)],
+                               [mix(m.gamma_oe, i) for i in range(n)])
+
+
+def test_commutant_matches_two_block_system():
+    rng = random.Random(139)
+    modules = ([exterior_module(n) for n in (1, 2, 3, 4)]
+               + [irreducible_module(n) for n in (1, 2, 3, 4)] + [irreducible_cl5()]
+               + [_conjugated(base, Fraction(2, 3), rng)
+                  for base in (exterior_module(2), exterior_module(3), irreducible_module(3))]
+               + [_mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]]),
+                  _mixed(irreducible_module(4),
+                         [[2, 0, 1, 0], [1, 1, 0, -1], [0, 3, 1, 1], [0, 0, -1, 2]])])
+    for m in modules:
+        assert check_supermodule(m), m
+        want = _two_block_commutant(m)
+        assert m.graded_commutant() == want, m
+    # the Gram matrices A A^T are not diagonal, and G[0][0] is not 1
+    assert modules[-1].algebra.gram.entries[0][1] and modules[-1].algebra.gram.entries[0][0] == 5
+
+
+def _moved(f, rng):
+    """f carried onto its module conjugated by seeded rational changes of
+    basis: gammas P^-1 g Q and Q^-1 g P, flags F P and F Q."""
+    m = f.module
+    (p, p_inv), (q, q_inv) = _invertible(m.dim_even, rng), _invertible(m.dim_odd, rng)
+    module = CliffordSupermodule(m.algebra, [p_inv * g * q for g in m.gamma_eo],
+                                 [q_inv * g * p for g in m.gamma_oe])
+    return SuperFiltration(module, [flag.image(p) for flag in f.even_flags],
+                           [flag.image(q) for flag in f.odd_flags])
+
+
+def _certified_then_searched(s: int) -> SuperFiltration:
+    """The certified trivial filtration of irreducible(2), whose
+    endomorphisms form a field of dimension 2, summed before a moved
+    A + A whose endomorphisms are 2 x 2 rational matrices: its basis does
+    not split it, nor does the certificate apply, so it reaches the random
+    candidates, which come after the certified piece's."""
+    irr2 = irreducible_module(2)
+    rng = random.Random(s)
+    a = random_filtration(irr2, rng)
+    return direct_sum_filtration(trivial_filtration(irr2), _moved(direct_sum_filtration(a, a), rng))
+
+
+def _matrix_candidates(module, endos, candidates: int, rng) -> list:
+    """The random phase's candidates as first written: one rng.randint(-3, 3)
+    per basis pair, summed by Matrix + and scale."""
+    out = []
+    for _ in range(candidates):
+        pe = Matrix.zeros(module.dim_even, module.dim_even)
+        po = Matrix.zeros(module.dim_odd, module.dim_odd)
+        for base in endos:
+            c = rng.randint(-3, 3)
+            if c:
+                pe = pe + base[0].scale(c)
+                po = po + base[1].scale(c)
+        out.append((pe, po))
+    return out
+
+
+def test_certified_pieces_have_no_split_candidate():
+    # a certified piece's endomorphism algebra has no idempotent but 0 and 1,
+    # so every element the search can try, the basis and each random
+    # candidate, has a minimal polynomial that is a power of one irreducible:
+    # the full random phase returns None on it
+    rng = random.Random(223)
+    modules = ([exterior_module(n) for n in (1, 2, 3)]
+               + [irreducible_module(n) for n in (2, 3, 4)] + [irreducible_cl5()])
+    inputs = [random_filtration(m, rng) for m in modules for _ in range(3)]
+    inputs += [direct_sum_filtration(random_filtration(m, rng), random_filtration(m, rng))
+               for m in modules[:-1]]
+    inputs += [_certified_then_searched(s) for s in (4, 17)]
+    sizes = Counter()
+    for k, f in enumerate(inputs):
+        for summand in decompose(f, seed=k):
+            piece = summand.filtration
+            endos = filtered_endomorphisms(piece)
+            if _certify_indecomposable(piece, endos) != CERTIFIED:
+                continue
+            sizes[len(endos)] += 1
+            tried = list(endos)
+            if len(endos) > 1:
+                tried += _matrix_candidates(piece.module, endos, 16, random.Random(k))
+            for pair in tried:
+                assert len(_factor_rational_poly(_minimal_polynomial(piece.module, pair))) < 2
+    # scalars, fields of dimension 2 and quaternion algebras all occur
+    assert {1, 2, 4} <= set(sizes), sizes
+
+
+def _decompose_digest(f: SuperFiltration, seed: int) -> str:
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(serialize.dumps(f)), io.StringIO()
+    try:
+        code = cli.main(["decompose", "--seed", str(seed)])
+        text = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = saved
+    assert code == 0
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _random_input(name: str, s: int) -> SuperFiltration:
+    rng = random.Random(s)
+    if name == "irr4+irr4":
+        irr4 = irreducible_module(4)
+        return direct_sum_filtration(random_filtration(irr4, rng), random_filtration(irr4, rng))
+    return random_filtration({"ext4": exterior_module(4), "cl5": irreducible_cl5()}[name], rng)
+
+
+DECOMPOSE_PINS = {
+    ('certified+searched', 4, 1):
+        "c8cfa27b03b9bb78cc596e41ceb4c6f399f2ef195df3d33a3c640591f2043af1",
+    ('certified+searched', 4, 3):
+        "d907f8e133f23ff00d7f49fd4f824af6f7e34629eafb474e45275259ffabe871",
+    ('certified+searched', 17, 2):
+        "77465e9ca47f07bbe594d0d5b164cfda7f419de52ed05cde2177f62d27b641b4",
+    ('irr4+irr4', 1, 5):
+        "637950348e19caef4d1a3979f8d9c65e7ff2a38cb20d0220393e3fdbfa63eab8",
+    ('irr4+irr4', 2, 7):
+        "85593d384be65752264561c667ff7b9c2c8d810bb36788bc8fa2f6a69f2136b9",
+    ('cl5', 3, 11):
+        "ab4f4c69633a6c75cece68aeca6e738217e2c068e42b3300ce9eec7d86a50d8a",
+    ('cl5', 4, 0):
+        "56019b317d051e7ee19284af30d43403709e4ae0493f08fa1c87049f28357cee",
+    ('ext4', 5, 2):
+        "64042411a86703acb1187d80d3985074ce35a16f8b0bee340be54e76cc34a119",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSE_PINS))
+def test_decompose_bytes_pinned(case):
+    # the sums after a certified piece split at a random candidate, or find
+    # none, only when the piece's random draws are taken: drawn or skipped,
+    # they move the sibling's candidates
+    name, s, seed = case
+    f = _certified_then_searched(s) if name == "certified+searched" else _random_input(name, s)
+    assert _decompose_digest(f, seed) == DECOMPOSE_PINS[case]
 
 
 def test_random_filtrations_always_valid():
