@@ -92,6 +92,7 @@ class BifilteredSupermodule(FilteredModule):
     def __init__(self, plus_algebra, minus_algebra, dims, gamma_plus, gamma_minus, biflags):
         flags = {(m, n): flag for m, row in enumerate(biflags) for n, flag in enumerate(row)}
         super().__init__((plus_algebra, minus_algebra), dims, (gamma_plus, gamma_minus), flags)
+        self._identified: Certificate | None = None  # kept by _identification
 
     plus_algebra = property(lambda self: self.algebras[0])
     minus_algebra = property(lambda self: self.algebras[1])
@@ -362,7 +363,15 @@ def twisted_tensor(a: CliffordAlgebra, b: CliffordAlgebra) -> TwistedProduct:
 
 def _identification(bf: BifilteredSupermodule) -> Certificate:
     """The last stage of `check_twisted_tensor`, on its module `bf`.  The
-    word I u (J + p) is already sorted, so no reordering sign appears."""
+    module is read-only, so the certificate is kept on it."""
+    if bf._identified is None:
+        bf._identified = _identify(bf)
+    return bf._identified
+
+
+def _identify(bf: BifilteredSupermodule) -> Certificate:
+    """The identification certificate.  The word I u (J + p) is already
+    sorted, so no reordering sign appears."""
     name = "identification"
     p, q = bf.plus_algebra.n, bf.minus_algebra.n
     labels = {c: [(i, jj) for i in _graded_subsets(p, c[0]) for jj in _graded_subsets(q, c[1])]

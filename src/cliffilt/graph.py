@@ -107,21 +107,21 @@ def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
                 f"{f.level(p).dim} but contains {inside} basis vectors"
             )
 
-    def match(w, parity):
-        """Index and sign of the basis vector w equals up to sign, or None."""
-        mat = basis_even if parity == 0 else basis_odd
-        for k, row in enumerate(mat.entries):
-            if w == row:
-                return index_of[(parity, row)], 1
-            if w == tuple(-c for c in row):
-                return index_of[(parity, row)], -1
-        return None
+    # per parity, each basis row and its negation to (vertex index, sign),
+    # filled in row order so that the first row a vector equals up to sign
+    # wins
+    signed = ({}, {})
+    for parity, mat in ((0, basis_even), (1, basis_odd)):
+        for row in mat.entries:
+            k = index_of[(parity, row)]
+            signed[parity].setdefault(row, (k, 1))
+            signed[parity].setdefault(tuple(-c for c in row), (k, -1))
 
     edges = {}
     for u_index, vert in enumerate(vertices):
         for i in range(module.algebra.n):
             image = module.gamma(i, vert.parity).apply(vert.vector)
-            hit = match(image, 1 - vert.parity)
+            hit = signed[1 - vert.parity].get(image)
             if hit is None:
                 raise ValueError(
                     f"basis not adapted: generator {i} image of vertex {u_index} "

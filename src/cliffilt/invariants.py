@@ -267,53 +267,70 @@ class Summand:
     status: str
 
 
-def _try_split(f: SuperFiltration, endos, candidates: int, rng):
-    """Search for an element whose minimal polynomial factors over Q."""
-    module = f.module
+def _split_by(module, pair):
+    """The split along the factors of pair's minimal polynomial, or None
+    when it has fewer than two distinct factors."""
+    minpoly = _minimal_polynomial(module, pair)
+    factors = _factor_rational_poly(minpoly)
+    if len(factors) < 2:
+        return None
+    split = []
+    for coeffs, power in factors:
+        lifted = [Fraction(c) for c in coeffs]
+        full = lifted
+        for _ in range(power - 1):
+            nxt = [Fraction(0)] * (len(full) + len(lifted) - 1)
+            for a, ca in enumerate(full):
+                for b, cb in enumerate(lifted):
+                    nxt[a + b] += ca * cb
+            full = nxt
+        w_even = Subspace.row_space(kernel(_poly_eval(full, pair[0])))
+        w_odd = Subspace.row_space(kernel(_poly_eval(full, pair[1])))
+        split.append((w_even, w_odd))
+    total = sum(we.dim + wo.dim for we, wo in split)
+    if total != module.dim_even + module.dim_odd:
+        return None
+    return split
+
+
+def _first_split(module, pairs):
+    """The split by the first pair that gives one, or None."""
     ident = _pair_identity(module)
-
-    def attempt(pair):
-        if pair == ident:
-            return None
-        minpoly = _minimal_polynomial(module, pair)
-        factors = _factor_rational_poly(minpoly)
-        if len(factors) < 2:
-            return None
-        split = []
-        for coeffs, power in factors:
-            lifted = [Fraction(c) for c in coeffs]
-            full = lifted
-            for _ in range(power - 1):
-                nxt = [Fraction(0)] * (len(full) + len(lifted) - 1)
-                for a, ca in enumerate(full):
-                    for b, cb in enumerate(lifted):
-                        nxt[a + b] += ca * cb
-                full = nxt
-            w_even = Subspace.row_space(kernel(_poly_eval(full, pair[0])))
-            w_odd = Subspace.row_space(kernel(_poly_eval(full, pair[1])))
-            split.append((w_even, w_odd))
-        total = sum(we.dim + wo.dim for we, wo in split)
-        if total != module.dim_even + module.dim_odd:
-            return None
-        return split
-
-    for pair in endos:
-        found = attempt(pair)
-        if found:
-            return found
-    if len(endos) > 1:
-        for _ in range(candidates):
-            pe = Matrix.zeros(module.dim_even, module.dim_even)
-            po = Matrix.zeros(module.dim_odd, module.dim_odd)
-            for base in endos:
-                c = rng.randint(-3, 3)
-                if c:
-                    pe = pe + base[0].scale(c)
-                    po = po + base[1].scale(c)
-            found = attempt((pe, po))
+    for pair in pairs:
+        if pair != ident:
+            found = _split_by(module, pair)
             if found:
                 return found
     return None
+
+
+def _random_candidates(endos, candidates: int, rng):
+    """Seeded random integer combinations of the basis pairs, one
+    rng.randint(-3, 3) per pair, each parity summed by `_combination`."""
+    for _ in range(candidates):
+        coeffs = [(k, c) for k, c in enumerate([rng.randint(-3, 3) for _ in endos]) if c]
+        yield tuple(_combination(coeffs, 1, [pair[p] for pair in endos]) for p in (0, 1))
+
+
+def _try_split(f: SuperFiltration, endos, candidates: int, rng):
+    """(split, None) for the first split found, else (None, status): the
+    basis pairs, which draw nothing, then the certificate, then the random
+    candidates unless it certified (see `decompose`)."""
+    module = f.module
+    split = _first_split(module, endos)
+    if split:
+        return split, None
+    status = _certify_indecomposable(f, endos)
+    if len(endos) < 2:
+        return None, status
+    if status == CERTIFIED:
+        # the rng is shared with the sibling pieces: take the draws the
+        # skipped candidates would have taken, so theirs stay the same
+        for _ in range(candidates * len(endos)):
+            rng.randint(-3, 3)
+        return None, status
+    split = _first_split(module, _random_candidates(endos, candidates, rng))
+    return (split, None) if split else (None, status)
 
 
 def _certify_indecomposable(f: SuperFiltration, endos) -> str:
@@ -332,6 +349,12 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
       division algebra, which has no idempotents either.
 
     Anything else is reported as budget exhaustion, not as a proof.
+
+    The search asks for it after the basis attempts and before the random
+    candidates, which it skips on a certified piece: a split needs an
+    element whose minimal polynomial has two distinct irreducible
+    factors, and by the Chinese remainder theorem such an element has a
+    polynomial in it that is an idempotent other than 0 and 1.
     """
     module = f.module
     d = len(endos)
@@ -416,9 +439,8 @@ def _decompose_worker(f: SuperFiltration, candidates: int, rng) -> list[Summand]
     ident_odd = Matrix.identity(module.dim_odd)
     if module.dim_even + module.dim_odd == 0:
         return [Summand(f, ident_even, ident_odd, CERTIFIED)]
-    split = _try_split(f, endos, candidates, rng)
+    split, status = _try_split(f, endos, candidates, rng)
     if split is None:
-        status = _certify_indecomposable(f, endos)
         return [Summand(f, ident_even, ident_odd, status)]
     out = []
     for w_even, w_odd in split:
@@ -438,13 +460,16 @@ def decompose(f: SuperFiltration, candidates: int = 16, seed: int = 0) -> list[S
 
     Elements of the filtered endomorphism algebra whose minimal
     polynomial factors over Q produce splits (the factor projections are
-    polynomials in the element, so flags split along); the search tries
-    the basis first and then seeded random integer combinations.  Each
-    unsplit piece carries a status: certified indecomposable when the
-    endomorphism structure proves there is no idempotent, budget
-    exhaustion otherwise.  Certificates are statements over the
-    rationals; a certified summand may still split after extending
-    scalars.  Raises CheckFailed unless check_filtration passes.
+    polynomials in the element, so flags split along).  Each piece tries
+    the basis first, then `_certify_indecomposable`, and only when that
+    does not certify, seeded random integer combinations.  A certified
+    piece has no idempotent other than 0 and 1, so no element can split
+    it and the random combinations are not tried.  Each unsplit piece
+    carries a status: certified indecomposable when the endomorphism
+    structure proves there is no idempotent, budget exhaustion
+    otherwise.  Certificates are statements over the rationals; a
+    certified summand may still split after extending scalars.  Raises
+    CheckFailed unless check_filtration passes.
     """
     require("filtration", check_filtration(f))
     rng = random.Random(seed)

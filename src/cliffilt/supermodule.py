@@ -26,7 +26,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .certificate import Certificate, failing, passing
+from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
 from .exactalg import Matrix, Subspace, _vanishes, kernel
 
@@ -105,9 +105,16 @@ class CliffordSupermodule:
         """Basis of parity-preserving maps commuting with every g_i.
 
         Pairs (P, R) with P g_eo[i] = g_eo[i] R and R g_oe[i] = g_oe[i] P.
-        Assumes the module relations hold.  Cached.
+        R is fixed by P through generator 0, R = oe_0 P eo_0 / G[0][0],
+        and for each i >= 1 only P eo_i = eo_i R is solved.  The relations
+        imply the other half: oe_i eo_i = eo_i oe_i = G[i][i] I, so the
+        solved block gives R = oe_i P eo_i / G[i][i], hence R oe_i =
+        oe_i P eo_i oe_i / G[i][i] = oe_i P, where G[i][i] > 0 as the form
+        is definite.  The relations are therefore its precondition: raises
+        CheckFailed unless check_supermodule passes.  Cached.
         """
         if self._commutant is None:
+            require("module", check_supermodule(self))
             self._commutant = self._solve_commutant()
         return self._commutant
 
@@ -127,22 +134,10 @@ class CliffordSupermodule:
         eo0, oe0 = self.gamma_eo[0], self.gamma_oe[0]
 
         # R is determined by P through generator 0 (R = oe0 P eo0 / g00),
-        # so solve for P only; each block states sum of sign * B . P . C = 0.
-        blocks = []
-        for i in range(1, self.algebra.n):
-            eoi, oei = self.gamma_eo[i], self.gamma_oe[i]
-            blocks.append(
-                [
-                    (Matrix.identity(n0), eoi, 1),
-                    ((eoi * oe0).scale(inv_g00), eo0, -1),
-                ]
-            )
-            blocks.append(
-                [
-                    (oe0.scale(inv_g00), eo0 * oei, 1),
-                    (oei, Matrix.identity(n0), -1),
-                ]
-            )
+        # so solve for P only; each block states sum of sign * B . P . C = 0:
+        # P eo_i = eo_i R, which implies R oe_i = oe_i P (graded_commutant).
+        blocks = [[(Matrix.identity(n0), eoi, 1), ((eoi * oe0).scale(inv_g00), eo0, -1)]
+                  for eoi in self.gamma_eo[1:]]
 
         # One equation per entry (r, c) of each block, over the unknowns
         # P[k][l] numbered k * n0 + l, summed in integers: with the integer

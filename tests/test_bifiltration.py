@@ -19,7 +19,7 @@ from cliffilt.bifiltration import (
     twisted_tensor,
     verify_2d,
 )
-from cliffilt.certificate import CheckFailed
+from cliffilt.certificate import CheckFailed, passing
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import OffShellRep, deform, quotient_at, verify_offshell
 from cliffilt.exactalg import Matrix, Subspace
@@ -258,6 +258,23 @@ def test_biroundtrip_is_kept_on_the_module(monkeypatch):
     assert again.component_maps is first.component_maps
     assert again.certificate is first.certificate
     assert check_twisted_tensor(t)
+    assert calls == []
+
+
+def test_identification_is_kept_on_the_module(monkeypatch):
+    # the identification certificate is kept on the read-only module, so a
+    # warm check_twisted_tensor builds neither Cl(p + q) nor the total module
+    t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(2))
+    assert check_twisted_tensor(t)
+    first = t.module._identified
+    assert first and first.check == "identification"
+    calls = []
+    for name in ("exterior_module", "total_module", "_identify"):
+        original = getattr(bifiltration, name)
+        monkeypatch.setattr(bifiltration, name,
+                            lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
+    assert check_twisted_tensor(t) == passing("twisted_tensor")
+    assert t.module._identified is first
     assert calls == []
 
 

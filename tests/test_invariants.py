@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import cliffilt
-from cliffilt import cli, serialize
+from cliffilt import cli, invariants, serialize
 from cliffilt.certificate import CheckFailed
 from cliffilt.exactalg import Matrix, Subspace, kernel, rref
 from cliffilt.invariants import (
@@ -23,6 +23,7 @@ from cliffilt.invariants import (
     _certify_indecomposable,
     _factor_rational_poly,
     _minimal_polynomial,
+    _random_candidates,
     decompose,
     filtered_endomorphisms,
     filtration_search,
@@ -324,6 +325,18 @@ def test_commutant_matches_two_block_system():
     assert modules[-1].algebra.gram.entries[0][1] and modules[-1].algebra.gram.entries[0][0] == 5
 
 
+def test_commutant_requires_the_module_relations():
+    # R = oe_i P eo_i / G[i][i] holds only where the relations do: a module
+    # that breaks them raises instead of returning a wrong commutant
+    m = irreducible_module(3)
+    broken = CliffordSupermodule(m.algebra, [m.gamma_eo[0].scale(2), *m.gamma_eo[1:]],
+                                 list(m.gamma_oe))
+    for _ in range(2):
+        with pytest.raises(CheckFailed) as raised:
+            broken.graded_commutant()
+        assert raised.value.certificate.check == "supermodule_relations"
+
+
 def _moved(f, rng):
     """f carried onto its module conjugated by seeded rational changes of
     basis: gammas P^-1 g Q and Q^-1 g P, flags F P and F Q."""
@@ -390,6 +403,39 @@ def test_certified_pieces_have_no_split_candidate():
                 assert len(_factor_rational_poly(_minimal_polynomial(piece.module, pair))) < 2
     # scalars, fields of dimension 2 and quaternion algebras all occur
     assert {1, 2, 4} <= set(sizes), sizes
+
+
+def test_random_candidates_match_matrix_sums():
+    # each candidate is one integer combination per parity, over the same
+    # draws in the same order as the Matrix sums
+    rng = random.Random(227)
+    sizes = []
+    for m in (irreducible_cl5(), irreducible_module(3), exterior_module(3)):
+        g = direct_sum_filtration(*[random_filtration(m, rng)] * 2)
+        endos = filtered_endomorphisms(g)
+        sizes.append(len(endos))
+        s = rng.randrange(1000)
+        got = list(_random_candidates(endos, 16, random.Random(s)))
+        assert got == _matrix_candidates(g.module, endos, 16, random.Random(s))
+    assert max(sizes) > 4
+
+
+def test_certified_piece_computes_few_minimal_polynomials(monkeypatch):
+    # a Cl(5)-irreducible filtration whose endomorphisms are the quaternions:
+    # the basis attempts take at most one minimal polynomial each, then the
+    # certificate ends the search without the random candidates
+    f = random_filtration(irreducible_cl5(), random.Random(3))
+    endos = filtered_endomorphisms(f)
+    assert len(endos) == 4
+    calls = []
+
+    def counting(module, pair):
+        calls.append(pair)
+        return _minimal_polynomial(module, pair)
+
+    monkeypatch.setattr(invariants, "_minimal_polynomial", counting)
+    assert [s.status for s in decompose(f)] == [CERTIFIED]
+    assert 0 < len(calls) <= len(endos)
 
 
 def _decompose_digest(f: SuperFiltration, seed: int) -> str:
