@@ -17,7 +17,7 @@ from .bifiltration import (
     verify_2d,
 )
 from .certificate import Certificate
-from .clifford import CliffordAlgebra, CliffordElement, check_filtered_superalgebra, filtration_level
+from .clifford import CliffordAlgebra, CliffordElement
 from .deformation import (
     FilteredIso,
     GradedSpace,

@@ -1,4 +1,4 @@
-"""Clifford algebras over the rationals with their standard filtration.
+"""Clifford algebras over the rationals.
 
 The algebra on generators g_0 .. g_{n-1} with symmetric positive
 definite Gram matrix G is the quotient of the free algebra by
@@ -6,19 +6,15 @@ definite Gram matrix G is the quotient of the free algebra by
     g_i g_j + g_j g_i = 2 G[i][j].
 
 Basis monomials are indexed by strictly increasing tuples of generator
-indices, ordered by length and then lexicographically.  The coefficient
-space Q^(2^n) used for subspace computations follows that order.
+indices, ordered by length and then lexicographically.  The level F_p
+of the standard filtration is spanned by the monomials with |I| <= p
+and |I| = p (mod 2), and F_p * F_q lands in F_{p+q}.
 
-The standard filtration level F_p is spanned by the monomials with
-|I| <= p and |I| = p (mod 2); levels of one parity form an increasing
-flag and F_p * F_q lands in F_{p+q}.
-
-Only `CliffordAlgebra` has element arithmetic.  The twisted product
-Cl(p) (x)^ Cl(q) has none: `bifiltration.check_twisted_tensor` certifies
-it as Cl(p + q) on its bifiltered regular module, in four stages: the
-module check (both families' relations, their anticommutation and the
-flags), the bigraded deformation's relations, the roundtrip, and the
-identification (I, J) -> I u (J + p) with Cl(p + q) acting on itself.
+No product is formed to certify that: `enveloping_quotient_check` does
+it on Cl(n) acting on itself, `exterior_module(n)`, and
+`check_twisted_tensor` certifies Cl(p) (x)^ Cl(q) as Cl(p + q) on its
+bifiltered regular module.  `CliffordElement` is a reference arithmetic
+for tests.
 """
 
 from __future__ import annotations
@@ -27,8 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .certificate import Certificate, failing, passing
-from .exactalg import Matrix, Subspace, rational
+from .exactalg import Matrix, rational
 
 _ZERO = Fraction(0)
 
@@ -36,13 +31,6 @@ _ZERO = Fraction(0)
 # checked before anything else, so input naming a larger n is rejected
 # without allocating.
 MAX_GENERATORS = 16
-
-
-def _canonical_monomials(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for size in range(n + 1):
-        out.extend(combinations(range(n), size))
-    return tuple(out)
 
 
 def _is_positive_definite(gram: Matrix) -> bool:
@@ -70,7 +58,8 @@ def _is_positive_definite(gram: Matrix) -> bool:
 
 
 class CliffordAlgebra:
-    """Finite dimensional Clifford algebra with memoized monomial products."""
+    """Finite dimensional Clifford algebra: its generator count and Gram
+    matrix, with the monomial products of the reference arithmetic."""
 
     def __init__(self, n: int, gram: Matrix | None = None):
         if n > MAX_GENERATORS:
@@ -87,13 +76,11 @@ class CliffordAlgebra:
             raise ValueError("Gram matrix must be positive definite")
         self.n = n
         self.gram = gram
-        self._product_cache: dict[tuple, dict] = {}
-        self._level_cache: dict[int, Subspace] = {}
 
     @cached_property
     def monomials(self) -> tuple[tuple[int, ...], ...]:
         """The 2**n basis monomials in canonical order: built on first use."""
-        return _canonical_monomials(self.n)
+        return tuple(m for size in range(self.n + 1) for m in combinations(range(self.n), size))
 
     @property
     def dim(self) -> int:
@@ -138,10 +125,6 @@ class CliffordAlgebra:
 
     def monomial_product(self, a: tuple[int, ...], b: tuple[int, ...]) -> dict:
         """Product of two basis monomials as {monomial: coefficient}."""
-        key = (a, b)
-        hit = self._product_cache.get(key)
-        if hit is not None:
-            return hit
         gram = self.gram.entries
         terms: dict[tuple[int, ...], Fraction] = {}
         stack = [(list(a) + list(b), Fraction(1))]
@@ -169,26 +152,7 @@ class CliffordAlgebra:
                     terms[mono] = acc
                 elif mono in terms:
                     del terms[mono]
-        self._product_cache[key] = terms
         return terms
-
-    def filtration_level(self, p: int) -> Subspace:
-        """Subspace of Q^(2^n) spanned by monomials of length <= p, = p (mod 2)."""
-        if p < 0:
-            return Subspace.zero(self.dim)
-        p = min(p, self.n + (0 if (self.n - p) % 2 == 0 else 1))
-        hit = self._level_cache.get(p)
-        if hit is not None:
-            return hit
-        rows = []
-        for idx, mono in enumerate(self.monomials):
-            if len(mono) <= p and (len(mono) - p) % 2 == 0:
-                row = [_ZERO] * self.dim
-                row[idx] = Fraction(1)
-                rows.append(row)
-        level = Subspace.span(self.dim, rows)
-        self._level_cache[p] = level
-        return level
 
 
 class CliffordElement:
@@ -260,15 +224,6 @@ class CliffordElement:
                         del terms[mono]
         return CliffordElement(alg, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def vector(self) -> tuple:
-        v = [_ZERO] * self.algebra.dim
-        for mono, coeff in self.terms.items():
-            v[self.algebra.monomial_index[mono]] = coeff
-        return tuple(v)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -279,21 +234,3 @@ class CliffordElement:
             bits.append(f"({c})*{name}")
         return " + ".join(bits)
 
-
-def filtration_level(algebra: CliffordAlgebra, p: int) -> Subspace:
-    return algebra.filtration_level(p)
-
-
-def check_filtered_superalgebra(algebra: CliffordAlgebra) -> Certificate:
-    """Verify F_p * F_q <= F_{p+q} for the standard filtration on all pairs
-    of basis monomials.  F_p is spanned by the monomials of length <= p
-    and of the parity of p, so a product lies in it iff every monomial in
-    its terms does."""
-    name = "filtered_superalgebra"
-    for ma in algebra.monomials:
-        for mb in algebra.monomials:
-            level = len(ma) + len(mb)
-            if any(len(m) > level or (level - len(m)) % 2
-                   for m in algebra.monomial_product(ma, mb)):
-                return failing(name, left=list(ma), right=list(mb), level=level)
-    return passing(name)

@@ -333,6 +333,21 @@ def _try_split(f: SuperFiltration, endos, candidates: int, rng):
     return (split, None) if split else (None, status)
 
 
+def _trace_form(endos) -> Matrix:
+    """tr(xy) on a basis of even pairs, from their integer forms: tr(AB)
+    is the sum of A_ij B_ji, so no product is built, and only the entries
+    j >= i of the symmetric form are summed."""
+    forms = [[m._ints() for m in pair] for pair in endos]
+    row_dicts = [[[dict(row) for row in rows] for _, rows in pair] for pair in forms]
+    form = [[0] * len(endos) for _ in endos]
+    for i, a in enumerate(forms):
+        for j in range(i, len(endos)):
+            form[i][j] = form[j][i] = sum(
+                Fraction(sum(x * b[k].get(r, 0) for r, row in enumerate(rows) for k, x in row), da * db)
+                for (da, rows), (db, _), b in zip(a, forms[j], row_dicts[j]))
+    return Matrix.from_rows(form, cols=len(endos))
+
+
 def _certify_indecomposable(f: SuperFiltration, endos) -> str:
     """Sound no-idempotent certificates for the endomorphism algebra.
 
@@ -358,15 +373,7 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
     """
     module = f.module
     d = len(endos)
-    gram_rows = []
-    for a in endos:
-        row = []
-        for b in endos:
-            prod = _pair_mul(a, b)
-            row.append(_trace(prod[0]) + _trace(prod[1]))
-        gram_rows.append(tuple(row))
-    gram = Matrix.from_rows(gram_rows, cols=d)
-    semisimple_dim = gram.rank()
+    semisimple_dim = _trace_form(endos).rank()
     if semisimple_dim == 1:
         return CERTIFIED
     if semisimple_dim != d:

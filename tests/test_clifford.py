@@ -2,8 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -11,8 +9,6 @@ from cliffilt.clifford import (
     MAX_GENERATORS,
     CliffordAlgebra,
     _is_positive_definite,
-    check_filtered_superalgebra,
-    filtration_level,
 )
 from cliffilt.exactalg import Matrix
 
@@ -80,54 +76,23 @@ def test_associativity_random_triples():
 
 
 def test_z2_grading_of_products():
+    # products are graded and filtered: every term of e_I * e_J has the
+    # parity of |I| + |J| and length at most |I| + |J|, also where an
+    # off-diagonal Gram entry contracts a pair of distinct generators
     rng = random.Random(4)
-    alg = CliffordAlgebra(4)
-    for _ in range(40):
-        I = alg.monomials[rng.randrange(len(alg.monomials))]
-        J = alg.monomials[rng.randrange(len(alg.monomials))]
-        prod = alg.basis_element(I) * alg.basis_element(J)
-        for mono, coeff in prod.terms.items():
-            if coeff:
+    gram = Matrix(3, 3, [[1, Fraction(1, 2), 0], [Fraction(1, 2), 2, 1], [0, 1, 3]])
+    for alg in (CliffordAlgebra(4), CliffordAlgebra(3, gram)):
+        contracted = False
+        for _ in range(40):
+            I = alg.monomials[rng.randrange(len(alg.monomials))]
+            J = alg.monomials[rng.randrange(len(alg.monomials))]
+            prod = alg.basis_element(I) * alg.basis_element(J)
+            for mono, coeff in prod.terms.items():
+                assert coeff
                 assert len(mono) % 2 == (len(I) + len(J)) % 2
-
-
-def test_filtration_level_dimensions():
-    # dim F_p = sum of C(N, j) over j <= p with matching parity
-    for n in range(7):
-        alg = CliffordAlgebra(n)
-        for p in range(-1, n + 3):
-            expected = sum(comb(n, j) for j in range(max(p % 2, 0), min(p, n) + 1, 2)) if p >= 0 else 0
-            assert filtration_level(alg, p).dim == expected, (n, p)
-
-
-def test_filtration_level_n4_known_values():
-    alg = CliffordAlgebra(4)
-    assert filtration_level(alg, 2).dim == 7
-    assert filtration_level(alg, 1).dim == 4
-    assert filtration_level(alg, -1).dim == 0
-
-
-def test_check_filtered_superalgebra():
-    assert check_filtered_superalgebra(CliffordAlgebra(3))
-    assert check_filtered_superalgebra(CliffordAlgebra(4))
-    gram = Matrix(2, 2, [[1, Fraction(1, 2)], [Fraction(1, 2), 2]])
-    assert check_filtered_superalgebra(CliffordAlgebra(2, gram))
-
-
-@pytest.mark.parametrize("extra", [(0, 1, 2), (2,)])
-def test_filtered_superalgebra_failure_names_the_product(monkeypatch, extra):
-    # a product g0 * g1 with a term outside F_2 (too long, or odd)
-    original = CliffordAlgebra.monomial_product
-
-    def patched(self, a, b):
-        terms = original(self, a, b)
-        return {**terms, extra: Fraction(1)} if (a, b) == ((0,), (1,)) else terms
-
-    monkeypatch.setattr(CliffordAlgebra, "monomial_product", patched)
-    cert = check_filtered_superalgebra(CliffordAlgebra(3))
-    assert not cert
-    assert cert.check == "filtered_superalgebra"
-    assert cert.witness == {"left": [0], "right": [1], "level": 2}
+                assert len(mono) <= len(I) + len(J)
+            contracted |= len(prod.terms) > 1
+        assert contracted == (alg.n == 3)
 
 
 def test_gram_must_be_positive_definite():

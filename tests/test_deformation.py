@@ -7,6 +7,7 @@ import pytest
 
 from cliffilt import cli, deformation
 from cliffilt.certificate import CheckFailed
+from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import (
     GradedSpace,
     OffShellRep,
@@ -21,6 +22,8 @@ from cliffilt.invariants import gr_dimensions, random_filtration
 from cliffilt.serialize import loads
 from cliffilt.supermodule import (
     CliffordSupermodule,
+    SuperFiltration,
+    _graded_subsets,
     check_filtration,
     check_supermodule,
     degree_filtration,
@@ -225,7 +228,10 @@ def test_exterior_module_is_regular(n):
             for s, x in zip(subsets[p % 2], vec):
                 row[alg.monomial_index[s]] = x
             rows.append(row)
-        assert Subspace.span(alg.dim, rows) == alg.filtration_level(p)
+        # the word-length level F_p of the algebra, spanned by its monomials
+        level = [[int(k == alg.monomial_index[s]) for k in range(alg.dim)]
+                 for s in alg.monomials if len(s) <= p and (p - len(s)) % 2 == 0]
+        assert Subspace.span(alg.dim, rows) == Subspace.span(alg.dim, level)
 
 
 def _one_sign_flipped(n):
@@ -246,10 +252,74 @@ def test_enveloping_quotient_fails_on_a_broken_module(monkeypatch, capsys):
     assert loads(capsys.readouterr().out) == cert
 
 
-def test_deform_requires_valid_filtration():
-    from cliffilt.exactalg import Subspace
-    from cliffilt.supermodule import SuperFiltration
+def _even_pair_swapped(n, a=(0, 1), b=(0, 2)):
+    """exterior_module(n) with the even basis vectors e_a and e_b swapped:
+    an isomorphic module, so every relation and the degree flags hold."""
+    m = exterior_module(n)
+    even = _graded_subsets(n, 0)
+    perm = list(range(m.dim_even))
+    perm[even.index(a)], perm[even.index(b)] = even.index(b), even.index(a)
+    eo = [Matrix(m.dim_even, m.dim_odd, [g.entries[k] for k in perm]) for g in m.gamma_eo]
+    oe = [Matrix(m.dim_odd, m.dim_even, [[row[k] for k in perm] for row in g.entries])
+          for g in m.gamma_oe]
+    return CliffordSupermodule(m.algebra, eo, oe, dim_even=m.dim_even, dim_odd=m.dim_odd)
 
+
+def _bottom_flag_moved(m):
+    """The degree filtration of exterior(2) with F_0 = span{e_01}: every
+    flag step holds, since F_1 and F_2 are full."""
+    return SuperFiltration(m, [Subspace._units(2, [1]), Subspace.full(2)], [Subspace.full(2)])
+
+
+@pytest.mark.parametrize("n, patch, witness", [
+    (3, ("exterior_module", _even_pair_swapped), {"kind": "word", "word": [0, 1]}),
+    (2, ("degree_filtration", _bottom_flag_moved), {"kind": "flag", "level": 0}),
+], ids=["words_swapped", "flag_moved"])
+def test_enveloping_quotient_rejects_a_module_that_is_not_regular(monkeypatch, n, patch, witness):
+    # each mutant passes the first three stages, which hold for any
+    # module isomorphic to the regular one and any valid filtration
+    monkeypatch.setattr(deformation, *patch)
+    f = deformation.degree_filtration(deformation.exterior_module(n))
+    assert check_filtration(f) and verify_offshell(deform(f))
+    assert canonical_roundtrip_iso(f).certificate
+    cert = enveloping_quotient_check(n, 4)
+    assert not cert and cert.witness == {"stage": "regular_module", **witness}
+
+
+def test_regular_module_rejects_a_generator_that_kills_the_unit():
+    m = exterior_module(2)
+    eo = [list(row) for row in m.gamma_eo[1].entries]
+    eo[0] = [0] * m.dim_odd
+    gamma_eo = [m.gamma_eo[0], Matrix(m.dim_even, m.dim_odd, eo)]
+    broken = CliffordSupermodule(m.algebra, gamma_eo, m.gamma_oe,
+                                 dim_even=m.dim_even, dim_odd=m.dim_odd)
+    cert = deformation._regular_module(degree_filtration(broken))
+    assert not cert and cert.check == "regular_module"
+    assert cert.witness == {"kind": "word", "word": [1]}
+
+
+def test_enveloping_quotient_runs_no_algebra_arithmetic(monkeypatch):
+    # the algebra case is certified on its regular module alone: no
+    # monomial product is formed and no monomial table is built
+    def refuse(*args):
+        raise AssertionError("monomial_product called")
+
+    monkeypatch.setattr(CliffordAlgebra, "monomial_product", refuse)
+    built = []
+
+    def recording(n):
+        built.append(exterior_module(n))
+        return built[-1]
+
+    monkeypatch.setattr(deformation, "exterior_module", recording)
+    for n in range(6):
+        assert enveloping_quotient_check(n, 6)
+    assert len(built) == 6
+    for m in built:
+        assert not {"monomials", "monomial_index"} & vars(m.algebra).keys()
+
+
+def test_deform_requires_valid_filtration():
     m = exterior_module(2)
     bad = SuperFiltration(m, [Subspace.span(2, [[1, 0]]), Subspace.full(2)],
                           [Subspace.zero(2), Subspace.full(2)])

@@ -24,6 +24,7 @@ from cliffilt.invariants import (
     _factor_rational_poly,
     _minimal_polynomial,
     _random_candidates,
+    _trace_form,
     decompose,
     filtered_endomorphisms,
     filtration_search,
@@ -417,6 +418,21 @@ def test_random_candidates_match_matrix_sums():
         s = rng.randrange(1000)
         got = list(_random_candidates(endos, 16, random.Random(s)))
         assert got == _matrix_candidates(g.module, endos, 16, random.Random(s))
+    assert max(sizes) > 4
+
+
+def test_trace_form_matches_pair_products():
+    # the form read from integer forms equals the trace of each full pair
+    # product, on random filtrations and on their doubles
+    rng = random.Random(229)
+    sizes = set()
+    for m in (irreducible_cl5(), irreducible_module(3), exterior_module(3)):
+        for f in (random_filtration(m, rng), direct_sum_filtration(*[random_filtration(m, rng)] * 2)):
+            endos = filtered_endomorphisms(f)
+            sizes.add(len(endos))
+            want = [[sum(p.entries[i][i] for p in (a[0] * b[0], a[1] * b[1]) for i in range(p.rows))
+                     for b in endos] for a in endos]
+            assert _trace_form(endos) == Matrix.from_rows(want, cols=len(endos))
     assert max(sizes) > 4
 
 
