@@ -16,6 +16,12 @@ evaluates the shifts at positive shell values, collapsing onto the 2^k
 corners of the grid, and `_roundtrip` certifies that the quotient at
 shell 1 of a deformation is the filtered module it came from.
 
+`_deform` takes from the module's check the flag nesting and the gamma
+compatibility, which make every shift and Q map a matrix of
+coordinates; it reads those coordinates off the target flags' pivot
+columns without testing the containments again, and refuses a module
+that does not hold a passing verdict.
+
 k = 1, with the shift the Hamiltonian H, is the correspondence between
 filtered Cl(N)-supermodules and graded off-shell representations of
 p^{1|N}: `deform`, `verify_offshell`, `quotient_at` (which also takes
@@ -93,9 +99,9 @@ class GradedRep:
     point x with x_d <= top_d - 2, the shift from x to x + 2 e_d; qs[d][i]
     holds, at every grid point x, generator i of family d as a map from x
     to x + e_d folded back onto the grid.  Both are read-only mappings, so
-    the verdict of `_verify` can be kept on the rep.  Subclasses fix k,
-    translate their constructor arguments and attributes, and name their
-    `_words`.
+    the verdict of `_verify` and the quotient's flags can be kept on the
+    rep.  Subclasses fix k, translate their constructor arguments and
+    attributes, and name their `_words`.
     """
 
     _words: _Words
@@ -118,6 +124,7 @@ class GradedRep:
         self.algebras, self.dims, self.tops, self.shifts, self.qs = algebras, dims, tops, shifts, qs
         self._grid = grid
         self._verdict: Certificate | None = None
+        self._flags = None  # the quotient's flags, kept by _quotient
 
     def component_dim(self, x) -> int:
         return 0 if min(x) < 0 else self._grid[_fold(x, self.tops)]
@@ -143,19 +150,37 @@ class GradedRep:
 
 
 def _deform(v: FilteredModule, cls):
-    """The graded representation of a valid filtered module, as a `cls`.
-    It is kept on the module: both are read-only, so it cannot go stale."""
+    """The graded representation of a checked filtered module, as a `cls`.
+    It is kept on the module: both are read-only, so it cannot go stale.
+
+    Every map is read off pivot columns; nothing is eliminated or tested.
+    A row v in the span of a reduced echelon basis with pivot columns P
+    is v[P] times that basis, so its coordinates are its entries at P.
+    The module's passing verdict has proved that F_x <= F_{x + 2 e_d}
+    (nesting) and that the rows of F_x's basis B times gamma lie in the
+    target flag (compatibility).  So the shift at x is B[:, P] for the
+    pivots P of F_{x + 2 e_d}, and the Q map is (B gamma)[:, P] =
+    B (gamma[:, P]) for the pivots P of the target, each gamma cut at a
+    set of pivots once per call.  Raises ValueError unless v holds a
+    passing verdict."""
     if v._deformed is not None:
         return v._deformed
+    if not v._verdict:
+        raise ValueError("only a module that passed its check can be deformed")
     shifts = [{} for _ in v.tops]
     qs = [[{} for _ in family] for family in v.gammas]
+    cut = {}  # (d, i, parity, pivots) -> gamma's columns at those pivots
     for x, flag in v.flags.items():
+        c = _parity(x)
         for d, top in enumerate(v.tops):
             if x[d] <= top - 2:
-                shifts[d][x] = v.flags[_step(x, d, 2)].coordinate_matrix(flag.basis)
-            target = v.flags[_fold(_step(x, d, 1), v.tops)]
+                shifts[d][x] = flag.basis._columns(v.flags[_step(x, d, 2)].pivots)
+            pivots = v.flags[_fold(_step(x, d, 1), v.tops)].pivots
             for i, gamma in enumerate(v.gammas[d]):
-                qs[d][i][x] = target.coordinate_matrix(flag.basis * gamma[_parity(x)])
+                key = (d, i, c, pivots)
+                if key not in cut:
+                    cut[key] = gamma[c]._columns(pivots)
+                qs[d][i][x] = flag.basis * cut[key]
     rep = cls.__new__(cls)
     dims = _nest({x: flag.dim for x, flag in v.flags.items()}, v.tops)
     GradedRep.__init__(rep, v.algebras, dims, shifts, qs)
@@ -235,7 +260,11 @@ def _quotient(r: GradedRep, shells, cls):
     direction scaled by that shell value, and the algebras the scaled
     Gram matrices; the flag at x is the image of V_x under the composite
     shifts into the corner of its parity, one direction after another.
-    Only a rep that satisfies the relations gives a filtered module."""
+    Only a rep that satisfies the relations gives a filtered module.
+
+    The flags read only the shifts, not the shell values, so they are
+    built on the first call and kept on the rep, whose maps are
+    read-only; a quotient at any shell, and the roundtrip, reuse them."""
     tops = r.tops
     corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
     dims = {c: r._grid[corner] for c, corner in corners.items()}
@@ -244,19 +273,21 @@ def _quotient(r: GradedRep, shells, cls):
               for q in family)
         for d, (family, shell) in enumerate(zip(r.qs, shells))
     )
-    flags = {}
-    for x in _points(tops):
-        corner = corners[_parity(x)]
-        composite, at = Matrix.identity(r._grid[x]), x
-        for d in range(len(tops)):
-            for c in range(x[d], corner[d], 2):
-                at = at[:d] + (c,) + at[d + 1:]
-                composite = composite * r.shift(d, at)
-            at = at[:d] + (corner[d],) + at[d + 1:]
-        flags[x] = Subspace.row_space(composite)
+    if r._flags is None:
+        flags = {}
+        for x in _points(tops):
+            corner = corners[_parity(x)]
+            composite, at = Matrix.identity(r._grid[x]), x
+            for d in range(len(tops)):
+                for c in range(x[d], corner[d], 2):
+                    at = at[:d] + (c,) + at[d + 1:]
+                    composite = composite * r.shift(d, at)
+                at = at[:d] + (corner[d],) + at[d + 1:]
+            flags[x] = Subspace.row_space(composite)
+        r._flags = MappingProxyType(flags)
     algebras = tuple(CliffordAlgebra(a.n, a.gram.scale(s)) for a, s in zip(r.algebras, shells))
     quotient = cls.__new__(cls)
-    FilteredModule.__init__(quotient, algebras, dims, gammas, flags)
+    FilteredModule.__init__(quotient, algebras, dims, gammas, r._flags)
     return quotient
 
 
@@ -267,7 +298,13 @@ def _roundtrip(source: FilteredModule, rep: GradedRep,
     correspondence itself, so it raises.  The map on component c sends a
     vector to its coordinates in the basis of the corner flag of parity c.
     The result is kept on `source`, as its deformation is: the module is
-    read-only, so it cannot go stale."""
+    read-only, so it cannot go stale.
+
+    Bijectivity of every map is certified before the flags are compared,
+    so flag.image(maps[c]) has flag.dim; it equals the quotient's flag
+    exactly when the two dimensions agree and the rows of flag.basis
+    times maps[c] lie in the quotient's flag, which one `_vanishes`
+    decides without eliminating the image."""
     if source._iso is not None:
         return source._iso
     back = _quotient(rep, (1,) * len(source.tops), type(source))
@@ -288,7 +325,8 @@ def _roundtrip(source: FilteredModule, rep: GradedRep,
                     if not _vanishes([(1, gamma[c], maps[flipped]), (-1, maps[c], image[c])]):
                         return failing(name, kind=kind, **{key: i}, **labels[c])
         for x, flag in source.flags.items():
-            if flag.image(maps[_parity(x)]) != back.flags[x]:
+            other = back.flags[x]
+            if flag.dim != other.dim or not other._contains_rows(flag.basis * maps[_parity(x)]):
                 return failing(name, kind="flag", **dict(zip(words.point, x)))
         return passing(name)
 

@@ -312,19 +312,20 @@ def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None
     `target` = ti / dt by s * D / dt; row r of the weighted sum of ai * bi
     minus ti is summed in integers and read before the next row, so the
     first nonzero row ends the check.  Shapes that do not match raise
-    ValueError, as the products would.
+    ValueError, as the products would.  A result with no rows or no
+    columns is zero, so nothing is read; an inner dimension of 0 is not
+    such a case, since -s * target may still be nonzero.
     """
     if type(s) is not int:  # an int has its numerator and denominator too
         s = rational(s)
     shape = None if target is None else (target.rows, target.cols)
-    forms = []
     for c, a, b in terms:
         if a.cols != b.rows or shape not in (None, (a.rows, b.cols)):
             raise ValueError(f"shape mismatch: {a.rows}x{a.cols} * {b.rows}x{b.cols}")
         shape = (a.rows, b.cols)
-        forms.append((c, a._ints(), b._ints()))
-    if shape is None:
+    if shape is None or not shape[0] or not shape[1]:
         return True
+    forms = [(c, a._ints(), b._ints()) for c, a, b in terms]
     t = ((1, ((),) * shape[0]) if target is None or not s else target._ints())
     d = lcm(s.denominator * t[0], *[da * db for _, (da, _), (db, _) in forms])
     weighted = [(c * (d // (da * db)), arows, brows) for c, (da, arows), (db, brows) in forms]

@@ -235,7 +235,15 @@ def _poly_eval(coeffs: list[Fraction], m: Matrix) -> Matrix:
 
 
 def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
-    """Summand filtration induced on a gamma-invariant, flag-split pair."""
+    """Summand filtration induced on a gamma-invariant, flag-split pair.
+
+    The piece's module takes the parent's passing relations verdict.
+    Its gammas g' are the coordinates of the images, B_c g = g' B_{1-c}
+    with B_c the basis of the pair's part of parity c, so B_c g h =
+    g' h' B_c for two generators.  A relation of the parent on parity c,
+    a sum of products g h = 2 G I, then gives (sum of g' h' - 2 G I) B_c
+    = B_c (sum of g h - 2 G I) = 0.  The rows of B_c are independent, so
+    X B_c = 0 only for X = 0, and the relation holds on the piece."""
     module = f.module
     n = module.algebra.n
     gamma_eo = [w_odd.coordinate_matrix(w_even.basis * module.gamma(i, 0)) for i in range(n)]
@@ -243,6 +251,8 @@ def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
     sub = CliffordSupermodule(
         module.algebra, gamma_eo, gamma_oe, dim_even=w_even.dim, dim_odd=w_odd.dim
     )
+    if module._relations:
+        sub._relations = module._relations
     even_flags, odd_flags = [], []
     for p in range(f.top_degree + 1):
         w = w_even if p % 2 == 0 else w_odd

@@ -111,10 +111,11 @@ class CliffordSupermodule:
         solved block gives R = oe_i P eo_i / G[i][i], hence R oe_i =
         oe_i P eo_i oe_i / G[i][i] = oe_i P, where G[i][i] > 0 as the form
         is definite.  The relations are therefore its precondition: raises
-        CheckFailed unless check_supermodule passes.  Cached.
+        CheckFailed unless check_supermodule passes (a verdict already kept
+        on the module is read as it is).  Cached.
         """
         if self._commutant is None:
-            require("module", check_supermodule(self))
+            require("module", self._relations or check_supermodule(self))
             self._commutant = self._solve_commutant()
         return self._commutant
 

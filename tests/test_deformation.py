@@ -6,6 +6,16 @@ from fractions import Fraction
 import pytest
 
 from cliffilt import cli, deformation
+from cliffilt.bifiltration import (
+    BifilteredSupermodule,
+    BiGradedRep,
+    bideform,
+    biquotient,
+    canonical_biroundtrip_iso,
+    check_bifiltered_module,
+    tensor_module,
+    verify_2d,
+)
 from cliffilt.certificate import CheckFailed
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import (
@@ -23,7 +33,10 @@ from cliffilt.serialize import loads
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
+    _fold,
     _graded_subsets,
+    _parity,
+    _step,
     check_filtration,
     check_supermodule,
     degree_filtration,
@@ -356,3 +369,158 @@ def test_roundtrip_is_kept_on_the_filtration(monkeypatch):
     assert again == first and again.certificate is first.certificate
     assert again.even_map is first.even_map and again.odd_map is first.odd_map
     assert calls == []
+
+
+def _coordinate_maps(v):
+    """The shift and Q maps of v's deformation built as before pivot
+    reading: `Subspace.coordinate_matrix`, which tests each containment."""
+    shifts = [{} for _ in v.tops]
+    qs = [[{} for _ in family] for family in v.gammas]
+    for x, flag in v.flags.items():
+        for d, top in enumerate(v.tops):
+            if x[d] <= top - 2:
+                shifts[d][x] = v.flags[_step(x, d, 2)].coordinate_matrix(flag.basis)
+            target = v.flags[_fold(_step(x, d, 1), v.tops)]
+            for i, gamma in enumerate(v.gammas[d]):
+                qs[d][i][x] = target.coordinate_matrix(flag.basis * gamma[_parity(x)])
+    return shifts, qs
+
+
+def _invertible(n: int, rng) -> tuple[Matrix, Matrix]:
+    """A seeded invertible rational matrix and its inverse."""
+    while True:
+        m = Matrix(n, n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                          for _ in range(n)])
+        if m.rank() == n:
+            break
+    aug = Matrix(n, 2 * n, [list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m.entries)])
+    return m, Matrix(n, n, [row[n:] for row in Subspace.row_space(aug).basis.entries])
+
+
+def _moved(f, rng):
+    """f carried by seeded rational changes of basis P_c: gammas
+    P_c^-1 g P_{1-c} and flags F P_c, whose echelon bases leave the
+    integers."""
+    m = f.module
+    (p, p_inv), (q, q_inv) = _invertible(m.dim_even, rng), _invertible(m.dim_odd, rng)
+    module = CliffordSupermodule(m.algebra, [p_inv * g * q for g in m.gamma_eo],
+                                 [q_inv * g * p for g in m.gamma_oe],
+                                 dim_even=m.dim_even, dim_odd=m.dim_odd)
+    flags = [f.level(k).image((p, q)[k % 2]) for k in range(f.top_degree + 1)]
+    return SuperFiltration(module, flags[0::2], flags[1::2])
+
+
+def _seeded_modules():
+    """160 k = 1 filtrations (exterior and irreducible modules up to Cl(5))
+    and 60 k = 2 tensor modules, some with a Cl(0) factor; every other
+    filtration, and factor, moved by a rational change of basis."""
+    rng = random.Random(2024)
+
+    def drawn(module, k):
+        f = random_filtration(module, rng)
+        return _moved(f, rng) if k % 2 else f
+
+    modules = [exterior_module(n) for n in range(1, 5)]
+    modules += [irreducible_module(n) for n in range(1, 6)]
+    for k in range(160):
+        yield drawn(modules[k % len(modules)], k)
+    factors = [exterior_module(n) for n in range(3)] + [irreducible_module(2)]
+    for k in range(60):
+        a, b = factors[k % len(factors)], factors[(k // len(factors)) % len(factors)]
+        yield tensor_module(drawn(a, k), drawn(b, k // 2))
+
+
+def test_deform_reads_the_coordinate_maps_off_pivot_columns():
+    kinds, fractional = [], 0
+    for v in _seeded_modules():
+        r = deform(v) if len(v.tops) == 1 else bideform(v)
+        shifts, qs = _coordinate_maps(v)
+        assert [dict(s) for s in r.shifts] == shifts
+        assert [[dict(q) for q in family] for family in r.qs] == qs
+        kinds.append((len(v.tops), min(a.n for a in v.algebras)))
+        fractional += any(flag.basis._ints()[0] != 1 for flag in v.flags.values())
+    assert len(kinds) == 220 and {(1, 5), (2, 0), (2, 2)} <= set(kinds) and fractional >= 50
+
+
+def test_deform_engine_requires_a_passing_verdict():
+    f = hodge_filtration(exterior_module(4))
+    bf = tensor_module(degree_filtration(exterior_module(1)), degree_filtration(exterior_module(2)))
+    for v, cls, check in ((f, OffShellRep, check_filtration),
+                          (bf, BiGradedRep, check_bifiltered_module)):
+        with pytest.raises(ValueError):
+            deformation._deform(v, cls)
+        assert v._deformed is None
+        assert check(v)
+        assert deformation._deform(v, cls) is v._deformed is not None
+    bad = SuperFiltration(exterior_module(2), [Subspace.span(2, [[1, 0]]), Subspace.full(2)],
+                          [Subspace.zero(2), Subspace.full(2)])
+    assert not check_filtration(bad)
+    with pytest.raises(ValueError):
+        deformation._deform(bad, OffShellRep)
+
+
+def test_compatibility_mutants_fail_the_filtration_check():
+    # _deform no longer tests that g F_x lies in its target flag, so the
+    # check that deform requires is what rejects these mutants
+    bad = SuperFiltration(exterior_module(2), [Subspace.span(2, [[1, 0]]), Subspace.full(2)],
+                          [Subspace.zero(2), Subspace.full(2)])
+    with pytest.raises(CheckFailed) as caught:
+        deform(bad)
+    assert caught.value.certificate == check_filtration(bad)
+    assert caught.value.certificate.witness == {"kind": "compatibility", "generator": 0,
+                                                "level": 0}
+    bf = tensor_module(degree_filtration(exterior_module(1)), degree_filtration(exterior_module(2)))
+    flags = dict(bf.flags)
+    flags[(0, 0)] = Subspace.full(bf.dims[(0, 0)])
+    grid = [[flags[(m, n)] for n in range(bf.top_minus + 1)] for m in range(bf.top_plus + 1)]
+    mutant = BifilteredSupermodule(bf.plus_algebra, bf.minus_algebra, bf.dims,
+                                   *bf.gammas, grid)
+    with pytest.raises(CheckFailed) as caught:
+        bideform(mutant)
+    assert caught.value.certificate.witness["kind"] in ("compatibility_plus", "compatibility_minus")
+
+
+def test_quotient_flags_are_built_once_per_rep(monkeypatch):
+    # the flags of a quotient read only the shifts, so biquotient at any
+    # shell and the roundtrip share one set, kept on the rep
+    rng = random.Random(5)
+    bf = tensor_module(random_filtration(exterior_module(2), rng),
+                       random_filtration(exterior_module(1), rng))
+    r = bideform(bf)
+    assert verify_2d(r)
+    built = []
+    original = Subspace.row_space
+    monkeypatch.setattr(Subspace, "row_space",
+                        staticmethod(lambda m: built.append(m) or original(m)))
+    shells = [(2, Fraction(1, 3)), (Fraction(7, 2), 1)]
+    outputs = [biquotient(r, *s) for s in shells]
+    iso = canonical_biroundtrip_iso(bf)
+    assert iso.certificate and len(built) == len(bf.flags)
+    monkeypatch.undo()
+
+    def fresh():
+        return BiGradedRep(r.plus_algebra, r.minus_algebra, r.dims, r.sp, r.sm, r.qp, r.qm)
+
+    assert outputs == [biquotient(fresh(), *s) for s in shells]
+    assert outputs[0].flags == biquotient(fresh(), 1, 1).flags == bf.flags
+
+
+@pytest.mark.parametrize("level, units", [(0, [0]), (2, range(7))])
+def test_roundtrip_rejects_a_quotient_flag_of_the_same_dimension(monkeypatch, level, units):
+    # the roundtrip compares flags by dimension and containment: in the
+    # Hodge filtration of exterior(4), 1 + vol replaced by the unit e_() at
+    # one level keeps the dimension and fails at that level
+    original = deformation._quotient
+
+    def moved(rep, shells, cls):
+        back = original(rep, shells, cls)
+        flags = [back.level(p) for p in range(back.top_degree + 1)]
+        flags[level] = Subspace._units(8, units)
+        assert flags[level].dim == back.level(level).dim and flags[level] != back.level(level)
+        return SuperFiltration(back.module, flags[0::2], flags[1::2])
+
+    monkeypatch.setattr(deformation, "_quotient", moved)
+    with pytest.raises(RuntimeError) as caught:
+        canonical_roundtrip_iso(hodge_filtration(exterior_module(4)))
+    assert str(caught.value).endswith(f"{{'kind': 'flag', 'level': {level}}}")

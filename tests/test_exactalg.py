@@ -359,6 +359,25 @@ def test_vanishes_rejects_shape_mismatch():
     assert _vanishes([], None) and _vanishes([], a, 0) and _vanishes([(2, a, b)], None, 5)
 
 
+def test_vanishes_on_empty_results():
+    # a result with no rows or no columns is zero, but its shapes are still
+    # checked; an inner dimension of 0 leaves -s * target to compare
+    empty_rows, empty_cols = Matrix.zeros(0, 2), Matrix.zeros(2, 0)
+    mixed = [(1, empty_cols, Matrix.zeros(0, 1)), (1, empty_rows, Matrix.zeros(2, 0))]
+    for terms, target in [([(1, empty_rows, Matrix.zeros(3, 2))], None),
+                          ([(1, empty_rows, Matrix.zeros(2, 2))], Matrix.zeros(0, 3)),
+                          (mixed, None)]:
+        with pytest.raises(ValueError):
+            _vanishes(terms, target, 1)
+    assert _vanishes([(1, empty_rows, Matrix.identity(2))], Matrix.zeros(0, 2), 3)
+    unread = Matrix(0, 2, []), Matrix(2, 2, [[1, 2], [3, 4]])
+    assert _vanishes([(1, *unread)]) and all(m._int is None for m in unread)
+    assert _vanishes([(2, Matrix.identity(2), empty_cols)], None)
+    inner = [(1, Matrix.zeros(2, 0), Matrix.zeros(0, 2))]
+    assert not _vanishes(inner, Matrix.identity(2), 1)
+    assert _vanishes(inner, Matrix.identity(2), 0) and _vanishes(inner, Matrix.zeros(2, 2), 1)
+
+
 def _kernel_results():
     """(operation, result) for every kernel operation on seeded inputs:
     negative entries, denominators up to 10**6, 0 x k and k x 0 shapes."""

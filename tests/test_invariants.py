@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import cliffilt
-from cliffilt import cli, invariants, serialize
+from cliffilt import cli, invariants, serialize, supermodule
 from cliffilt.certificate import CheckFailed
 from cliffilt.exactalg import Matrix, Subspace, kernel, rref
 from cliffilt.invariants import (
@@ -336,6 +336,29 @@ def test_commutant_requires_the_module_relations():
         with pytest.raises(CheckFailed) as raised:
             broken.graded_commutant()
         assert raised.value.certificate.check == "supermodule_relations"
+
+
+def test_decompose_pieces_inherit_the_relations_verdict(monkeypatch):
+    # each piece restricts a checked module to gamma-invariant subspaces,
+    # so its relations hold by construction: only the parent's are verified
+    irr = trivial_filtration(irreducible_module(4))
+    f = direct_sum_filtration(irr, irr)
+    verified = []
+    original = supermodule._module_relations
+
+    def counting(v):
+        verified.append(v)
+        return original(v)
+
+    monkeypatch.setattr(supermodule, "_module_relations", counting)
+    summands = decompose(f)
+    assert len(verified) == 1 and len(summands) == 2
+    monkeypatch.undo()
+    for s in summands:
+        m = s.filtration.module
+        assert m._relations is f.module._relations
+        rebuilt = CliffordSupermodule(m.algebra, list(m.gamma_eo), list(m.gamma_oe))
+        assert check_supermodule(rebuilt)
 
 
 def _moved(f, rng):
