@@ -22,6 +22,16 @@ coordinates; it reads those coordinates off the target flags' pivot
 columns without testing the containments again, and refuses a module
 that does not hold a passing verdict.
 
+`_verify` decides the relations from a generating set: injectivity,
+shift commutation, the cross-direction [S_e, Q] and the diagonal
+{Q_i, Q_i} at every grid point, the other anticommutators and the mixed
+brackets only at the 2^k top points.  Injective shifts carry a relation
+proved at the top down to every level (proof in `_relations`); a rep
+that fails is scanned again in full, so its witness is the first
+failure of the full scan.  The roundtrip's maps are identities, since
+the corner flags are full, so `_roundtrip` certifies it by equality of
+dimensions, gamma matrices and flags.
+
 k = 1, with the shift the Hamiltonian H, is the correspondence between
 filtered Cl(N)-supermodules and graded off-shell representations of
 p^{1|N}: `deform`, `verify_offshell`, `quotient_at` (which also takes
@@ -190,13 +200,16 @@ def _deform(v: FilteredModule, cls):
 
 def _verify(r: GradedRep) -> Certificate:
     """The verdict of `_relations` on r, kept on the rep, whose maps are
-    read-only."""
+    read-only.  The generating scan decides it; only when that scan fails
+    does the full scan run, so the witness is the full scan's first
+    failure."""
     if r._verdict is None:
-        r._verdict = _relations(r)
+        cert = _relations(r, generating=True)
+        r._verdict = cert if cert else _relations(r)
     return r._verdict
 
 
-def _relations(r: GradedRep) -> Certificate:
+def _relations(r: GradedRep, generating: bool = False) -> Certificate:
     """Shift injectivity; then, point by point, shift commutation, each
     family's anticommutators, the mixed brackets and the shift-Q
     commutators.  The first failure is the witness.  Each relation is one
@@ -204,51 +217,76 @@ def _relations(r: GradedRep) -> Certificate:
     built: {Q_i, Q_j} = 2 G[i][j] S_d takes the shift as its target with
     s = 2 G[i][j], and {Q_i, Q_i} is the one term 2 Q_i Q_i.
 
-    The maps are looked up once per call: tables local to the call hold,
-    at each point of the box 0..top + 2 that a relation reads, each
-    direction's shift and each generator's Q map as `shift` and `q` give
-    them (references to the stored maps, not copies), and 2 G[i][j] is
-    read once from each Gram matrix's integer form."""
+    With `generating`, the scan checks a generating set of the relations:
+    injectivity, shift commutation, the cross-direction [S_e, Q^d] (e != d)
+    and the diagonal {Q_i, Q_i} = 2 G[i][i] S_d at every grid point, and
+    the off-diagonal anticommutators and mixed brackets only at the 2^k top
+    points, where x_d >= top_d - 1 for every d.  It passes exactly when
+    the full scan does.  The data repeats above the grid, so a relation
+    at any point of the quadrant is one at a grid point, and:
+
+    * The Gram matrix is positive definite (`CliffordAlgebra` refuses any
+      other), so G[i][i] > 0 and the diagonal relation gives
+      S_d(x) = Q_i(x) Q_i(x + e_d) / G[i][i] at every point.  Then
+      S_d(x) Q_i(x + 2 e_d) and Q_i(x) S_d(x + e_d) are both
+      Q_i(x) Q_i(x + e_d) Q_i(x + 2 e_d) / G[i][i]: [S_d, Q^d_i] = 0.
+    * Every Q map and every shift now commutes with every S_e, so each
+      remaining relation R, a map from x to x + deg R, satisfies
+      R(x) S_e(x + deg R) = S_e(x) R(x + 2 e_e).  S_e is injective (the
+      identity above the grid), so R(x + 2 e_e) = 0 gives R(x) = 0.  Every
+      grid point reaches a top point in steps of 2 e_e inside the grid,
+      so downward induction from the top points gives R = 0 everywhere.
+
+    The maps are looked up once per call: a grid point's neighbours x + e_d
+    and x + 2 e_d are folded back onto the grid once, each direction's
+    shift is tabled at the grid points as `shift` gives it (a reference to
+    the stored map, or the identity), the Q maps are read from the stored
+    mappings at the folded points, and 2 G[i][j] is read once from each
+    Gram matrix's integer form."""
     w, tops = r._words, r.tops
     for d, shifts in enumerate(r.shifts):
         for x, mat in shifts.items():
             if mat.rank() != mat.rows:
                 return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
-    box = list(_points(tuple(t + 2 for t in tops)))
-    shift = [{x: r.shift(d, x) for x in box} for d in range(len(tops))]
-    q = [[{x: r.q(d, i, x) for x in box} for i in range(len(family))]
-         for d, family in enumerate(r.qs)]
+    grid = list(_points(tops))
+    directions = range(len(tops))
+    up = [{x: _fold(_step(x, d, 1), tops) for x in grid} for d in directions]
+    up2 = [{x: _fold(_step(x, d, 2), tops) for x in grid} for d in directions]
+    shift = [{x: r.shift(d, x) for x in grid} for d in directions]
     twice = [_twice_gram(algebra) for algebra in r.algebras]
-    pairs = list(combinations(range(len(tops)), 2))
-    for x in _points(tops):
+    pairs = list(combinations(directions, 2))
+    for x in grid:
         at = dict(zip(w.point, x))
+        every = not generating or all(c >= t - 1 for c, t in zip(x, tops))
         for d, e in pairs:
-            if not _vanishes([(1, shift[d][x], shift[e][_step(x, d, 2)]),
-                              (-1, shift[e][x], shift[d][_step(x, e, 2)])]):
+            if not _vanishes([(1, shift[d][x], shift[e][up2[d][x]]),
+                              (-1, shift[e][x], shift[d][up2[e][x]])]):
                 return failing(w.relations, kind="shifts_commute", **at)
-        for d, family in enumerate(q):
-            up, s = _step(x, d, 1), shift[d][x]
+        for d, family in enumerate(r.qs):
+            y, s = up[d][x], shift[d][x]
             for i, qi in enumerate(family):
-                for j in range(i, len(family)):
+                for j in range(i, len(family) if every else i + 1):
                     if i == j:
-                        terms = [(2, qi[x], qi[up])]
+                        terms = [(2, qi[x], qi[y])]
                     else:
                         qj = family[j]
-                        terms = [(1, qi[x], qj[up]), (1, qj[x], qi[up])]
+                        terms = [(1, qi[x], qj[y]), (1, qj[x], qi[y])]
                     if not _vanishes(terms, s, twice[d][i][j]):
                         return failing(w.relations, kind=w.anticommutator[d], i=i, j=j, **at)
-        for d, e in pairs:
-            up_d, up_e = _step(x, d, 1), _step(x, e, 1)
-            for i, qi in enumerate(q[d]):
-                for j, qj in enumerate(q[e]):
-                    if not _vanishes([(1, qi[x], qj[up_d]), (1, qj[x], qi[up_e])]):
+        for d, e in pairs if every else ():
+            y_d, y_e = up[d][x], up[e][x]
+            for i, qi in enumerate(r.qs[d]):
+                for j, qj in enumerate(r.qs[e]):
+                    if not _vanishes([(1, qi[x], qj[y_d]), (1, qj[x], qi[y_e])]):
                         return failing(w.relations, kind="mixed_bracket",
                                        **{w.generator[d]: i, w.generator[e]: j}, **at)
-        for d, family in enumerate(q):
-            up = _step(x, d, 1)
+        for d, family in enumerate(r.qs):
+            y = up[d][x]
             for i, qi in enumerate(family):
-                for e, se in enumerate(shift):
-                    if not _vanishes([(1, se[x], qi[_step(x, e, 2)]), (-1, qi[x], se[up])]):
+                for e in directions:
+                    if generating and e == d:
+                        continue
+                    if not _vanishes([(1, shift[e][x], qi[up2[e][x]]), (-1, qi[x], shift[e][y])]):
                         return failing(w.relations, kind=w.shift_q[d][e],
                                        **{w.generator[d]: i}, **at)
     return passing(w.relations)
@@ -300,33 +338,36 @@ def _roundtrip(source: FilteredModule, rep: GradedRep,
     The result is kept on `source`, as its deformation is: the module is
     read-only, so it cannot go stale.
 
-    Bijectivity of every map is certified before the flags are compared,
-    so flag.image(maps[c]) has flag.dim; it equals the quotient's flag
-    exactly when the two dimensions agree and the rows of flag.basis
-    times maps[c] lie in the quotient's flag, which one `_vanishes`
-    decides without eliminating the image."""
+    Those maps are identities.  `_deform` holds only modules whose check
+    passed, and the check makes every corner flag full; the reduced
+    echelon basis of a full space is the identity, so a vector is its own
+    coordinates.  With identity maps the map on c is bijective exactly
+    when the quotient's component has dimension dims[c]; it intertwines
+    generator i exactly when gamma[c] equals the quotient's image[c]; and
+    it carries the flag F_x onto the quotient's flag exactly when the two
+    are equal.  Both flags are stored by their reduced echelon bases,
+    which are unique, so `Subspace` equality decides that.  No rank,
+    product, coordinates or `_vanishes` is needed; the witnesses and
+    their order are those of the comparison through the maps."""
     if source._iso is not None:
         return source._iso
     back = _quotient(rep, (1,) * len(source.tops), type(source))
-    name, tops = words.roundtrip, source.tops
-    maps = {c: source.flags[_corner(c, tops)].coordinate_matrix(Matrix.identity(dim))
-            for c, dim in source.dims.items()}
+    name = words.roundtrip
+    maps = {c: Matrix.identity(dim) for c, dim in source.dims.items()}
     # a single parity is named by its number
     labels = {c: {words.component: c if len(c) > 1 else c[0]} for c in maps}
 
     def verify() -> Certificate:
         for c, dim in source.dims.items():
-            if maps[c].rank() != dim or back.dims[c] != dim:
+            if back.dims[c] != dim:
                 return failing(name, kind="bijective", **labels[c])
         for c in maps:
             for d, (kind, key) in enumerate(words.intertwine):
-                flipped = _parity(_step(c, d, 1))
                 for i, (gamma, image) in enumerate(zip(source.gammas[d], back.gammas[d])):
-                    if not _vanishes([(1, gamma[c], maps[flipped]), (-1, maps[c], image[c])]):
+                    if gamma[c] != image[c]:
                         return failing(name, kind=kind, **{key: i}, **labels[c])
         for x, flag in source.flags.items():
-            other = back.flags[x]
-            if flag.dim != other.dim or not other._contains_rows(flag.basis * maps[_parity(x)]):
+            if flag != back.flags[x]:
                 return failing(name, kind="flag", **dict(zip(words.point, x)))
         return passing(name)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffilt import cli, deformation
+from cliffilt import cli, deformation, exactalg
 from cliffilt.bifiltration import (
     BifilteredSupermodule,
     BiGradedRep,
@@ -342,19 +342,26 @@ def test_deform_requires_valid_filtration():
 
 def test_deform_is_kept_on_the_filtration(monkeypatch):
     # the filtration and its deformation are read-only, so the deformation
-    # is built once; the roundtrip then only forms its own component maps
+    # is built once; once the quotient's flags are kept on it, the
+    # roundtrip, whose maps are identities, forms no coordinates and
+    # eliminates nothing
     f = hodge_filtration(exterior_module(4))
-    assert deform(f) is deform(f)
+    r = deform(f)
+    assert deform(f) is r
+    assert quotient_at(r, 1).filtration.flags == f.flags
     calls = []
-    original = Subspace.coordinate_matrix
 
-    def counting(self, vectors):
-        calls.append(vectors.rows)
-        return original(self, vectors)
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(Subspace, "coordinate_matrix", counting)
+    monkeypatch.setattr(Subspace, "coordinate_matrix",
+                        counting("coordinate_matrix", Subspace.coordinate_matrix))
+    monkeypatch.setattr(exactalg, "rref", counting("rref", exactalg.rref))
     assert canonical_roundtrip_iso(f).certificate
-    assert len(calls) == 2
+    assert calls == [] and deform(f) is r
 
 
 def test_roundtrip_is_kept_on_the_filtration(monkeypatch):

@@ -14,11 +14,17 @@ from itertools import combinations
 
 import pytest
 
-from cliffilt import deformation
-from cliffilt.bifiltration import bideform, tensor_module
+from cliffilt import deformation, exactalg
+from cliffilt.bifiltration import bideform, biquotient, canonical_biroundtrip_iso, tensor_module
 from cliffilt.certificate import failing, passing
 from cliffilt.clifford import CliffordAlgebra
-from cliffilt.deformation import GradedRep, deform
+from cliffilt.deformation import (
+    GradedRep,
+    canonical_roundtrip_iso,
+    deform,
+    quotient_at,
+    verify_offshell,
+)
 from cliffilt.exactalg import Matrix, Subspace, _vanishes
 from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
@@ -137,8 +143,7 @@ def _mutants(r, rng):
     """One seeded single-entry mutant of every stored shift and Q map at
     every grid point that holds a nonempty map."""
     shifts, qs = _maps(r)
-    held = [s for s in shifts] + [q for family in qs for q in family]
-    for k, table in enumerate(held):
+    for table in shifts + [q for family in qs for q in family]:
         for x, mat in table.items():
             if not mat.rows or not mat.cols:
                 continue
@@ -173,7 +178,8 @@ def _seeded_reps():
     reps = [deform(degree_filtration(exterior_module(n))) for n in range(1, 5)]
     modules = ([exterior_module(n) for n in range(1, 5)]
                + [irreducible_module(n) for n in range(1, 5)]
-               + [irreducible_cl5(), _mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]])])
+               + [irreducible_cl5(),
+                  _mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]])])
     reps += [deform(random_filtration(m, rng)) for m in modules]
     pairs = [(exterior_module(0), exterior_module(2)), (exterior_module(1), exterior_module(1)),
              (exterior_module(2), exterior_module(1)), (irreducible_module(2), exterior_module(2)),
@@ -258,3 +264,47 @@ def test_below_top_mutant_witness(name):
     assert _text(cert) == text == _text(_full_scan(mutant))
     point = [cert.witness[key] for key in base._words.point]
     assert any(c < t - 1 for c, t in zip(point, base.tops))
+
+
+def test_generating_scan_counts(monkeypatch):
+    # exterior(4) by degree, levels 0..4: the diagonal {Q_i, Q_i} at every
+    # level and the off-diagonal {Q_i, Q_j} at the top two, one `_vanishes`
+    # each; no [H, Q_i], which the diagonal implies
+    f = degree_filtration(exterior_module(4))
+    r = deform(f)
+    n, levels = r.algebra.n, r.top_degree + 1
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _vanishes(*args)
+
+    monkeypatch.setattr(deformation, "_vanishes", counting)
+    assert verify_offshell(r)
+    assert len(calls) == n * levels + n * (n - 1) // 2 * 2 == 32
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_roundtrip_of_a_checked_module_eliminates_and_compares_nothing(monkeypatch, k):
+    # with the quotient's flags kept on the deformation, the roundtrip's
+    # identity maps are certified by equality alone
+    if k == 1:
+        v = degree_filtration(exterior_module(3))
+        assert quotient_at(deform(v), 1)
+        roundtrip = canonical_roundtrip_iso
+    else:
+        v = tensor_module(degree_filtration(exterior_module(2)),
+                          degree_filtration(exterior_module(1)))
+        assert biquotient(bideform(v))
+        roundtrip = canonical_biroundtrip_iso
+    calls = []
+
+    def refused(name):
+        return lambda *args: calls.append(name)
+
+    for module in (exactalg, deformation):
+        monkeypatch.setattr(module, "_vanishes", refused("_vanishes"))
+    monkeypatch.setattr(exactalg, "rref", refused("rref"))
+    monkeypatch.setattr(Matrix, "__mul__", refused("product"))
+    assert roundtrip(v).certificate
+    assert calls == []
