@@ -171,7 +171,9 @@ def _deform(v: FilteredModule, cls):
     target flag (compatibility).  So the shift at x is B[:, P] for the
     pivots P of F_{x + 2 e_d}, and the Q map is (B gamma)[:, P] =
     B (gamma[:, P]) for the pivots P of the target, each gamma cut at a
-    set of pivots once per call.  Raises ValueError unless v holds a
+    set of pivots once per call.  When F_x is full, B is the identity (the
+    reduced echelon basis of a whole space), so the Q map is the cut gamma
+    itself and no product is built.  Raises ValueError unless v holds a
     passing verdict."""
     if v._deformed is not None:
         return v._deformed
@@ -190,7 +192,7 @@ def _deform(v: FilteredModule, cls):
                 key = (d, i, c, pivots)
                 if key not in cut:
                     cut[key] = gamma[c]._columns(pivots)
-                qs[d][i][x] = flag.basis * cut[key]
+                qs[d][i][x] = cut[key] if flag.is_full else flag.basis * cut[key]
     rep = cls.__new__(cls)
     dims = _nest({x: flag.dim for x, flag in v.flags.items()}, v.tops)
     GradedRep.__init__(rep, v.algebras, dims, shifts, qs)
@@ -237,6 +239,17 @@ def _relations(r: GradedRep, generating: bool = False) -> Certificate:
       grid point reaches a top point in steps of 2 e_e inside the grid,
       so downward induction from the top points gives R = 0 everywhere.
 
+    A shift is injective when its rows are independent.  Rows that are
+    all nonzero, with distinct leading columns, are: sorted by leading
+    column they are in echelon form.  Only a shift that fails that test
+    is eliminated (`rank`).  On a deformation none fails it.  There the
+    shift at x is B[:, P], for the reduced echelon basis B of F_x and the
+    pivots P of F_{x + 2 e_d}.  F_x <= F_{x + 2 e_d}, and the pivots of a
+    space are the leading columns of its vectors, so P holds every pivot
+    of B.  Row r of B is zero before its pivot and 1 there, so its leading
+    column in B[:, P] is the place of that pivot in P, distinct for
+    distinct rows.
+
     The maps are looked up once per call: a grid point's neighbours x + e_d
     and x + 2 e_d are folded back onto the grid once, each direction's
     shift is tabled at the grid points as `shift` gives it (a reference to
@@ -246,7 +259,8 @@ def _relations(r: GradedRep, generating: bool = False) -> Certificate:
     w, tops = r._words, r.tops
     for d, shifts in enumerate(r.shifts):
         for x, mat in shifts.items():
-            if mat.rank() != mat.rows:
+            leads = {min(j for j, _ in row) for row in mat._ints()[1] if row}
+            if len(leads) != mat.rows and mat.rank() != mat.rows:
                 return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
     grid = list(_points(tops))
     directions = range(len(tops))
@@ -302,7 +316,10 @@ def _quotient(r: GradedRep, shells, cls):
 
     The flags read only the shifts, not the shell values, so they are
     built on the first call and kept on the rep, whose maps are
-    read-only; a quotient at any shell, and the roundtrip, reuse them."""
+    read-only; a quotient at any shell, and the roundtrip, reuse them.
+    Each composite starts from its first shift, not from the identity of
+    V_x, which would not change the product; the composite at a corner
+    has no shift, so it is the identity and its flag the whole space."""
     tops = r.tops
     corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
     dims = {c: r._grid[corner] for c, corner in corners.items()}
@@ -315,13 +332,15 @@ def _quotient(r: GradedRep, shells, cls):
         flags = {}
         for x in _points(tops):
             corner = corners[_parity(x)]
-            composite, at = Matrix.identity(r._grid[x]), x
+            composite, at = None, x
             for d in range(len(tops)):
                 for c in range(x[d], corner[d], 2):
                     at = at[:d] + (c,) + at[d + 1:]
-                    composite = composite * r.shift(d, at)
+                    shift = r.shift(d, at)
+                    composite = shift if composite is None else composite * shift
                 at = at[:d] + (corner[d],) + at[d + 1:]
-            flags[x] = Subspace.row_space(composite)
+            flags[x] = (Subspace.full(r._grid[x]) if composite is None
+                        else Subspace.row_space(composite))
         r._flags = MappingProxyType(flags)
     algebras = tuple(CliffordAlgebra(a.n, a.gram.scale(s)) for a, s in zip(r.algebras, shells))
     quotient = cls.__new__(cls)

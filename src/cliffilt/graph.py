@@ -72,21 +72,22 @@ def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
              basis_odd: Matrix | None = None) -> AdinkraGraph:
     """Graph of the generator action on an adapted basis.
 
-    Defaults to the coordinate basis of each parity component.  Heights
-    are minimal filtration levels; each generator image must be plus or
-    minus a single basis vector of the other parity or the basis is
-    rejected as not adapted.  Raises CheckFailed unless check_filtration
-    passes.
+    Defaults to the coordinate basis of each parity component, which
+    spans it; a basis the caller gives must span its component (one rank
+    test each).  Heights are minimal filtration levels; each generator
+    image must be plus or minus a single basis vector of the other parity
+    or the basis is rejected as not adapted.  Raises CheckFailed unless
+    check_filtration passes.
     """
     require("filtration", check_filtration(f))
     module = f.module
     if basis_even is None:
         basis_even = Matrix.identity(module.dim_even)
+    elif basis_even.rank() != module.dim_even or basis_even.rows != module.dim_even:
+        raise ValueError("even basis does not span the even component")
     if basis_odd is None:
         basis_odd = Matrix.identity(module.dim_odd)
-    if basis_even.rank() != module.dim_even or basis_even.rows != module.dim_even:
-        raise ValueError("even basis does not span the even component")
-    if basis_odd.rank() != module.dim_odd or basis_odd.rows != module.dim_odd:
+    elif basis_odd.rank() != module.dim_odd or basis_odd.rows != module.dim_odd:
         raise ValueError("odd basis does not span the odd component")
 
     vertices = []

@@ -325,12 +325,22 @@ def _module_flags(v: FilteredModule) -> Certificate:
     flags at the 2^k corners; then each family's compatibility with the
     flags, g F_x <= F_{x + e_d} folded back onto the grid: the rows of
     F_x's basis times g must lie in the target flag, which one `_vanishes`
-    decides without an elimination of the image."""
+    decides without an elimination of the image.
+
+    A nesting or compatibility test into a full flag is skipped, with no
+    product built for it.  `FilteredModule.__init__` has checked that each
+    flag lives in the component of its point's parity and that each gamma
+    maps that component to the component of the target's parity; a full
+    flag is that whole component, so it contains the flag below it and
+    every image.  A skipped test could only pass, so the first failure,
+    and its witness, is the one every test would give."""
     w = v._words
     for x in sorted(v.flags, key=_parity):
         for d, top in enumerate(v.tops):
-            if x[d] <= top - 2 and not v.flags[_step(x, d, 2)].contains_subspace(v.flags[x]):
-                return failing(w.flags, **w.nesting(d, x))
+            if x[d] <= top - 2:
+                outer = v.flags[_step(x, d, 2)]
+                if not outer.is_full and not outer.contains_subspace(v.flags[x]):
+                    return failing(w.flags, **w.nesting(d, x))
     for c in product((0, 1), repeat=len(v.tops)):
         corner = _corner(c, v.tops)
         if not v.flags[corner].is_full:
@@ -338,6 +348,8 @@ def _module_flags(v: FilteredModule) -> Certificate:
     for x, flag in v.flags.items():
         for d, family in enumerate(v.gammas):
             target = v.flags[_fold(_step(x, d, 1), v.tops)]
+            if target.is_full:
+                continue
             for i, gamma in enumerate(family):
                 if not target._contains_rows(flag.basis * gamma[_parity(x)]):
                     return failing(w.flags, **w.compatibility(d, i, x))

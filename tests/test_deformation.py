@@ -490,16 +490,19 @@ def test_compatibility_mutants_fail_the_filtration_check():
 
 def test_quotient_flags_are_built_once_per_rep(monkeypatch):
     # the flags of a quotient read only the shifts, so biquotient at any
-    # shell and the roundtrip share one set, kept on the rep
+    # shell and the roundtrip share one set, kept on the rep; a corner's
+    # flag is the whole space, built with no elimination
     rng = random.Random(5)
     bf = tensor_module(random_filtration(exterior_module(2), rng),
                        random_filtration(exterior_module(1), rng))
     r = bideform(bf)
     assert verify_2d(r)
     built = []
-    original = Subspace.row_space
-    monkeypatch.setattr(Subspace, "row_space",
-                        staticmethod(lambda m: built.append(m) or original(m)))
+    for name in ("row_space", "full"):
+        original = getattr(Subspace, name)
+        monkeypatch.setattr(Subspace, name,
+                            staticmethod(lambda m, original=original: built.append(m)
+                                         or original(m)))
     shells = [(2, Fraction(1, 3)), (Fraction(7, 2), 1)]
     outputs = [biquotient(r, *s) for s in shells]
     iso = canonical_biroundtrip_iso(bf)
