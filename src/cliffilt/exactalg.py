@@ -434,7 +434,14 @@ def _primitive(row: dict, lead: int) -> dict:
 
 def kernel(m: Matrix) -> Matrix:
     """Canonical basis (as rows) of the row kernel {v : v * m = 0}."""
-    reduced, pivots = rref(m.transpose())
+    return _null_space(m.transpose())
+
+
+def _null_space(e: Matrix) -> Matrix:
+    """Canonical basis (as rows) of {v : e * v^T = 0}, the solutions of the
+    equations that are the rows of `e`: `kernel` of e's transpose, for
+    callers that build their equations as rows."""
+    reduced, pivots = rref(e)
     d, rows = reduced._ints()
     pivot_set = set(pivots)
     by_pivot = [dict(row) for row in rows]
@@ -442,10 +449,10 @@ def kernel(m: Matrix) -> Matrix:
     # column f of the reduced rows at their pivots
     vectors = [
         ((f, d), *[(p, -row[f]) for p, row in zip(pivots, by_pivot) if f in row])
-        for f in range(m.rows)
+        for f in range(e.cols)
         if f not in pivot_set
     ]
-    basis, _ = rref(Matrix._from_ints(m.rows, d, vectors))
+    basis, _ = rref(Matrix._from_ints(e.cols, d, vectors))
     return basis
 
 

@@ -25,7 +25,7 @@ from math import isqrt, lcm
 
 from .certificate import require
 from .clifford import _is_positive_definite
-from .exactalg import Matrix, Subspace, _insert, _primitive, _reduced, kernel
+from .exactalg import Matrix, Subspace, _insert, _primitive, _reduced, _vanishes, kernel
 from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule
 
 CERTIFIED = "indecomposable (certified)"
@@ -40,17 +40,33 @@ def gr_dimensions(f: SuperFiltration) -> tuple[int, ...]:
 
 
 def source_dimensions(f: SuperFiltration) -> tuple[int, ...]:
-    """dim of F_p modulo the span of all gamma images of F_{p-1}."""
-    module = f.module
-    return tuple(
-        f.level(p).dim - _grown(module, p, f.level(p - 1), Subspace.zero(module.dim(p % 2))).dim
-        for p in range(f.top_degree + 1)
-    )
+    """dim of F_p modulo the span of all gamma images of F_{p-1}.  Kept on
+    the filtration, whose maps and flags are read-only."""
+    if f._sources is None:
+        module = f.module
+        f._sources = tuple(
+            f.level(p).dim
+            - _grown(module, p, f.level(p - 1), Subspace.zero(module.dim(p % 2))).dim
+            for p in range(f.top_degree + 1)
+        )
+    return f._sources
 
 
 def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace) -> Subspace:
     """span plus the images of below, the level p - 1, under every generator,
-    reduced together in one elimination."""
+    reduced together in one elimination.
+
+    When below is full, the algebra has a generator and the module keeps a
+    passing relations verdict, the result is the full component of parity
+    p, and nothing is built.  The relation {g_0, g_0} = 2 G_00 on that
+    component says v g_0 g_0 = G_00 v for each of its vectors v, with
+    G_00 > 0 as the Gram matrix is positive definite.  So v is the image
+    under g_0 of v g_0 / G_00, which lies in the component of parity
+    p - 1, all of which is below.  A module whose relations were not
+    checked, or failed, is computed as before: its g_0 need not be onto.
+    """
+    if below.is_full and module.algebra.n and module._relations:
+        return Subspace.full(module.dim(p % 2))
     stacked = span.basis
     for i in range(module.algebra.n):
         stacked = stacked.stack(below.basis * module.gamma(i, (p - 1) % 2))
@@ -115,16 +131,6 @@ def _combination(coeffs, d: int, mats: list[Matrix]) -> Matrix:
                              [[(j, x) for j, x in row.items() if x] for row in acc])
 
 
-def _flatten(pair) -> tuple:
-    pe, po = pair
-    flat = []
-    for row in pe.entries:
-        flat.extend(row)
-    for row in po.entries:
-        flat.extend(row)
-    return tuple(flat)
-
-
 def _pair_mul(a, b):
     return (a[0] * b[0], a[1] * b[1])
 
@@ -134,7 +140,25 @@ def _pair_identity(module):
 
 
 def _trace(m: Matrix) -> Fraction:
-    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
+    d, rows = m._ints()
+    return Fraction(sum(c for i, row in enumerate(rows) for j, c in row if j == i), d)
+
+
+def _anticommutator_scalar(a, b) -> Fraction | None:
+    """c when ab + ba = c I on both parities, else None.  c is the (0, 0)
+    entry of ab + ba on the first parity of nonzero dimension, summed from
+    the integer forms; each parity is then compared to c I by `_vanishes`,
+    so no product is built."""
+    p, q = next((p, q) for p, q in zip(a, b) if p.rows)
+    (dp, prows), (dq, qrows) = p._ints(), q._ints()
+    # column 0 of q and of p, as {row: entry}
+    q0, p0 = [{r: c for r, row in enumerate(rows) for j, c in row if j == 0}
+              for rows in (qrows, prows)]
+    c = Fraction(sum(v * q0.get(k, 0) for k, v in prows[0])
+                 + sum(v * p0.get(k, 0) for k, v in qrows[0]), dp * dq)
+    if all(_vanishes([(1, x, y), (1, y, x)], Matrix.identity(x.rows), c) for x, y in zip(a, b)):
+        return c
+    return None
 
 
 def _flat_ints(pair) -> tuple[int, dict]:
@@ -243,7 +267,11 @@ def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
     g' h' B_c for two generators.  A relation of the parent on parity c,
     a sum of products g h = 2 G I, then gives (sum of g' h' - 2 G I) B_c
     = B_c (sum of g h - 2 G I) = 0.  The rows of B_c are independent, so
-    X B_c = 0 only for X = 0, and the relation holds on the piece."""
+    X B_c = 0 only for X = 0, and the relation holds on the piece.
+
+    A full level meets the pair's part W in all of W, whose coordinates
+    in W's own basis are the identity: it restricts to the full flag of
+    the piece, with no intersection and no coordinates."""
     module = f.module
     n = module.algebra.n
     gamma_eo = [w_odd.coordinate_matrix(w_even.basis * module.gamma(i, 0)) for i in range(n)]
@@ -256,9 +284,11 @@ def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
     even_flags, odd_flags = [], []
     for p in range(f.top_degree + 1):
         w = w_even if p % 2 == 0 else w_odd
-        inter = f.level(p) & w
-        coords = w.coordinate_matrix(inter.basis)
-        flag = Subspace.row_space(coords)
+        level = f.level(p)
+        if level.is_full:
+            flag = Subspace.full(w.dim)
+        else:
+            flag = Subspace.row_space(w.coordinate_matrix((level & w).basis))
         (even_flags if p % 2 == 0 else odd_flags).append(flag)
     return SuperFiltration(sub, even_flags, odd_flags)
 
@@ -380,6 +410,15 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
     element whose minimal polynomial has two distinct irreducible
     factors, and by the Chinese remainder theorem such an element has a
     polynomial in it that is an idempotent other than 0 and 1.
+
+    No product of two pairs is built for the commutativity test or the
+    quaternion table.  ab = ba on both parities exactly when ab - ba
+    vanishes there, and ab + ba = c I exactly when ab + ba - c I vanishes;
+    `_vanishes` decides each without building ab or ba.  ab + ba is
+    symmetric in a and b, so the table is filled from i <= j alone.  The
+    traceless pairs are picked in order when their flattened rows are
+    independent of the earlier ones, by one echelon basis of those rows:
+    the rows have rank 3 exactly when three are picked.
     """
     module = f.module
     d = len(endos)
@@ -389,17 +428,8 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
     if semisimple_dim != d:
         return EXHAUSTED
 
-    commutative = True
-    for i in range(d):
-        for j in range(i + 1, d):
-            ab = _pair_mul(endos[i], endos[j])
-            ba = _pair_mul(endos[j], endos[i])
-            if ab[0] != ba[0] or ab[1] != ba[1]:
-                commutative = False
-                break
-        if not commutative:
-            break
-    if commutative:
+    if all(_vanishes([(1, x, y), (-1, y, x)])
+           for i in range(d) for j in range(i + 1, d) for x, y in zip(endos[i], endos[j])):
         candidates = list(endos)
         for i in range(d):
             for j in range(i + 1, d):
@@ -421,29 +451,21 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
             shifted = (pair[0] - ident[0].scale(tr), pair[1] - ident[1].scale(tr))
             if not (shifted[0].is_zero() and shifted[1].is_zero()):
                 traceless.append(shifted)
-        basis_rows = [_flatten(p) for p in traceless]
-        if Matrix.from_rows(basis_rows, cols=len(basis_rows[0])).rank() != 3:
-            return EXHAUSTED
-        picked = []
-        span = Subspace.zero(len(basis_rows[0]))
-        for pair, row in zip(traceless, basis_rows):
-            if not span.contains(row):
+        picked, echelon = [], {}
+        for pair in traceless:
+            row = _reduced(echelon, _flat_ints(pair)[1])
+            if row:
+                _insert(echelon, row)
                 picked.append(pair)
-                span = span + Subspace.span(len(row), [row])
-        norm_rows = []
-        for a in picked:
-            row = []
-            for b in picked:
-                anti = _pair_mul(a, b)
-                ba = _pair_mul(b, a)
-                combined = (anti[0] + ba[0], anti[1] + ba[1])
-                diag = combined[0].entries[0][0] if combined[0].rows else combined[1].entries[0][0]
-                expect = (Matrix.identity(combined[0].rows).scale(diag),
-                          Matrix.identity(combined[1].rows).scale(diag))
-                if combined[0] != expect[0] or combined[1] != expect[1]:
+        if len(picked) != 3:
+            return EXHAUSTED
+        norm_rows = [[0] * 3 for _ in range(3)]
+        for i, a in enumerate(picked):
+            for j in range(i, 3):
+                c = _anticommutator_scalar(a, picked[j])
+                if c is None:
                     return EXHAUSTED
-                row.append(diag)
-            norm_rows.append(row)
+                norm_rows[i][j] = norm_rows[j][i] = c
         # the trace-zero part squares to a negative definite form
         return CERTIFIED if _is_positive_definite(-Matrix(3, 3, norm_rows)) else EXHAUSTED
     return EXHAUSTED
@@ -511,7 +533,10 @@ def _summand_reports(f: SuperFiltration) -> tuple:
 @lru_cache(maxsize=128)
 def invariant_report(f: SuperFiltration) -> InvariantReport:
     """All computed invariants of one filtration, cached per object."""
-    return InvariantReport(gr_dimensions(f), source_dimensions(f), _summand_reports(f))
+    # the decomposition checks f first, so the source dimensions, kept on
+    # f and shared with an unsplit summand, see its relations verdict
+    summands = _summand_reports(f)
+    return InvariantReport(gr_dimensions(f), source_dimensions(f), summands)
 
 
 DISTINGUISHED = "DISTINGUISHED"
@@ -618,6 +643,12 @@ def filtration_search(
     and extends upward by the generator closure plus random complements;
     finds are validated and deduplicated by invariant comparison.  Raises
     CheckFailed unless check_supermodule passes.
+
+    The finds are distinct by invariants, not up to isomorphism: no two
+    share their gr dims, source dims and summand reports, and a candidate
+    is dropped when all three match an earlier find's, whether or not it
+    is isomorphic to that find.  So the finds count classes of
+    invariants, not isomorphism classes.
     """
     require("module", check_supermodule(module))
     target = tuple(int(t) for t in target_gr_dims)
@@ -636,7 +667,6 @@ def filtration_search(
     for p in range(m + 1):
         required.append(sum(target[p % 2:p + 1:2]))
     found: list[SuperFiltration] = []
-    sources: list[tuple] = []  # source dimensions of each find
     memo: dict[SuperFiltration, tuple] = {}  # summand reports met in this search
 
     def summands(f: SuperFiltration) -> tuple:
@@ -672,9 +702,8 @@ def filtration_search(
             continue
         # invariant_equal, on reports kept for the length of the search
         source = source_dimensions(candidate)
-        if any(s == source and summands(g) == summands(candidate)
-               for g, s in zip(found, sources)):
+        if any(source_dimensions(g) == source and summands(g) == summands(candidate)
+               for g in found):
             continue
         found.append(candidate)
-        sources.append(source)
     return found

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
-from .exactalg import Matrix, Subspace, _vanishes, kernel
+from .exactalg import Matrix, Subspace, _null_space, _vanishes
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -162,7 +162,7 @@ class CliffordSupermodule:
                                 eq[u] = eq.get(u, 0) + w * bk * cv
                     equations.append([(u, x) for u, x in eq.items() if x])
         if equations:
-            basis = kernel(Matrix._from_ints(unknowns, 1, equations).transpose())
+            basis = _null_space(Matrix._from_ints(unknowns, 1, equations))
         else:
             basis = Matrix.identity(unknowns)
 
@@ -275,6 +275,7 @@ class FilteredModule:
         self._verdict: Certificate | None = None
         self._deformed = None  # the graded rep, kept by deformation._deform
         self._iso = None  # the roundtrip maps and certificate, kept by deformation._roundtrip
+        self._sources = None  # k = 1: the source dimensions, kept by invariants.source_dimensions
 
     def __eq__(self, other):
         return type(other) is type(self) and all(

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from cliffilt import exactalg
-from cliffilt.exactalg import Matrix, Subspace, _vanishes, kernel, rational, rref
+from cliffilt.exactalg import Matrix, Subspace, _null_space, _vanishes, kernel, rational, rref
 
 
 def test_rational_normalization():
@@ -262,6 +262,8 @@ def test_kernel_on_oracle_matrices():
         assert k.rows == m.rows - len(rows) and k.cols == m.rows
         for row in k.entries:
             assert (Matrix(1, m.rows, [list(row)]) * m).is_zero()
+        # the same solutions, from the equations as rows
+        assert _null_space(m.transpose()) == k
 
 
 def test_every_elimination_goes_through_rref(monkeypatch):
@@ -279,7 +281,7 @@ def test_every_elimination_goes_through_rref(monkeypatch):
     b = Subspace.span(3, [[0, 1, 1]])
     m = Matrix(3, 2, [[1, 0], [0, 1], [1, 1]])
     for operation in (lambda: Subspace.span(3, [[1, 0, 1]]), lambda: a + b,
-                      lambda: a.image(m), lambda: kernel(m)):
+                      lambda: a.image(m), lambda: kernel(m), lambda: _null_space(m)):
         before = len(calls)
         operation()
         assert len(calls) > before

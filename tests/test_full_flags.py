@@ -11,7 +11,6 @@ fail, where the facts do not hold.
 
 import pytest
 
-from cliffilt import exactalg
 from cliffilt.bifiltration import BiGradedRep, bideform, tensor_module, verify_2d
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import OffShellRep, deform, verify_offshell
@@ -24,24 +23,6 @@ from cliffilt.supermodule import (
     irreducible_module,
     trivial_filtration,
 )
-
-
-@pytest.fixture
-def products(monkeypatch):
-    """The left factor of every `Matrix.__mul__` call, in order."""
-    calls = []
-    original = Matrix.__mul__
-    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: calls.append(a) or original(a, b))
-    return calls
-
-
-@pytest.fixture
-def eliminations(monkeypatch):
-    """The argument of every `rref` call, `Matrix.rank`'s included."""
-    calls = []
-    original = exactalg.rref
-    monkeypatch.setattr(exactalg, "rref", lambda m: calls.append(m) or original(m))
-    return calls
 
 
 def test_flag_check_builds_no_product_into_a_full_flag(products, monkeypatch):

@@ -19,6 +19,7 @@ from cliffilt.exactalg import Matrix, Subspace, kernel, rref
 from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
+    EXHAUSTED,
     INDISTINGUISHABLE,
     _certify_indecomposable,
     _factor_rational_poly,
@@ -34,7 +35,7 @@ from cliffilt.invariants import (
     random_filtration,
     source_dimensions,
 )
-from cliffilt.clifford import CliffordAlgebra
+from cliffilt.clifford import CliffordAlgebra, _is_positive_definite
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
@@ -701,3 +702,228 @@ def test_factor_rational_poly_matches_sympy():
         ]
     for coeffs in cases:
         assert _factor_rational_poly(coeffs) == _sympy_factors(coeffs), coeffs
+
+
+# ---------------------------------------------------------------------------
+# Work that full flags, the module's relations and kept results make
+# unnecessary, with the former code kept as the reference
+
+
+def _former_grown(module, p, below, span):
+    """The span of span and every generator image of below, built always."""
+    stacked = span.basis
+    for i in range(module.algebra.n):
+        stacked = stacked.stack(below.basis * module.gamma(i, (p - 1) % 2))
+    return Subspace.row_space(stacked)
+
+
+def _former_source_dimensions(f):
+    module = f.module
+    return tuple(
+        f.level(p).dim
+        - _former_grown(module, p, f.level(p - 1), Subspace.zero(module.dim(p % 2))).dim
+        for p in range(f.top_degree + 1))
+
+
+def _former_restricted_flags(f, w_even, w_odd):
+    """Each level met with the pair's part and written in its coordinates."""
+    flags = []
+    for p in range(f.top_degree + 1):
+        w = w_even if p % 2 == 0 else w_odd
+        flags.append(Subspace.row_space(w.coordinate_matrix((f.level(p) & w).basis)))
+    return flags
+
+
+def _former_certify_indecomposable(f, endos):
+    """The former certificate: commutativity and the quaternion table from
+    built pair products, traces and flattened rows from `.entries`."""
+    module = f.module
+    d = len(endos)
+    semisimple_dim = _trace_form(endos).rank()
+    if semisimple_dim == 1:
+        return CERTIFIED
+    if semisimple_dim != d:
+        return EXHAUSTED
+
+    def mul(a, b):
+        return (a[0] * b[0], a[1] * b[1])
+
+    if all(mul(endos[i], endos[j]) == mul(endos[j], endos[i])
+           for i in range(d) for j in range(i + 1, d)):
+        candidates = list(endos) + [(endos[i][0] + endos[j][0], endos[i][1] + endos[j][1])
+                                    for i in range(d) for j in range(i + 1, d)]
+        for pair in candidates:
+            minpoly = _minimal_polynomial(module, pair)
+            if len(minpoly) - 1 == d:
+                factors = _factor_rational_poly(minpoly)
+                if len(factors) == 1 and factors[0][1] == 1:
+                    return CERTIFIED
+        return EXHAUSTED
+    if d != 4:
+        return EXHAUSTED
+    dim_total = module.dim_even + module.dim_odd
+    ident = (Matrix.identity(module.dim_even), Matrix.identity(module.dim_odd))
+    traceless = []
+    for pe, po in endos:
+        tr = sum(m.entries[i][i] for m in (pe, po) for i in range(m.rows)) / dim_total
+        shifted = (pe - ident[0].scale(tr), po - ident[1].scale(tr))
+        if not (shifted[0].is_zero() and shifted[1].is_zero()):
+            traceless.append(shifted)
+    rows = [tuple(x for m in pair for row in m.entries for x in row) for pair in traceless]
+    if Matrix.from_rows(rows).rank() != 3:
+        return EXHAUSTED
+    picked, span = [], Subspace.zero(len(rows[0]))
+    for pair, row in zip(traceless, rows):
+        if not span.contains(row):
+            picked.append(pair)
+            span = span + Subspace.span(len(row), [row])
+    norm_rows = []
+    for a in picked:
+        norm_row = []
+        for b in picked:
+            ab, ba = mul(a, b), mul(b, a)
+            combined = (ab[0] + ba[0], ab[1] + ba[1])
+            diag = combined[0].entries[0][0] if combined[0].rows else combined[1].entries[0][0]
+            if any(m != Matrix.identity(m.rows).scale(diag) for m in combined):
+                return EXHAUSTED
+            norm_row.append(diag)
+        norm_rows.append(norm_row)
+    return CERTIFIED if _is_positive_definite(-Matrix(3, 3, norm_rows)) else EXHAUSTED
+
+
+def test_source_dimensions_are_computed_once_per_filtration(monkeypatch):
+    # Lambda(R^4) by degree does not split, so its one summand is the
+    # filtration itself: the report and the decomposition share its
+    # source dimensions, and a later call reads them again
+    f = degree_filtration(exterior_module(4))
+    grown = []
+    original = invariants._grown
+    monkeypatch.setattr(invariants, "_grown",
+                        lambda m, p, below, span: grown.append(p) or original(m, p, below, span))
+    invariant_report.cache_clear()
+    report = invariant_report(f)
+    assert [s.filtration for s in decompose(f)] == [f]
+    assert source_dimensions(f) == report.source_dims == (1, 0, 0, 0, 0)
+    assert grown == list(range(f.top_degree + 1))
+
+
+@pytest.mark.parametrize("module", [exterior_module(3), irreducible_module(4), irreducible_cl5()])
+def test_grown_from_a_full_flag_builds_nothing(products, eliminations, module):
+    assert check_supermodule(module)
+    products.clear()
+    eliminations.clear()
+    for p in (1, 2, 3):
+        below = Subspace.full(module.dim(p - 1))
+        grown = invariants._grown(module, p, below, Subspace.zero(module.dim(p)))
+        assert grown == Subspace.full(module.dim(p))
+    assert products == [] and eliminations == []
+
+
+def test_full_levels_restrict_without_an_intersection(monkeypatch):
+    # the sum of two degree filtrations of Lambda(R^2), restricted to the
+    # first: only F_0 is not full, so only F_0 is intersected with it
+    a = degree_filtration(exterior_module(2))
+    f = direct_sum_filtration(a, degree_filtration(exterior_module(2)))
+    assert check_filtration(f)
+    met = []
+    original = Subspace.__and__
+    monkeypatch.setattr(Subspace, "__and__", lambda s, t: met.append(s) or original(s, t))
+    piece = invariants._restrict_filtration(f, Subspace._units(4, range(2)),
+                                            Subspace._units(4, range(2)))
+    assert met == [f.level(0)]
+    assert piece == a
+
+
+def test_certify_tests_commutativity_and_quaternions_without_products(products, monkeypatch):
+    # the quaternions (End of the trivial filtration of irreducible(3)) and
+    # the 2 x 2 rational matrices (End of two copies of the Cl(1) module)
+    # take no product; on the field of dimension 2 (End of the trivial
+    # filtration of irreducible(2)) only the minimal polynomials take any
+    before_minimal = []
+    original = invariants._minimal_polynomial
+    monkeypatch.setattr(invariants, "_minimal_polynomial",
+                        lambda m, pair: before_minimal.append(len(products)) or original(m, pair))
+    ext1 = degree_filtration(exterior_module(1))
+    for f, status in [(trivial_filtration(irreducible_module(3)), CERTIFIED),
+                      (direct_sum_filtration(ext1, ext1), EXHAUSTED)]:
+        endos = filtered_endomorphisms(f)
+        assert len(endos) == 4
+        products.clear()
+        assert _certify_indecomposable(f, endos) == status
+        assert products == [] and before_minimal == []
+    f = trivial_filtration(irreducible_module(2))
+    endos = filtered_endomorphisms(f)
+    products.clear()
+    assert _certify_indecomposable(f, endos) == CERTIFIED
+    assert before_minimal[0] == 0 and products
+
+
+def _broken(m, factor):
+    """m with gamma_eo[0] scaled by factor: its relations fail."""
+    return CliffordSupermodule(m.algebra, [m.gamma_eo[0].scale(factor), *m.gamma_eo[1:]],
+                               list(m.gamma_oe))
+
+
+def test_grown_builds_the_images_without_a_passing_verdict(products):
+    # a module is not checked only to take the shortcut, and one whose
+    # relations fail is computed in full.  With g_0 zeroed on the even part
+    # of irreducible(1), the full even part has no image, so the shortcut
+    # would have given source dimension 0 at level 1
+    unchecked = irreducible_module(3)
+    mutants = [_broken(irreducible_module(3), 2), _broken(irreducible_module(1), 0)]
+    for checked in (False, True):
+        for m in [unchecked] + mutants:
+            if checked and m is not unchecked:
+                assert not check_supermodule(m)
+            for p in (1, 2):
+                products.clear()
+                invariants._grown(m, p, Subspace.full(m.dim(p - 1)), Subspace.zero(m.dim(p)))
+                assert len(products) == m.algebra.n
+    assert unchecked._relations is None
+    for m in mutants:
+        f = trivial_filtration(m)
+        assert source_dimensions(f) == _former_source_dimensions(f)
+    assert source_dimensions(trivial_filtration(mutants[1])) == (1, 1)
+
+
+def test_invariant_shortcuts_match_former_code(monkeypatch):
+    # 240 seeded filtrations over Cl(1) to Cl(5): random ones, sums of two
+    # (which split), and sums moved by rational changes of basis.  Source
+    # dimensions, the flags of every piece decompose restricts to, and the
+    # certificate on each filtration and summand match the former code
+    rng = random.Random(233)
+    modules = ([exterior_module(n) for n in (1, 2, 3, 4)]
+               + [irreducible_module(n) for n in (1, 2, 3, 4)] + [irreducible_cl5()])
+    restricted = []
+    original = invariants._restrict_filtration
+
+    def recording(f, w_even, w_odd):
+        piece = original(f, w_even, w_odd)
+        restricted.append((f, w_even, w_odd, piece))
+        return piece
+
+    monkeypatch.setattr(invariants, "_restrict_filtration", recording)
+    seen = Counter()
+    for k in range(240):
+        m = modules[k % len(modules)]
+        f = random_filtration(m, rng)
+        if k % 3 == 1 and m.dim_even <= 4:
+            f = direct_sum_filtration(f, random_filtration(m, rng))
+        elif k % 3 == 2 and m.dim_even <= 4:
+            f = _moved(direct_sum_filtration(f, random_filtration(m, rng)), rng)
+        assert check_filtration(f)
+        assert source_dimensions(f) == _former_source_dimensions(f)
+        endos = filtered_endomorphisms(f)
+        status = _certify_indecomposable(f, endos)
+        assert status == _former_certify_indecomposable(f, endos)
+        seen[status, len(endos)] += 1
+        for s in decompose(f, seed=k):
+            g = s.filtration
+            assert source_dimensions(g) == _former_source_dimensions(g)
+            assert s.status == _former_certify_indecomposable(g, filtered_endomorphisms(g))
+            seen["summand"] += 1
+    for f, w_even, w_odd, piece in restricted:
+        assert list(piece.flags.values()) == _former_restricted_flags(f, w_even, w_odd)
+        seen["full level"] += sum(f.level(p).is_full for p in range(f.top_degree + 1))
+    assert seen["summand"] > 300 and len(restricted) > 100 and seen["full level"] > 100
+    assert seen[CERTIFIED, 4] and seen[EXHAUSTED, 4] and seen[CERTIFIED, 2], seen
