@@ -1,6 +1,8 @@
 """Exact-arithmetic filtered Clifford supermodules and the graded
 off-shell supersymmetry representations they correspond to."""
 
+from types import ModuleType as _ModuleType
+
 from .bifiltration import (
     BifilteredIso,
     BifilteredSupermodule,
@@ -68,4 +70,5 @@ from .supermodule import (
     trivial_filtration,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

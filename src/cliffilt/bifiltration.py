@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 
 from .certificate import Certificate, failing, passing, require
@@ -48,6 +47,7 @@ from .supermodule import (
     CliffordSupermodule,
     FilteredModule,
     SuperFiltration,
+    _block_matrix,
     _checked,
     _CheckWords,
     _graded_subsets,
@@ -114,24 +114,6 @@ class BifilteredSupermodule(FilteredModule):
             f"BifilteredSupermodule(p={self.plus_algebra.n}, q={self.minus_algebra.n}, "
             f"dims {d[(0,0)]},{d[(0,1)]},{d[(1,0)]},{d[(1,1)]})"
         )
-
-
-def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
-    """Assemble a matrix from a {(row_block, col_block): Matrix} dict, in
-    integer form over the blocks' common denominator."""
-    row_off = [sum(row_dims[:k]) for k in range(len(row_dims))]
-    col_off = [sum(col_dims[:k]) for k in range(len(col_dims))]
-    forms = {key: mat._ints() for key, mat in blocks.items()}
-    d = lcm(*[form[0] for form in forms.values()])
-    rows = [[] for _ in range(sum(row_dims))]
-    for (bi, bj), mat in blocks.items():
-        if (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
-            raise ValueError("block shape mismatch")
-        dm, mrows = forms[(bi, bj)]
-        w, off = d // dm, col_off[bj]
-        for r, row in enumerate(mrows):
-            rows[row_off[bi] + r] += [(off + j, c * w) for j, c in row]
-    return Matrix._from_ints(sum(col_dims), d, rows)
 
 
 def total_module(bf: BifilteredSupermodule) -> CliffordSupermodule:

@@ -19,14 +19,20 @@ A matrix the kernel builds, or a document decodes, keeps only this
 form, and builds its `Fraction` entries on their first read; a matrix
 built from entries gets the form on first use.  Both are kept on the
 matrix, which is immutable, so they live exactly as long as the matrix
-does.  Products, Kronecker products (`supermodule.kron`), sums,
-scalings, stacks, transposes, comparisons and eliminations read only
-this form, so their inner loops add and multiply `int`s, and a result
-nobody reads entrywise never builds a `Fraction`.
+does.  Products, Kronecker products and block matrices
+(`supermodule.kron` and `supermodule._block_matrix`), sums, scalings,
+stacks, transposes, comparisons and eliminations read only this form,
+so their inner loops add and multiply `int`s, and a result nobody reads
+entrywise never builds a `Fraction`.
 A product that is only compared is never built at all: `_vanishes`
 decides whether a sum of products minus a scaled target is zero row by
 row over one common denominator, and every relation check and span
 membership test goes through it.
+
+Membership and products each have one path, and a vector is a one-row
+matrix to them: `Matrix.apply` is a one-row product, and
+`Subspace.contains` and `Subspace.coordinates` are one-row calls to
+`_contains_rows` and `coordinate_matrix`.
 
 Every elimination (spans, sums, images, intersections and kernels) goes
 through one `rref`.  It is sparse, incremental and fraction-free: a row
@@ -265,17 +271,12 @@ class Matrix:
         return Matrix._from_ints(cols, da * db, out)
 
     def apply(self, v: Sequence) -> tuple:
-        """Row vector times matrix: v (length rows) -> v * self (length cols)."""
+        """Row vector times matrix: v (length rows) -> v * self (length cols),
+        as a one-row product."""
         v = _freeze_row(v)
         if len(v) != self.rows:
             raise ValueError("vector length does not match matrix rows")
-        acc = [_ZERO] * self.cols
-        for a, row in zip(v, self.entries):
-            if a:
-                for j, b in enumerate(row):
-                    if b:
-                        acc[j] = acc[j] + a * b
-        return tuple(acc)
+        return (Matrix(1, self.rows, [v]) * self).entries[0]
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -515,38 +516,18 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.basis))
 
-    def contains(self, v: Sequence) -> bool:
-        return self._reduce(v) is not None
-
-    def _reduce(self, v: Sequence) -> tuple | None:
-        """Coordinates of v in the basis rows, or None if v lies outside.
-
-        The basis is the identity at its pivot columns, so the coordinates
-        are the entries of v there.  In integers, with v = w / e and
-        basis = rows / d: v lies in the span iff d * w is the sum over the
-        pivots p of w[p] times the basis row of p.
-        """
+    def _row(self, v: Sequence) -> Matrix:
+        """The vector v as a one-row matrix of the ambient width."""
         v = _freeze_row(v)
         if len(v) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        e = lcm(*{x.denominator for x in v})
-        w = [x.numerator * (e // x.denominator) for x in v]
-        d, rows = self.basis._ints()
-        rest = [x * d for x in w]
-        for row, p in zip(rows, self.pivots):
-            c = w[p]
-            if c:
-                for j, b in row:
-                    rest[j] -= c * b
-        if any(rest):
-            return None
-        return tuple(v[p] for p in self.pivots)
+        return Matrix(1, self.ambient, [v])
+
+    def contains(self, v: Sequence) -> bool:
+        return self._contains_rows(self._row(v))
 
     def coordinates(self, v: Sequence) -> tuple:
-        coords = self._reduce(v)
-        if coords is None:
-            raise ValueError("vector is not in the subspace")
-        return coords
+        return self.coordinate_matrix(self._row(v)).entries[0]
 
     def coordinate_matrix(self, vectors: Matrix) -> Matrix:
         """Coordinates of each row of `vectors` with respect to this basis.

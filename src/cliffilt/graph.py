@@ -118,10 +118,14 @@ def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
             signed[parity].setdefault(row, (k, 1))
             signed[parity].setdefault(tuple(-c for c in row), (k, -1))
 
+    # each generator's images of a parity's basis rows, from one product
+    images = [[(mat * module.gamma(i, parity)).entries for i in range(module.algebra.n)]
+              for parity, mat in ((0, basis_even), (1, basis_odd))]
     edges = {}
     for u_index, vert in enumerate(vertices):
+        row = u_index - basis_even.rows if vert.parity else u_index
         for i in range(module.algebra.n):
-            image = module.gamma(i, vert.parity).apply(vert.vector)
+            image = images[vert.parity][i][row]
             hit = signed[1 - vert.parity].get(image)
             if hit is None:
                 raise ValueError(
@@ -162,15 +166,11 @@ def rebuild_filtration(graph: AdinkraGraph, heights=None) -> SuperFiltration:
         if h < 0 or h % 2 != v.parity % 2:
             raise ValueError("heights must be nonnegative and match parity")
         tops[v.parity] = max(tops[v.parity], h)
-    even_flags = []
-    for p in range(0, tops[0] + 1, 2):
-        rows = [v.vector for v, h in zip(graph.vertices, heights) if v.parity == 0 and h <= p]
-        even_flags.append(Subspace.span(module.dim_even, rows))
-    odd_flags = []
-    for p in range(1, tops[1] + 1, 2):
-        rows = [v.vector for v, h in zip(graph.vertices, heights) if v.parity == 1 and h <= p]
-        odd_flags.append(Subspace.span(module.dim_odd, rows))
-    return SuperFiltration(module, even_flags, odd_flags)
+    levels = []
+    for p in range(max(tops) + 1):
+        rows = [v.vector for v, h in zip(graph.vertices, heights) if v.parity == p % 2 and h <= p]
+        levels.append(Subspace.span(module.dim(p % 2), rows))
+    return SuperFiltration(module, levels[0::2], levels[1::2])
 
 
 def to_dot(graph: AdinkraGraph) -> str:

@@ -19,9 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count
 from math import isqrt, lcm
+from operator import mul
 
 from .certificate import require
 from .clifford import _is_positive_definite
@@ -314,19 +315,10 @@ def _split_by(module, pair):
     factors = _factor_rational_poly(minpoly)
     if len(factors) < 2:
         return None
-    split = []
-    for coeffs, power in factors:
-        lifted = [Fraction(c) for c in coeffs]
-        full = lifted
-        for _ in range(power - 1):
-            nxt = [Fraction(0)] * (len(full) + len(lifted) - 1)
-            for a, ca in enumerate(full):
-                for b, cb in enumerate(lifted):
-                    nxt[a + b] += ca * cb
-            full = nxt
-        w_even = Subspace.row_space(kernel(_poly_eval(full, pair[0])))
-        w_odd = Subspace.row_space(kernel(_poly_eval(full, pair[1])))
-        split.append((w_even, w_odd))
+    # each part is the kernel of f^e at the pair, which is f(P)^e
+    split = [tuple(Subspace.row_space(kernel(reduce(mul, [_poly_eval(coeffs, m)] * power)))
+                   for m in pair)
+             for coeffs, power in factors]
     total = sum(we.dim + wo.dim for we, wo in split)
     if total != module.dim_even + module.dim_odd:
         return None
@@ -625,9 +617,7 @@ def random_filtration(module: CliffordSupermodule, rng) -> SuperFiltration:
         if p == 1 and bottom.dim == 0 and do > 0 and span.dim == 0:
             extra = max(extra, 1)
         flags.append(_filled(span, span.dim + extra, rng))
-    even_flags = [flags[p] for p in range(0, m + 1, 2)]
-    odd_flags = [flags[p] for p in range(1, m + 1, 2)]
-    f = SuperFiltration(module, even_flags, odd_flags)
+    f = SuperFiltration(module, flags[0::2], flags[1::2])
     cert = check_filtration(f)
     if not cert:
         raise RuntimeError(f"random filtration construction broke its contract: {cert.witness}")
@@ -693,9 +683,7 @@ def filtration_search(
             flags.append(span)
         if not ok:
             continue
-        even_flags = [flags[p] for p in range(0, m + 1, 2)]
-        odd_flags = [flags[p] for p in range(1, m + 1, 2)]
-        candidate = SuperFiltration(module, even_flags, odd_flags)
+        candidate = SuperFiltration(module, flags[0::2], flags[1::2])
         if not check_filtration(candidate):
             continue
         if gr_dimensions(candidate) != target:

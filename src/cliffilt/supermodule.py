@@ -42,6 +42,24 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._from_ints(a.cols * w, da * db, rows)
 
 
+def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
+    """Assemble a matrix from a {(row_block, col_block): Matrix} dict, in
+    integer form over the blocks' common denominator."""
+    row_off = [sum(row_dims[:k]) for k in range(len(row_dims))]
+    col_off = [sum(col_dims[:k]) for k in range(len(col_dims))]
+    forms = {key: mat._ints() for key, mat in blocks.items()}
+    d = lcm(*[form[0] for form in forms.values()])
+    rows = [[] for _ in range(sum(row_dims))]
+    for (bi, bj), mat in blocks.items():
+        if (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
+            raise ValueError("block shape mismatch")
+        dm, mrows = forms[(bi, bj)]
+        w, off = d // dm, col_off[bj]
+        for r, row in enumerate(mrows):
+            rows[row_off[bi] + r] += [(off + j, c * w) for j, c in row]
+    return Matrix._from_ints(sum(col_dims), d, rows)
+
+
 class CliffordSupermodule:
     """Z/2-graded module over a Clifford algebra, gamma action as matrices.
 
@@ -115,7 +133,7 @@ class CliffordSupermodule:
         on the module is read as it is).  Cached.
         """
         if self._commutant is None:
-            require("module", self._relations or check_supermodule(self))
+            require("module", check_supermodule(self))
             self._commutant = self._solve_commutant()
         return self._commutant
 
@@ -608,42 +626,35 @@ def direct_sum(a: CliffordSupermodule, b: CliffordSupermodule) -> CliffordSuperm
     if a.algebra != b.algebra:
         raise ValueError("summands must share the algebra")
 
-    def block(m1: Matrix, m2: Matrix) -> Matrix:
-        rows = []
-        for r in m1.entries:
-            rows.append(list(r) + [0] * m2.cols)
-        for r in m2.entries:
-            rows.append([0] * m1.cols + list(r))
-        return Matrix(m1.rows + m2.rows, m1.cols + m2.cols, rows)
+    def block(x: Matrix, y: Matrix) -> Matrix:
+        return _block_matrix([x.rows, y.rows], [x.cols, y.cols], {(0, 0): x, (1, 1): y})
 
-    gamma_eo = [block(x, y) for x, y in zip(a.gamma_eo, b.gamma_eo)]
-    gamma_oe = [block(x, y) for x, y in zip(a.gamma_oe, b.gamma_oe)]
     return CliffordSupermodule(
         a.algebra,
-        gamma_eo,
-        gamma_oe,
+        [block(x, y) for x, y in zip(a.gamma_eo, b.gamma_eo)],
+        [block(x, y) for x, y in zip(a.gamma_oe, b.gamma_oe)],
         dim_even=a.dim_even + b.dim_even,
         dim_odd=a.dim_odd + b.dim_odd,
     )
 
 
 def direct_sum_filtration(fa: SuperFiltration, fb: SuperFiltration) -> SuperFiltration:
-    """Levelwise direct sum of two filtrations on the direct sum module."""
+    """Levelwise direct sum of two filtrations on the direct sum module.
+
+    No level needs an elimination.  With A and B the reduced row-echelon
+    bases of fa's and fb's level and w the columns of A, the block
+    diagonal of A and B is one, with A's pivots and then B's shifted by
+    w: a row of A is zero from column w on and a row of B before it, so
+    each row keeps its leading 1 and is zero at every other pivot, and
+    the pivots increase.
+    """
     module = direct_sum(fa.module, fb.module)
-
-    def embed(rows, offset, width):
-        return [[0] * offset + list(r) + [0] * (width - offset - len(r)) for r in rows]
-
-    def flags(parity):
-        top = max(fa.top_degree, fb.top_degree)
-        levels = [p for p in range(top + 1) if p % 2 == parity]
-        width_a = fa.module.dim(parity)
-        width = module.dim(parity)
-        out = []
-        for p in levels:
-            rows = embed(fa.level(p).basis.entries, 0, width)
-            rows += embed(fb.level(p).basis.entries, width_a, width)
-            out.append(Subspace.span(width, rows))
-        return out
-
-    return SuperFiltration(module, flags(0), flags(1))
+    levels = []
+    for p in range(max(fa.top_degree, fb.top_degree) + 1):
+        a, b = fa.level(p), fb.level(p)
+        levels.append(Subspace(
+            a.ambient + b.ambient,
+            _block_matrix([a.dim, b.dim], [a.ambient, b.ambient],
+                          {(0, 0): a.basis, (1, 1): b.basis}),
+            a.pivots + tuple(a.ambient + q for q in b.pivots)))
+    return SuperFiltration(module, levels[0::2], levels[1::2])

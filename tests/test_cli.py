@@ -160,6 +160,31 @@ def test_export_dot(degree_doc, tmp_path):
     assert saved.returncode == 0 and path.read_text().startswith("digraph")
 
 
+# on exterior4-hodge: 1 +- vol and g_j g_0 (1 +- vol) for j = 1..3 (even),
+# g_i (1 +- vol) for i = 0..3 (odd), in the monomial coordinates
+HODGE_BASIS = {
+    "even": [[1, 0, 0, 0, 0, 0, 0, 1], [0, -1, 0, 0, 0, 0, 1, 0], [0, 0, -1, 0, 0, -1, 0, 0],
+             [0, 0, 0, -1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, -1], [0, -1, 0, 0, 0, 0, -1, 0],
+             [0, 0, -1, 0, 0, 1, 0, 0], [0, 0, 0, -1, -1, 0, 0, 0]],
+    "odd": [[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, 1, 0, 0],
+            [0, 0, 0, 1, -1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, -1], [0, 1, 0, 0, 0, 0, 1, 0],
+            [0, 0, 1, 0, 0, -1, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0]],
+}
+
+
+def test_export_dot_accepts_an_adapted_hodge_basis(tmp_path):
+    # the failing certificate without --basis is about the coordinate basis
+    hodge = run(["example", "exterior4-hodge"]).stdout
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({key: [[str(x) for x in row] for row in rows]
+                                for key, rows in HODGE_BASIS.items()}))
+    out = run(["export-dot", "--basis", str(path)], stdin=hodge)
+    assert out.returncode == 0, out.stdout
+    assert out.stdout.startswith("digraph adinkra {")
+    ranks = [line for line in out.stdout.splitlines() if "rank=same" in line]
+    assert [line.count("shape=") for line in ranks] == [1, 4, 6, 4, 1]
+
+
 def _identity_rows(dim):
     return [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
 

@@ -529,3 +529,58 @@ def test_equal_matrices_hash_equal():
         assert len({a, *_equal_builds(rng, a)}) == 1
         if not a.is_zero():
             assert a != a.scale(2) and a != a.transpose().transpose().scale(-1)
+
+
+def _former_reduce(space: Subspace, v) -> tuple | None:
+    """The former dense membership test, kept as the reference: the
+    coordinates of v in the basis rows, or None when v lies outside."""
+    v = exactalg._freeze_row(v)
+    if len(v) != space.ambient:
+        raise ValueError("vector length does not match ambient dimension")
+    e = lcm(*{x.denominator for x in v})
+    w = [x.numerator * (e // x.denominator) for x in v]
+    d, rows = space.basis._ints()
+    rest = [x * d for x in w]
+    for row, p in zip(rows, space.pivots):
+        for j, b in row:
+            rest[j] -= w[p] * b
+    return None if any(rest) else tuple(v[p] for p in space.pivots)
+
+
+def _former_apply(m: Matrix, v) -> tuple:
+    """The former dense vector-times-matrix loop over Fraction entries."""
+    v = exactalg._freeze_row(v)
+    if len(v) != m.rows:
+        raise ValueError("vector length does not match matrix rows")
+    acc = [Fraction(0)] * m.cols
+    for a, row in zip(v, m.entries):
+        for j, b in enumerate(row):
+            acc[j] += a * b
+    return tuple(acc)
+
+
+def test_membership_and_apply_match_former_dense_loops():
+    rng = random.Random(59)
+    outside = 0
+    for m in ORACLE:
+        space = Subspace.row_space(m)
+        combo = [Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(m.rows)]
+        inside = _former_apply(m, combo)
+        assert m.apply(combo) == inside
+        stray = [Fraction(rng.randint(-5, 5), rng.randint(1, 10**6)) for _ in range(m.cols)]
+        for v in (inside, stray, [0] * m.cols):
+            want = _former_reduce(space, v)
+            assert space.contains(v) == (want is not None)
+            if want is None:
+                outside += 1
+                with pytest.raises(ValueError, match="vector is not in the subspace"):
+                    space.coordinates(v)
+            else:
+                assert space.coordinates(v) == want
+    assert outside >= 100
+    space = Subspace.span(3, [[1, 0, 2]])
+    for call in (space.contains, space.coordinates):
+        with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+            call([1, 0])
+    with pytest.raises(ValueError, match="vector length does not match matrix rows"):
+        Matrix.identity(3).apply([1, 0])

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cliffilt.exactalg import Matrix
+from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.graph import (
     enumerate_heights,
     heights_from_sources,
@@ -13,11 +13,13 @@ from cliffilt.graph import (
     to_graph,
 )
 from cliffilt.supermodule import (
+    SuperFiltration,
     check_filtration,
     degree_filtration,
     direct_sum_filtration,
     exterior_module,
     hodge_filtration,
+    trivial_filtration,
 )
 
 
@@ -149,3 +151,72 @@ def test_scaled_basis_vectors_allowed():
     odd = Matrix(1, 1, [[3]])
     g = to_graph(f, basis_even=even, basis_odd=odd)
     assert len(g.edges) == 1 and g.edges[0].sign == 1
+
+
+def _hodge_adapted_basis():
+    """On exterior_module(4): 1 +- vol and g_j g_0 (1 +- vol) for j = 1..3
+    (even), g_i (1 +- vol) for i = 0..3 (odd).  v g_0 g_j is g_j g_0 v,
+    since the gammas act on row vectors from the right."""
+    m = exterior_module(4)
+    units = [Matrix(1, 8, [[1] + [0] * 6 + [s]]) for s in (1, -1)]
+    even = [x * m.gamma(0, 0) * m.gamma(j, 1) if j else x for x in units for j in range(4)]
+    odd = [x * m.gamma(i, 0) for x in units for i in range(4)]
+    return tuple(Matrix.from_rows([r.entries[0] for r in rows]) for rows in (even, odd))
+
+
+def test_hodge_filtration_has_an_adapted_homogeneous_basis():
+    # the coordinate basis fails homogeneity (test_non_homogeneous_basis_rejected);
+    # this basis is adapted to the action and homogeneous for the flags
+    f = hodge_filtration(exterior_module(4))
+    g = to_graph(f, *_hodge_adapted_basis())
+    assert g.height_counts() == (1, 4, 6, 4, 1)
+    back = rebuild_filtration(g)
+    assert all(back.level(p) == f.level(p) for p in range(f.top_degree + 1))
+
+
+def test_to_graph_takes_images_by_one_product_per_parity_and_generator(products, monkeypatch):
+    monkeypatch.delattr(Matrix, "apply")
+    cases = [(degree_filtration(exterior_module(n)), ()) for n in (0, 1, 2, 4)]
+    cases.append((hodge_filtration(exterior_module(4)), _hodge_adapted_basis()))
+    for f, basis in cases:
+        assert check_filtration(f)
+        products.clear()
+        g = to_graph(f, *basis)
+        assert len(products) == 2 * f.module.algebra.n
+        assert len(g.edges) == f.module.algebra.n * len(g.vertices) // 2
+
+
+def _former_rebuild_filtration(graph, heights):
+    """The former form, kept as the reference: one loop per parity, each to
+    the top height of its own parity."""
+    tops = [0, 1]
+    for v, h in zip(graph.vertices, heights):
+        tops[v.parity] = max(tops[v.parity], h)
+    flags = ([], [])
+    for parity in (0, 1):
+        for p in range(parity, tops[parity] + 1, 2):
+            rows = [v.vector for v, h in zip(graph.vertices, heights)
+                    if v.parity == parity and h <= p]
+            flags[parity].append(Subspace.span(graph.module.dim(parity), rows))
+    return SuperFiltration(graph.module, *flags)
+
+
+def test_rebuild_filtration_matches_former_two_loops():
+    f1, f2 = degree_filtration(exterior_module(1)), degree_filtration(exterior_module(2))
+    flat = trivial_filtration(exterior_module(2))
+    graphs = [to_graph(degree_filtration(exterior_module(n))) for n in (1, 2, 3)]
+    graphs += [to_graph(direct_sum_filtration(f1, f1)), to_graph(direct_sum_filtration(f2, flat)),
+               to_graph(hodge_filtration(exterior_module(4)), *_hodge_adapted_basis())]
+    cases = []
+    for g in graphs:
+        assigns, exhausted = enumerate_heights(g, budget=5000)
+        assert not exhausted and assigns
+        cases += [(g, list(a)) for a in assigns]
+    # no edges: the parities' tops may differ by more than one
+    lone = to_graph(degree_filtration(exterior_module(0)))
+    cases += [(lone, [h]) for h in (0, 2, 4, 6)]
+    for g, heights in cases:
+        got, want = rebuild_filtration(g, heights), _former_rebuild_filtration(g, heights)
+        assert got == want and got.top_degree == want.top_degree
+        assert (got.even_flags, got.odd_flags) == (want.even_flags, want.odd_flags)
+    assert len(cases) >= 100

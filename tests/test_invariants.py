@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -24,7 +24,9 @@ from cliffilt.invariants import (
     _certify_indecomposable,
     _factor_rational_poly,
     _minimal_polynomial,
+    _poly_eval,
     _random_candidates,
+    _split_by,
     _trace_form,
     decompose,
     filtered_endomorphisms,
@@ -584,6 +586,15 @@ def test_import_leaves_sympy_unloaded():
     assert run.stdout.split() == ["False", "False", "True"]
 
 
+def test_public_names_are_not_modules():
+    # the submodules stay importable as attributes, but are not API names
+    assert cliffilt.__all__
+    for name in cliffilt.__all__:
+        assert not isinstance(getattr(cliffilt, name), ModuleType), name
+    assert {"Matrix", "decompose", "to_graph"} <= set(cliffilt.__all__)
+    assert cliffilt.exactalg.Matrix is cliffilt.Matrix
+
+
 def _dense_solve(rows: list, target: list) -> list | None:
     """x with sum_i x[i] * rows[i] == target, or None: dense Gauss-Jordan
     elimination on the augmented transposed system."""
@@ -927,3 +938,46 @@ def test_invariant_shortcuts_match_former_code(monkeypatch):
         seen["full level"] += sum(f.level(p).is_full for p in range(f.top_degree + 1))
     assert seen["summand"] > 300 and len(restricted) > 100 and seen["full level"] > 100
     assert seen[CERTIFIED, 4] and seen[EXHAUSTED, 4] and seen[CERTIFIED, 2], seen
+
+
+def _former_split_by(module, pair):
+    """The former split, kept as the reference: each factor raised to its
+    power by convolving coefficient lists, then evaluated at the pair."""
+    factors = _factor_rational_poly(_minimal_polynomial(module, pair))
+    if len(factors) < 2:
+        return None
+    split = []
+    for coeffs, power in factors:
+        full = list(coeffs)
+        for _ in range(power - 1):
+            nxt = [Fraction(0)] * (len(full) + len(coeffs) - 1)
+            for a, ca in enumerate(full):
+                for b, cb in enumerate(coeffs):
+                    nxt[a + b] += ca * cb
+            full = nxt
+        split.append(tuple(Subspace.row_space(kernel(_poly_eval(full, m))) for m in pair))
+    if sum(we.dim + wo.dim for we, wo in split) != module.dim_even + module.dim_odd:
+        return None
+    return split
+
+
+def test_split_by_matches_former_convolution():
+    # [[J, I], [0, J]] + [1] with J^2 = -1, beside [[J, 0], [0, J]] + [1]:
+    # the pair's minimal polynomial is (t^2 + 1)^2 (t - 1)
+    j = [[0, 1], [-1, 0]]
+    jordan = Matrix.from_rows([r + [int(i == k) for k in range(2)] + [0] for i, r in enumerate(j)]
+                              + [[0, 0] + r + [0] for r in j] + [[0] * 4 + [1]])
+    twice = Matrix.from_rows([r + [0, 0, 0] for r in j] + [[0, 0] + r + [0] for r in j]
+                             + [[0] * 4 + [1]])
+    module = CliffordSupermodule(CliffordAlgebra(0), [], [], 5, 5)
+    pair = (jordan, twice)
+    factors = _factor_rational_poly(_minimal_polynomial(module, pair))
+    assert sorted((len(c) - 1, power) for c, power in factors) == [(1, 1), (2, 2)]
+    split = _split_by(module, pair)
+    assert split == _former_split_by(module, pair)
+    assert sorted((we.dim, wo.dim) for we, wo in split) == [(1, 1), (4, 4)]
+    rng = random.Random(151)
+    for k in range(12):
+        f = random_filtration([exterior_module(3), irreducible_module(4)][k % 2], rng)
+        for pair in filtered_endomorphisms(f):
+            assert _split_by(f.module, pair) == _former_split_by(f.module, pair)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffilt import serialize
 from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.exactalg import Matrix, Subspace, _vanishes
@@ -469,3 +470,82 @@ def test_commutant_and_endomorphisms_build_no_fraction_grid():
         for pair in filtered_endomorphisms(degree_filtration(m) if m.algebra.n else
                                            trivial_filtration(m)):
             assert all(x._entries is None for x in pair)
+
+
+def _former_direct_sum(a: CliffordSupermodule, b: CliffordSupermodule) -> CliffordSupermodule:
+    """The former dense block-diagonal action, kept as the reference."""
+    def block(m1: Matrix, m2: Matrix) -> Matrix:
+        rows = [list(r) + [0] * m2.cols for r in m1.entries]
+        rows += [[0] * m1.cols + list(r) for r in m2.entries]
+        return Matrix(m1.rows + m2.rows, m1.cols + m2.cols, rows)
+
+    return CliffordSupermodule(a.algebra, [block(x, y) for x, y in zip(a.gamma_eo, b.gamma_eo)],
+                               [block(x, y) for x, y in zip(a.gamma_oe, b.gamma_oe)],
+                               dim_even=a.dim_even + b.dim_even, dim_odd=a.dim_odd + b.dim_odd)
+
+
+def _former_direct_sum_filtration(fa: SuperFiltration, fb: SuperFiltration) -> SuperFiltration:
+    """The former levelwise sum: both bases embedded densely, then spanned."""
+    module = _former_direct_sum(fa.module, fb.module)
+    top = max(fa.top_degree, fb.top_degree)
+
+    def flags(parity):
+        width_a, width = fa.module.dim(parity), module.dim(parity)
+        out = []
+        for p in range(parity, top + 1, 2):
+            rows = [list(r) + [0] * (width - width_a) for r in fa.level(p).basis.entries]
+            rows += [[0] * width_a + list(r) for r in fb.level(p).basis.entries]
+            out.append(Subspace.span(width, rows))
+        return out
+
+    return SuperFiltration(module, flags(0), flags(1))
+
+
+def _random_module(rng, n: int, dims) -> CliffordSupermodule:
+    """Rational gamma matrices of the right shapes; relations not imposed."""
+    def mat(rows, cols):
+        return Matrix(rows, cols, [[Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+                                    for _ in range(cols)] for _ in range(rows)])
+
+    return CliffordSupermodule(CliffordAlgebra(n), [mat(*dims) for _ in range(n)],
+                               [mat(*dims[::-1]) for _ in range(n)], *dims)
+
+
+def test_direct_sums_match_former_dense_embedding():
+    rng = random.Random(131)
+    by_n = {n: [exterior_module(n), irreducible_module(n)] for n in (1, 2, 3, 4)}
+    by_n[0] = [exterior_module(0), CliffordSupermodule(CliffordAlgebra(0), [], [], 2, 1)]
+    unequal = zero_levels = 0
+    for k in range(120):
+        n = k % 5
+        fa = random_filtration(rng.choice(by_n[n]), rng)
+        fb = random_filtration(rng.choice(by_n[n]), rng)
+        got, want = direct_sum_filtration(fa, fb), _former_direct_sum_filtration(fa, fb)
+        assert got == want and got.module == want.module
+        for x, flag in got.flags.items():
+            assert flag.pivots == want.flags[x].pivots
+            assert flag.basis.entries == want.flags[x].basis.entries
+        assert serialize.dumps(got) == serialize.dumps(want)
+        assert check_filtration(got)
+        unequal += fa.top_degree != fb.top_degree
+        zero_levels += any(not flag.dim for flag in (*fa.flags.values(), *fb.flags.values()))
+    assert unequal >= 30 and zero_levels >= 10
+    for _ in range(40):
+        n = rng.randint(0, 3)
+        dims = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2)]
+        a, b = (_random_module(rng, n, d) for d in dims)
+        got, want = direct_sum(a, b), _former_direct_sum(a, b)
+        assert got == want
+        assert [_form(m) for m in got.gamma_eo + got.gamma_oe] == \
+            [_form(m) for m in want.gamma_eo + want.gamma_oe]
+
+
+def test_direct_sum_filtration_makes_no_elimination(eliminations):
+    rng = random.Random(137)
+    pairs = [(random_filtration(irreducible_module(4), rng),
+              random_filtration(irreducible_module(4), rng)),
+             (degree_filtration(exterior_module(4)), hodge_filtration(exterior_module(4)))]
+    eliminations.clear()
+    sums = [direct_sum_filtration(fa, fb) for fa, fb in pairs]
+    assert eliminations == []
+    assert all(check_filtration(s) for s in sums)
