@@ -9,6 +9,14 @@ equivalent data to the filtration, which `rebuild_filtration` recovers;
 `enumerate_heights` lists every alternative height function the same
 edge structure supports.
 
+`to_graph` checks three conditions itself: each basis spans its parity
+component, the basis is homogeneous for the flags, and it is adapted.
+The filtration check it requires first proves the rest: heights differ
+by one across every edge, and both endpoints give an edge the same
+sign.  `enumerate_heights` searches each connected component in
+breadth-first order from its least vertex, and its `budget` bounds the
+search states it explores.
+
 Adapted bases are required, never synthesized: constructing one for an
 arbitrary module is out of scope, and the operations fail loudly when
 the contract is violated.
@@ -16,6 +24,7 @@ the contract is violated.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
@@ -59,13 +68,11 @@ class AdinkraGraph:
 
 
 def _minimal_level(f: SuperFiltration, v, parity: int) -> int:
-    p = parity
-    while True:
-        if f.level(p).contains(v):
-            return p
-        p += 2
-        if p > f.top_degree + 1:
-            raise ValueError("vector not contained in the top filtration level")
+    """The least level of v's parity that contains v.  The corner level,
+    the top one of the parity, is full once check_filtration has passed,
+    so the search ends there at the latest."""
+    corner = f.top_degree - (f.top_degree - parity) % 2
+    return next(p for p in range(parity, corner + 1, 2) if f.level(p).contains(v))
 
 
 def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
@@ -73,30 +80,41 @@ def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
     """Graph of the generator action on an adapted basis.
 
     Defaults to the coordinate basis of each parity component, which
-    spans it; a basis the caller gives must span its component (one rank
-    test each).  Heights are minimal filtration levels; each generator
-    image must be plus or minus a single basis vector of the other parity
-    or the basis is rejected as not adapted.  Raises CheckFailed unless
+    spans it; a basis the caller gives must span its component: as many
+    rows and columns as the component's dimension, and full rank.
+    Heights are minimal filtration levels, and each level must be
+    spanned by the basis vectors it contains.  Each generator image must
+    be plus or minus a single basis vector of the other parity or the
+    basis is rejected as not adapted.  Raises CheckFailed unless
     check_filtration passes.
+
+    The passing check proves the rest.  Vertex k is basis row k, and the
+    rows are independent, so no two agree up to sign and only u and w
+    give the edge of generator i between them.  Let u g_i = s w, s = +-1:
+
+    - the heights of u and w differ by one.  Compatibility puts u g_i in
+      level h(u) + 1, so h(w) <= h(u) + 1.  The relations give
+      g_i g_i = G_ii with G_ii > 0, so u = (s / G_ii) w g_i and
+      h(u) <= h(w) + 1.  The parities differ, so |h(u) - h(w)| = 1.
+    - w gives the edge the sign s too.  w g_i = s G_ii u, which is s u if
+      G_ii = 1; otherwise it is a multiple of u that no basis row equals
+      up to sign, and w is rejected as not adapted.
+
+    So each edge is taken once, from its lower endpoint.
     """
     require("filtration", check_filtration(f))
     module = f.module
-    if basis_even is None:
-        basis_even = Matrix.identity(module.dim_even)
-    elif basis_even.rank() != module.dim_even or basis_even.rows != module.dim_even:
-        raise ValueError("even basis does not span the even component")
-    if basis_odd is None:
-        basis_odd = Matrix.identity(module.dim_odd)
-    elif basis_odd.rank() != module.dim_odd or basis_odd.rows != module.dim_odd:
-        raise ValueError("odd basis does not span the odd component")
+    bases = []
+    for parity, name, basis in ((0, "even", basis_even), (1, "odd", basis_odd)):
+        dim = module.dim(parity)
+        if basis is None:
+            basis = Matrix.identity(dim)
+        elif basis.rows != dim or basis.cols != dim or basis.rank() != dim:
+            raise ValueError(f"{name} basis does not span the {name} component")
+        bases.append(basis)
 
-    vertices = []
-    index_of = {}
-    for parity, mat in ((0, basis_even), (1, basis_odd)):
-        for row in mat.entries:
-            height = _minimal_level(f, row, parity)
-            index_of[(parity, row)] = len(vertices)
-            vertices.append(Vertex(parity, height, row))
+    vertices = [Vertex(parity, _minimal_level(f, row, parity), row)
+                for parity, mat in enumerate(bases) for row in mat.entries]
 
     # heights must carry the same information as the flags: each level is
     # spanned by the basis vectors it contains, else reconstruction is lossy
@@ -108,47 +126,30 @@ def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
                 f"{f.level(p).dim} but contains {inside} basis vectors"
             )
 
-    # per parity, each basis row and its negation to (vertex index, sign),
-    # filled in row order so that the first row a vector equals up to sign
-    # wins
+    # per parity, each basis row and its negation to (vertex index, sign)
     signed = ({}, {})
-    for parity, mat in ((0, basis_even), (1, basis_odd)):
-        for row in mat.entries:
-            k = index_of[(parity, row)]
-            signed[parity].setdefault(row, (k, 1))
-            signed[parity].setdefault(tuple(-c for c in row), (k, -1))
+    for k, v in enumerate(vertices):
+        signed[v.parity][v.vector] = (k, 1)
+        signed[v.parity][tuple(-c for c in v.vector)] = (k, -1)
 
     # each generator's images of a parity's basis rows, from one product
     images = [[(mat * module.gamma(i, parity)).entries for i in range(module.algebra.n)]
-              for parity, mat in ((0, basis_even), (1, basis_odd))]
-    edges = {}
-    for u_index, vert in enumerate(vertices):
-        row = u_index - basis_even.rows if vert.parity else u_index
+              for parity, mat in enumerate(bases)]
+    edges = []
+    for u, vert in enumerate(vertices):
+        row = u - bases[0].rows if vert.parity else u
         for i in range(module.algebra.n):
-            image = images[vert.parity][i][row]
-            hit = signed[1 - vert.parity].get(image)
+            hit = signed[1 - vert.parity].get(images[vert.parity][i][row])
             if hit is None:
                 raise ValueError(
-                    f"basis not adapted: generator {i} image of vertex {u_index} "
+                    f"basis not adapted: generator {i} image of vertex {u} "
                     "is not a signed basis vector"
                 )
-            w_index, sign = hit
-            lo, hi = sorted((u_index, w_index), key=lambda k: vertices[k].height)
-            if abs(vertices[u_index].height - vertices[w_index].height) != 1:
-                raise ValueError(
-                    f"generator {i} connects heights {vertices[u_index].height} "
-                    f"and {vertices[w_index].height}"
-                )
-            key = (lo, hi, i)
-            if key in edges:
-                if edges[key] != sign:
-                    raise ValueError(
-                        f"inconsistent action signs across edge {key}"
-                    )
-            else:
-                edges[key] = sign
-    edge_list = [Edge(lo, hi, i, sign) for (lo, hi, i), sign in sorted(edges.items())]
-    return AdinkraGraph(module, vertices, edge_list)
+            w, sign = hit
+            if vert.height < vertices[w].height:
+                edges.append(Edge(u, w, i, sign))
+    edges.sort(key=lambda e: (e.source, e.target, e.generator))
+    return AdinkraGraph(module, vertices, edges)
 
 
 def rebuild_filtration(graph: AdinkraGraph, heights=None) -> SuperFiltration:
@@ -220,19 +221,24 @@ def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:
     """Heights reconstructed from a graded source set by shortest descent.
 
     Returns h(v) = min over (s, h_s) in sources of h_s + d(v, s), the
-    inverse of source_set on valid assignments.
+    inverse of source_set on valid assignments.  Raises ValueError,
+    naming the first vertex, when the sources reach not every vertex.
     """
     adjacency = _adjacency(graph)
     best = {v: h for v, h in sources}
-    frontier = sorted(best, key=lambda v: best[v])
-    while frontier:
-        frontier.sort(key=lambda v: best[v])
-        u = frontier.pop(0)
+    heap = [(h, v) for v, h in best.items()]
+    heapq.heapify(heap)
+    while heap:
+        h, u = heapq.heappop(heap)
+        if h > best[u]:
+            continue
         for w in adjacency[u]:
-            if w not in best or best[w] > best[u] + 1:
-                best[w] = best[u] + 1
-                if w not in frontier:
-                    frontier.append(w)
+            if w not in best or best[w] > h + 1:
+                best[w] = h + 1
+                heapq.heappush(heap, (h + 1, w))
+    for v in range(len(graph.vertices)):
+        if v not in best:
+            raise ValueError(f"no source reaches vertex {v}")
     return [best[v] for v in range(len(graph.vertices))]
 
 
@@ -245,25 +251,6 @@ def _adjacency(graph: AdinkraGraph) -> dict[int, list[int]]:
     return adjacency
 
 
-def _components(adjacency: dict[int, list[int]]) -> list[list[int]]:
-    seen = set()
-    comps = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def enumerate_heights(graph: AdinkraGraph, budget: int = 10000):
     """All valid height functions the edge structure supports.
 
@@ -273,68 +260,66 @@ def enumerate_heights(graph: AdinkraGraph, budget: int = 10000):
     cartesian product.  Every candidate is validated by rebuilding the
     flags and running the full filtration check; only the ones passing
     are returned.  Returns (assignments, exhausted) where exhausted
-    flags that the search budget was hit before the enumeration closed.
+    flags that the search budget was hit before the enumeration closed:
+    `budget` bounds both the search states explored, over all components,
+    and the assignments returned.
+
+    Each component is searched depth first, -1 before +1, and assigns
+    its vertices in breadth-first discovery order from its least vertex,
+    each one step from the neighbour that discovered it.  That is the
+    order of assigning next the first unassigned neighbour of the
+    earliest assigned vertex that has one: the assigned vertices are
+    always a prefix of the breadth-first order, whatever heights they
+    got, so the order is computed once.  The least vertex is pinned at
+    0, so two distinct relative assignments differ by more than a shift
+    and normalize to distinct heights.
     """
     n_vertices = len(graph.vertices)
     if n_vertices == 0:
         return [], False
     adjacency = _adjacency(graph)
 
-    exhausted = False
     explored = 0
     per_component = []
-    for comp in _components(adjacency):
+    seen = set()
+    for root in range(n_vertices):
+        if root in seen:
+            continue
+        # breadth-first order, and the neighbour that discovered each vertex
+        order, parent = [root], {}
+        seen.add(root)
+        for u in order:
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = u
+                    order.append(w)
         results = []
-        root = comp[0]
-        # partial: vertex -> relative height; frontier of edges to decide
-        stack = [({root: 0}, [root])]
+        stack = [{root: 0}]
         while stack:
-            relative, order = stack.pop()
+            relative = stack.pop()
             explored += 1
             if explored > budget:
-                exhausted = True
-                break
-            # find an undecided neighbor pair
-            pending = None
-            for u in order:
-                for w in adjacency[u]:
-                    if w not in relative:
-                        pending = (u, w)
-                        break
-                if pending:
-                    break
-            if pending is None:
-                results.append(dict(relative))
+                return [], True
+            if len(relative) == len(order):
+                results.append(relative)
                 continue
-            u, w = pending
+            w = order[len(relative)]
             for delta in (1, -1):
                 cand = dict(relative)
-                cand[w] = relative[u] + delta
+                cand[w] = relative[parent[w]] + delta
                 # every already-assigned neighbor must differ by exactly 1
-                consistent = all(
-                    abs(cand[w] - cand[y]) == 1
-                    for y in adjacency[w]
-                    if y in cand
-                )
-                if consistent:
-                    stack.append((cand, order + [w]))
-        if exhausted:
-            break
+                if all(abs(cand[w] - cand[y]) == 1 for y in adjacency[w] if y in cand):
+                    stack.append(cand)
         # normalize each relative assignment: parity forces the shift mod 2,
         # so exactly one shift puts the minimum at 0 or 1
         normalized = []
         for relative in results:
-            base = min(relative.values())
-            shift = -base
-            anchor = comp[0]
-            if (relative[anchor] + shift) % 2 != graph.vertices[anchor].parity:
+            shift = -min(relative.values())
+            if shift % 2 != graph.vertices[root].parity:
                 shift += 1
-            heights = {v: relative[v] + shift for v in comp}
-            if heights not in normalized:
-                normalized.append(heights)
+            normalized.append({v: h + shift for v, h in relative.items()})
         per_component.append(normalized)
-    if exhausted:
-        return [], True
 
     assignments = []
     for combo in product(*per_component):
@@ -345,9 +330,10 @@ def enumerate_heights(graph: AdinkraGraph, budget: int = 10000):
         try:
             candidate = rebuild_filtration(graph, heights)
         except ValueError:
+            # a hand-built or decoded graph may join two vertices of one parity
             continue
         if check_filtration(candidate):
             assignments.append(tuple(heights))
         if len(assignments) > budget:
             return assignments, True
-    return assignments, exhausted
+    return assignments, False

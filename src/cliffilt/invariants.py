@@ -310,19 +310,21 @@ class Summand:
 
 def _split_by(module, pair):
     """The split along the factors of pair's minimal polynomial, or None
-    when it has fewer than two distinct factors."""
+    when it has fewer than two distinct factors.
+
+    The parts split each parity, so their dimensions are not summed: the
+    pair acts on each parity, where its minimal polynomial vanishes, and
+    that polynomial is the product of the powers f^e, which are pairwise
+    coprime.  The kernels of the f(P)^e are then the primary
+    decomposition of each parity component."""
     minpoly = _minimal_polynomial(module, pair)
     factors = _factor_rational_poly(minpoly)
     if len(factors) < 2:
         return None
     # each part is the kernel of f^e at the pair, which is f(P)^e
-    split = [tuple(Subspace.row_space(kernel(reduce(mul, [_poly_eval(coeffs, m)] * power)))
-                   for m in pair)
-             for coeffs, power in factors]
-    total = sum(we.dim + wo.dim for we, wo in split)
-    if total != module.dim_even + module.dim_odd:
-        return None
-    return split
+    return [tuple(Subspace.row_space(kernel(reduce(mul, [_poly_eval(coeffs, m)] * power)))
+                  for m in pair)
+            for coeffs, power in factors]
 
 
 def _first_split(module, pairs):
@@ -634,6 +636,11 @@ def filtration_search(
     finds are validated and deduplicated by invariant comparison.  Raises
     CheckFailed unless check_supermodule passes.
 
+    A candidate's gr dimensions are the target, so they are not
+    compared: level p has dimension required[p], the sum of target[q]
+    over q <= p of p's parity, so dim F_p - dim F_{p-2} is target[p], and
+    levels 0 to len(target) - 1 make the top degree len(target) - 1.
+
     The finds are distinct by invariants, not up to isomorphism: no two
     share their gr dims, source dims and summand reports, and a candidate
     is dropped when all three match an earlier find's, whether or not it
@@ -685,8 +692,6 @@ def filtration_search(
             continue
         candidate = SuperFiltration(module, flags[0::2], flags[1::2])
         if not check_filtration(candidate):
-            continue
-        if gr_dimensions(candidate) != target:
             continue
         # invariant_equal, on reports kept for the length of the search
         source = source_dimensions(candidate)

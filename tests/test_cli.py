@@ -189,6 +189,19 @@ def _identity_rows(dim):
     return [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
 
 
+def test_export_dot_rejects_a_basis_with_extra_columns(degree_doc, tmp_path):
+    # 8 x 9 even rows of full rank: the span check names them, where the
+    # length check inside the height search used to
+    path = tmp_path / "basis.json"
+    wide = [row + ["0"] for row in _identity_rows(8)]
+    path.write_text(json.dumps({"even": wide, "odd": _identity_rows(8)}))
+    out = run(["export-dot", "--basis", str(path)], stdin=degree_doc)
+    assert out.returncode == 1
+    cert = json.loads(out.stdout)
+    assert (cert["check"], cert["pass"]) == ("adapted_basis", False)
+    assert cert["witness"] == {"reason": "even basis does not span the even component"}
+
+
 def _set_basis_entry(value):
     def defect(basis):
         basis["even"][0][0] = value

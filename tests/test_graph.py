@@ -1,10 +1,15 @@
 import random
-from itertools import combinations
+from itertools import product
 
 import pytest
 
+from cliffilt.certificate import require
 from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.graph import (
+    AdinkraGraph,
+    Edge,
+    Vertex,
+    _adjacency,
     enumerate_heights,
     heights_from_sources,
     rebuild_filtration,
@@ -12,6 +17,7 @@ from cliffilt.graph import (
     to_dot,
     to_graph,
 )
+from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
     SuperFiltration,
     check_filtration,
@@ -19,6 +25,7 @@ from cliffilt.supermodule import (
     direct_sum_filtration,
     exterior_module,
     hodge_filtration,
+    irreducible_module,
     trivial_filtration,
 )
 
@@ -220,3 +227,338 @@ def test_rebuild_filtration_matches_former_two_loops():
         assert got == want and got.top_degree == want.top_degree
         assert (got.even_flags, got.odd_flags) == (want.even_flags, want.odd_flags)
     assert len(cases) >= 100
+
+
+def _former_minimal_level(f, v, parity):
+    p = parity
+    while True:
+        if f.level(p).contains(v):
+            return p
+        p += 2
+        if p > f.top_degree + 1:
+            raise ValueError("vector not contained in the top filtration level")
+
+
+def _former_to_graph(f, basis_even=None, basis_odd=None):
+    """The former form, kept as the reference: it tested the height step and
+    the sign of every edge from both endpoints, and found each vertex through
+    a dict keyed by its row."""
+    require("filtration", check_filtration(f))
+    module = f.module
+    if basis_even is None:
+        basis_even = Matrix.identity(module.dim_even)
+    elif basis_even.rank() != module.dim_even or basis_even.rows != module.dim_even:
+        raise ValueError("even basis does not span the even component")
+    if basis_odd is None:
+        basis_odd = Matrix.identity(module.dim_odd)
+    elif basis_odd.rank() != module.dim_odd or basis_odd.rows != module.dim_odd:
+        raise ValueError("odd basis does not span the odd component")
+    vertices = []
+    index_of = {}
+    for parity, mat in ((0, basis_even), (1, basis_odd)):
+        for row in mat.entries:
+            height = _former_minimal_level(f, row, parity)
+            index_of[(parity, row)] = len(vertices)
+            vertices.append(Vertex(parity, height, row))
+    for p in range(f.top_degree + 1):
+        inside = sum(1 for v in vertices if v.parity == p % 2 and v.height <= p)
+        if inside != f.level(p).dim:
+            raise ValueError(
+                f"basis not filtration-homogeneous: level {p} has dimension "
+                f"{f.level(p).dim} but contains {inside} basis vectors"
+            )
+    signed = ({}, {})
+    for parity, mat in ((0, basis_even), (1, basis_odd)):
+        for row in mat.entries:
+            k = index_of[(parity, row)]
+            signed[parity].setdefault(row, (k, 1))
+            signed[parity].setdefault(tuple(-c for c in row), (k, -1))
+    images = [[(mat * module.gamma(i, parity)).entries for i in range(module.algebra.n)]
+              for parity, mat in ((0, basis_even), (1, basis_odd))]
+    edges = {}
+    for u_index, vert in enumerate(vertices):
+        row = u_index - basis_even.rows if vert.parity else u_index
+        for i in range(module.algebra.n):
+            hit = signed[1 - vert.parity].get(images[vert.parity][i][row])
+            if hit is None:
+                raise ValueError(
+                    f"basis not adapted: generator {i} image of vertex {u_index} "
+                    "is not a signed basis vector"
+                )
+            w_index, sign = hit
+            lo, hi = sorted((u_index, w_index), key=lambda k: vertices[k].height)
+            if abs(vertices[u_index].height - vertices[w_index].height) != 1:
+                raise ValueError(
+                    f"generator {i} connects heights {vertices[u_index].height} "
+                    f"and {vertices[w_index].height}"
+                )
+            key = (lo, hi, i)
+            if key in edges:
+                if edges[key] != sign:
+                    raise ValueError(f"inconsistent action signs across edge {key}")
+            else:
+                edges[key] = sign
+    edge_list = [Edge(lo, hi, i, sign) for (lo, hi, i), sign in sorted(edges.items())]
+    return AdinkraGraph(module, vertices, edge_list)
+
+
+def _former_components(adjacency):
+    seen = set()
+    comps = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _former_enumerate_heights(graph, budget=10000):
+    """The former form, kept as the reference: each state scanned its
+    assigned vertices for the next one, and the finds were deduplicated."""
+    n_vertices = len(graph.vertices)
+    if n_vertices == 0:
+        return [], False
+    adjacency = _adjacency(graph)
+    exhausted = False
+    explored = 0
+    per_component = []
+    for comp in _former_components(adjacency):
+        results = []
+        root = comp[0]
+        stack = [({root: 0}, [root])]
+        while stack:
+            relative, order = stack.pop()
+            explored += 1
+            if explored > budget:
+                exhausted = True
+                break
+            pending = None
+            for u in order:
+                for w in adjacency[u]:
+                    if w not in relative:
+                        pending = (u, w)
+                        break
+                if pending:
+                    break
+            if pending is None:
+                results.append(dict(relative))
+                continue
+            u, w = pending
+            for delta in (1, -1):
+                cand = dict(relative)
+                cand[w] = relative[u] + delta
+                if all(abs(cand[w] - cand[y]) == 1 for y in adjacency[w] if y in cand):
+                    stack.append((cand, order + [w]))
+        if exhausted:
+            break
+        normalized = []
+        for relative in results:
+            shift = -min(relative.values())
+            anchor = comp[0]
+            if (relative[anchor] + shift) % 2 != graph.vertices[anchor].parity:
+                shift += 1
+            heights = {v: relative[v] + shift for v in comp}
+            if heights not in normalized:
+                normalized.append(heights)
+        per_component.append(normalized)
+    if exhausted:
+        return [], True
+    assignments = []
+    for combo in product(*per_component):
+        heights = [0] * n_vertices
+        for part in combo:
+            for v, h in part.items():
+                heights[v] = h
+        try:
+            candidate = rebuild_filtration(graph, heights)
+        except ValueError:
+            continue
+        if check_filtration(candidate):
+            assignments.append(tuple(heights))
+        if len(assignments) > budget:
+            return assignments, True
+    return assignments, exhausted
+
+
+def _former_heights_from_sources(graph, sources):
+    """The former form, kept as the reference: a list re-sorted on every pop."""
+    adjacency = _adjacency(graph)
+    best = {v: h for v, h in sources}
+    frontier = sorted(best, key=lambda v: best[v])
+    while frontier:
+        frontier.sort(key=lambda v: best[v])
+        u = frontier.pop(0)
+        for w in adjacency[u]:
+            if w not in best or best[w] > best[u] + 1:
+                best[w] = best[u] + 1
+                if w not in frontier:
+                    frontier.append(w)
+    return [best[v] for v in range(len(graph.vertices))]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _graph_key(g):
+    return g if isinstance(g, tuple) else (g.vertices, g.edges)
+
+
+def _filtrations():
+    """(filtration, basis) pairs: degree, trivial, unequal-top sums with
+    several components, the hodge basis, and seeded random filtrations."""
+    ext = [exterior_module(n) for n in range(5)]
+    irr = [irreducible_module(n) for n in range(1, 6)]
+    deg = [degree_filtration(m) for m in ext]
+    cases = [(f, ()) for f in deg]
+    cases += [(trivial_filtration(m), ()) for m in irr]
+    flat2 = trivial_filtration(ext[2])
+    # Cl(1) with its even vector raised to height 2
+    raised = SuperFiltration(ext[1], [Subspace.zero(1), Subspace.full(1)], [Subspace.full(1)])
+    pairs = [(deg[2], flat2), (flat2, deg[2]), (deg[1], raised),
+             (raised, direct_sum_filtration(deg[1], deg[1]))]
+    cases += [(direct_sum_filtration(fa, fb), ()) for fa, fb in pairs]
+    cases.append((hodge_filtration(ext[4]), _hodge_adapted_basis()))
+    rng = random.Random(22)
+    for _ in range(6):
+        cases += [(random_filtration(m, rng), ()) for m in ext[1:] + irr]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    """The graphs of `_filtrations`, with the outcomes of both forms."""
+    out = []
+    for f, basis in _filtrations():
+        got, want = _outcome(to_graph, f, *basis), _outcome(_former_to_graph, f, *basis)
+        out.append((got, want))
+    return out
+
+
+def test_to_graph_matches_former(graphs):
+    failures = 0
+    for got, want in graphs:
+        assert _graph_key(got) == _graph_key(want)
+        failures += isinstance(got, tuple)
+    # the random coordinate bases include homogeneity failures, and no other kind
+    assert 0 < failures < len(graphs)
+    assert all("filtration-homogeneous" in got[1] for got, _ in graphs if isinstance(got, tuple))
+
+
+def _least_budget(enumerate_fn, g):
+    """The least budget that does not exhaust, by bisection."""
+    lo, hi = 0, 1
+    while enumerate_fn(g, hi)[1]:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if enumerate_fn(g, mid)[1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_enumerate_heights_matches_former(graphs):
+    # the search reads the module, the vertex parities and vectors and the
+    # edges, not their orientation: a random filtration's coordinate graph
+    # adds nothing once its module's is here
+    seen = set()
+    for g, _ in graphs:
+        if isinstance(g, tuple):
+            continue
+        shape = (id(g.module), tuple((v.parity, v.vector) for v in g.vertices),
+                 frozenset((min(e.source, e.target), max(e.source, e.target), e.generator)
+                           for e in g.edges))
+        if shape in seen:
+            continue
+        seen.add(shape)
+        for budget in [*range(30), 50, 1000, 10000]:
+            assert enumerate_heights(g, budget) == _former_enumerate_heights(g, budget)
+        # the least budget that closes pins the count of explored states
+        least = _least_budget(enumerate_heights, g)
+        assert not _former_enumerate_heights(g, least)[1]
+        if least:
+            assert _former_enumerate_heights(g, least - 1)[1]
+    assert len(seen) >= 12
+
+
+def test_heights_from_sources_matches_former(graphs):
+    rng = random.Random(7)
+    checked = 0
+    for g, _ in graphs:
+        if isinstance(g, tuple) or len(g.vertices) > 8:
+            continue
+        assigns, exhausted = enumerate_heights(g, budget=1000)
+        assert not exhausted
+        sets = [source_set(g, a) for a in assigns]
+        # arbitrary graded sets too, each holding every vertex of a component's
+        # least index, so that every vertex is reached
+        roots = {min(c) for c in _former_components(_adjacency(g))}
+        for _ in range(20):
+            picked = roots | set(rng.sample(range(len(g.vertices)), len(g.vertices) // 2))
+            sets.append(frozenset((v, rng.randint(-3, 6)) for v in picked))
+        for s in sets:
+            assert heights_from_sources(g, s) == _former_heights_from_sources(g, s)
+            checked += 1
+    assert checked >= 300
+
+
+def test_product_phase_cut_reports_exhaustion():
+    # each Cl(1) component takes 3 search states and has 2 finds: 12 states
+    # in all, then 16 products, so budgets 12 to 15 stop in the product phase
+    f1 = degree_filtration(exterior_module(1))
+    g = to_graph(direct_sum_filtration(direct_sum_filtration(f1, f1),
+                                       direct_sum_filtration(f1, f1)))
+    for budget, count in ((12, 13), (13, 14), (15, 16)):
+        assigns, exhausted = enumerate_heights(g, budget)
+        assert (len(assigns), exhausted) == (count, True)
+        assert (assigns, exhausted) == _former_enumerate_heights(g, budget)
+    assert enumerate_heights(g, 11) == ([], True)
+    assigns, exhausted = enumerate_heights(g, 16)
+    assert len(assigns) == 16 and not exhausted
+
+
+def test_enumerate_hand_built_graphs():
+    g = to_graph(degree_filtration(exterior_module(1)))
+    v = g.vertices[0]
+    # an edge between two even vertices: rebuild_filtration rejects every
+    # candidate's parities
+    bad = AdinkraGraph(g.module, [v, Vertex(0, 2, v.vector)], [Edge(0, 1, 0, 1)])
+    # no edges: the odd vertex is the least of its own component
+    lone = AdinkraGraph(g.module, g.vertices, [])
+    for graph, want in ((bad, ([], False)), (lone, ([(0, 1)], False))):
+        assert enumerate_heights(graph) == want
+        assert _former_enumerate_heights(graph) == want
+
+
+@pytest.mark.parametrize("case", ["empty", "one component"])
+def test_heights_from_sources_names_an_unreached_vertex(case):
+    if case == "empty":
+        g, sources, first = to_graph(degree_filtration(exterior_module(2))), frozenset(), 0
+    else:
+        f1 = degree_filtration(exterior_module(1))
+        g, sources, first = to_graph(direct_sum_filtration(f1, f1)), {(0, 0)}, 1
+    with pytest.raises(ValueError, match=f"no source reaches vertex {first}$"):
+        heights_from_sources(g, sources)
+
+
+def test_basis_with_extra_columns_does_not_span():
+    f = degree_filtration(exterior_module(4))
+    wide = Matrix.from_rows([[1 if j == i else 0 for j in range(9)] for i in range(8)])
+    with pytest.raises(ValueError, match="^even basis does not span the even component$"):
+        to_graph(f, basis_even=wide)
+    with pytest.raises(ValueError, match="^odd basis does not span the odd component$"):
+        to_graph(f, basis_odd=wide)
