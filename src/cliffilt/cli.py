@@ -133,12 +133,16 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.candidates < 0:
+        raise SerializeError("--candidates must be nonnegative")
     f = _filtration_arg(_read_document(args.input))
     summands = invariants.decompose(f, candidates=args.candidates, seed=args.seed)
     return _emit(serialize.encode_decomposition(summands), args.output)
 
 
 def _cmd_search(args) -> int:
+    if args.budget < 0:
+        raise SerializeError("--budget must be nonnegative")
     obj = _read_document(args.input)
     if isinstance(obj, supermodule.SuperFiltration):
         module = obj.module

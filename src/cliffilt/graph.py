@@ -68,11 +68,12 @@ class AdinkraGraph:
 
 
 def _minimal_level(f: SuperFiltration, v, parity: int) -> int:
-    """The least level of v's parity that contains v.  The corner level,
-    the top one of the parity, is full once check_filtration has passed,
-    so the search ends there at the latest."""
+    """The least level of v's parity that contains v.  Only the levels
+    below the corner, the top one of the parity, are searched: a passing
+    check_filtration makes the corner level full, and to_graph has
+    already rejected a basis of the wrong width, so v lies in it."""
     corner = f.top_degree - (f.top_degree - parity) % 2
-    return next(p for p in range(parity, corner + 1, 2) if f.level(p).contains(v))
+    return next((p for p in range(parity, corner, 2) if f.level(p).contains(v)), corner)
 
 
 def to_graph(f: SuperFiltration, basis_even: Matrix | None = None,
@@ -221,11 +222,15 @@ def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:
     """Heights reconstructed from a graded source set by shortest descent.
 
     Returns h(v) = min over (s, h_s) in sources of h_s + d(v, s), the
-    inverse of source_set on valid assignments.  Raises ValueError,
-    naming the first vertex, when the sources reach not every vertex.
+    inverse of source_set on valid assignments.  Raises ValueError naming
+    the first source that is not a vertex of the graph, or the first
+    vertex that no source reaches.
     """
     adjacency = _adjacency(graph)
     best = {v: h for v, h in sources}
+    for v in best:
+        if v not in adjacency:
+            raise ValueError(f"source {v} is not a vertex of the graph")
     heap = [(h, v) for v, h in best.items()]
     heapq.heapify(heap)
     while heap:

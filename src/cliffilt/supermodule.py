@@ -12,9 +12,13 @@ g_i . F_p <= F_{p+1}.  Levels below zero are zero and the flag lists
 are indexed by p // 2.
 
 `FilteredModule` is the one filtered-module type, over k filtration
-directions: `SuperFiltration` is its k = 1 case and
-`bifiltration.BifilteredSupermodule` its k = 2 case.  Its maps and flags
-are read-only, so `check_filtration` keeps its verdict on the filtration.
+directions, and its constructor the one validation of dims and gammas:
+a `CliffordSupermodule` is its k = 1 case with both flags full (F_0 the
+even part, F_1 the odd part), `SuperFiltration` its k = 1 case with any
+flags, and `bifiltration.BifilteredSupermodule` its k = 2 case.  Its
+maps and flags are read-only, so `check_supermodule` checks a module
+directly and keeps its verdict on the module, and `check_filtration`
+keeps its verdict on the filtration.
 """
 
 from __future__ import annotations
@@ -58,142 +62,6 @@ def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
         for r, row in enumerate(mrows):
             rows[row_off[bi] + r] += [(off + j, c * w) for j, c in row]
     return Matrix._from_ints(sum(col_dims), d, rows)
-
-
-class CliffordSupermodule:
-    """Z/2-graded module over a Clifford algebra, gamma action as matrices.
-
-    gamma_eo[i] maps the even part to the odd part (shape dim_even x
-    dim_odd, acting on row vectors), gamma_oe[i] maps back.
-    """
-
-    def __init__(
-        self,
-        algebra: CliffordAlgebra,
-        gamma_eo: list[Matrix],
-        gamma_oe: list[Matrix],
-        dim_even: int | None = None,
-        dim_odd: int | None = None,
-    ):
-        n = algebra.n
-        if len(gamma_eo) != n or len(gamma_oe) != n:
-            raise ValueError("need one matrix pair per generator")
-        if n:
-            dim_even = gamma_eo[0].rows
-            dim_odd = gamma_eo[0].cols
-        elif dim_even is None or dim_odd is None:
-            raise ValueError("dimensions required when the algebra has no generators")
-        elif min(dim_even, dim_odd) < 0:
-            raise ValueError("dimensions must be nonnegative")
-        dims = {(0,): dim_even, (1,): dim_odd}
-        for eo, oe in zip(gamma_eo, gamma_oe):
-            _check_maps({(0,): eo, (1,): oe}, dims, {(0,): dim_odd, (1,): dim_even}, "gamma")
-        self.algebra = algebra
-        self.dim_even = dim_even
-        self.dim_odd = dim_odd
-        self.gamma_eo = tuple(gamma_eo)
-        self.gamma_oe = tuple(gamma_oe)
-        self._commutant: list[tuple[Matrix, Matrix]] | None = None
-        self._relations: Certificate | None = None
-
-    def dim(self, parity: int) -> int:
-        return self.dim_even if parity % 2 == 0 else self.dim_odd
-
-    def gamma(self, i: int, parity: int) -> Matrix:
-        """Matrix of g_i on the given parity component."""
-        return self.gamma_eo[i] if parity % 2 == 0 else self.gamma_oe[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CliffordSupermodule)
-            and self.algebra == other.algebra
-            and self.dim_even == other.dim_even
-            and self.dim_odd == other.dim_odd
-            and self.gamma_eo == other.gamma_eo
-            and self.gamma_oe == other.gamma_oe
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.gamma_eo, self.gamma_oe))
-
-    def __repr__(self):
-        return f"CliffordSupermodule(n={self.algebra.n}, dims=({self.dim_even}|{self.dim_odd}))"
-
-    def graded_commutant(self) -> list[tuple[Matrix, Matrix]]:
-        """Basis of parity-preserving maps commuting with every g_i.
-
-        Pairs (P, R) with P g_eo[i] = g_eo[i] R and R g_oe[i] = g_oe[i] P.
-        R is fixed by P through generator 0, R = oe_0 P eo_0 / G[0][0],
-        and for each i >= 1 only P eo_i = eo_i R is solved.  The relations
-        imply the other half: oe_i eo_i = eo_i oe_i = G[i][i] I, so the
-        solved block gives R = oe_i P eo_i / G[i][i], hence R oe_i =
-        oe_i P eo_i oe_i / G[i][i] = oe_i P, where G[i][i] > 0 as the form
-        is definite.  The relations are therefore its precondition: raises
-        CheckFailed unless check_supermodule passes (a verdict already kept
-        on the module is read as it is).  Cached.
-        """
-        if self._commutant is None:
-            require("module", check_supermodule(self))
-            self._commutant = self._solve_commutant()
-        return self._commutant
-
-    def _solve_commutant(self) -> list[tuple[Matrix, Matrix]]:
-        n0, n1 = self.dim_even, self.dim_odd
-        if self.algebra.n == 0 or n0 == 0 or n1 == 0:
-            # No constraints couple the parities: every pair of square
-            # blocks commutes with an empty or one-sided action.
-            def unit(n, r, c):
-                return Matrix._from_ints(n, 1, [((c, 1),) if i == r else () for i in range(n)])
-
-            return ([(unit(n0, r, c), Matrix.zeros(n1, n1)) for r in range(n0) for c in range(n0)]
-                    + [(Matrix.zeros(n0, n0), unit(n1, r, c)) for r in range(n1) for c in range(n1)])
-
-        dg, grows = self.algebra.gram._ints()
-        inv_g00 = Fraction(dg, dict(grows[0])[0])  # nonzero: the Gram matrix is definite
-        eo0, oe0 = self.gamma_eo[0], self.gamma_oe[0]
-
-        # R is determined by P through generator 0 (R = oe0 P eo0 / g00),
-        # so solve for P only; each block states sum of sign * B . P . C = 0:
-        # P eo_i = eo_i R, which implies R oe_i = oe_i P (graded_commutant).
-        blocks = [[(Matrix.identity(n0), eoi, 1), ((eoi * oe0).scale(inv_g00), eo0, -1)]
-                  for eoi in self.gamma_eo[1:]]
-
-        # One equation per entry (r, c) of each block, over the unknowns
-        # P[k][l] numbered k * n0 + l, summed in integers: with the integer
-        # forms B = bi / db and C = ci / dc, a part adds sign * bi[r][k] *
-        # ci[l][c] / (db * dc), and scaling an equation by the block's
-        # common denominator does not change the kernel.
-        unknowns = n0 * n0
-        equations = []
-        for parts in blocks:
-            forms = [(b._ints(), cmat.transpose()._ints(), sign) for b, cmat, sign in parts]
-            common = lcm(*[db * dc for (db, _), (dc, _), _ in forms])
-            weighted = [(brows, ccols, sign * common // (db * dc))
-                        for (db, brows), (dc, ccols), sign in forms]
-            for r in range(parts[0][0].rows):
-                for c in range(parts[0][1].cols):
-                    eq: dict[int, int] = {}
-                    for brows, ccols, w in weighted:
-                        for k, bk in brows[r]:
-                            for l, cv in ccols[c]:
-                                u = k * n0 + l
-                                eq[u] = eq.get(u, 0) + w * bk * cv
-                    equations.append([(u, x) for u, x in eq.items() if x])
-        if equations:
-            basis = _null_space(Matrix._from_ints(unknowns, 1, equations))
-        else:
-            basis = Matrix.identity(unknowns)
-
-        # kernel row u = k * n0 + l is P[k][l], in the kernel's integer form
-        d, rows = basis._ints()
-        pairs = []
-        for row in rows:
-            blocks = [[] for _ in range(n0)]
-            for u, x in row:
-                blocks[u // n0].append((u % n0, x))
-            p = Matrix._from_ints(n0, d, blocks)
-            pairs.append((p, (oe0 * p * eo0).scale(inv_g00)))
-        return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +251,140 @@ def _checked(v: FilteredModule, relations: Callable) -> Certificate:
     return v._verdict
 
 
+# The certificate words of the k = 1 checks, for a module and its filtrations.
+_SUPER_WORDS = _CheckWords(
+    "supermodule_relations", "filtration",
+    relation=lambda d, e, i, j, c: {"i": i, "j": j, "parity": c[0]},
+    nesting=lambda d, x: {"kind": "nesting", "parity": x[0] % 2, "level": x[0]},
+    exhaustive=lambda c, x: {"kind": "exhaustive", "parity": c[0]},
+    compatibility=lambda d, i, x: {"kind": "compatibility", "generator": i, "level": x[0]},
+)
+
+
+class CliffordSupermodule(FilteredModule):
+    """Z/2-graded module over a Clifford algebra: the k = 1 filtered module
+    with both flags full, F_0 the even part and F_1 the odd part.
+
+    gamma_eo[i] maps the even part to the odd part (shape dim_even x
+    dim_odd, acting on row vectors), gamma_oe[i] maps back: read-only
+    views of `gammas`.  A dimension not given is read off the gammas, and
+    the flags take the gamma shapes, so a given one that disagrees fails
+    the gamma check before a flag that size is built.
+    """
+
+    _words = _SUPER_WORDS
+
+    def __init__(self, algebra: CliffordAlgebra, gamma_eo: list[Matrix], gamma_oe: list[Matrix],
+                 dim_even: int | None = None, dim_odd: int | None = None):
+        if len(gamma_eo) != algebra.n or len(gamma_oe) != algebra.n:
+            raise ValueError("need one matrix pair per generator")
+        shape = (gamma_eo[0].rows, gamma_eo[0].cols) if gamma_eo else (dim_even, dim_odd)
+        if None in shape:
+            raise ValueError("dimensions required when the algebra has no generators")
+        dims = {(0,): shape[0] if dim_even is None else dim_even,
+                (1,): shape[1] if dim_odd is None else dim_odd}
+        gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(gamma_eo, gamma_oe))
+        super().__init__((algebra,), dims, (gammas,),
+                         {(p,): Subspace.full(shape[p]) for p in (0, 1)})
+        self._commutant: list[tuple[Matrix, Matrix]] | None = None
+        self._relations: Certificate | None = None
+
+    algebra = property(lambda self: self.algebras[0])
+    dim_even = property(lambda self: self.dims[(0,)])
+    dim_odd = property(lambda self: self.dims[(1,)])
+    gamma_eo = property(lambda self: tuple(g[(0,)] for g in self.gammas[0]))
+    gamma_oe = property(lambda self: tuple(g[(1,)] for g in self.gammas[0]))
+
+    def dim(self, parity: int) -> int:
+        return self.dims[(parity % 2,)]
+
+    def gamma(self, i: int, parity: int) -> Matrix:
+        """Matrix of g_i on the given parity component."""
+        return self.gammas[0][i][(parity % 2,)]
+
+    def __hash__(self):  # the flags are the same for every module of these dims
+        return hash((self.algebra, self.gamma_eo, self.gamma_oe))
+
+    def __repr__(self):
+        return f"CliffordSupermodule(n={self.algebra.n}, dims=({self.dim_even}|{self.dim_odd}))"
+
+    def graded_commutant(self) -> list[tuple[Matrix, Matrix]]:
+        """Basis of parity-preserving maps commuting with every g_i.
+
+        Pairs (P, R) with P g_eo[i] = g_eo[i] R and R g_oe[i] = g_oe[i] P.
+        R is fixed by P through generator 0, R = oe_0 P eo_0 / G[0][0],
+        and for each i >= 1 only P eo_i = eo_i R is solved.  The relations
+        imply the other half: oe_i eo_i = eo_i oe_i = G[i][i] I, so the
+        solved block gives R = oe_i P eo_i / G[i][i], hence R oe_i =
+        oe_i P eo_i oe_i / G[i][i] = oe_i P, where G[i][i] > 0 as the form
+        is definite.  The relations are therefore its precondition: raises
+        CheckFailed unless check_supermodule passes (a verdict already kept
+        on the module is read as it is).  Cached.
+        """
+        if self._commutant is None:
+            require("module", check_supermodule(self))
+            self._commutant = self._solve_commutant()
+        return self._commutant
+
+    def _solve_commutant(self) -> list[tuple[Matrix, Matrix]]:
+        n0, n1 = self.dim_even, self.dim_odd
+        if self.algebra.n == 0 or n0 == 0 or n1 == 0:
+            # No constraints couple the parities: every pair of square
+            # blocks commutes with an empty or one-sided action.
+            def unit(n, r, c):
+                return Matrix._from_ints(n, 1, [((c, 1),) if i == r else () for i in range(n)])
+
+            return ([(unit(n0, r, c), Matrix.zeros(n1, n1)) for r in range(n0) for c in range(n0)]
+                    + [(Matrix.zeros(n0, n0), unit(n1, r, c)) for r in range(n1) for c in range(n1)])
+
+        dg, grows = self.algebra.gram._ints()
+        inv_g00 = Fraction(dg, dict(grows[0])[0])  # nonzero: the Gram matrix is definite
+        eo0, oe0 = self.gamma_eo[0], self.gamma_oe[0]
+
+        # R is determined by P through generator 0 (R = oe0 P eo0 / g00),
+        # so solve for P only; each block states sum of sign * B . P . C = 0:
+        # P eo_i = eo_i R, which implies R oe_i = oe_i P (graded_commutant).
+        blocks = [[(Matrix.identity(n0), eoi, 1), ((eoi * oe0).scale(inv_g00), eo0, -1)]
+                  for eoi in self.gamma_eo[1:]]
+
+        # One equation per entry (r, c) of each block, over the unknowns
+        # P[k][l] numbered k * n0 + l, summed in integers: with the integer
+        # forms B = bi / db and C = ci / dc, a part adds sign * bi[r][k] *
+        # ci[l][c] / (db * dc), and scaling an equation by the block's
+        # common denominator does not change the kernel.
+        unknowns = n0 * n0
+        equations = []
+        for parts in blocks:
+            forms = [(b._ints(), cmat.transpose()._ints(), sign) for b, cmat, sign in parts]
+            common = lcm(*[db * dc for (db, _), (dc, _), _ in forms])
+            weighted = [(brows, ccols, sign * common // (db * dc))
+                        for (db, brows), (dc, ccols), sign in forms]
+            for r in range(parts[0][0].rows):
+                for c in range(parts[0][1].cols):
+                    eq: dict[int, int] = {}
+                    for brows, ccols, w in weighted:
+                        for k, bk in brows[r]:
+                            for l, cv in ccols[c]:
+                                u = k * n0 + l
+                                eq[u] = eq.get(u, 0) + w * bk * cv
+                    equations.append([(u, x) for u, x in eq.items() if x])
+        if equations:
+            basis = _null_space(Matrix._from_ints(unknowns, 1, equations))
+        else:
+            basis = Matrix.identity(unknowns)
+
+        # kernel row u = k * n0 + l is P[k][l], in the kernel's integer form
+        d, rows = basis._ints()
+        pairs = []
+        for row in rows:
+            blocks = [[] for _ in range(n0)]
+            for u, x in row:
+                blocks[u // n0].append((u % n0, x))
+            p = Matrix._from_ints(n0, d, blocks)
+            pairs.append((p, (oe0 * p * eo0).scale(inv_g00)))
+        return pairs
+
+
 class SuperFiltration(FilteredModule):
     """Parity-separated increasing flags on a supermodule: the k = 1 case.
 
@@ -391,13 +393,7 @@ class SuperFiltration(FilteredModule):
     the stored top repeat the final flag and negative levels are zero.
     """
 
-    _words = _CheckWords(
-        "supermodule_relations", "filtration",
-        relation=lambda d, e, i, j, c: {"i": i, "j": j, "parity": c[0]},
-        nesting=lambda d, x: {"kind": "nesting", "parity": x[0] % 2, "level": x[0]},
-        exhaustive=lambda c, x: {"kind": "exhaustive", "parity": c[0]},
-        compatibility=lambda d, i, x: {"kind": "compatibility", "generator": i, "level": x[0]},
-    )
+    _words = _SUPER_WORDS
 
     def __init__(self, module, even_flags, odd_flags):
         levels = (tuple(even_flags), tuple(odd_flags))
@@ -405,18 +401,14 @@ class SuperFiltration(FilteredModule):
             raise ValueError("need at least one flag per parity")
         top = max(2 * len(levels[0]) - 2, 2 * len(levels[1]) - 1)
         flags = {(p,): levels[p % 2][min(p // 2, len(levels[p % 2]) - 1)] for p in range(top + 1)}
-        gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(module.gamma_eo, module.gamma_oe))
-        super().__init__((module.algebra,), {(0,): module.dim_even, (1,): module.dim_odd},
-                         (gammas,), flags)
+        super().__init__(module.algebras, module.dims, module.gammas, flags)
         self.module = module
 
     @cached_property
     def module(self) -> CliffordSupermodule:
         """The module, built from the gamma maps when only those were given."""
-        gammas = self.gammas[0]
-        return CliffordSupermodule(self.algebras[0], [g[(0,)] for g in gammas],
-                                   [g[(1,)] for g in gammas],
-                                   dim_even=self.dims[(0,)], dim_odd=self.dims[(1,)])
+        eo, oe = ([g[c] for g in self.gammas[0]] for c in self.dims)
+        return CliffordSupermodule(self.algebras[0], eo, oe, *self.dims.values())
 
     top_degree = property(lambda self: self.tops[0])
     even_flags = property(lambda self: tuple(self.flags.values())[0::2])
@@ -436,10 +428,10 @@ class SuperFiltration(FilteredModule):
 
 
 def check_supermodule(m: CliffordSupermodule) -> Certificate:
-    """Verify the Clifford relations on both parity components.  The
-    verdict is cached on the module."""
+    """Verify the Clifford relations on both parity components of the
+    module itself.  The verdict is kept on the module."""
     if m._relations is None:
-        m._relations = _module_relations(trivial_filtration(m))
+        m._relations = _module_relations(m)
     return m._relations
 
 
@@ -452,9 +444,7 @@ def check_filtration(f: SuperFiltration) -> Certificate:
 
 def trivial_filtration(m: CliffordSupermodule) -> SuperFiltration:
     """Everything already present at levels 0 and 1."""
-    return SuperFiltration(
-        m, [Subspace.full(m.dim_even)], [Subspace.full(m.dim_odd)]
-    )
+    return SuperFiltration(m, [m.flags[(0,)]], [m.flags[(1,)]])
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,30 @@ def test_malformed_inputs_exit_two():
     assert run(["quotient", "--k", "1e10000000"], stdin=rep.stdout).returncode == 2
 
 
+@pytest.mark.parametrize("kind", ["module", "filtration"])
+def test_declared_dimension_that_disagrees_exits_two(kind, degree_doc):
+    doc = json.loads(degree_doc)
+    doc["dim_even"] = 99
+    if kind == "module":
+        doc["kind"] = "module"
+        del doc["even_flags"], doc["odd_flags"]
+    out = run(["check"], stdin=json.dumps(doc))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_negative_budget_and_candidates_exit_two():
+    doc = run(["example", "cl1-trivial"]).stdout
+    for args in (["search", "--target", "1,1", "--budget", "-5"],
+                 ["decompose", "--candidates", "-3"]):
+        out = run(args, stdin=doc)
+        assert out.returncode == 2 and out.stdout == "", args
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert json.loads(run(["search", "--target", "1,1", "--budget", "0"], stdin=doc).stdout)[
+        "count"] == 0
+    assert run(["decompose", "--candidates", "0"], stdin=doc).returncode == 0
+
+
 def test_decompose_emits_summands():
     hodge = run(["example", "exterior4-hodge"]).stdout
     out = run(["decompose"], stdin=hodge)

@@ -555,6 +555,13 @@ def test_heights_from_sources_names_an_unreached_vertex(case):
         heights_from_sources(g, sources)
 
 
+@pytest.mark.parametrize("source", [99, -1])
+def test_heights_from_sources_names_a_source_outside_the_graph(source):
+    g = to_graph(degree_filtration(exterior_module(2)))
+    with pytest.raises(ValueError, match=f"source {source} is not a vertex of the graph$"):
+        heights_from_sources(g, {(source, 0)})
+
+
 def test_basis_with_extra_columns_does_not_span():
     f = degree_filtration(exterior_module(4))
     wide = Matrix.from_rows([[1 if j == i else 0 for j in range(9)] for i in range(8)])

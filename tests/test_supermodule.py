@@ -8,8 +8,10 @@ from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.exactalg import Matrix, Subspace, _vanishes
 from cliffilt.invariants import filtered_endomorphisms, random_filtration
+from cliffilt import supermodule
 from cliffilt.supermodule import (
     CliffordSupermodule,
+    FilteredModule,
     SuperFiltration,
     check_filtration,
     check_supermodule,
@@ -176,6 +178,43 @@ def test_mismatched_flag_ambient_rejected():
     with pytest.raises(ValueError):
         SuperFiltration(m, [Subspace.zero(3), Subspace.full(3)],
                         [Subspace.zero(2), Subspace.full(2)])
+
+
+def test_declared_dimensions_must_match_the_gammas():
+    m = exterior_module(2)
+    eo, oe = list(m.gamma_eo), list(m.gamma_oe)
+    assert CliffordSupermodule(m.algebra, eo, oe, dim_even=2, dim_odd=2) == m
+    for dims in ((3, 2), (2, 99), (99, 99)):
+        with pytest.raises(ValueError, match="wrong shape"):
+            CliffordSupermodule(m.algebra, eo, oe, *dims)
+    with pytest.raises(ValueError, match="dimensions required"):
+        CliffordSupermodule(CliffordAlgebra(0), [], [], dim_even=2)
+
+
+def test_module_equality_and_hash():
+    a, b = exterior_module(2), exterior_module(2)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert a != trivial_filtration(a)
+    scaled = CliffordSupermodule(a.algebra, [a.gamma_eo[0].scale(2), a.gamma_eo[1]],
+                                 list(a.gamma_oe))
+    assert scaled != a and hash(scaled) != hash(a)
+    empty = CliffordAlgebra(0)
+    assert CliffordSupermodule(empty, [], [], 2, 3) == CliffordSupermodule(empty, [], [], 2, 3)
+    assert CliffordSupermodule(empty, [], [], 2, 3) != CliffordSupermodule(empty, [], [], 3, 2)
+
+
+def test_module_is_the_k1_filtered_module_with_full_flags(monkeypatch):
+    m = irreducible_module(3)
+    assert isinstance(m, FilteredModule)
+    assert all(flag.is_full for flag in m.flags.values())
+    assert m.gamma_eo == tuple(m.gamma(i, 0) for i in range(3))
+
+    def refuse(*args):
+        raise AssertionError("check_supermodule built a filtration")
+
+    monkeypatch.setattr(supermodule.SuperFiltration, "__init__", refuse)
+    assert check_supermodule(m) and check_supermodule(m) is m._relations
 
 
 def test_random_gram_module_relations():
