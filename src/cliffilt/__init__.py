@@ -31,7 +31,7 @@ from .deformation import (
     quotient_at,
     verify_offshell,
 )
-from .exactalg import Matrix, Rational, Subspace, kernel, rational, rref
+from .exactalg import Matrix, Subspace, kernel, rational, rref
 from .graph import (
     AdinkraGraph,
     enumerate_heights,

@@ -294,6 +294,7 @@ def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
 # ---------------------------------------------------------------------------
 # Cl(p) (x)^ Cl(q) on its bifiltered regular module
 
+@dataclass(frozen=True)
 class TwistedProduct:
     """Cl(p) (x)^ Cl(q), held by its two identity-Gram factors.
 
@@ -306,15 +307,17 @@ class TwistedProduct:
     it cannot go stale.
     """
 
-    def __init__(self, a: CliffordAlgebra, b: CliffordAlgebra):
+    left: CliffordAlgebra
+    right: CliffordAlgebra
+
+    def __post_init__(self):
         # identity Gram matrices only: the mixed generators must square
         # to the standard form for the combined algebra to be Cl(p+q)
-        if a.gram != Matrix.identity(a.n) or b.gram != Matrix.identity(b.n):
+        if self.left.gram != Matrix.identity(self.p) or self.right.gram != Matrix.identity(self.q):
             raise ValueError("twisted product requires identity Gram matrices")
-        self.left = a
-        self.right = b
-        self.p = a.n
-        self.q = b.n
+
+    p = property(lambda self: self.left.n)
+    q = property(lambda self: self.right.n)
 
     @cached_property
     def module(self) -> BifilteredSupermodule:
@@ -323,16 +326,6 @@ class TwistedProduct:
         F_{m,n} by those with |I| <= m and |J| <= n."""
         return tensor_module(degree_filtration(exterior_module(self.p)),
                              degree_filtration(exterior_module(self.q)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedProduct)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((self.left, self.right))
 
     def __repr__(self):
         return f"TwistedProduct(Cl({self.p}), Cl({self.q}))"

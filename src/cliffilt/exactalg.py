@@ -29,8 +29,7 @@ decides whether a sum of products minus a scaled target is zero row by
 row over one common denominator, and every relation check and span
 membership test goes through it.
 
-Membership and products each have one path, and a vector is a one-row
-matrix to them: `Matrix.apply` is a one-row product, and
+Membership has one path, and a vector is a one-row matrix to it:
 `Subspace.contains` and `Subspace.coordinates` are one-row calls to
 `_contains_rows` and `coordinate_matrix`.
 
@@ -50,8 +49,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 # the integers that most entries of kernel-built matrices are, built once
@@ -77,13 +74,6 @@ def rational(value) -> Fraction:
             raise ValueError(f"exponent notation in rational {value!r}")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as 'p/q', or just 'p' when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _freeze_row(row: Iterable) -> tuple:
@@ -270,14 +260,6 @@ class Matrix:
             out.append([(j, c) for j, c in enumerate(acc) if c])
         return Matrix._from_ints(cols, da * db, out)
 
-    def apply(self, v: Sequence) -> tuple:
-        """Row vector times matrix: v (length rows) -> v * self (length cols),
-        as a one-row product."""
-        v = _freeze_row(v)
-        if len(v) != self.rows:
-            raise ValueError("vector length does not match matrix rows")
-        return (Matrix(1, self.rows, [v]) * self).entries[0]
-
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("cannot stack matrices with different column counts")
@@ -299,7 +281,7 @@ class Matrix:
         return rref(self)[0].rows
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.entries)
+        body = "; ".join(" ".join(map(str, r)) for r in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 

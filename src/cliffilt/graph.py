@@ -223,14 +223,18 @@ def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:
 
     Returns h(v) = min over (s, h_s) in sources of h_s + d(v, s), the
     inverse of source_set on valid assignments.  Raises ValueError naming
-    the first source that is not a vertex of the graph, or the first
-    vertex that no source reaches.
+    the first source that is not a vertex of the graph or whose height is
+    negative or of the other parity than its vertex, or the first vertex
+    that no source reaches.
     """
     adjacency = _adjacency(graph)
     best = {v: h for v, h in sources}
-    for v in best:
+    for v, h in best.items():
         if v not in adjacency:
             raise ValueError(f"source {v} is not a vertex of the graph")
+        if h < 0 or h % 2 != graph.vertices[v].parity:
+            raise ValueError(f"source {v} has height {h}: heights must be nonnegative "
+                             "and match parity")
     heap = [(h, v) for v, h in best.items()]
     heapq.heapify(heap)
     while heap:

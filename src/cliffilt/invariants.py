@@ -58,15 +58,16 @@ def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace)
     reduced together in one elimination.
 
     When below is full, the algebra has a generator and the module keeps a
-    passing relations verdict, the result is the full component of parity
-    p, and nothing is built.  The relation {g_0, g_0} = 2 G_00 on that
-    component says v g_0 g_0 = G_00 v for each of its vectors v, with
-    G_00 > 0 as the Gram matrix is positive definite.  So v is the image
+    passing relations verdict in `_verdict`, the result is the full
+    component of parity p, and nothing is built.  The relation
+    {g_0, g_0} = 2 G_00 on that component says v g_0 g_0 = G_00 v for
+    each of its vectors v, with G_00 > 0 as the Gram matrix is positive
+    definite.  So v is the image
     under g_0 of v g_0 / G_00, which lies in the component of parity
     p - 1, all of which is below.  A module whose relations were not
     checked, or failed, is computed as before: its g_0 need not be onto.
     """
-    if below.is_full and module.algebra.n and module._relations:
+    if below.is_full and module.algebra.n and module._verdict:
         return Subspace.full(module.dim(p % 2))
     stacked = span.basis
     for i in range(module.algebra.n):
@@ -83,8 +84,6 @@ def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
     """
     module = f.module
     pairs = module.graded_commutant()
-    if not pairs:
-        return []
     # per flag and pair k, the residuals of the flag's basis rows under
     # P_k after pivot elimination against the flag: the images minus their
     # entries at the pivots times the basis
@@ -130,10 +129,6 @@ def _combination(coeffs, d: int, mats: list[Matrix]) -> Matrix:
                 row[j] = row.get(j, 0) + w * x
     return Matrix._from_ints(mats[0].cols, d * common,
                              [[(j, x) for j, x in row.items() if x] for row in acc])
-
-
-def _pair_mul(a, b):
-    return (a[0] * b[0], a[1] * b[1])
 
 
 def _pair_identity(module):
@@ -193,7 +188,7 @@ def _minimal_polynomial(module, pair) -> list[Fraction]:
     power = _pair_identity(module)
     for k in count():
         if k:
-            power = _pair_mul(power, pair)
+            power = (power[0] * pair[0], power[1] * pair[1])
         d, row = _flat_ints(power)
         row[width + k] = d
         row = _reduced(basis, row)
@@ -262,10 +257,10 @@ def _poly_eval(coeffs: list[Fraction], m: Matrix) -> Matrix:
 def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
     """Summand filtration induced on a gamma-invariant, flag-split pair.
 
-    The piece's module takes the parent's passing relations verdict.
-    Its gammas g' are the coordinates of the images, B_c g = g' B_{1-c}
-    with B_c the basis of the pair's part of parity c, so B_c g h =
-    g' h' B_c for two generators.  A relation of the parent on parity c,
+    The piece's module takes the parent's passing relations verdict, its
+    `_verdict`.  Its gammas g' are the coordinates of the images,
+    B_c g = g' B_{1-c} with B_c the basis of the pair's part of parity c,
+    so B_c g h = g' h' B_c for two generators.  A relation of the parent on parity c,
     a sum of products g h = 2 G I, then gives (sum of g' h' - 2 G I) B_c
     = B_c (sum of g h - 2 G I) = 0.  The rows of B_c are independent, so
     X B_c = 0 only for X = 0, and the relation holds on the piece.
@@ -280,8 +275,8 @@ def _restrict_filtration(f: SuperFiltration, w_even: Subspace, w_odd: Subspace):
     sub = CliffordSupermodule(
         module.algebra, gamma_eo, gamma_oe, dim_even=w_even.dim, dim_odd=w_odd.dim
     )
-    if module._relations:
-        sub._relations = module._relations
+    if module._verdict:
+        sub._verdict = module._verdict
     even_flags, odd_flags = [], []
     for p in range(f.top_degree + 1):
         w = w_even if p % 2 == 0 else w_odd
@@ -516,20 +511,14 @@ class InvariantReport:
     summand_reports: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _summand_reports(f: SuperFiltration) -> tuple:
-    """(gr dims, source dims) of each summand of f, sorted."""
-    reports = sorted(
-        (gr_dimensions(s.filtration), source_dimensions(s.filtration)) for s in decompose(f)
-    )
-    return tuple(reports)
-
-
 @lru_cache(maxsize=128)
 def invariant_report(f: SuperFiltration) -> InvariantReport:
-    """All computed invariants of one filtration, cached per object."""
+    """All computed invariants of one filtration, cached per object; the
+    summand reports are the (gr dims, source dims) of each summand, sorted."""
     # the decomposition checks f first, so the source dimensions, kept on
     # f and shared with an unsplit summand, see its relations verdict
-    summands = _summand_reports(f)
+    summands = tuple(sorted(
+        (gr_dimensions(s.filtration), source_dimensions(s.filtration)) for s in decompose(f)))
     return InvariantReport(gr_dimensions(f), source_dimensions(f), summands)
 
 
@@ -633,12 +622,13 @@ def filtration_search(
 
     Seeds the bottom flag with random subspaces of the target dimension
     and extends upward by the generator closure plus random complements;
-    finds are validated and deduplicated by invariant comparison.  Raises
-    CheckFailed unless check_supermodule passes.
+    finds are validated and deduplicated by `invariant_equal`, whose
+    summand reports come from the bounded `invariant_report` cache.
+    Raises CheckFailed unless check_supermodule passes.
 
-    A candidate's gr dimensions are the target, so they are not
-    compared: level p has dimension required[p], the sum of target[q]
-    over q <= p of p's parity, so dim F_p - dim F_{p-2} is target[p], and
+    A candidate's gr dimensions are the target, so their comparison always
+    matches: level p has dimension required[p], the sum of target[q] over
+    q <= p of p's parity, so dim F_p - dim F_{p-2} is target[p], and
     levels 0 to len(target) - 1 make the top degree len(target) - 1.
 
     The finds are distinct by invariants, not up to isomorphism: no two
@@ -664,13 +654,6 @@ def filtration_search(
     for p in range(m + 1):
         required.append(sum(target[p % 2:p + 1:2]))
     found: list[SuperFiltration] = []
-    memo: dict[SuperFiltration, tuple] = {}  # summand reports met in this search
-
-    def summands(f: SuperFiltration) -> tuple:
-        if f not in memo:
-            memo[f] = _summand_reports(f)
-        return memo[f]
-
     for _ in range(budget):
         bottom = _random_subspace(module.dim_even, target[0], rng)
         if bottom is None:
@@ -693,10 +676,7 @@ def filtration_search(
         candidate = SuperFiltration(module, flags[0::2], flags[1::2])
         if not check_filtration(candidate):
             continue
-        # invariant_equal, on reports kept for the length of the search
-        source = source_dimensions(candidate)
-        if any(source_dimensions(g) == source and summands(g) == summands(candidate)
-               for g in found):
+        if any(invariant_equal(g, candidate) for g in found):
             continue
         found.append(candidate)
     return found

@@ -287,7 +287,6 @@ class CliffordSupermodule(FilteredModule):
         super().__init__((algebra,), dims, (gammas,),
                          {(p,): Subspace.full(shape[p]) for p in (0, 1)})
         self._commutant: list[tuple[Matrix, Matrix]] | None = None
-        self._relations: Certificate | None = None
 
     algebra = property(lambda self: self.algebras[0])
     dim_even = property(lambda self: self.dims[(0,)])
@@ -368,10 +367,7 @@ class CliffordSupermodule(FilteredModule):
                                 u = k * n0 + l
                                 eq[u] = eq.get(u, 0) + w * bk * cv
                     equations.append([(u, x) for u, x in eq.items() if x])
-        if equations:
-            basis = _null_space(Matrix._from_ints(unknowns, 1, equations))
-        else:
-            basis = Matrix.identity(unknowns)
+        basis = _null_space(Matrix._from_ints(unknowns, 1, equations))
 
         # kernel row u = k * n0 + l is P[k][l], in the kernel's integer form
         d, rows = basis._ints()
@@ -429,10 +425,14 @@ class SuperFiltration(FilteredModule):
 
 def check_supermodule(m: CliffordSupermodule) -> Certificate:
     """Verify the Clifford relations on both parity components of the
-    module itself.  The verdict is kept on the module."""
-    if m._relations is None:
-        m._relations = _module_relations(m)
-    return m._relations
+    module itself.  The verdict is kept in the module's `_verdict`, where
+    `_checked` keeps a filtration's relations and flag verdict: a module's
+    flags are both full, so its flag steps cannot fail (no level lies two
+    below the top, the corners are full, and every gamma maps into a full
+    flag), and its relations verdict is its whole verdict."""
+    if m._verdict is None:
+        m._verdict = _module_relations(m)
+    return m._verdict
 
 
 def check_filtration(f: SuperFiltration) -> Certificate:

@@ -181,8 +181,7 @@ def test_hodge_filtration_has_an_adapted_homogeneous_basis():
     assert all(back.level(p) == f.level(p) for p in range(f.top_degree + 1))
 
 
-def test_to_graph_takes_images_by_one_product_per_parity_and_generator(products, monkeypatch):
-    monkeypatch.delattr(Matrix, "apply")
+def test_to_graph_takes_images_by_one_product_per_parity_and_generator(products):
     cases = [(degree_filtration(exterior_module(n)), ()) for n in (0, 1, 2, 4)]
     cases.append((hodge_filtration(exterior_module(4)), _hodge_adapted_basis()))
     for f, basis in cases:
@@ -505,11 +504,13 @@ def test_heights_from_sources_matches_former(graphs):
         assert not exhausted
         sets = [source_set(g, a) for a in assigns]
         # arbitrary graded sets too, each holding every vertex of a component's
-        # least index, so that every vertex is reached
+        # least index, so that every vertex is reached, at nonnegative heights
+        # of each vertex's parity
         roots = {min(c) for c in _former_components(_adjacency(g))}
         for _ in range(20):
             picked = roots | set(rng.sample(range(len(g.vertices)), len(g.vertices) // 2))
-            sets.append(frozenset((v, rng.randint(-3, 6)) for v in picked))
+            sets.append(frozenset((v, 2 * rng.randint(0, 3) + g.vertices[v].parity)
+                                  for v in picked))
         for s in sets:
             assert heights_from_sources(g, s) == _former_heights_from_sources(g, s)
             checked += 1
@@ -560,6 +561,11 @@ def test_heights_from_sources_names_a_source_outside_the_graph(source):
     g = to_graph(degree_filtration(exterior_module(2)))
     with pytest.raises(ValueError, match=f"source {source} is not a vertex of the graph$"):
         heights_from_sources(g, {(source, 0)})
+    # a negative height, and a height of the other parity than vertex 0's
+    for height in (-5, 1):
+        with pytest.raises(ValueError, match=f"^source 0 has height {height}: heights must "
+                                             "be nonnegative and match parity$"):
+            heights_from_sources(g, {(0, height)})
 
 
 def test_basis_with_extra_columns_does_not_span():

@@ -87,6 +87,9 @@ def test_endomorphism_dimensions():
     assert len(filtered_endomorphisms(hodge_filtration(exterior_module(4)))) == 2
     # scalars plus the three extra quaternion units on the trivial filtration
     assert len(filtered_endomorphisms(trivial_filtration(irreducible_cl5()))) == 4
+    # the zero module has no commutant, so no filtered endomorphism
+    zero = CliffordSupermodule(CliffordAlgebra(0), [], [], 0, 0)
+    assert filtered_endomorphisms(trivial_filtration(zero)) == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -181,7 +184,7 @@ def test_invariance_under_module_automorphism():
 
 def _former_filtered_endomorphisms(f):
     """The former assembly, kept as the reference: each flag residual in
-    Fractions, by `Matrix.apply` on one basis row and pivot elimination."""
+    Fractions, by a one-row product of one basis row and pivot elimination."""
     pairs = f.module.graded_commutant()
     rows = [[] for _ in pairs]
     for p in range(f.top_degree + 1):
@@ -190,7 +193,7 @@ def _former_filtered_endomorphisms(f):
             continue
         for v in flag.basis.entries:
             for row, pair in zip(rows, pairs):
-                work = list(pair[p % 2].apply(v))
+                work = list((Matrix.from_rows([v]) * pair[p % 2]).entries[0])
                 for basis_row, pivot in zip(flag.basis.entries, flag.pivots):
                     c = work[pivot]
                     work = [x - c * y for x, y in zip(work, basis_row)]
@@ -359,7 +362,7 @@ def test_decompose_pieces_inherit_the_relations_verdict(monkeypatch):
     monkeypatch.undo()
     for s in summands:
         m = s.filtration.module
-        assert m._relations is f.module._relations
+        assert m._verdict is f.module._verdict
         rebuilt = CliffordSupermodule(m.algebra, list(m.gamma_eo), list(m.gamma_oe))
         assert check_supermodule(rebuilt)
 
@@ -568,6 +571,15 @@ def test_search_deduplicates_by_invariants():
             assert invariant_equal(a, b).verdict == DISTINGUISHED
 
 
+def test_search_keeps_its_reports_in_the_bounded_report_cache():
+    # deduplication goes through invariant_equal, so the summand reports of
+    # the finds and candidates live in invariant_report's cache, whose bound
+    # holds however many candidates a search compares
+    invariant_report.cache_clear()
+    filtration_search(irreducible_cl5(), (2, 8, 6), 300)
+    assert 1 <= invariant_report.cache_info().currsize <= 128
+
+
 def test_import_leaves_sympy_unloaded():
     # sympy is imported on the first factorization that may split, not
     # with the package: t^2 + 1, 3t + 2, t^2 - 2 and t^2 - 1/8
@@ -593,6 +605,26 @@ def test_public_names_are_not_modules():
         assert not isinstance(getattr(cliffilt, name), ModuleType), name
     assert {"Matrix", "decompose", "to_graph"} <= set(cliffilt.__all__)
     assert cliffilt.exactalg.Matrix is cliffilt.Matrix
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package's surface changes this list
+    assert sorted(cliffilt.__all__) == [
+        "AdinkraGraph", "BiGradedRep", "BifilteredIso", "BifilteredSupermodule", "Certificate",
+        "CliffordAlgebra", "CliffordElement", "CliffordSupermodule", "ComparisonVerdict",
+        "FilteredIso", "GradedSpace", "InvariantReport", "Matrix", "OffShellRep", "OnShellModule",
+        "SerializeError", "Subspace", "Summand", "SuperFiltration", "TwistedProduct", "bideform",
+        "biquotient", "canonical_biroundtrip_iso", "canonical_roundtrip_iso",
+        "check_bifiltered_module", "check_filtration", "check_supermodule", "check_twisted_tensor",
+        "decode", "decompose", "deform", "degree_filtration", "direct_sum",
+        "direct_sum_filtration", "dumps", "encode", "enumerate_heights",
+        "enveloping_quotient_check", "exterior_module", "filtered_endomorphisms",
+        "filtration_search", "gr_dimensions", "heights_from_sources", "hodge_filtration",
+        "invariant_equal", "invariant_report", "irreducible_cl5", "irreducible_module", "kernel",
+        "loads", "quotient_at", "random_filtration", "rational", "rebuild_filtration", "rref",
+        "source_dimensions", "source_set", "tensor_module", "to_dot", "to_graph", "total_module",
+        "trivial_filtration", "twisted_tensor", "verify_2d", "verify_offshell",
+    ]
 
 
 def _dense_solve(rows: list, target: list) -> list | None:
@@ -890,7 +922,7 @@ def test_grown_builds_the_images_without_a_passing_verdict(products):
                 products.clear()
                 invariants._grown(m, p, Subspace.full(m.dim(p - 1)), Subspace.zero(m.dim(p)))
                 assert len(products) == m.algebra.n
-    assert unchecked._relations is None
+    assert unchecked._verdict is None
     for m in mutants:
         f = trivial_filtration(m)
         assert source_dimensions(f) == _former_source_dimensions(f)

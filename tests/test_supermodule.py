@@ -214,7 +214,7 @@ def test_module_is_the_k1_filtered_module_with_full_flags(monkeypatch):
         raise AssertionError("check_supermodule built a filtration")
 
     monkeypatch.setattr(supermodule.SuperFiltration, "__init__", refuse)
-    assert check_supermodule(m) and check_supermodule(m) is m._relations
+    assert check_supermodule(m) and check_supermodule(m) is m._verdict
 
 
 def test_random_gram_module_relations():
