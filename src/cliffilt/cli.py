@@ -141,8 +141,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.budget < 0:
-        raise SerializeError("--budget must be nonnegative")
     obj = _read_document(args.input)
     if isinstance(obj, supermodule.SuperFiltration):
         module = obj.module

@@ -33,14 +33,22 @@ Membership has one path, and a vector is a one-row matrix to it:
 `Subspace.contains` and `Subspace.coordinates` are one-row calls to
 `_contains_rows` and `coordinate_matrix`.
 
-Every elimination (spans, sums, images, intersections and kernels) goes
-through one `rref`.  It is sparse, incremental and fraction-free: a row
-is reduced only where it is nonzero, against basis rows kept as dicts of
-their nonzero integer entries, and rows that reduce to zero cost no more
-than that.  Its output is the unique reduced row-echelon form, whatever
-the order of elimination, which is what makes subspace equality
-syntactic.  Its two steps, `_reduced` and `_insert`, also serve callers
-that keep an echelon basis of their own.
+Every elimination (spans, sums, images, intersections and kernels, but
+the two-term kernels below) goes through one `rref`.  It is sparse,
+incremental and fraction-free: a row is reduced only where it is
+nonzero, against basis rows kept as dicts of their nonzero integer
+entries, and rows that reduce to zero cost no more than that.  Its
+output is the unique reduced row-echelon form, whatever the order of
+elimination, which is what makes subspace equality syntactic.  Its two
+steps, `_reduced` and `_insert`, also serve callers that keep an echelon
+basis of their own.
+
+One kind of kernel needs no elimination: a system whose equations have
+at most two terms each, such as the graded commutant of a module whose
+gammas are signed permutations, is solved by `_two_term_null_space`,
+one connected component of its unknowns at a time, and skips `rref`.
+The basis it returns is the unique reduced row-echelon basis of the
+solutions, so it is the one `rref` would give.
 """
 
 from __future__ import annotations
@@ -423,7 +431,15 @@ def kernel(m: Matrix) -> Matrix:
 def _null_space(e: Matrix) -> Matrix:
     """Canonical basis (as rows) of {v : e * v^T = 0}, the solutions of the
     equations that are the rows of `e`: `kernel` of e's transpose, for
-    callers that build their equations as rows."""
+    callers that build their equations as rows.
+
+    When no equation has more than two terms the system is solved by
+    `_two_term_null_space`, without elimination; otherwise by `rref`.
+    Both return the unique reduced row-echelon basis of the solutions.
+    """
+    equations = e._ints()[1]
+    if all(len(row) <= 2 for row in equations):
+        return _two_term_null_space(e.cols, equations)
     reduced, pivots = rref(e)
     d, rows = reduced._ints()
     pivot_set = set(pivots)
@@ -437,6 +453,73 @@ def _null_space(e: Matrix) -> Matrix:
     ]
     basis, _ = rref(Matrix._from_ints(e.cols, d, vectors))
     return basis
+
+
+def _two_term_null_space(cols: int, rows: Sequence[Sequence[tuple[int, int]]]) -> Matrix:
+    """The solutions of equations with at most two terms each, given as
+    rows of nonzero (unknown, int) pairs, as `_null_space` returns them.
+
+    The equations are a graph on the unknowns: a one-term row forces its
+    unknown to 0, a two-term row a * x_u + b * x_v = 0 ties x_v to x_u by
+    the ratio -a / b, and an empty row says nothing.  Equations of two
+    connected components share no unknown, so the solution space is the
+    direct sum of the components' spaces.  On a component, propagating
+    the nonzero ratios along a spanning tree determines a solution from
+    its value at one unknown, so its space has dimension at most 1.  With
+    1 at the component's least unknown the propagated values solve every
+    equation exactly when no unknown in it is forced and the ratios agree
+    around every cycle, that is on every edge that is not in the tree;
+    then that vector spans the space, and otherwise the space is 0.
+
+    The spanning vectors have disjoint supports, all of whose entries are
+    nonzero, and each is 1 at its least unknown, so listed in increasing
+    order of that unknown they are a reduced row-echelon basis: each
+    leading entry is 1, leads strictly increase, and every other vector
+    is 0 in a lead's column.  The reduced row-echelon basis of a space is
+    unique, so this is the basis `rref` would give.
+
+    Each value is kept as a pair (num, den) of integers in lowest terms
+    with den > 0 (den 0 marks an unknown not yet reached), and values are
+    compared by cross-multiplication.
+    """
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(cols)]
+    forced = [False] * cols
+    for row in rows:
+        if len(row) == 2:
+            (u, a), (v, b) = row
+            edges[u].append((v, -a, b))  # x_v = (-a / b) x_u
+            edges[v].append((u, -b, a))
+        elif row:
+            forced[row[0][0]] = True
+    num = [0] * cols
+    den = [0] * cols
+    components = []
+    for start in range(cols):
+        if den[start]:
+            continue
+        num[start] = den[start] = 1
+        component = [start]
+        solved = not forced[start]
+        for u in component:  # grows as the search reaches new unknowns
+            p, q = num[u], den[u]
+            for v, a, b in edges[u]:
+                x, y = a * p, b * q
+                if den[v]:
+                    if x * den[v] != y * num[v]:
+                        solved = False
+                    continue
+                g = gcd(x, y)
+                if y < 0:
+                    g = -g
+                num[v], den[v] = x // g, y // g
+                component.append(v)
+                if forced[v]:
+                    solved = False
+        if solved:
+            components.append(component)
+    d = lcm(*[den[u] for component in components for u in component])
+    return Matrix._from_ints(cols, d, [
+        [(u, num[u] * (d // den[u])) for u in component] for component in components])
 
 
 class Subspace:

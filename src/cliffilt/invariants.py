@@ -33,8 +33,17 @@ CERTIFIED = "indecomposable (certified)"
 EXHAUSTED = "no decomposition found (budget exhausted)"
 
 
+def _filtration(f) -> SuperFiltration:
+    """f, or TypeError naming the supported type: the invariants read the
+    flags of one direction and the module under them."""
+    if not isinstance(f, SuperFiltration):
+        raise TypeError(f"expected a SuperFiltration, got {type(f).__name__}")
+    return f
+
+
 def gr_dimensions(f: SuperFiltration) -> tuple[int, ...]:
     """Associated-graded dimensions: dim F_p - dim F_{p-2}."""
+    _filtration(f)
     return tuple(
         f.level(p).dim - f.level(p - 2).dim for p in range(f.top_degree + 1)
     )
@@ -43,7 +52,7 @@ def gr_dimensions(f: SuperFiltration) -> tuple[int, ...]:
 def source_dimensions(f: SuperFiltration) -> tuple[int, ...]:
     """dim of F_p modulo the span of all gamma images of F_{p-1}.  Kept on
     the filtration, whose maps and flags are read-only."""
-    if f._sources is None:
+    if _filtration(f)._sources is None:
         module = f.module
         f._sources = tuple(
             f.level(p).dim
@@ -82,7 +91,7 @@ def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
     caches; each flag contributes the linear condition that the image of
     its basis stays inside it.  The identity pair is always present.
     """
-    module = f.module
+    module = _filtration(f).module
     pairs = module.graded_commutant()
     # per flag and pair k, the residuals of the flag's basis rows under
     # P_k after pivot elimination against the flag: the images minus their
@@ -499,7 +508,7 @@ def decompose(f: SuperFiltration, candidates: int = 16, seed: int = 0) -> list[S
     certified summand may still split after extending scalars.  Raises
     CheckFailed unless check_filtration passes.
     """
-    require("filtration", check_filtration(f))
+    require("filtration", check_filtration(_filtration(f)))
     rng = random.Random(seed)
     return _decompose_worker(f, candidates, rng)
 
@@ -514,7 +523,8 @@ class InvariantReport:
 @lru_cache(maxsize=128)
 def invariant_report(f: SuperFiltration) -> InvariantReport:
     """All computed invariants of one filtration, cached per object; the
-    summand reports are the (gr dims, source dims) of each summand, sorted."""
+    summand reports are the (gr dims, source dims) of each summand, sorted.
+    Raises TypeError, through `decompose`, unless f is a SuperFiltration."""
     # the decomposition checks f first, so the source dimensions, kept on
     # f and shared with an unsplit summand, see its relations verdict
     summands = tuple(sorted(
@@ -635,8 +645,11 @@ def filtration_search(
     share their gr dims, source dims and summand reports, and a candidate
     is dropped when all three match an earlier find's, whether or not it
     is isomorphic to that find.  So the finds count classes of
-    invariants, not isomorphism classes.
+    invariants, not isomorphism classes.  A negative budget raises
+    ValueError.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     require("module", check_supermodule(module))
     target = tuple(int(t) for t in target_gr_dims)
     if len(target) < 2 or any(t < 0 for t in target):

@@ -319,6 +319,10 @@ class CliffordSupermodule(FilteredModule):
         is definite.  The relations are therefore its precondition: raises
         CheckFailed unless check_supermodule passes (a verdict already kept
         on the module is read as it is).  Cached.
+
+        With monomial gammas (one nonzero entry in each row and column, as
+        in every built-in module) each equation has two terms, so the solve
+        needs no elimination (`exactalg._two_term_null_space`).
         """
         if self._commutant is None:
             require("module", check_supermodule(self))

@@ -266,9 +266,93 @@ def test_kernel_on_oracle_matrices():
         assert _null_space(m.transpose()) == k
 
 
+def _dense_null_space(e: Matrix) -> tuple:
+    """The reduced row-echelon basis of {v : e * v^T = 0} from `_dense_rref`:
+    one solution per free column, reduced again."""
+    rows, pivots = _dense_rref(e)
+    solutions = []
+    for free in (f for f in range(e.cols) if f not in pivots):
+        v = [Fraction(0)] * e.cols
+        v[free] = Fraction(1)
+        for p, row in zip(pivots, rows):
+            v[p] = -row[free]
+        solutions.append(v)
+    return tuple(_dense_rref(Matrix.from_rows(solutions, cols=e.cols))[0])
+
+
+def _two_term_system(rng, unknowns: int) -> Matrix:
+    """Seeded equations of at most two terms each: empty, one-term and
+    repeated rows, ±1 and rational coefficients.  Half the systems are
+    built to be solved by a hidden vector with no zero entry, so their
+    two-term rows agree around every cycle; in the others the ratios are
+    drawn freely, so many cycles do not."""
+    hidden = ([Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 5)))
+               for _ in range(unknowns)] if rng.random() < 0.5 else None)
+
+    def coefficient():
+        if rng.random() < 0.5:
+            return Fraction(rng.choice((1, -1)))
+        return Fraction(rng.choice((-7, -2, 1, 3, 4)), rng.randint(1, 6))
+
+    rows = []
+    for _ in range(rng.randint(0, 2 * unknowns + 2)):
+        row = [Fraction(0)] * unknowns
+        kind = rng.random()
+        if rows and kind < 0.1:
+            row = list(rng.choice(rows))
+        elif unknowns and kind < 0.25:
+            row[rng.randrange(unknowns)] = coefficient()
+        elif unknowns >= 2 and kind > 0.3:
+            u, v = rng.sample(range(unknowns), 2)
+            row[u] = coefficient()
+            # a x_u + b x_v = 0 holds at the hidden vector when b = -a w_u / w_v
+            row[v] = -row[u] * hidden[u] / hidden[v] if hidden else coefficient()
+        rows.append(row)
+    return Matrix.from_rows(rows, cols=unknowns)
+
+
+def test_two_term_null_space_matches_dense_oracle(monkeypatch):
+    """Systems whose equations have at most two terms are solved without
+    `rref`, to the dense oracle's basis entry for entry: components forced
+    to zero, inconsistent cycles, unknowns no equation names and systems
+    with no unknowns included."""
+    calls = []
+    original = exactalg.rref
+    monkeypatch.setattr(exactalg, "rref", lambda m: (calls.append(m), original(m))[1])
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    # x0 = 2 x1, x1 = 3 x2 and x2 = x0 / 6 agree around the cycle; x2 = x0 / 5 does not
+    consistent = Matrix(3, 4, [[1, -2, 0, 0], [0, 1, -3, 0], [-third, 0, 2, 0]])
+    inconsistent = Matrix(3, 4, [[1, -2, 0, 0], [0, 1, -3, 0], [-half, 0, Fraction(5, 2), 0]])
+    systems = [consistent, inconsistent, Matrix.zeros(3, 0), Matrix.zeros(0, 0),
+               Matrix.zeros(2, 3), Matrix(2, 2, [[1, 1], [1, -1]])]
+    rng = random.Random(29)
+    systems += [_two_term_system(rng, rng.randint(0, 9)) for _ in range(400)]
+    dims = []
+    for e in systems:
+        basis = _null_space(e)
+        assert basis.cols == e.cols
+        assert basis.entries == _dense_null_space(e)
+        dims.append(basis.rows)
+    assert calls == []
+    assert dims[:6] == [2, 1, 0, 0, 3, 0]
+    # the random systems reach bases of several sizes, the empty one included
+    assert {0, 1, 2, 3} <= set(dims[6:])
+
+
+def test_two_term_null_space_stays_exact_on_a_long_chain():
+    # 2 x_i - 3 x_{i+1} = 0 makes x_i = (2/3)^i x_0, whose denominators reach 3^199
+    e = Matrix(199, 200, [[2 if j == i else -3 if j == i + 1 else 0 for j in range(200)]
+                          for i in range(199)])
+    assert _null_space(e).entries == (tuple(Fraction(2, 3) ** i for i in range(200)),)
+    # a one-term row anywhere on the chain forces all of it to zero
+    assert _null_space(e.stack(Matrix(1, 200, [[int(j == 150) for j in range(200)]]))).rows == 0
+
+
 def test_every_elimination_goes_through_rref(monkeypatch):
-    """Subspace spans, sums and images and kernels all eliminate through
-    `rref`, so a counter on it sees every elimination."""
+    """Subspace spans, sums and images, and kernels whose equations include
+    a row of three or more terms, all eliminate through `rref`, so a
+    counter on it sees every elimination; a system of two-term equations
+    is solved without it."""
     calls = []
     original = exactalg.rref
 
@@ -280,11 +364,18 @@ def test_every_elimination_goes_through_rref(monkeypatch):
     a = Subspace.span(3, [[1, 2, 0], [2, 4, 0]])
     b = Subspace.span(3, [[0, 1, 1]])
     m = Matrix(3, 2, [[1, 0], [0, 1], [1, 1]])
+    three_terms = Matrix(2, 3, [[1, 2, 3], [0, 1, 0]])
     for operation in (lambda: Subspace.span(3, [[1, 0, 1]]), lambda: a + b,
-                      lambda: a.image(m), lambda: kernel(m), lambda: _null_space(m)):
+                      lambda: a.image(m), lambda: kernel(three_terms.transpose()),
+                      lambda: _null_space(three_terms)):
         before = len(calls)
         operation()
         assert len(calls) > before
+    # the rows of m, and of its transpose, have at most two terms each
+    before = len(calls)
+    assert kernel(m).entries == ((1, 1, -1),)
+    assert _null_space(m).rows == 0
+    assert len(calls) == before
 
 
 def _random_matrix(rng, rows, cols, max_den):

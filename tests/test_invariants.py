@@ -13,9 +13,10 @@ from types import ModuleType, SimpleNamespace
 import pytest
 
 import cliffilt
-from cliffilt import cli, invariants, serialize, supermodule
+from cliffilt import cli, exactalg, invariants, serialize, supermodule
+from cliffilt.bifiltration import tensor_module
 from cliffilt.certificate import CheckFailed
-from cliffilt.exactalg import Matrix, Subspace, kernel, rref
+from cliffilt.exactalg import Matrix, Subspace, _vanishes, kernel, rref
 from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
@@ -44,6 +45,7 @@ from cliffilt.supermodule import (
     check_filtration,
     check_supermodule,
     degree_filtration,
+    direct_sum,
     direct_sum_filtration,
     exterior_module,
     hodge_filtration,
@@ -332,6 +334,49 @@ def test_commutant_matches_two_block_system():
     assert modules[-1].algebra.gram.entries[0][1] and modules[-1].algebra.gram.entries[0][0] == 5
 
 
+def _monomial(m) -> bool:
+    """Whether every gamma has exactly one nonzero entry in each row and column."""
+    for g in (*m.gamma_eo, *m.gamma_oe):
+        rows = g._ints()[1]
+        if sorted(j for row in rows for j, _ in row) != list(range(g.cols)) or any(
+                len(row) != 1 for row in rows):
+            return False
+    return True
+
+
+def test_commutant_of_monomial_gammas_needs_no_elimination(monkeypatch):
+    """With monomial gammas every commutant equation has two terms, and
+    the solve calls no `rref`; a dense conjugate's equations do not, and
+    its solve does.  Either way every pair intertwines every gamma, and
+    conjugating does not change the commutant's dimension."""
+    rng = random.Random(151)
+    pieces = decompose(trivial_filtration(direct_sum(irreducible_module(2), irreducible_module(2))))
+    assert len(pieces) == 2
+    base = irreducible_module(3)
+    conjugate = _conjugated(base, Fraction(1), rng)
+    modules = ([exterior_module(n) for n in range(6)] + [irreducible_module(n) for n in range(1, 6)]
+               + [direct_sum(irreducible_module(2), exterior_module(2)),
+                  pieces[0].filtration.module, conjugate])
+    calls = []
+    original = exactalg.rref
+    monkeypatch.setattr(exactalg, "rref", lambda m: (calls.append(m), original(m))[1])
+    sizes = {}
+    for built in modules:
+        # a fresh module, so that no commutant is kept on it yet
+        m = CliffordSupermodule(built.algebra, list(built.gamma_eo), list(built.gamma_oe),
+                                built.dim_even, built.dim_odd)
+        assert check_supermodule(m), m
+        before = len(calls)
+        pairs = m.graded_commutant()
+        assert (len(calls) == before) == _monomial(m) == (built is not conjugate), m
+        for p, r in pairs:
+            for eo, oe in zip(m.gamma_eo, m.gamma_oe):
+                assert _vanishes([(1, p, eo), (-1, eo, r)])
+                assert _vanishes([(1, r, oe), (-1, oe, p)])
+        sizes[built] = len(pairs)
+    assert sizes[conjugate] == sizes[base] > 0
+
+
 def test_commutant_requires_the_module_relations():
     # R = oe_i P eo_i / G[i][i] holds only where the relations do: a module
     # that breaks them raises instead of returning a wrong commutant
@@ -561,6 +606,19 @@ def test_search_rejects_infeasible_targets():
         filtration_search(m, (1, 9, 1), budget=1)
     with pytest.raises(ValueError):
         filtration_search(m, (-1, 2, 3), budget=1)
+    # a negative budget is refused, as `cliffilt search --budget -1` is
+    with pytest.raises(ValueError, match="budget"):
+        filtration_search(m, (2, 2), budget=-1)
+    assert filtration_search(m, (2, 2), budget=0) == []
+
+
+def test_invariants_name_the_supported_type():
+    f = degree_filtration(exterior_module(1))
+    for wrong in (tensor_module(f, f), exterior_module(1)):
+        for invariant in (gr_dimensions, source_dimensions, filtered_endomorphisms,
+                          decompose, invariant_report):
+            with pytest.raises(TypeError, match="SuperFiltration"):
+                invariant(wrong)
 
 
 def test_search_deduplicates_by_invariants():
