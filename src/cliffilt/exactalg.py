@@ -14,16 +14,29 @@ Conventions used throughout the package:
 
 Inside the kernel a matrix also has an integer form ``(d, rows)``: the
 matrix equals ``rows / d``, where ``d`` is the least common denominator
-of its entries, and each row lists its nonzero ``(column, int)`` pairs.
-A matrix the kernel builds, or a document decodes, keeps only this
-form, and builds its `Fraction` entries on their first read; a matrix
-built from entries gets the form on first use.  Both are kept on the
-matrix, which is immutable, so they live exactly as long as the matrix
-does.  Products, Kronecker products and block matrices
+of its entries, and each row lists its nonzero ``(column, int)`` pairs,
+in no promised order: `__eq__` and `__hash__` ignore the order of the
+pairs in a row, and every other reader treats a row as a map from
+columns to ints.  A matrix the kernel builds, or a document decodes,
+keeps only this form, and builds its `Fraction` entries on their first
+read; a matrix built from entries gets the form on first use.  Both are
+kept on the matrix, which is immutable, so they live exactly as long as
+the matrix does.  Products, Kronecker products and block matrices
 (`supermodule.kron` and `supermodule._block_matrix`), sums, scalings,
 stacks, transposes, comparisons and eliminations read only this form,
 so their inner loops add and multiply `int`s, and a result nobody reads
 entrywise never builds a `Fraction`.
+
+A row of a product is a relabel when no two of its terms can land in one
+column: when the row of the left factor has at most one entry, or when
+every row of the right factor has at most one entry and no two of those
+share a column, as in an identity, a signed permutation (the gammas of
+every built-in module) or one cut at pivot columns.  The row is then its
+terms, ``(j, a * b)`` for the entry a at column k of the left row and
+each entry b at column j of row k on the right, with no accumulator over
+the columns.  `Matrix.__mul__` decides this row by row from the two
+integer forms, reading the right factor's rows once, on the first row
+that needs them, and keeps nothing on the matrix.
 A product that is only compared is never built at all: `_vanishes`
 decides whether a sum of products minus a scaled target is zero row by
 row over one common denominator, and every relation check and span
@@ -259,13 +272,20 @@ class Matrix:
         da, arows = self._ints()
         db, brows = other._ints()
         cols = other.cols
+        relabel = None  # whether other's rows relabel any row: read on first need
         out = []
         for arow in arows:
-            acc = [0] * cols
-            for k, a in arow:
-                for j, b in brows[k]:
-                    acc[j] += a * b
-            out.append([(j, c) for j, c in enumerate(acc) if c])
+            if len(arow) > 1:
+                if relabel is None:
+                    relabel = _injective(brows)
+                if not relabel:
+                    acc = [0] * cols
+                    for k, a in arow:
+                        for j, b in brows[k]:
+                            acc[j] += a * b
+                    out.append([(j, c) for j, c in enumerate(acc) if c])
+                    continue
+            out.append([(j, a * b) for k, a in arow for j, b in brows[k]])
         return Matrix._from_ints(cols, da * db, out)
 
     def stack(self, other: "Matrix") -> "Matrix":
@@ -291,6 +311,15 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(map(str, r)) for r in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def _injective(rows) -> bool:
+    """Whether every row has at most one entry and no two of those entries
+    share a column, so that a product by these rows is a relabel."""
+    if max(map(len, rows), default=0) > 1:
+        return False
+    hit = [row[0][0] for row in rows if row]
+    return len(set(hit)) == len(hit)
 
 
 def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None = None,

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
-from .exactalg import Matrix, Subspace, _null_space, _vanishes
+from .exactalg import Matrix, Subspace, _injective, _null_space, _vanishes
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -149,6 +149,11 @@ class FilteredModule:
             targets = {c: dims[_parity(_step(c, d, 1))] for c in dims}
             for gamma in family:
                 _check_maps(gamma, dims, targets, "gamma")
+        self._place(algebras, dims, gammas, flags)
+
+    def _place(self, algebras, dims, gammas, flags):
+        """Check the flags against dims, then set the attributes, for dims
+        and gammas that have passed `__init__`'s checks."""
         flags = MappingProxyType(dict(flags))
         tops = tuple(max((x[d] for x in flags), default=0) for d in range(len(algebras)))
         if min(tops) < 1 or flags.keys() != set(_points(tops)):
@@ -310,19 +315,37 @@ class CliffordSupermodule(FilteredModule):
     def graded_commutant(self) -> list[tuple[Matrix, Matrix]]:
         """Basis of parity-preserving maps commuting with every g_i.
 
-        Pairs (P, R) with P g_eo[i] = g_eo[i] R and R g_oe[i] = g_oe[i] P.
-        R is fixed by P through generator 0, R = oe_0 P eo_0 / G[0][0],
-        and for each i >= 1 only P eo_i = eo_i R is solved.  The relations
-        imply the other half: oe_i eo_i = eo_i oe_i = G[i][i] I, so the
-        solved block gives R = oe_i P eo_i / G[i][i], hence R oe_i =
-        oe_i P eo_i oe_i / G[i][i] = oe_i P, where G[i][i] > 0 as the form
-        is definite.  The relations are therefore its precondition: raises
-        CheckFailed unless check_supermodule passes (a verdict already kept
-        on the module is read as it is).  Cached.
+        Pairs (P, R) with P eo_i = eo_i R and R oe_i = oe_i P, where eo_i
+        and oe_i are gamma_eo[i] and gamma_oe[i].  R is fixed by P
+        through generator 0, R = oe_0 P eo_0 / G[0][0], and only P is
+        solved for, from P A_i = A_i P with A_i = eo_i oe_0, i >= 1.
 
-        With monomial gammas (one nonzero entry in each row and column, as
-        in every built-in module) each equation has two terms, so the solve
-        needs no elimination (`exactalg._two_term_null_space`).
+        The relations give eo_i oe_i = G[i][i] I on the even part and
+        oe_i eo_i = G[i][i] I on the odd part, with G[i][i] > 0 as the form
+        is definite.  So the conditions on P are equivalent to P A_i =
+        A_i P for i >= 1:
+
+        * for i = 0 both hold by the choice of R, as eo_0 oe_0 =
+          G[0][0] I: eo_0 R = eo_0 oe_0 P eo_0 / G[0][0] = P eo_0, and
+          R oe_0 = oe_0 P eo_0 oe_0 / G[0][0] = oe_0 P;
+        * right-multiplying P eo_i = eo_i R by oe_0 gives P A_i =
+          eo_i oe_0 P eo_0 oe_0 / G[0][0] = A_i P; conversely,
+          right-multiplying P A_i = A_i P by eo_0 / G[0][0] gives
+          P eo_i = eo_i oe_0 P eo_0 / G[0][0] = eo_i R;
+        * P eo_i = eo_i R implies R oe_i = oe_i P, as R = oe_i P eo_i /
+          G[i][i] from the first, so R oe_i = oe_i P eo_i oe_i / G[i][i]
+          = oe_i P.
+
+        The relations are therefore its precondition: raises CheckFailed
+        unless check_supermodule passes (a verdict already kept on the
+        module is read as it is).  Cached.
+
+        When A_i is a signed permutation, A[m][pi(m)] = a_m, as it is
+        whenever the gammas are (every built-in module), entry (r, pi(m))
+        of P A_i - A_i P is P[r][m] a_m - a_r P[pi(r)][pi(m)]: each
+        equation has at most two terms, is written down as they are, and
+        is solved with no elimination (`exactalg._two_term_null_space`).
+        Any other A_i gives one equation per entry, summed term by term.
         """
         if self._commutant is None:
             require("module", check_supermodule(self))
@@ -344,34 +367,16 @@ class CliffordSupermodule(FilteredModule):
         inv_g00 = Fraction(dg, dict(grows[0])[0])  # nonzero: the Gram matrix is definite
         eo0, oe0 = self.gamma_eo[0], self.gamma_oe[0]
 
-        # R is determined by P through generator 0 (R = oe0 P eo0 / g00),
-        # so solve for P only; each block states sum of sign * B . P . C = 0:
-        # P eo_i = eo_i R, which implies R oe_i = oe_i P (graded_commutant).
-        blocks = [[(Matrix.identity(n0), eoi, 1), ((eoi * oe0).scale(inv_g00), eo0, -1)]
-                  for eoi in self.gamma_eo[1:]]
-
-        # One equation per entry (r, c) of each block, over the unknowns
-        # P[k][l] numbered k * n0 + l, summed in integers: with the integer
-        # forms B = bi / db and C = ci / dc, a part adds sign * bi[r][k] *
-        # ci[l][c] / (db * dc), and scaling an equation by the block's
-        # common denominator does not change the kernel.
-        unknowns = n0 * n0
+        # the unknown P[k][l] is numbered k * n0 + l; an equation is a row
+        # of (unknown, int) pairs, scaled by A_i's denominator
         equations = []
-        for parts in blocks:
-            forms = [(b._ints(), cmat.transpose()._ints(), sign) for b, cmat, sign in parts]
-            common = lcm(*[db * dc for (db, _), (dc, _), _ in forms])
-            weighted = [(brows, ccols, sign * common // (db * dc))
-                        for (db, brows), (dc, ccols), sign in forms]
-            for r in range(parts[0][0].rows):
-                for c in range(parts[0][1].cols):
-                    eq: dict[int, int] = {}
-                    for brows, ccols, w in weighted:
-                        for k, bk in brows[r]:
-                            for l, cv in ccols[c]:
-                                u = k * n0 + l
-                                eq[u] = eq.get(u, 0) + w * bk * cv
-                    equations.append([(u, x) for u, x in eq.items() if x])
-        basis = _null_space(Matrix._from_ints(unknowns, 1, equations))
+        for eoi in self.gamma_eo[1:]:
+            rows = (eoi * oe0)._ints()[1]
+            if all(rows) and _injective(rows):  # a signed permutation
+                equations += _monomial_equations(rows)
+            else:
+                equations += _general_equations(rows)
+        basis = _null_space(Matrix._from_ints(n0 * n0, 1, equations))
 
         # kernel row u = k * n0 + l is P[k][l], in the kernel's integer form
         d, rows = basis._ints()
@@ -385,12 +390,58 @@ class CliffordSupermodule(FilteredModule):
         return pairs
 
 
+def _monomial_equations(rows) -> list[list[tuple[int, int]]]:
+    """The equations P A = A P for a signed permutation A = rows / d with
+    row m the single pair (pi(m), a_m), times d: P[r][m] a_m - a_r
+    P[pi(r)][pi(m)] = 0 for each (r, m), one term when the two unknowns
+    coincide and none when that term cancels."""
+    n = len(rows)
+    perm = [row[0] for row in rows]
+    equations = []
+    for r, (pr, ar) in enumerate(perm):
+        for m, (pm, am) in enumerate(perm):
+            u, v = r * n + m, pr * n + pm
+            if u != v:
+                equations.append([(u, am), (v, -ar)])
+            elif am != ar:
+                equations.append([(u, am - ar)])
+    return equations
+
+
+def _general_equations(rows) -> list[list[tuple[int, int]]]:
+    """The equations P A = A P for any square A = rows / d, times d: entry
+    (r, c) is the sum of P[r][k] A[k][c] over k minus the sum of A[r][k]
+    P[k][c] over k, one equation per entry."""
+    n = len(rows)
+    cols = [[] for _ in range(n)]
+    for k, row in enumerate(rows):
+        for c, x in row:
+            cols[c].append((k, x))
+    equations = []
+    for r in range(n):
+        for c in range(n):
+            eq: dict[int, int] = {}
+            for k, x in cols[c]:
+                eq[r * n + k] = eq.get(r * n + k, 0) + x
+            for k, x in rows[r]:
+                eq[k * n + c] = eq.get(k * n + c, 0) - x
+            equations.append([(u, x) for u, x in eq.items() if x])
+    return equations
+
+
 class SuperFiltration(FilteredModule):
     """Parity-separated increasing flags on a supermodule: the k = 1 case.
 
     even_flags[k] is F_{2k} inside the even part, odd_flags[k] is
     F_{2k+1} inside the odd part.  Both lists are nonempty; levels past
     the stored top repeat the final flag and negative levels are zero.
+
+    Only the flags are checked here.  The dims and gammas are the
+    module's own: the module's constructor, `FilteredModule.__init__`,
+    has checked them for one algebra, with the same targets, and they
+    are read-only mappings of immutable matrices, so they still pass and
+    checking them again could not fail.  A gamma of the wrong shape is
+    rejected when the module is built.
     """
 
     _words = _SUPER_WORDS
@@ -401,7 +452,9 @@ class SuperFiltration(FilteredModule):
             raise ValueError("need at least one flag per parity")
         top = max(2 * len(levels[0]) - 2, 2 * len(levels[1]) - 1)
         flags = {(p,): levels[p % 2][min(p // 2, len(levels[p % 2]) - 1)] for p in range(top + 1)}
-        super().__init__(module.algebras, module.dims, module.gammas, flags)
+        if not isinstance(module, CliffordSupermodule):
+            raise TypeError(f"expected a CliffordSupermodule, got {type(module).__name__}")
+        self._place(module.algebras, module.dims, module.gammas, flags)
         self.module = module
 
     @cached_property

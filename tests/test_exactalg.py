@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cliffilt import exactalg
 from cliffilt.exactalg import Matrix, Subspace, _null_space, _vanishes, kernel, rational, rref
@@ -401,6 +403,76 @@ def test_product_matches_naive_oracle():
         got = a * b
         assert (got.rows, got.cols) == (rows, cols)
         assert got.entries == _naive_product(a, b)
+
+
+def _accumulated_product(a: Matrix, b: Matrix) -> Matrix:
+    """The former product loop, kept as the reference: each row summed in
+    a dense accumulator over the columns, whatever the factors."""
+    da, arows = a._ints()
+    db, brows = b._ints()
+    out = []
+    for arow in arows:
+        acc = [0] * b.cols
+        for k, x in arow:
+            for j, y in brows[k]:
+                acc[j] += x * y
+        out.append([(j, c) for j, c in enumerate(acc) if c])
+    return Matrix._from_ints(b.cols, da * db, out)
+
+
+_ENTRY = st.one_of(st.sampled_from((1, -1)),
+                   st.builds(lambda n, d, s: Fraction(s * n, d), st.integers(1, 6),
+                             st.integers(1, 5), st.sampled_from((1, -1))))
+
+
+@st.composite
+def _factor(draw, rows: int, cols: int) -> Matrix:
+    """A rows x cols matrix: a partial signed permutation (zero rows, and
+    one entry in each other row, in distinct columns or with columns
+    repeated), a dense one, or one of those with the pairs of its integer
+    rows reversed; entries are +-1 or rationals with denominators up to 5."""
+    kind = draw(st.sampled_from(("distinct", "repeated", "dense")))
+    grid = [[0] * cols for _ in range(rows)]
+    free = list(range(cols))
+    for row in grid:
+        if kind == "dense":
+            row[:] = [draw(st.one_of(st.just(0), _ENTRY)) for _ in range(cols)]
+        elif free and draw(st.integers(0, 3)):
+            j = draw(st.sampled_from(free))
+            if kind == "distinct":
+                free.remove(j)
+            row[j] = draw(_ENTRY)
+    m = Matrix(rows, cols, grid)
+    if draw(st.booleans()):
+        d, ints = m._ints()
+        m = Matrix._built(rows, cols, (d, tuple(tuple(reversed(r)) for r in ints)))
+    return m
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_relabel_product_matches_the_accumulator(data):
+    rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a, b = data.draw(_factor(rows, inner)), data.draw(_factor(inner, cols))
+    dense_rows = sum(len(row) > 1 for row in a._ints()[1])
+    event("accumulate" if dense_rows and not exactalg._injective(b._ints()[1])
+          else "relabel with dense left rows" if dense_rows else "relabel")
+    got, want = a * b, _accumulated_product(a, b)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got == want and hash(got) == hash(want)
+    assert got._ints()[0] == want._ints()[0] and got.entries == want.entries
+
+
+def test_which_right_factors_relabel():
+    gamma = Matrix(3, 3, [[0, -1, 0], [0, 0, 1], [Fraction(1, 2), 0, 0]])
+    dense = Matrix(3, 3, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    repeated = Matrix(3, 2, [[1, 0], [0, 2], [-1, 0]])  # column 0 twice
+    cut = Matrix(3, 3, [[1, 0, 5], [0, 1, 7], [0, 0, 0]])._columns((0, 1))
+    for b, injective in ((Matrix.identity(3), True), (gamma, True), (cut, True),
+                         (Matrix.zeros(3, 2), True), (repeated, False), (dense, False)):
+        assert exactalg._injective(b._ints()[1]) == injective
+        for a in (dense, gamma, Matrix.identity(3), Matrix(2, 3, [[1, 0, 0], [1, 1, 1]])):
+            assert a * b == _accumulated_product(a, b)
 
 
 def _vanishing_cases():

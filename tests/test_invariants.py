@@ -377,16 +377,90 @@ def test_commutant_of_monomial_gammas_needs_no_elimination(monkeypatch):
     assert sizes[conjugate] == sizes[base] > 0
 
 
-def test_commutant_requires_the_module_relations():
+def _signed_permutation(n: int, rng) -> tuple[Matrix, Matrix]:
+    """A seeded signed permutation matrix and its inverse, its transpose."""
+    cols = rng.sample(range(n), n)
+    q = Matrix._from_ints(n, 1, [((j, rng.choice((1, -1))),) for j in cols])
+    return q, q.transpose()
+
+
+def _counted(monkeypatch, names):
+    """Wrap each named supermodule function to record its calls."""
+    calls = Counter()
+    for name in names:
+        original = getattr(supermodule, name)
+        monkeypatch.setattr(supermodule, name,
+                            lambda *a, _o=original, _n=name: calls.update([_n]) or _o(*a))
+    return calls
+
+
+def test_commutant_requires_the_module_relations(monkeypatch):
     # R = oe_i P eo_i / G[i][i] holds only where the relations do: a module
-    # that breaks them raises instead of returning a wrong commutant
-    m = irreducible_module(3)
-    broken = CliffordSupermodule(m.algebra, [m.gamma_eo[0].scale(2), *m.gamma_eo[1:]],
-                                 list(m.gamma_oe))
-    for _ in range(2):
-        with pytest.raises(CheckFailed) as raised:
-            broken.graded_commutant()
-        assert raised.value.certificate.check == "supermodule_relations"
+    # that breaks them raises instead of returning a wrong commutant, before
+    # any equation is built or solved
+    calls = _counted(monkeypatch, ("_monomial_equations", "_general_equations", "_null_space"))
+    for m in (irreducible_module(3), irreducible_cl5()):
+        broken = CliffordSupermodule(m.algebra, [m.gamma_eo[0].scale(2), *m.gamma_eo[1:]],
+                                     list(m.gamma_oe))
+        for _ in range(2):
+            with pytest.raises(CheckFailed) as raised:
+                broken.graded_commutant()
+            assert raised.value.certificate.check == "supermodule_relations"
+    assert not calls
+
+
+def test_monomial_commutant_equals_the_general_equations(monkeypatch):
+    """Where A_i = eo_i oe_0 is a signed permutation, its two-term
+    equations are the nonzero general equations of P A_i = A_i P, and the
+    commutant solved from them equals, entry for entry, the one solved
+    from the general equations; a dense conjugate takes the general path."""
+    rng = random.Random(163)
+    cl5 = irreducible_cl5()
+    (p, p_inv), (q, q_inv) = _signed_permutation(8, rng), _signed_permutation(8, rng)
+    c = Fraction(2, 3)  # the signed permutations then carry a denominator
+    moved = CliffordSupermodule(CliffordAlgebra(5, cl5.algebra.gram.scale(c * c)),
+                                [p_inv * g.scale(c) * q for g in cl5.gamma_eo],
+                                [q_inv * g.scale(c) * p for g in cl5.gamma_oe])
+    modules = ([exterior_module(n) for n in range(6)] + [irreducible_module(n) for n in range(1, 6)]
+               + [cl5, direct_sum(irreducible_module(3), exterior_module(3)), moved])
+    dense = _conjugated(cl5, Fraction(1), rng)
+
+    def fresh(m):  # no commutant is kept on it yet
+        return CliffordSupermodule(m.algebra, list(m.gamma_eo), list(m.gamma_oe),
+                                   m.dim_even, m.dim_odd)
+
+    def equations(rows, name):
+        return sorted(tuple(sorted(eq)) for eq in getattr(supermodule, name)(rows) if eq)
+
+    # a module's A_i has no fixed point (A_i^2 = 2 G_i0 A_i - G_ii G_00 I,
+    # so an eigenvalue would solve a quadratic with negative discriminant,
+    # G being definite), so fixed points, where the two unknowns coincide,
+    # are drawn here: one term where the entries differ, none where they
+    # cancel
+    fixed = [((0, 1),), ((1, -1),), ((2, 2),)], [((1, 1),), ((0, 3),), ((2, 3),)]
+    for rows in fixed:
+        assert equations(rows, "_monomial_equations") == equations(rows, "_general_equations")
+    for m in modules:
+        for eoi in m.gamma_eo[1:]:
+            rows = (eoi * m.gamma_oe[0])._ints()[1]
+            assert equations(rows, "_monomial_equations") == equations(rows, "_general_equations")
+        with monkeypatch.context() as patched:
+            patched.setattr(supermodule, "_monomial_equations", supermodule._general_equations)
+            want = fresh(m).graded_commutant()
+        with monkeypatch.context() as patched:
+            calls = _counted(patched, ("_monomial_equations", "_general_equations"))
+            got = fresh(m).graded_commutant()
+        assert calls == Counter({"_monomial_equations": max(m.algebra.n - 1, 0)}), m
+        assert got == want and [(x.entries, y.entries) for x, y in got] == [
+            (x.entries, y.entries) for x, y in want], m
+    assert moved.gamma_eo[1]._ints()[0] == 3 and len(moved.graded_commutant()) == 4
+    with monkeypatch.context() as patched:
+        calls = _counted(patched, ("_monomial_equations", "_general_equations"))
+        pairs = fresh(dense).graded_commutant()
+    assert calls == Counter({"_general_equations": 4}) and len(pairs) == 4
+    for x, y in pairs:
+        for eo, oe in zip(dense.gamma_eo, dense.gamma_oe):
+            assert _vanishes([(1, x, eo), (-1, eo, y)]) and _vanishes([(1, y, oe), (-1, oe, x)])
 
 
 def test_decompose_pieces_inherit_the_relations_verdict(monkeypatch):

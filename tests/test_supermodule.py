@@ -191,6 +191,26 @@ def test_declared_dimensions_must_match_the_gammas():
         CliffordSupermodule(CliffordAlgebra(0), [], [], dim_even=2)
 
 
+def test_filtrations_take_the_module_gammas_checked(monkeypatch):
+    # a gamma of the wrong shape is rejected by the module's constructor,
+    # and a filtration checks only its flags against the module's gammas
+    m = exterior_module(2)
+    eo, oe = list(m.gamma_eo), list(m.gamma_oe)
+    for bad in (Matrix.zeros(2, 3), Matrix.zeros(3, 2), Matrix.zeros(1, 2)):
+        for gammas in (([bad, *eo[1:]], oe), (eo, [*oe[:-1], bad])):
+            with pytest.raises(ValueError, match="wrong shape"):
+                CliffordSupermodule(m.algebra, *gammas)
+    checked = []
+    original = supermodule._check_maps
+    monkeypatch.setattr(supermodule, "_check_maps", lambda *a: checked.append(a) or original(*a))
+    module = CliffordSupermodule(m.algebra, eo, oe)
+    assert len(checked) == m.algebra.n  # one call per generator's pair
+    f = degree_filtration(module)
+    assert len(checked) == m.algebra.n and f.gammas is module.gammas and check_filtration(f)
+    with pytest.raises(TypeError, match="expected a CliffordSupermodule, got SuperFiltration"):
+        SuperFiltration(f, f.even_flags, f.odd_flags)
+
+
 def test_module_equality_and_hash():
     a, b = exterior_module(2), exterior_module(2)
     assert a == b and hash(a) == hash(b)
