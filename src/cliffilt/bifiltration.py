@@ -42,12 +42,11 @@ from types import MappingProxyType
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
 from .deformation import GradedRep, _deform, _quotient, _roundtrip, _verify, _Words
-from .exactalg import Matrix, Subspace, _vanishes, rational
+from .exactalg import Matrix, Subspace, _block_matrix, _vanishes, kron, rational
 from .supermodule import (
     CliffordSupermodule,
     FilteredModule,
     SuperFiltration,
-    _block_matrix,
     _checked,
     _CheckWords,
     _graded_subsets,
@@ -57,7 +56,6 @@ from .supermodule import (
     check_filtration,
     degree_filtration,
     exterior_module,
-    kron,
 )
 
 

@@ -21,11 +21,14 @@ columns to ints.  A matrix the kernel builds, or a document decodes,
 keeps only this form, and builds its `Fraction` entries on their first
 read; a matrix built from entries gets the form on first use.  Both are
 kept on the matrix, which is immutable, so they live exactly as long as
-the matrix does.  Products, Kronecker products and block matrices
-(`supermodule.kron` and `supermodule._block_matrix`), sums, scalings,
-stacks, transposes, comparisons and eliminations read only this form,
-so their inner loops add and multiply `int`s, and a result nobody reads
-entrywise never builds a `Fraction`.
+the matrix does.  Products, Kronecker products (`kron`), block matrices
+(`_block_matrix`, which `Matrix.stack` calls with two blocks), linear
+combinations (`_combination`, which sums, differences and the invariants'
+combinations of endomorphisms all call), scalings, transposes,
+comparisons and eliminations read only this form, so their inner loops
+add and multiply `int`s, and a result nobody reads entrywise never
+builds a `Fraction`.  Each of these operations is defined here and only
+here.
 
 A row of a product is a relabel when no two of its terms can land in one
 column: when the row of the left factor has at most one entry, or when
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -84,7 +88,8 @@ def rational(value) -> Fraction:
     This is the one reader of rational text.  It reads what `Fraction`
     reads from a string except exponent notation, which raises
     ValueError: from "1e10000000" `Fraction` would build 10**10000000
-    exactly, which takes seconds.
+    exactly, which takes seconds.  So does a zero denominator ("1/0",
+    "1/0_0"), where `Fraction` raises ZeroDivisionError.
     """
     if isinstance(value, Fraction):
         return value
@@ -93,6 +98,10 @@ def rational(value) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation in rational {value!r}")
+        if "/" in value:
+            den = value.partition("/")[2].strip().replace("_", "")
+            if den.isdecimal() and int(den) == 0:
+                raise ValueError(f"zero denominator in rational {value!r}")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -230,32 +239,21 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other."""
-        self._same_shape(other)
-        da, arows = self._ints()
-        db, brows = other._ints()
-        d = lcm(da, db)
-        fa, fb = d // da, sign * (d // db)
-        out = []
-        for arow, brow in zip(arows, brows):
-            acc = {j: x * fa for j, x in arow}
-            for j, y in brow:
-                acc[j] = acc.get(j, 0) + y * fb
-            out.append([(j, x) for j, x in acc.items() if x])
-        return Matrix._from_ints(self.cols, d, out)
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, 1)
+        self._same_shape(other)
+        return _combination([(1, self), (1, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, -1)
+        self._same_shape(other)
+        return _combination([(1, self), (-1, other)])
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rational(c)
+        if c == 1:  # the matrix is immutable, so it is its own multiple by 1
+            return self
         d, rows = self._ints()
         p = c.numerator
         rows = [[(j, x * p) for j, x in row] for row in rows] if p else [()] * self.rows
@@ -291,12 +289,7 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("cannot stack matrices with different column counts")
-        da, arows = self._ints()
-        db, brows = other._ints()
-        d = lcm(da, db)
-        rows = [[(j, x * f) for j, x in row] if f != 1 else row
-                for part, f in ((arows, d // da), (brows, d // db)) for row in part]
-        return Matrix._built(self.rows + other.rows, self.cols, (d, tuple(rows)))
+        return _block_matrix([self.rows, other.rows], [self.cols], {(0, 0): self, (1, 0): other})
 
     def _columns(self, keep: Sequence[int]) -> "Matrix":
         """The columns `keep` of this matrix, in that order."""
@@ -311,6 +304,62 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(map(str, r)) for r in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def _combination(terms: Sequence[tuple[int, Matrix]], d: int = 1) -> Matrix:
+    """The sum of (c / d) * m over the terms (c, m), for ints c and d and
+    matrices of one shape, the first term's; terms with c = 0 are skipped.
+    Summed in integers over d times the lcm of the matrices' denominators."""
+    shape = terms[0][1]
+    forms = [(c, m._ints()) for c, m in terms if c]
+    common = lcm(*[dm for _, (dm, _) in forms])
+    acc = [{} for _ in range(shape.rows)]
+    for c, (dm, mrows) in forms:
+        w = c * (common // dm)
+        for row, mrow in zip(acc, mrows):
+            for j, x in mrow:
+                row[j] = row.get(j, 0) + w * x
+    return Matrix._from_ints(shape.cols, d * common,
+                             [[(j, x) for j, x in row.items() if x] for row in acc])
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product; row (i, k) and column (j, l) ordered i-major.
+    In integer forms: one pair (j * b.cols + l, x * y) per product of
+    nonzero entries, over da * db."""
+    da, arows = a._ints()
+    db, brows = b._ints()
+    w = b.cols
+    rows = [[(j * w + l, x * y) for j, x in ra for l, y in rb] for ra in arows for rb in brows]
+    return Matrix._from_ints(a.cols * w, da * db, rows)
+
+
+def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
+    """Assemble a matrix from a {(row_block, col_block): Matrix} dict, one
+    band of block rows at a time, in integer form over the lcm of the
+    blocks' denominators.  Each block's form has its least d, so that lcm
+    is the least d of the whole: a prime power dividing it exactly divides
+    some block's d, which has an entry the prime does not divide, left so
+    by the scaling."""
+    col_off = [0, *accumulate(col_dims)]
+    d = lcm(*[mat._ints()[0] for mat in blocks.values()])
+    rows = []
+    for bi, height in enumerate(row_dims):
+        band = [()] * height
+        for bj, width in enumerate(col_dims):
+            mat = blocks.get((bi, bj))
+            if mat is None:
+                continue
+            if mat.rows != height or mat.cols != width:
+                raise ValueError("block shape mismatch")
+            dm, mrows = mat._ints()
+            off = col_off[bj]
+            if dm != d or off:
+                w = d // dm
+                mrows = [[(off + j, c * w) for j, c in row] for row in mrows]
+            band = [[*x, *y] for x, y in zip(band, mrows)] if any(band) else mrows
+        rows += band
+    return Matrix._built(len(rows), col_off[-1], (d, tuple(rows)))
 
 
 def _injective(rows) -> bool:

@@ -26,7 +26,8 @@ from operator import mul
 
 from .certificate import require
 from .clifford import _is_positive_definite
-from .exactalg import Matrix, Subspace, _insert, _primitive, _reduced, _vanishes, kernel
+from .exactalg import (Matrix, Subspace, _block_matrix, _combination, _insert, _primitive,
+                       _reduced, _vanishes, kernel)
 from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule
 
 CERTIFIED = "indecomposable (certified)"
@@ -78,10 +79,10 @@ def _grown(module: CliffordSupermodule, p: int, below: Subspace, span: Subspace)
     """
     if below.is_full and module.algebra.n and module._verdict:
         return Subspace.full(module.dim(p % 2))
-    stacked = span.basis
-    for i in range(module.algebra.n):
-        stacked = stacked.stack(below.basis * module.gamma(i, (p - 1) % 2))
-    return Subspace.row_space(stacked)
+    n = module.algebra.n
+    images = {(i + 1, 0): below.basis * module.gamma(i, (p - 1) % 2) for i in range(n)}
+    return Subspace.row_space(_block_matrix(
+        [span.dim] + [below.dim] * n, [span.ambient], {(0, 0): span.basis, **images}))
 
 
 def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
@@ -93,51 +94,26 @@ def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
     """
     module = _filtration(f).module
     pairs = module.graded_commutant()
-    # per flag and pair k, the residuals of the flag's basis rows under
-    # P_k after pivot elimination against the flag: the images minus their
-    # entries at the pivots times the basis
-    blocks = []
-    for p in range(f.top_degree + 1):
-        flag = f.level(p)
-        if flag.is_full:
-            continue
-        residuals = []
-        for pair in pairs:
-            images = flag.basis * pair[p % 2]
-            residuals.append((images - images._columns(flag.pivots) * flag.basis)._ints())
-        blocks.append((flag.ambient, flag.dim, residuals))
-    # row k lists, flag after flag, the residual of each basis row under
-    # P_k, over one common denominator
-    d = lcm(*[rd for _, _, residuals in blocks for rd, _ in residuals])
-    rows = [[] for _ in pairs]
-    offset = 0
-    for width, size, residuals in blocks:
-        for row, (rd, block) in zip(rows, residuals):
-            scale = d // rd
-            for v, residual in enumerate(block):
-                row.extend((offset + v * width + j, c * scale) for j, c in residual)
-        offset += width * size
-    if not offset:
+    flags = [(p % 2, f.level(p)) for p in range(f.top_degree + 1) if not f.level(p).is_full]
+    width = sum(flag.ambient * flag.dim for _, flag in flags)
+    if not width:
         return list(pairs)
+    # row k lists, flag after flag, the residuals of the flag's basis rows
+    # under P_k after pivot elimination against the flag: the images minus
+    # their entries at the pivots times the basis
+    flat = []
+    for pair in pairs:
+        residuals = []
+        for c, flag in flags:
+            images = flag.basis * pair[c]
+            residuals.append(images - images._columns(flag.pivots) * flag.basis)
+        flat.append(_flat_ints(residuals))
+    d = lcm(*[dr for dr, _ in flat])
+    rows = [[(j, x * (d // dr)) for j, x in row.items()] for dr, row in flat]
     # each kernel row is the coefficients c_k of one sum of c_k P_k
-    dk, coeff_rows = kernel(Matrix._from_ints(offset, d, rows))._ints()
-    return [tuple(_combination(coeffs, dk, [pair[c] for pair in pairs]) for c in (0, 1))
+    dk, coeff_rows = kernel(Matrix._from_ints(width, d, rows))._ints()
+    return [tuple(_combination([(c, pairs[k][p]) for k, c in coeffs], dk) for p in (0, 1))
             for coeffs in coeff_rows]
-
-
-def _combination(coeffs, d: int, mats: list[Matrix]) -> Matrix:
-    """The sum of (c / d) mats[k] over the (k, c) pairs of `coeffs`, summed
-    in integers over d times the lcm of the matrices' denominators."""
-    forms = [(c, mats[k]._ints()) for k, c in coeffs]
-    common = lcm(*[dm for _, (dm, _) in forms])
-    acc = [{} for _ in range(mats[0].rows)]
-    for c, (dm, mrows) in forms:
-        w = c * (common // dm)
-        for row, mrow in zip(acc, mrows):
-            for j, x in mrow:
-                row[j] = row.get(j, 0) + w * x
-    return Matrix._from_ints(mats[0].cols, d * common,
-                             [[(j, x) for j, x in row.items() if x] for row in acc])
 
 
 def _pair_identity(module):
@@ -149,30 +125,13 @@ def _trace(m: Matrix) -> Fraction:
     return Fraction(sum(c for i, row in enumerate(rows) for j, c in row if j == i), d)
 
 
-def _anticommutator_scalar(a, b) -> Fraction | None:
-    """c when ab + ba = c I on both parities, else None.  c is the (0, 0)
-    entry of ab + ba on the first parity of nonzero dimension, summed from
-    the integer forms; each parity is then compared to c I by `_vanishes`,
-    so no product is built."""
-    p, q = next((p, q) for p, q in zip(a, b) if p.rows)
-    (dp, prows), (dq, qrows) = p._ints(), q._ints()
-    # column 0 of q and of p, as {row: entry}
-    q0, p0 = [{r: c for r, row in enumerate(rows) for j, c in row if j == 0}
-              for rows in (qrows, prows)]
-    c = Fraction(sum(v * q0.get(k, 0) for k, v in prows[0])
-                 + sum(v * p0.get(k, 0) for k, v in qrows[0]), dp * dq)
-    if all(_vanishes([(1, x, y), (1, y, x)], Matrix.identity(x.rows), c) for x, y in zip(a, b)):
-        return c
-    return None
-
-
-def _flat_ints(pair) -> tuple[int, dict]:
-    """(d, row) with row / d the flattened pair, as a {column: int} dict
-    of its nonzero entries: the even block's rows, then the odd block's."""
-    d = lcm(pair[0]._ints()[0], pair[1]._ints()[0])
+def _flat_ints(mats) -> tuple[int, dict]:
+    """(d, row) with row / d the matrices flattened one after another,
+    each row by row, as a {column: int} dict of its nonzero entries."""
+    d = lcm(*[m._ints()[0] for m in mats])
     row = {}
     offset = 0
-    for m in pair:
+    for m in mats:
         dm, rows = m._ints()
         f = d // dm
         for r in rows:
@@ -346,8 +305,8 @@ def _random_candidates(endos, candidates: int, rng):
     """Seeded random integer combinations of the basis pairs, one
     rng.randint(-3, 3) per pair, each parity summed by `_combination`."""
     for _ in range(candidates):
-        coeffs = [(k, c) for k, c in enumerate([rng.randint(-3, 3) for _ in endos]) if c]
-        yield tuple(_combination(coeffs, 1, [pair[p] for pair in endos]) for p in (0, 1))
+        coeffs = [rng.randint(-3, 3) for _ in endos]
+        yield tuple(_combination([(c, pair[p]) for c, pair in zip(coeffs, endos)]) for p in (0, 1))
 
 
 def _try_split(f: SuperFiltration, endos, candidates: int, rng):
@@ -414,6 +373,12 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
     vanishes there, and ab + ba = c I exactly when ab + ba - c I vanishes;
     `_vanishes` decides each without building ab or ba.  ab + ba is
     symmetric in a and b, so the table is filled from i <= j alone.  The
+    scalar c is read off the trace form: if ab + ba = c I on both
+    parities, then 2 tr(ab) = tr(ab + ba) = c (dim_even + dim_odd), so c
+    = 2 tr(ab) / dim, and `_vanishes` checks ab + ba = c I with that c.
+    If ab + ba is c0 I on one parity and c1 I != c0 I on the other, or
+    not scalar at all, no c passes on both parities and the verdict is
+    EXHAUSTED, which reading c off any one entry of ab + ba also gives.  The
     traceless pairs are picked in order when their flattened rows are
     independent of the earlier ones, by one echelon basis of those rows:
     the rows have rank 3 exactly when three are picked.
@@ -457,15 +422,12 @@ def _certify_indecomposable(f: SuperFiltration, endos) -> str:
                 picked.append(pair)
         if len(picked) != 3:
             return EXHAUSTED
-        norm_rows = [[0] * 3 for _ in range(3)]
-        for i, a in enumerate(picked):
-            for j in range(i, 3):
-                c = _anticommutator_scalar(a, picked[j])
-                if c is None:
-                    return EXHAUSTED
-                norm_rows[i][j] = norm_rows[j][i] = c
+        norms = [[2 * t / dim_total for t in row] for row in _trace_form(picked).entries]
+        if not all(_vanishes([(1, x, y), (1, y, x)], Matrix.identity(x.rows), norms[i][j])
+                   for i in range(3) for j in range(i, 3) for x, y in zip(picked[i], picked[j])):
+            return EXHAUSTED
         # the trace-zero part squares to a negative definite form
-        return CERTIFIED if _is_positive_definite(-Matrix(3, 3, norm_rows)) else EXHAUSTED
+        return CERTIFIED if _is_positive_definite(-Matrix(3, 3, norms)) else EXHAUSTED
     return EXHAUSTED
 
 
@@ -506,8 +468,11 @@ def decompose(f: SuperFiltration, candidates: int = 16, seed: int = 0) -> list[S
     structure proves there is no idempotent, budget exhaustion
     otherwise.  Certificates are statements over the rationals; a
     certified summand may still split after extending scalars.  Raises
-    CheckFailed unless check_filtration passes.
+    CheckFailed unless check_filtration passes, and ValueError for a
+    negative number of candidates.
     """
+    if candidates < 0:
+        raise ValueError("candidates must be nonnegative")
     require("filtration", check_filtration(_filtration(f)))
     rng = random.Random(seed)
     return _decompose_worker(f, candidates, rng)

@@ -59,7 +59,7 @@ def _unrat(value) -> Fraction:
         raise SerializeError(f"rational {value!r} is not a string")
     try:
         return rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SerializeError(f"bad rational {value!r}") from exc
 
 

@@ -26,42 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
-from .exactalg import Matrix, Subspace, _injective, _null_space, _vanishes
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row (i, k) and column (j, l) ordered i-major.
-    In integer forms: one pair (j * b.cols + l, x * y) per product of
-    nonzero entries, over da * db."""
-    da, arows = a._ints()
-    db, brows = b._ints()
-    w = b.cols
-    rows = [[(j * w + l, x * y) for j, x in ra for l, y in rb] for ra in arows for rb in brows]
-    return Matrix._from_ints(a.cols * w, da * db, rows)
-
-
-def _block_matrix(row_dims, col_dims, blocks) -> Matrix:
-    """Assemble a matrix from a {(row_block, col_block): Matrix} dict, in
-    integer form over the blocks' common denominator."""
-    row_off = [sum(row_dims[:k]) for k in range(len(row_dims))]
-    col_off = [sum(col_dims[:k]) for k in range(len(col_dims))]
-    forms = {key: mat._ints() for key, mat in blocks.items()}
-    d = lcm(*[form[0] for form in forms.values()])
-    rows = [[] for _ in range(sum(row_dims))]
-    for (bi, bj), mat in blocks.items():
-        if (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
-            raise ValueError("block shape mismatch")
-        dm, mrows = forms[(bi, bj)]
-        w, off = d // dm, col_off[bj]
-        for r, row in enumerate(mrows):
-            rows[row_off[bi] + r] += [(off + j, c * w) for j, c in row]
-    return Matrix._from_ints(sum(col_dims), d, rows)
+from .exactalg import Matrix, Subspace, _block_matrix, _injective, _null_space, _vanishes, kron
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +324,11 @@ class CliffordSupermodule(FilteredModule):
 
     def _solve_commutant(self) -> list[tuple[Matrix, Matrix]]:
         n0, n1 = self.dim_even, self.dim_odd
-        if self.algebra.n == 0 or n0 == 0 or n1 == 0:
-            # No constraints couple the parities: every pair of square
-            # blocks commutes with an empty or one-sided action.
+        if self.algebra.n == 0:
+            # No generator couples the parities: every pair of square blocks
+            # commutes.  With one, a zero part needs no case: with one part
+            # zero, g_0 g_0 = G_00 I fails on the other, so check_supermodule
+            # fails first; with both, the equations below have no unknown.
             def unit(n, r, c):
                 return Matrix._from_ints(n, 1, [((c, 1),) if i == r else () for i in range(n)])
 

@@ -103,6 +103,28 @@ def test_negative_budget_and_candidates_exit_two():
     assert run(["decompose", "--candidates", "0"], stdin=doc).returncode == 0
 
 
+def test_library_value_errors_exit_two_with_one_line(tmp_path):
+    # the CLI keeps no copy of the library's argument checks: each of their
+    # ValueErrors is one `error:` line and exit 2, a zero denominator too
+    triv = run(["example", "cl1-trivial"]).stdout
+    rep = run(["deform"], stdin=triv).stdout
+    path = tmp_path / "triv.json"
+    path.write_text(triv)
+    birep = run(["bideform"], stdin=run(["tensor", "--p", str(path), "--q", str(path)]).stdout)
+    for args, stdin, message in [
+            (["quotient", "--k", "-1"], rep, "shell value must be nonnegative"),
+            (["quotient", "--k", "1/0"], rep, "zero denominator in rational '1/0'"),
+            (["biquotient", "--shell-plus", "1/0"], birep.stdout, "zero denominator"),
+            (["biquotient", "--shell-minus", "-1"], birep.stdout, "shell values must be positive"),
+            (["decompose", "--candidates", "-1"], triv, "candidates must be nonnegative"),
+            (["search", "--target", "3,3"], triv, "target parity sums"),
+            (["envcheck", "--n", "1", "--max-degree", "2"], None, "truncation")]:
+        out = run(args, stdin=stdin)
+        assert out.returncode == 2 and out.stdout == "", args
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert message in out.stderr, (args, out.stderr)
+
+
 def test_decompose_emits_summands():
     hodge = run(["example", "exterior4-hodge"]).stdout
     out = run(["decompose"], stdin=hodge)

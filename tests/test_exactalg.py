@@ -17,6 +17,16 @@ def test_rational_normalization():
     assert rational(-4) == Fraction(-4)
     with pytest.raises(ValueError):
         rational("1.5.2")
+    # Fraction raises ZeroDivisionError on these; every digit form of 0 is
+    # a ValueError naming the text
+    for text in ("1/0", "-3/00", " 2/0_0 ", "0/0", "1/\u0660"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational(text)
+    for text in ("1/0x", "1/", "/0"):
+        with pytest.raises(ValueError):
+            rational(text)
+    assert rational("0/5") == 0 and rational("10/10") == 1
+    assert rational(" 1/1_0 ") == Fraction(1, 10)
 
 
 def test_rref_hand_cases():
@@ -473,6 +483,88 @@ def test_which_right_factors_relabel():
         assert exactalg._injective(b._ints()[1]) == injective
         for a in (dense, gamma, Matrix.identity(3), Matrix(2, 3, [[1, 0, 0], [1, 1, 1]])):
             assert a * b == _accumulated_product(a, b)
+
+
+def _former_plus(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """The former sum loop, kept as the reference: a + sign * b, each row
+    of a copied into a dict and the row of b added to it."""
+    da, arows = a._ints()
+    db, brows = b._ints()
+    d = lcm(da, db)
+    fa, fb = d // da, sign * (d // db)
+    out = []
+    for arow, brow in zip(arows, brows):
+        acc = {j: x * fa for j, x in arow}
+        for j, y in brow:
+            acc[j] = acc.get(j, 0) + y * fb
+        out.append([(j, x) for j, x in acc.items() if x])
+    return Matrix._from_ints(a.cols, d, out)
+
+
+def _former_stack(a: Matrix, b: Matrix) -> Matrix:
+    """The former stack loop, kept as the reference: both integer forms
+    over the lcm of their denominators, the rows of a above those of b."""
+    da, arows = a._ints()
+    db, brows = b._ints()
+    d = lcm(da, db)
+    rows = [[(j, x * f) for j, x in row] if f != 1 else row
+            for part, f in ((arows, d // da), (brows, d // db)) for row in part]
+    return Matrix._built(a.rows + b.rows, a.cols, (d, tuple(rows)))
+
+
+def _same(got: Matrix, want: Matrix) -> None:
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got == want and hash(got) == hash(want)
+    assert got._ints()[0] == want._ints()[0] and got.entries == want.entries
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_combination_and_stack_match_the_former_loops(data):
+    rows, more, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = data.draw(_factor(rows, cols)), data.draw(_factor(rows, cols))
+    below = data.draw(_factor(more, cols))
+    _same(a + b, _former_plus(a, b, 1))
+    _same(a - b, _former_plus(a, b, -1))
+    _same(a.stack(below), _former_stack(a, below))
+    _same(below.stack(a), _former_stack(below, a))
+    # integer weights over a rational d, with a term and its negative
+    cs = [data.draw(st.integers(-3, 3)) for _ in range(3)]
+    d = data.draw(st.integers(1, 6))
+    terms = [(cs[0], a), (cs[1], b), (cs[2], a), (-cs[2], a)]
+    want = _former_plus(a.scale(Fraction(cs[0], d)), b.scale(Fraction(cs[1], d)), 1)
+    event("cancels to zero" if want.is_zero() else "nonzero")
+    _same(exactalg._combination(terms, d), want)
+    _same(exactalg._combination([(1, a), (-1, a)]), Matrix.zeros(rows, cols))
+    _same(exactalg._combination([(0, b)], d), Matrix.zeros(rows, cols))
+
+
+def test_block_matrix_places_every_block():
+    # any subset of the blocks of a grid, several in one block row included,
+    # against the matrix written entry by entry; the least d comes with it
+    rng = random.Random(53)
+    for _ in range(200):
+        row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        max_den = rng.choice((1, 6, 10**6))
+        blocks = {(i, j): _random_matrix(rng, r, c, max_den)
+                  for i, r in enumerate(row_dims) for j, c in enumerate(col_dims)
+                  if rng.random() < 0.7}
+        grid = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
+        for (i, j), m in blocks.items():
+            for r, row in enumerate(m.entries):
+                for c, x in enumerate(row):
+                    grid[sum(row_dims[:i]) + r][sum(col_dims[:j]) + c] = x
+        got = exactalg._block_matrix(row_dims, col_dims, blocks)
+        _same(got, Matrix(sum(row_dims), sum(col_dims), grid))
+    with pytest.raises(ValueError, match="block shape"):
+        exactalg._block_matrix([1, 2], [2], {(1, 0): Matrix.zeros(1, 2)})
+
+
+def test_scale_by_one_is_the_matrix_itself():
+    a = Matrix(2, 2, [[Fraction(1, 3), 0], [2, -1]])
+    assert a.scale(1) is a and a.scale(Fraction(4, 4)) is a and a.scale("1") is a
+    assert a.scale(-1) == -a and a.scale(-1) is not a
 
 
 def _vanishing_cases():

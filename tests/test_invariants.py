@@ -1,6 +1,7 @@
 """Classification invariants: graded dims, sources, decomposition."""
 
 import hashlib
+import importlib.util
 import io
 import random
 import subprocess
@@ -409,6 +410,27 @@ def test_commutant_requires_the_module_relations(monkeypatch):
     assert not calls
 
 
+def test_commutant_of_a_module_with_a_zero_part(monkeypatch):
+    # with a generator, one zero part breaks g_0 g_0 = G_00 I on the other,
+    # so the relations check fails before any equation; with both parts
+    # zero the equations have no unknown and the commutant is empty
+    calls = _counted(monkeypatch, ("_monomial_equations", "_general_equations", "_null_space"))
+    for n, (de, do) in ((1, (0, 1)), (2, (2, 0)), (3, (0, 4))):
+        one_sided = CliffordSupermodule(CliffordAlgebra(n), [Matrix.zeros(de, do)] * n,
+                                        [Matrix.zeros(do, de)] * n, de, do)
+        with pytest.raises(CheckFailed) as raised:
+            one_sided.graded_commutant()
+        assert raised.value.certificate.check == "supermodule_relations"
+    assert not calls
+    for n in (1, 2, 3):
+        zero = CliffordSupermodule(CliffordAlgebra(n), [Matrix.zeros(0, 0)] * n,
+                                   [Matrix.zeros(0, 0)] * n, 0, 0)
+        assert check_supermodule(zero) and zero.graded_commutant() == []
+    assert calls["_null_space"] == 3
+    # with no generator every pair of square blocks commutes
+    assert len(CliffordSupermodule(CliffordAlgebra(0), [], [], 2, 1).graded_commutant()) == 5
+
+
 def test_monomial_commutant_equals_the_general_equations(monkeypatch):
     """Where A_i = eo_i oe_0 is a signed permutation, its two-term
     equations are the nonzero general equations of P A_i = A_i P, and the
@@ -684,6 +706,16 @@ def test_search_rejects_infeasible_targets():
     with pytest.raises(ValueError, match="budget"):
         filtration_search(m, (2, 2), budget=-1)
     assert filtration_search(m, (2, 2), budget=0) == []
+
+
+def test_decompose_rejects_a_negative_candidate_count():
+    # as filtration_search does a negative budget, before any other work
+    f = degree_filtration(exterior_module(2))
+    with pytest.raises(ValueError, match="candidates"):
+        decompose(f, candidates=-1)
+    with pytest.raises(ValueError, match="candidates"):
+        decompose(exterior_module(1), candidates=-1)
+    assert len(decompose(f, candidates=0)) == 1
 
 
 def test_invariants_name_the_supported_type():
@@ -1102,6 +1134,54 @@ def test_invariant_shortcuts_match_former_code(monkeypatch):
         seen["full level"] += sum(f.level(p).is_full for p in range(f.top_degree + 1))
     assert seen["summand"] > 300 and len(restricted) > 100 and seen["full level"] > 100
     assert seen[CERTIFIED, 4] and seen[EXHAUSTED, 4] and seen[CERTIFIED, 2], seen
+
+
+def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
+    # the scalar of ab + ba now comes from the trace form.  Every
+    # certificate taken while decomposing the trivial filtrations of
+    # irreducible(1..5), irreducible_cl5() and exterior(4), the degree and
+    # Hodge filtrations of exterior(4), and the pieces of one seed-7 pass of
+    # the bench's classify pool gives the former verdict
+    seen = []
+    original = invariants._certify_indecomposable
+
+    def recording(f, endos):
+        status = original(f, endos)
+        seen.append((f, endos, status))
+        return status
+
+    monkeypatch.setattr(invariants, "_certify_indecomposable", recording)
+    modules = [irreducible_module(n) for n in range(1, 6)] + [irreducible_cl5(), exterior_module(4)]
+    for f in [trivial_filtration(m) for m in modules] + [degree_filtration(modules[-1]),
+                                                          hodge_filtration(modules[-1])]:
+        decompose(f)
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("cliffilt_bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    import workloads
+
+    invariants.invariant_report.cache_clear()
+    pool = run.Pool("classify", workloads.WORKLOADS["classify"](7))
+    pool.timed_pass(range(len(pool.jobs)))
+    assert pool.failed == 0
+    for f, endos, status in seen:
+        assert status == _former_certify_indecomposable(f, endos)
+    quaternions = [endos for _, endos, status in seen if status == CERTIFIED and len(endos) == 4]
+    assert len(seen) > 100 and len(quaternions) > 30
+    # ab + ba scalar on each parity, but not the same scalar on both: both
+    # verdicts are EXHAUSTED
+    i, j, k = (Matrix.from_rows(r) for r in (
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]))
+    one = Matrix.identity(4)
+    f = SimpleNamespace(module=SimpleNamespace(dim_even=4, dim_odd=4))
+    for by in (1, 2, Fraction(1, 3)):
+        endos = [(one, one)] + [(u, u.scale(by)) for u in (i, j, k)]
+        want = CERTIFIED if by == 1 else EXHAUSTED
+        assert _certify_indecomposable(f, endos) == want == _former_certify_indecomposable(f, endos)
 
 
 def _former_split_by(module, pair):
