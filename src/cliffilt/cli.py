@@ -5,7 +5,10 @@ given), writes one JSON document (stdout unless -o is given), and exits
 0 on success, 1 when a verification fails, the command's check of its
 input included (the failing certificate is the output), or 2 on
 malformed input or arguments: `main` turns every ValueError, the
-library's included, into that exit and one `error:` line.  The
+library's included, into that exit and one `error:` line.  One reader,
+`_read_document`, gates the input types: a document of a kind the
+command does not take is malformed input, and wherever a filtration is
+taken, an on-shell module stands for its filtration.  The
 randomized subcommands, decompose and search, take --seed and default
 to seed 0, so runs are reproducible.
 """
@@ -18,24 +21,29 @@ import json
 import sys
 
 from . import bifiltration, deformation, graph, invariants, serialize, supermodule
-from .certificate import CheckFailed, failing, passing
+from .certificate import Certificate, CheckFailed, failing, passing
 from .serialize import SerializeError
 
 
 def _read_text(path: str | None) -> str:
-    """The text of the file at path, or of stdin; bytes that do not decode
-    are a SerializeError."""
-    try:
-        if path is None or path == "-":
-            return sys.stdin.read()
-        with open(path) as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise SerializeError(f"cannot decode {path or 'stdin'}: {exc}") from exc
+    """The text of the file at path, or of stdin."""
+    if path is None or path == "-":
+        return sys.stdin.read()
+    with open(path) as handle:
+        return handle.read()
 
 
-def _read_document(path: str | None):
-    return serialize.loads(_read_text(path))
+def _read_document(path: str | None, *types):
+    """The document at path, which must be one of `types`: the one gate on
+    what a command reads.  Where a SuperFiltration is taken, an on-shell
+    module (a quotient's output) stands for its filtration."""
+    obj = serialize.loads(_read_text(path))
+    if supermodule.SuperFiltration in types and isinstance(obj, deformation.OnShellModule):
+        obj = obj.filtration
+    if not isinstance(obj, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise SerializeError(f"expected {names}, got {type(obj).__name__}")
+    return obj
 
 
 def _write(text: str, path: str | None):
@@ -47,123 +55,101 @@ def _write(text: str, path: str | None):
 
 
 def _emit(obj, path: str | None) -> int:
+    """Write obj's document; the exit status is 1 for a failing certificate."""
     _write(serialize.dumps(obj), path)
-    return 0
-
-
-def _emit_certificate(cert, path: str | None) -> int:
-    _write(serialize.dumps(cert), path)
-    return 0 if cert.passed else 1
-
-
-def _expect(obj, *types):
-    if not isinstance(obj, types):
-        names = " or ".join(t.__name__ for t in types)
-        raise SerializeError(f"expected {names}, got {type(obj).__name__}")
-    return obj
-
-
-def _filtration_arg(obj) -> supermodule.SuperFiltration:
-    """Accept a filtration document, unwrapping a quotient output."""
-    if isinstance(obj, deformation.OnShellModule):
-        return obj.filtration
-    return _expect(obj, supermodule.SuperFiltration)
+    return 1 if isinstance(obj, Certificate) and not obj.passed else 0
 
 
 # --- subcommand bodies, each returning the process exit status ---
 
 
+_EXAMPLES = {
+    "exterior4-degree": lambda: supermodule.degree_filtration(supermodule.exterior_module(4)),
+    "exterior4-hodge": lambda: supermodule.hodge_filtration(supermodule.exterior_module(4)),
+    "cl5-irreducible": lambda: supermodule.irreducible_cl5(),
+    "cl1-trivial": lambda: supermodule.trivial_filtration(supermodule.exterior_module(1)),
+}
+
+
 def _cmd_example(args) -> int:
-    name = args.name
-    if name == "exterior4-degree":
-        doc = supermodule.degree_filtration(supermodule.exterior_module(4))
-    elif name == "exterior4-hodge":
-        doc = supermodule.hodge_filtration(supermodule.exterior_module(4))
-    elif name == "cl5-irreducible":
-        doc = supermodule.irreducible_cl5()
-    else:  # cl1-trivial
-        doc = supermodule.trivial_filtration(supermodule.exterior_module(1))
-    return _emit(doc, args.output)
+    return _emit(_EXAMPLES[args.name](), args.output)
 
 
 def _cmd_check(args) -> int:
-    obj = _read_document(args.input)
-    if isinstance(obj, (supermodule.SuperFiltration, deformation.OnShellModule)):
-        cert = supermodule.check_filtration(_filtration_arg(obj))
+    obj = _read_document(args.input, supermodule.SuperFiltration, supermodule.CliffordSupermodule,
+                         deformation.OffShellRep, bifiltration.BifilteredSupermodule,
+                         bifiltration.BiGradedRep)
+    if isinstance(obj, supermodule.SuperFiltration):
+        cert = supermodule.check_filtration(obj)
     elif isinstance(obj, supermodule.CliffordSupermodule):
         cert = supermodule.check_supermodule(obj)
     elif isinstance(obj, deformation.OffShellRep):
         cert = deformation.verify_offshell(obj)
     elif isinstance(obj, bifiltration.BifilteredSupermodule):
         cert = bifiltration.check_bifiltered_module(obj)
-    elif isinstance(obj, bifiltration.BiGradedRep):
-        cert = bifiltration.verify_2d(obj)
     else:
-        raise SerializeError(f"no check applies to {type(obj).__name__}")
-    return _emit_certificate(cert, args.output)
+        cert = bifiltration.verify_2d(obj)
+    return _emit(cert, args.output)
 
 
 def _cmd_deform(args) -> int:
-    f = _filtration_arg(_read_document(args.input))
+    f = _read_document(args.input, supermodule.SuperFiltration)
     return _emit(deformation.deform(f), args.output)
 
 
 def _cmd_quotient(args) -> int:
-    r = _expect(_read_document(args.input), deformation.OffShellRep)
+    r = _read_document(args.input, deformation.OffShellRep)
     return _emit(deformation.quotient_at(r, args.k), args.output)
 
 
 def _cmd_roundtrip(args) -> int:
-    f = _filtration_arg(_read_document(args.input))
+    f = _read_document(args.input, supermodule.SuperFiltration)
     try:
         deformation.canonical_roundtrip_iso(f)
     except RuntimeError as exc:
-        return _emit_certificate(failing("roundtrip", reason=str(exc)), args.output)
-    return _emit_certificate(passing("roundtrip"), args.output)
+        return _emit(failing("roundtrip", reason=str(exc)), args.output)
+    return _emit(passing("roundtrip"), args.output)
 
 
 def _cmd_invariants(args) -> int:
-    f = _filtration_arg(_read_document(args.input))
+    f = _read_document(args.input, supermodule.SuperFiltration)
     return _emit(invariants.invariant_report(f), args.output)
 
 
 def _cmd_decompose(args) -> int:
-    f = _filtration_arg(_read_document(args.input))
+    f = _read_document(args.input, supermodule.SuperFiltration)
     summands = invariants.decompose(f, candidates=args.candidates, seed=args.seed)
     return _emit(serialize.encode_decomposition(summands), args.output)
 
 
 def _cmd_search(args) -> int:
-    obj = _read_document(args.input)
-    if isinstance(obj, supermodule.SuperFiltration):
-        module = obj.module
-    else:
-        module = _expect(obj, supermodule.CliffordSupermodule)
+    obj = _read_document(args.input, supermodule.SuperFiltration, supermodule.CliffordSupermodule)
+    module = obj.module if isinstance(obj, supermodule.SuperFiltration) else obj
     target = tuple(int(part) for part in args.target.split(","))
     found = invariants.filtration_search(module, target, args.budget, seed=args.seed)
     return _emit(serialize.encode_search_results(found), args.output)
 
 
 def _cmd_tensor(args) -> int:
-    f_plus = _filtration_arg(_read_document(args.p))
-    f_minus = _filtration_arg(_read_document(args.q))
+    f_plus = _read_document(args.p, supermodule.SuperFiltration)
+    f_minus = _read_document(args.q, supermodule.SuperFiltration)
     return _emit(bifiltration.tensor_module(f_plus, f_minus), args.output)
 
 
 def _cmd_bideform(args) -> int:
-    bf = _expect(_read_document(args.input), bifiltration.BifilteredSupermodule)
+    bf = _read_document(args.input, bifiltration.BifilteredSupermodule)
     return _emit(bifiltration.bideform(bf), args.output)
 
 
 def _cmd_biquotient(args) -> int:
-    r = _expect(_read_document(args.input), bifiltration.BiGradedRep)
+    r = _read_document(args.input, bifiltration.BiGradedRep)
     result = bifiltration.biquotient(r, shell_plus=args.shell_plus, shell_minus=args.shell_minus)
     return _emit(result, args.output)
 
 
 def _cmd_verify2d(args) -> int:
-    r = _expect(_read_document(args.input), bifiltration.BiGradedRep)
-    return _emit_certificate(bifiltration.verify_2d(r), args.output)
+    r = _read_document(args.input, bifiltration.BiGradedRep)
+    return _emit(bifiltration.verify_2d(r), args.output)
 
 
 def _load_basis(path: str):
@@ -176,7 +162,7 @@ def _load_basis(path: str):
 
 
 def _cmd_export_dot(args) -> int:
-    f = _filtration_arg(_read_document(args.input))
+    f = _read_document(args.input, supermodule.SuperFiltration)
     basis_even = basis_odd = None
     if args.basis:
         basis_even, basis_odd = _load_basis(args.basis)
@@ -185,14 +171,13 @@ def _cmd_export_dot(args) -> int:
     except CheckFailed:
         raise
     except ValueError as exc:
-        return _emit_certificate(failing("adapted_basis", reason=str(exc)), args.output)
+        return _emit(failing("adapted_basis", reason=str(exc)), args.output)
     _write(graph.to_dot(g), args.output)
     return 0
 
 
 def _cmd_envcheck(args) -> int:
-    max_degree = args.max_degree if args.max_degree is not None else max(3, args.n + 2)
-    return _emit_certificate(deformation.enveloping_quotient_check(args.n, max_degree), args.output)
+    return _emit(deformation.enveloping_quotient_check(args.n, args.max_degree), args.output)
 
 
 @functools.cache
@@ -215,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("example", _cmd_example, "emit a named example construction", with_input=False)
-    p.add_argument("name", choices=[
-        "exterior4-degree", "exterior4-hodge", "cl5-irreducible", "cl1-trivial",
-    ])
+    p.add_argument("name", choices=list(_EXAMPLES))
 
     add("check", _cmd_check, "validate any document, emitting a certificate")
     add("deform", _cmd_deform, "filtration to graded off-shell representation")
@@ -259,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
             "certify Cl(n), filtered by word length, as its graded deformation at H = 1",
             with_input=False)
     p.add_argument("--n", type=int, required=True, help="number of Clifford generators")
-    p.add_argument("--max-degree", type=int, default=None,
-                   help="truncation degree, at least 3 (default max(3, n+2)); the "
+    p.add_argument("--max-degree", type=int, default=3,
+                   help="truncation degree, at least 3 (default 3); the "
                         "certificate covers every degree")
 
     return parser
@@ -272,7 +255,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CheckFailed as exc:
-        return _emit_certificate(exc.certificate, args.output)
+        return _emit(exc.certificate, args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,7 +90,8 @@ def filtered_endomorphisms(f: SuperFiltration) -> list[tuple[Matrix, Matrix]]:
 
     Solved inside the graded commutant of the module, which the module
     caches; each flag contributes the linear condition that the image of
-    its basis stays inside it.  The identity pair is always present.
+    its basis stays inside it.  The identity pair is present for a
+    nonzero module; a module with both parts zero has an empty basis.
     """
     module = _filtration(f).module
     pairs = module.graded_commutant()

@@ -126,14 +126,11 @@ def _enc_matrix(m: Matrix) -> dict:
 
 
 def _dec_matrix(obj) -> Matrix:
-    try:
-        rows, cols = obj["shape"]
-        m = _read_rows(obj["rows"], _count(cols))
-        if m.rows != _count(rows):
-            raise SerializeError(f"{m.rows} rows, not {rows}")
-        return m
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"bad matrix: {exc}") from exc
+    rows, cols = obj["shape"]
+    m = _read_rows(obj["rows"], _count(cols))
+    if m.rows != _count(rows):
+        raise SerializeError(f"{m.rows} rows, not {rows}")
+    return m
 
 
 def _enc_flag(s: Subspace) -> dict:
@@ -141,17 +138,11 @@ def _enc_flag(s: Subspace) -> dict:
 
 
 def _dec_flag(obj) -> Subspace:
-    try:
-        return Subspace.row_space(_read_rows(obj["rows"], _count(obj["ambient"])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"bad subspace: {exc}") from exc
+    return Subspace.row_space(_read_rows(obj["rows"], _count(obj["ambient"])))
 
 
 def _dec_algebra(obj, n_key="n", gram_key="gram") -> CliffordAlgebra:
-    try:
-        return CliffordAlgebra(_count(obj[n_key]), _dec_matrix(obj[gram_key]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"bad algebra: {exc}") from exc
+    return CliffordAlgebra(_count(obj[n_key]), _dec_matrix(obj[gram_key]))
 
 
 def _enc_module(m: CliffordSupermodule) -> dict:
@@ -263,16 +254,9 @@ def _dec_bifiltered(obj) -> BifilteredSupermodule:
 
 
 def _enc_bigraded(r: BiGradedRep) -> dict:
-    mp, mq = r.top_plus, r.top_minus
-
-    def shift_grid(stored, keep):
-        return [
-            [_enc_matrix(stored[(m, n)]) if keep(m, n) else None for n in range(mq + 1)]
-            for m in range(mp + 1)
-        ]
-
-    def q_grid(family):
-        return [shift_grid(per, lambda m, n: True) for per in family]
+    def grid(stored):  # None where no map is stored: the shifts' top two rows
+        return [[_enc_matrix(stored[(m, n)]) if (m, n) in stored else None
+                 for n in range(r.top_minus + 1)] for m in range(r.top_plus + 1)]
 
     return {
         "schema": SCHEMA,
@@ -282,10 +266,10 @@ def _enc_bigraded(r: BiGradedRep) -> dict:
         "gram_plus": _enc_matrix(r.plus_algebra.gram),
         "gram_minus": _enc_matrix(r.minus_algebra.gram),
         "dims": [list(row) for row in r.dims],
-        "shift_plus": shift_grid(r.sp, lambda m, n: m <= mp - 2),
-        "shift_minus": shift_grid(r.sm, lambda m, n: n <= mq - 2),
-        "q_plus": q_grid(r.qp),
-        "q_minus": q_grid(r.qm),
+        "shift_plus": grid(r.sp),
+        "shift_minus": grid(r.sm),
+        "q_plus": [grid(per) for per in r.qp],
+        "q_minus": [grid(per) for per in r.qm],
     }
 
 
@@ -294,24 +278,13 @@ def _dec_bigraded(obj) -> BiGradedRep:
     minus = _dec_algebra(obj, "q", "gram_minus")
     dims = [[_count(d) for d in row] for row in obj["dims"]]
 
-    def shift_grid(encoded):
-        return {
-            (m, n): _dec_matrix(cell)
-            for m, row in enumerate(encoded)
-            for n, cell in enumerate(row)
-            if cell is not None
-        }
-
-    def q_grids(encoded):
-        return [
-            {(m, n): _dec_matrix(cell) for m, row in enumerate(per) for n, cell in enumerate(row)}
-            for per in encoded
-        ]
+    def grid(encoded):  # a None cell stores no map; GradedRep checks which must be stored
+        return {(m, n): _dec_matrix(cell) for m, row in enumerate(encoded)
+                for n, cell in enumerate(row) if cell is not None}
 
     return BiGradedRep(
-        plus, minus, dims,
-        shift_grid(obj["shift_plus"]), shift_grid(obj["shift_minus"]),
-        q_grids(obj["q_plus"]), q_grids(obj["q_minus"]),
+        plus, minus, dims, grid(obj["shift_plus"]), grid(obj["shift_minus"]),
+        [grid(per) for per in obj["q_plus"]], [grid(per) for per in obj["q_minus"]],
     )
 
 
@@ -465,8 +438,6 @@ def decode(obj):
         raise SerializeError(f"unknown kind {kind!r}")
     try:
         return _DECODERS[kind](obj)
-    except SerializeError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SerializeError(f"malformed {kind} document: {exc}") from exc
 

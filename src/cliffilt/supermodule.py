@@ -315,7 +315,8 @@ class CliffordSupermodule(FilteredModule):
         of P A_i - A_i P is P[r][m] a_m - a_r P[pi(r)][pi(m)]: each
         equation has at most two terms, is written down as they are, and
         is solved with no elimination (`exactalg._two_term_null_space`).
-        Any other A_i gives one equation per entry, summed term by term.
+        Any other A_i gives one equation per entry, the rows of
+        kron(I, A_i^T) - kron(A_i, I).
         """
         if self._commutant is None:
             require("module", check_supermodule(self))
@@ -380,25 +381,14 @@ def _monomial_equations(rows) -> list[list[tuple[int, int]]]:
     return equations
 
 
-def _general_equations(rows) -> list[list[tuple[int, int]]]:
-    """The equations P A = A P for any square A = rows / d, times d: entry
-    (r, c) is the sum of P[r][k] A[k][c] over k minus the sum of A[r][k]
-    P[k][c] over k, one equation per entry."""
-    n = len(rows)
-    cols = [[] for _ in range(n)]
-    for k, row in enumerate(rows):
-        for c, x in row:
-            cols[c].append((k, x))
-    equations = []
-    for r in range(n):
-        for c in range(n):
-            eq: dict[int, int] = {}
-            for k, x in cols[c]:
-                eq[r * n + k] = eq.get(r * n + k, 0) + x
-            for k, x in rows[r]:
-                eq[k * n + c] = eq.get(k * n + c, 0) - x
-            equations.append([(u, x) for u, x in eq.items() if x])
-    return equations
+def _general_equations(rows) -> tuple:
+    """The equations P A = A P for any square A = rows / d, times d: with P
+    read row by row (P[r][k] is unknown r * n + k), P A is kron(I, A^T)
+    and A P is kron(A, I) applied to P, so the equation of entry (r, c) is
+    row r * n + c of their difference."""
+    a = Matrix._from_ints(len(rows), 1, rows)
+    i = Matrix.identity(len(rows))
+    return (kron(i, a.transpose()) - kron(a, i))._ints()[1]
 
 
 class SuperFiltration(FilteredModule):

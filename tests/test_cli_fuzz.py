@@ -139,3 +139,81 @@ def test_hostile_files_exit_cleanly(name, tmp_path):
         for argv in COMMANDS:
             code, _, err = _run(argv, HOSTILE[name].decode())
             assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# what each command reads, by document kind; every command that takes a
+# filtration takes an on-shell module (a quotient's output) in its place
+_FILTRATION = {"filtration", "onshell_module"}
+ACCEPTS = {
+    "check": _FILTRATION | {"module", "offshell_rep", "bifiltered_module", "bigraded_rep"},
+    "deform": _FILTRATION,
+    "quotient --k 1": {"offshell_rep"},
+    "roundtrip": _FILTRATION,
+    "invariants": _FILTRATION,
+    "decompose": _FILTRATION,
+    "search --target 1,1 --budget 1": _FILTRATION | {"module"},
+    "tensor --p": _FILTRATION,
+    "tensor --q": _FILTRATION,
+    "bideform": {"bifiltered_module"},
+    "biquotient": {"bigraded_rep"},
+    "verify2d": {"bigraded_rep"},
+    "export-dot": _FILTRATION,
+}
+
+
+@functools.cache
+def _kinds() -> dict[str, str]:
+    """One small document of every kind, over Cl(1), by kind."""
+    from cliffilt import graph, invariants, serialize
+    from cliffilt.bifiltration import bideform, tensor_module
+    from cliffilt.certificate import passing
+    from cliffilt.deformation import deform, quotient_at
+    from cliffilt.supermodule import degree_filtration, exterior_module
+
+    f = degree_filtration(exterior_module(1))
+    rep, bf = deform(f), tensor_module(f, f)
+    docs = [f.module, f, rep, quotient_at(rep, 0), quotient_at(rep, 1), bf, bideform(bf),
+            passing("example"), graph.to_graph(f), invariants.invariant_report(f),
+            serialize.encode_decomposition(invariants.decompose(f)),
+            serialize.encode_search_results([f])]
+    texts = {}
+    for doc in docs:
+        text = serialize.dumps(doc)
+        texts[json.loads(text)["kind"]] = text
+    assert len(texts) == len(docs)
+    return texts
+
+
+def _run_on(command, text, path):
+    """`_run` of a command of ACCEPTS on the document text; tensor reads it
+    on the named side and the Cl(1) filtration on the other."""
+    argv = command.split()
+    if argv[0] != "tensor":
+        return _run(argv, text)
+    path.write_text(text)
+    other = path.with_name("other.json")
+    other.write_text(_kinds()["filtration"])
+    sides = {"--p": other, "--q": other, argv[1]: path}
+    return _run(["tensor", "--p", str(sides["--p"]), "--q", str(sides["--q"])])
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTS))
+def test_one_gate_on_what_each_command_reads(command, tmp_path):
+    path = tmp_path / "doc.json"
+    for kind, text in _kinds().items():
+        code, out, err = _run_on(command, text, path)
+        if kind in ACCEPTS[command]:
+            assert code in (0, 1) and "expected" not in err, (kind, err)
+        else:
+            assert code == 2 and out == "", kind
+            assert err.startswith("error: expected ") and err.count("\n") == 1, (kind, err)
+
+
+@pytest.mark.parametrize("command", sorted(c for c, kinds in ACCEPTS.items() if _FILTRATION <= kinds))
+def test_onshell_module_reads_as_its_filtration(command, tmp_path):
+    # a quotient's on-shell output against the filtration it carries;
+    # search took no on-shell module before the gate was one
+    onshell = _kinds()["onshell_module"]
+    inner = json.dumps(json.loads(onshell)["filtration"])
+    runs = [_run_on(command, text, tmp_path / "doc.json") for text in (onshell, inner)]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1], runs[0][2]

@@ -12,6 +12,8 @@ from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import cliffilt
 from cliffilt import cli, exactalg, invariants, serialize, supermodule
@@ -483,6 +485,69 @@ def test_monomial_commutant_equals_the_general_equations(monkeypatch):
     for x, y in pairs:
         for eo, oe in zip(dense.gamma_eo, dense.gamma_oe):
             assert _vanishes([(1, x, eo), (-1, eo, y)]) and _vanishes([(1, y, oe), (-1, oe, x)])
+
+
+def _former_general_equations(rows):
+    """The former per-entry loop, kept as the reference: entry (r, c) of
+    P A - A P, summed term by term in a dict."""
+    n = len(rows)
+    cols = [[] for _ in range(n)]
+    for k, row in enumerate(rows):
+        for c, x in row:
+            cols[c].append((k, x))
+    equations = []
+    for r in range(n):
+        for c in range(n):
+            eq: dict[int, int] = {}
+            for k, x in cols[c]:
+                eq[r * n + k] = eq.get(r * n + k, 0) + x
+            for k, x in rows[r]:
+                eq[k * n + c] = eq.get(k * n + c, 0) - x
+            equations.append([(u, x) for u, x in eq.items() if x])
+    return equations
+
+
+@st.composite
+def _square_int_rows(draw):
+    """The rows of a square integer matrix in the kernel's integer form,
+    each row dense, sparse, zero or one diagonal entry."""
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3)
+    rows = []
+    for r in range(n):
+        kind = draw(st.sampled_from(("dense", "sparse", "zero", "diagonal")))
+        event(kind)
+        if kind == "dense":
+            cells = {c: draw(entry) for c in range(n)}
+        elif kind == "sparse":
+            cells = {draw(st.integers(0, n - 1)): draw(entry)}
+        elif kind == "diagonal":
+            cells = {r: draw(entry)}
+        else:
+            cells = {}
+        rows.append(tuple((c, x) for c, x in sorted(cells.items()) if x))
+    return rows
+
+
+@settings(max_examples=300)
+@given(_square_int_rows())
+@example([])
+@example([()])
+@example([((0, 5),)])
+@example([((0, 1),), ((1, 2),), ((2, 2),)])
+def test_kronecker_equations_match_the_former_loop(rows):
+    # the rows of kron(I, A^T) - kron(A, I) are the per-entry equations of
+    # P A = A P; a diagonal entry of A puts one unknown in both products
+    n = len(rows)
+    got, want = supermodule._general_equations(rows), _former_general_equations(rows)
+    assert len(got) == len(want) == n * n
+    assert sorted(tuple(sorted(eq)) for eq in got) == sorted(tuple(sorted(eq)) for eq in want)
+    solved = exactalg._null_space(Matrix._from_ints(n * n, 1, got))
+    assert solved == exactalg._null_space(Matrix._from_ints(n * n, 1, want))
+    a = Matrix._from_ints(n, 1, rows)
+    for row in solved.entries:
+        p = Matrix(n, n, [row[r * n:(r + 1) * n] for r in range(n)])
+        assert p * a == a * p
 
 
 def test_decompose_pieces_inherit_the_relations_verdict(monkeypatch):
