@@ -28,7 +28,8 @@ from .certificate import require
 from .clifford import _is_positive_definite
 from .exactalg import (Matrix, Subspace, _block_matrix, _combination, _insert, _primitive,
                        _reduced, _vanishes, kernel)
-from .supermodule import CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule
+from .supermodule import (CliffordSupermodule, SuperFiltration, check_filtration, check_supermodule,
+                          trivial_filtration)
 
 CERTIFIED = "indecomposable (certified)"
 EXHAUSTED = "no decomposition found (budget exhausted)"
@@ -490,11 +491,30 @@ class InvariantReport:
 def invariant_report(f: SuperFiltration) -> InvariantReport:
     """All computed invariants of one filtration, cached per object; the
     summand reports are the (gr dims, source dims) of each summand, sorted.
-    Raises TypeError, through `decompose`, unless f is a SuperFiltration."""
-    # the decomposition checks f first, so the source dimensions, kept on
-    # f and shared with an unsplit summand, see its relations verdict
-    summands = tuple(sorted(
-        (gr_dimensions(s.filtration), source_dimensions(s.filtration)) for s in decompose(f)))
+    Raises TypeError unless f is a SuperFiltration, and CheckFailed unless
+    check_filtration passes.
+
+    When f's module keeps a True `_indecomposable` (set by
+    `filtration_search`, never here), the summand reports are f's own
+    (gr, source) pair and `decompose` is not called.  The certificate
+    says End(M), the graded commutant of the module M, has no idempotent
+    but 0 and 1.  End(f) is a unital subalgebra of End(M), so an
+    idempotent of End(f) is one of End(M), and is 0 or 1.  Every split
+    `decompose` makes is along the factors of an element of End(f), and
+    its factor projections are idempotent polynomials in that element,
+    other than 0 and 1: none exists, so `decompose(f)` returns exactly
+    one summand, whose filtration is f.  Only its status, which the
+    report does not hold, could differ.
+    """
+    # f is checked first, here or by the decomposition, so the source
+    # dimensions, kept on f and shared with an unsplit summand, see its
+    # relations verdict
+    if _filtration(f).module._indecomposable:
+        require("filtration", check_filtration(f))
+        summands = ((gr_dimensions(f), source_dimensions(f)),)
+    else:
+        summands = tuple(sorted(
+            (gr_dimensions(s.filtration), source_dimensions(s.filtration)) for s in decompose(f)))
     return InvariantReport(gr_dimensions(f), source_dimensions(f), summands)
 
 
@@ -613,6 +633,24 @@ def filtration_search(
     is isomorphic to that find.  So the finds count classes of
     invariants, not isomorphism classes.  A negative budget raises
     ValueError.
+
+    Before its first comparison with a find, the search keeps on the
+    module whether its graded commutant is certified to have no
+    idempotent but 0 and 1 (`_certify_indecomposable` on the trivial
+    filtration), False for a module with both parts zero.  On a certified
+    module a candidate's summand reports are its own (gr, source) pair,
+    with no decomposition (see `invariant_report`).
+
+    A candidate's source dimensions are read off the spans the search
+    builds.  For p >= 1, span_p is F_{p-2} plus the images of F_{p-1}
+    under every generator.  With a generator g_0, F_{p-1} contains
+    F_{p-2} g_0, from which it was grown, and v g_0 g_0 = G_00 v with
+    G_00 > 0 by the relations the module passed, so F_{p-2} lies in
+    F_{p-1} g_0 and span_p is the image span of F_{p-1} alone, the one
+    `source_dimensions` reduces.  So source_p is required[p] - dim
+    span_p, and source_0 is target[0], nothing lying below level 0.
+    With no generator there are no images, and `source_dimensions`
+    computes them as for any filtration.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -638,6 +676,7 @@ def filtration_search(
         if bottom is None:
             continue
         flags = [bottom]
+        sources = [target[0]]
         ok = True
         for p in range(1, m + 1):
             span = _grown(module, p, flags[p - 1],
@@ -645,6 +684,7 @@ def filtration_search(
             if span.dim > required[p]:
                 ok = False
                 break
+            sources.append(required[p] - span.dim)
             span = _filled(span, required[p], rng)
             if span.dim != required[p]:
                 ok = False
@@ -655,6 +695,12 @@ def filtration_search(
         candidate = SuperFiltration(module, flags[0::2], flags[1::2])
         if not check_filtration(candidate):
             continue
+        if module.algebra.n:
+            candidate._sources = tuple(sources)
+        if found and module._indecomposable is None:
+            module._indecomposable = bool(module.dim_even + module.dim_odd) and (
+                _certify_indecomposable(trivial_filtration(module), module.graded_commutant())
+                == CERTIFIED)
         if any(invariant_equal(g, candidate) for g in found):
             continue
         found.append(candidate)

@@ -262,6 +262,7 @@ class CliffordSupermodule(FilteredModule):
         super().__init__((algebra,), dims, (gammas,),
                          {(p,): Subspace.full(shape[p]) for p in (0, 1)})
         self._commutant: list[tuple[Matrix, Matrix]] | None = None
+        self._indecomposable: bool | None = None  # kept by invariants.filtration_search
 
     algebra = property(lambda self: self.algebras[0])
     dim_even = property(lambda self: self.dims[(0,)])

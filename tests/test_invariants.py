@@ -1205,8 +1205,9 @@ def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
     # the scalar of ab + ba now comes from the trace form.  Every
     # certificate taken while decomposing the trivial filtrations of
     # irreducible(1..5), irreducible_cl5() and exterior(4), the degree and
-    # Hodge filtrations of exterior(4), and the pieces of one seed-7 pass of
-    # the bench's classify pool gives the former verdict
+    # Hodge filtrations of exterior(4), twelve seeded random filtrations
+    # each of irreducible_cl5() and irreducible(4), and the pieces of one
+    # seed-7 pass of the bench's classify pool gives the former verdict
     seen = []
     original = invariants._certify_indecomposable
 
@@ -1220,6 +1221,10 @@ def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
     for f in [trivial_filtration(m) for m in modules] + [degree_filtration(modules[-1]),
                                                           hodge_filtration(modules[-1])]:
         decompose(f)
+    rng = random.Random(1204)
+    for m in (irreducible_cl5(), irreducible_module(4)):
+        for _ in range(12):
+            decompose(random_filtration(m, rng))
     bench = Path(__file__).resolve().parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("cliffilt_bench_run", bench / "run.py")
@@ -1290,3 +1295,141 @@ def test_split_by_matches_former_convolution():
         f = random_filtration([exterior_module(3), irreducible_module(4)][k % 2], rng)
         for pair in filtered_endomorphisms(f):
             assert _split_by(f.module, pair) == _former_split_by(f.module, pair)
+
+
+# ---------------------------------------------------------------------------
+# The search certifies its module once and reads its candidates' sources
+# off its own spans, with the former search kept as the reference
+
+
+def _former_filtration_search(module, target, budget, seed=0):
+    """The former search: source dimensions by a fresh reduction, summand
+    reports always from `decompose`, kept per candidate while it runs."""
+    assert check_supermodule(module)
+    target = tuple(target)
+    rng = random.Random(seed)
+    m = len(target) - 1
+    required = [sum(target[p % 2:p + 1:2]) for p in range(m + 1)]
+    reports = {}
+
+    def invariants_of(f):
+        if f not in reports:
+            summands = tuple(sorted((gr_dimensions(s.filtration),
+                                     _former_source_dimensions(s.filtration))
+                                    for s in decompose(f)))
+            reports[f] = (gr_dimensions(f), _former_source_dimensions(f), summands)
+        return reports[f]
+
+    found = []
+    for _ in range(budget):
+        bottom = invariants._random_subspace(module.dim_even, target[0], rng)
+        if bottom is None:
+            continue
+        flags = [bottom]
+        ok = True
+        for p in range(1, m + 1):
+            span = _former_grown(module, p, flags[p - 1],
+                                 flags[p - 2] if p >= 2 else Subspace.zero(module.dim(p % 2)))
+            if span.dim > required[p]:
+                ok = False
+                break
+            span = invariants._filled(span, required[p], rng)
+            if span.dim != required[p]:
+                ok = False
+                break
+            flags.append(span)
+        if not ok:
+            continue
+        candidate = SuperFiltration(module, flags[0::2], flags[1::2])
+        if not check_filtration(candidate):
+            continue
+        if any(invariants_of(g) == invariants_of(candidate) for g in found):
+            continue
+        found.append(candidate)
+    return found
+
+
+def test_search_matches_the_former_search():
+    # searches at four seeds per module and target, the targets of several
+    # finds among them: the serialized finds are the former search's, and
+    # each find's sources are those of a fresh filtration built from its
+    # flags.  ext4 and the n = 0 module do not certify, the others do
+    grid = [
+        ("cl5", irreducible_cl5, [(2, 8, 6), (3, 8, 5), (0, 1, 6, 7, 2)]),
+        ("irr4", lambda: irreducible_module(4), [(2, 4, 2, 0), (1, 4, 3, 0, 0)]),
+        ("irr5", lambda: irreducible_module(5), [(2, 8, 6, 0, 0)]),
+        ("ext4", lambda: exterior_module(4), [(2, 8, 6, 0, 0), (3, 8, 5, 0, 0), (1, 4, 6, 4, 1)]),
+        ("ext3", lambda: exterior_module(3), [(2, 4, 2), (1, 4, 3, 0, 0, 0)]),
+        ("n0", lambda: CliffordSupermodule(CliffordAlgebra(0), [], [], 3, 2), [(1, 2, 2), (3, 2)]),
+    ]
+    certified, finds = {}, Counter()
+    for name, build, targets in grid:
+        for target in targets:
+            for seed in range(4):
+                module = build()
+                found = filtration_search(module, target, 20, seed=seed)
+                want = _former_filtration_search(build(), target, 20, seed=seed)
+                assert (serialize.dumps(serialize.encode_search_results(found))
+                        == serialize.dumps(serialize.encode_search_results(want))), (name, target)
+                for f in found:
+                    fresh = SuperFiltration(build(), f.even_flags, f.odd_flags)
+                    assert source_dimensions(f) == source_dimensions(fresh)
+                finds[len(found)] += 1
+                if module._indecomposable is not None:
+                    certified[name] = module._indecomposable
+    assert certified == {"cl5": True, "irr4": True, "irr5": True, "ext4": False,
+                         "ext3": True, "n0": False}
+    assert finds[2] + finds[3] >= 12
+
+
+def test_search_certifies_only_when_it_compares():
+    # no comparison with a find, no certificate: a zero budget, or one
+    # candidate alone
+    for budget in (0, 1):
+        m = irreducible_cl5()
+        assert len(filtration_search(m, (2, 8, 6), budget)) == budget
+        assert m._indecomposable is None
+    zero = CliffordSupermodule(CliffordAlgebra(1), [Matrix.zeros(0, 0)], [Matrix.zeros(0, 0)])
+    assert len(filtration_search(zero, (0, 0), 3)) == 1
+    assert zero._indecomposable is False
+
+
+def _decomposed_reports(f):
+    return tuple(sorted((gr_dimensions(s.filtration), _former_source_dimensions(s.filtration))
+                        for s in decompose(f)))
+
+
+def test_report_on_a_certified_module_is_its_own_pair(monkeypatch):
+    # a kept True gives the report decompose would build, with no
+    # decomposition; decompose itself returns f as its one summand
+    calls = []
+    original = invariants.decompose
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "decompose", counting)
+    rng = random.Random(41)
+    for m in [irreducible_module(n) for n in range(1, 6)] + [irreducible_cl5()]:
+        target = gr_dimensions(random_filtration(m, rng))
+        filtration_search(m, target, 6, seed=3)
+        assert m._indecomposable is True
+        for _ in range(8):
+            f = random_filtration(m, rng)
+            invariant_report.cache_clear()
+            calls.clear()
+            report = invariant_report(f)
+            assert not calls
+            summands = decompose(f)
+            assert len(summands) == 1 and summands[0].filtration is f
+            assert report.summand_reports == _decomposed_reports(f)
+    m = exterior_module(4)
+    filtration_search(m, (1, 4, 6, 4, 1), 6, seed=2)
+    assert m._indecomposable is False
+    f = degree_filtration(m)
+    invariant_report.cache_clear()
+    calls.clear()
+    report = invariant_report(f)
+    assert calls == [f]
+    assert report.summand_reports == _decomposed_reports(f)
