@@ -63,6 +63,7 @@ from .supermodule import (
     _nest,
     _parity,
     _points,
+    _require_backed,
     _step,
     _twice_gram,
     check_filtration,
@@ -120,6 +121,7 @@ class GradedRep:
         algebras = tuple(algebras)
         k = len(algebras)
         dims, grid = _grid(dims, k)
+        _require_backed(algebras, grid.values())
         tops = tuple(max(x[d] for x in grid) for d in range(k))
         shifts = tuple(MappingProxyType(dict(s)) for s in shifts)
         qs = tuple(tuple(MappingProxyType(dict(q)) for q in family) for family in qs)

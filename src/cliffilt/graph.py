@@ -158,11 +158,13 @@ def rebuild_filtration(graph: AdinkraGraph, heights=None) -> SuperFiltration:
 
     With no explicit heights, uses the ones stored on the graph; the
     result is not validated here, so run check_filtration on it when the
-    heights come from enumeration.
+    heights come from enumeration.  Raises ValueError unless there is one
+    height per vertex.
     """
     module = graph.module
     if heights is None:
         heights = [v.height for v in graph.vertices]
+    _require_one_per_vertex(graph, heights)
     tops = [0, 1]
     for v, h in zip(graph.vertices, heights):
         if h < 0 or h % 2 != v.parity % 2:
@@ -207,8 +209,10 @@ def source_set(graph: AdinkraGraph, heights) -> frozenset:
     edges, so h(v) = min over sources s of h(s) + d(v, s), and the
     graded source set determines the whole assignment.  Bare vertex
     sets do not (two sources at different heights can coincide as
-    vertices across distinct assignments).
+    vertices across distinct assignments).  Raises ValueError unless
+    there is one height per vertex.
     """
+    _require_one_per_vertex(graph, heights)
     lower = set(range(len(graph.vertices)))
     for e in graph.edges:
         if heights[e.source] < heights[e.target]:
@@ -216,6 +220,11 @@ def source_set(graph: AdinkraGraph, heights) -> frozenset:
         else:
             lower.discard(e.source)
     return frozenset((v, heights[v]) for v in lower)
+
+
+def _require_one_per_vertex(graph: AdinkraGraph, heights) -> None:
+    if len(heights) != len(graph.vertices):
+        raise ValueError(f"{len(heights)} heights for a graph of {len(graph.vertices)} vertices")
 
 
 def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:

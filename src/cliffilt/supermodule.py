@@ -70,6 +70,21 @@ def _nest(values: dict, tops, prefix=()):
     return tuple(_nest(values, tops, prefix + (c,)) for c in range(tops[len(prefix)] + 1))
 
 
+# The largest dimension a module or graded rep may declare for a component
+# when none of its Clifford families has a generator: no gamma matrix then
+# backs the number, so it is refused before an identity or a full flag of
+# that size is built.  Every module the package builds is far below it.
+MAX_FREE_DIM = 4096
+
+
+def _require_backed(algebras, dims) -> None:
+    """ValueError for a dimension above MAX_FREE_DIM that no generator backs."""
+    top = max(dims, default=0)
+    if top > MAX_FREE_DIM and not any(a.n for a in algebras):
+        raise ValueError(f"dimension {top} exceeds {MAX_FREE_DIM}, the limit when no "
+                         "generator acts")
+
+
 def _check_maps(maps: dict, grid: dict, targets: dict, what: str) -> None:
     """Maps sit exactly at the points of `targets`, each of the right shape."""
     if maps.keys() != targets.keys():
@@ -101,17 +116,20 @@ class FilteredModule:
     0..top_1 x ... x 0..top_k, which covers 0..1 in each direction; past
     the top of a direction the grid repeats with period two.  All three
     are read-only mappings, so a check's verdict and the deformation can
-    be kept on the module.  Subclasses fix k, translate their constructor
+    be kept on the module.  Flags of None are the full flags, F_c the whole
+    component c at each point c of 0..1, built once dims and gammas have
+    passed their checks.  Subclasses fix k, translate their constructor
     arguments and attributes, and name their `_words`.
     """
 
     _words: _CheckWords
 
-    def __init__(self, algebras, dims, gammas, flags):
+    def __init__(self, algebras, dims, gammas, flags=None):
         algebras = tuple(algebras)
         dims = MappingProxyType({c: int(dims[c]) for c in product((0, 1), repeat=len(algebras))})
         if min(dims.values()) < 0:
             raise ValueError("dimensions must be nonnegative")
+        _require_backed(algebras, dims.values())
         gammas = tuple(tuple(MappingProxyType(dict(g)) for g in family) for family in gammas)
         for d, (algebra, family) in enumerate(zip(algebras, gammas)):
             if len(family) != algebra.n:
@@ -119,6 +137,8 @@ class FilteredModule:
             targets = {c: dims[_parity(_step(c, d, 1))] for c in dims}
             for gamma in family:
                 _check_maps(gamma, dims, targets, "gamma")
+        if flags is None:
+            flags = {c: Subspace.full(n) for c, n in dims.items()}
         self._place(algebras, dims, gammas, flags)
 
     def _place(self, algebras, dims, gammas, flags):
@@ -242,9 +262,10 @@ class CliffordSupermodule(FilteredModule):
 
     gamma_eo[i] maps the even part to the odd part (shape dim_even x
     dim_odd, acting on row vectors), gamma_oe[i] maps back: read-only
-    views of `gammas`.  A dimension not given is read off the gammas, and
-    the flags take the gamma shapes, so a given one that disagrees fails
-    the gamma check before a flag that size is built.
+    views of `gammas`.  A dimension not given is read off the gammas; a
+    given one that disagrees fails the gamma check, and one above
+    `MAX_FREE_DIM` with no generator the dimension check, both before a
+    flag that size is built.
     """
 
     _words = _SUPER_WORDS
@@ -259,8 +280,7 @@ class CliffordSupermodule(FilteredModule):
         dims = {(0,): shape[0] if dim_even is None else dim_even,
                 (1,): shape[1] if dim_odd is None else dim_odd}
         gammas = tuple({(0,): eo, (1,): oe} for eo, oe in zip(gamma_eo, gamma_oe))
-        super().__init__((algebra,), dims, (gammas,),
-                         {(p,): Subspace.full(shape[p]) for p in (0, 1)})
+        super().__init__((algebra,), dims, (gammas,))
         self._commutant: list[tuple[Matrix, Matrix]] | None = None
         self._indecomposable: bool | None = None  # kept by invariants.filtration_search
 

@@ -33,6 +33,7 @@ from cliffilt.supermodule import (
     irreducible_module,
     trivial_filtration,
 )
+from oracle import bumped
 
 
 def test_twisted_tensor_cl2_cl3_closes_cl5():
@@ -434,9 +435,7 @@ def test_verify_2d_mutation_rejected():
 
 
 def _bump(m, rng):
-    rows = [list(row) for row in m.entries]
-    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice([1, -1, 2])
-    return Matrix(m.rows, m.cols, rows)
+    return bumped(m, rng.randrange(m.rows), rng.randrange(m.cols), rng.choice([1, -1, 2]))
 
 
 def test_one_dim_pipeline_is_the_first_column_of_two_dim():

@@ -12,6 +12,8 @@ import functools
 import io
 import json
 import sys
+import time
+import tracemalloc
 import traceback
 
 import pytest
@@ -217,3 +219,31 @@ def test_onshell_module_reads_as_its_filtration(command, tmp_path):
     inner = json.dumps(json.loads(onshell)["filtration"])
     runs = [_run_on(command, text, tmp_path / "doc.json") for text in (onshell, inner)]
     assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1], runs[0][2]
+
+
+@pytest.mark.parametrize("kind", ["module", "filtration", "offshell_rep", "bifiltered_module",
+                                  "bigraded_rep"])
+def test_a_dimension_no_generator_backs_is_capped(kind):
+    # a document over Cl(0), one component one past the cap: refused while
+    # decoding, before an identity or a flag that size is built
+    from cliffilt import serialize
+    from cliffilt.bifiltration import bideform, tensor_module
+    from cliffilt.deformation import deform
+    from cliffilt.supermodule import MAX_FREE_DIM, degree_filtration, exterior_module
+
+    f = degree_filtration(exterior_module(0))
+    built = {"module": f.module, "filtration": f, "offshell_rep": deform(f),
+             "bifiltered_module": tensor_module(f, f), "bigraded_rep": bideform(tensor_module(f, f))}
+    doc = serialize.encode(built[kind])
+    if kind in ("module", "filtration"):
+        doc["dim_even"] = MAX_FREE_DIM + 1
+    else:
+        doc["dims"][0] = MAX_FREE_DIM + 1 if kind == "offshell_rep" else [MAX_FREE_DIM + 1, 0]
+    tracemalloc.start()
+    start = time.monotonic()
+    code, out, err = _run(["check"], json.dumps(doc))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.monotonic() - start < 1 and peak < 2**20
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: malformed {kind} document: dimension 4097 exceeds 4096")

@@ -45,6 +45,7 @@ from cliffilt.supermodule import (
     irreducible_module,
     trivial_filtration,
 )
+from oracle import grid, product, rebased
 
 
 def test_deform_shapes_and_relations():
@@ -378,46 +379,6 @@ def test_roundtrip_is_kept_on_the_filtration(monkeypatch):
     assert calls == []
 
 
-def _coordinate_maps(v):
-    """The shift and Q maps of v's deformation built as before pivot
-    reading: `Subspace.coordinate_matrix`, which tests each containment."""
-    shifts = [{} for _ in v.tops]
-    qs = [[{} for _ in family] for family in v.gammas]
-    for x, flag in v.flags.items():
-        for d, top in enumerate(v.tops):
-            if x[d] <= top - 2:
-                shifts[d][x] = v.flags[_step(x, d, 2)].coordinate_matrix(flag.basis)
-            target = v.flags[_fold(_step(x, d, 1), v.tops)]
-            for i, gamma in enumerate(v.gammas[d]):
-                qs[d][i][x] = target.coordinate_matrix(flag.basis * gamma[_parity(x)])
-    return shifts, qs
-
-
-def _invertible(n: int, rng) -> tuple[Matrix, Matrix]:
-    """A seeded invertible rational matrix and its inverse."""
-    while True:
-        m = Matrix(n, n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-                          for _ in range(n)])
-        if m.rank() == n:
-            break
-    aug = Matrix(n, 2 * n, [list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(m.entries)])
-    return m, Matrix(n, n, [row[n:] for row in Subspace.row_space(aug).basis.entries])
-
-
-def _moved(f, rng):
-    """f carried by seeded rational changes of basis P_c: gammas
-    P_c^-1 g P_{1-c} and flags F P_c, whose echelon bases leave the
-    integers."""
-    m = f.module
-    (p, p_inv), (q, q_inv) = _invertible(m.dim_even, rng), _invertible(m.dim_odd, rng)
-    module = CliffordSupermodule(m.algebra, [p_inv * g * q for g in m.gamma_eo],
-                                 [q_inv * g * p for g in m.gamma_oe],
-                                 dim_even=m.dim_even, dim_odd=m.dim_odd)
-    flags = [f.level(k).image((p, q)[k % 2]) for k in range(f.top_degree + 1)]
-    return SuperFiltration(module, flags[0::2], flags[1::2])
-
-
 def _seeded_modules():
     """160 k = 1 filtrations (exterior and irreducible modules up to Cl(5))
     and 60 k = 2 tensor modules, some with a Cl(0) factor; every other
@@ -426,7 +387,7 @@ def _seeded_modules():
 
     def drawn(module, k):
         f = random_filtration(module, rng)
-        return _moved(f, rng) if k % 2 else f
+        return rebased(f, rng) if k % 2 else f
 
     modules = [exterior_module(n) for n in range(1, 5)]
     modules += [irreducible_module(n) for n in range(1, 6)]
@@ -441,10 +402,18 @@ def _seeded_modules():
 def test_deform_reads_the_coordinate_maps_off_pivot_columns():
     kinds, fractional = [], 0
     for v in _seeded_modules():
+        # each map is the coordinates of the images of F_x's basis rows in
+        # the basis of the target flag: map times that basis is the images
         r = deform(v) if len(v.tops) == 1 else bideform(v)
-        shifts, qs = _coordinate_maps(v)
-        assert [dict(s) for s in r.shifts] == shifts
-        assert [[dict(q) for q in family] for family in r.qs] == qs
+        for d, (shifts, family) in enumerate(zip(r.shifts, r.qs)):
+            for x, m in shifts.items():
+                y = v.flags[_step(x, d, 2)].basis
+                assert product(grid(m), grid(y), y.cols) == grid(v.flags[x].basis)
+            for q, gamma in zip(family, v.gammas[d]):
+                for x, m in q.items():
+                    y, flag = v.flags[_fold(_step(x, d, 1), v.tops)].basis, grid(v.flags[x].basis)
+                    assert product(grid(m), grid(y), y.cols) == product(
+                        flag, grid(gamma[_parity(x)]), y.cols)
         kinds.append((len(v.tops), min(a.n for a in v.algebras)))
         fractional += any(flag.basis._ints()[0] != 1 for flag in v.flags.values())
     assert len(kinds) == 220 and {(1, 5), (2, 0), (2, 2)} <= set(kinds) and fractional >= 50

@@ -1,0 +1,162 @@
+"""The package against `oracle`, input by input (differential testing).
+
+Inputs: the README examples; seeded inputs of the kinds the bench pools
+run (random filtrations of exterior_module(0..5), irreducible_module(1..5)
+and direct sums, tensor modules with p + q <= 4, seeded searches); and a
+seeded single-entry mutant of a gamma and of a flag of each.  The package
+gives the oracle's verdict, with the first broken condition as witness,
+and its products, spans, End, minimal polynomials, graphs, reports and
+kept source dimensions are the oracle's.
+"""
+
+import ast
+import random
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+import oracle
+from cliffilt import cli, deformation
+from cliffilt.bifiltration import bideform, canonical_biroundtrip_iso, check_bifiltered_module
+from cliffilt.bifiltration import tensor_module
+from cliffilt.deformation import canonical_roundtrip_iso, deform
+from cliffilt.exactalg import Subspace
+from cliffilt.graph import to_graph
+from cliffilt.invariants import (_minimal_polynomial, decompose, filtered_endomorphisms,
+                                 filtration_search, invariant_report, random_filtration)
+from cliffilt.supermodule import (CliffordSupermodule, FilteredModule, SuperFiltration,
+                                  check_filtration, check_supermodule, direct_sum,
+                                  direct_sum_filtration, exterior_module, irreducible_module,
+                                  trivial_filtration)
+from oracle import bumped, first, flat, grid, text
+
+
+@lru_cache(maxsize=None)
+def _inputs():
+    rng = random.Random(31)
+    modules = [exterior_module(n) for n in range(6)] + [irreducible_module(n) for n in range(1, 6)]
+    return ([build() for build in cli._EXAMPLES.values()]
+            + [random_filtration(m, rng) for m in modules]
+            + [direct_sum_filtration(random_filtration(m, rng), random_filtration(m, rng))
+               for m in (exterior_module(1), exterior_module(2), irreducible_module(2))]
+            + [tensor_module(random_filtration(exterior_module(p), rng),
+                             random_filtration(exterior_module(q), rng))
+               for p, q in ((0, 2), (1, 1), (2, 1), (1, 3), (2, 2))])
+
+
+def _agree(v):
+    """The check, and on a pass the deformation's relations and the roundtrip."""
+    module = isinstance(v, CliffordSupermodule)
+    check = (check_supermodule if module else
+             check_filtration if len(v.tops) == 1 else check_bifiltered_module)(v)
+    assert text(check) == text(first(oracle.module_failures(v),
+                                     v._words.relations if module else v._words.flags))
+    if check and not module:
+        r = deform(v) if len(v.tops) == 1 else bideform(v)
+        assert text(deformation._verify(r)) == text(first(oracle.rep_failures(r), r._words.relations))
+        iso = (canonical_roundtrip_iso if len(v.tops) == 1 else canonical_biroundtrip_iso)(v)
+        assert iso.certificate and not list(oracle.roundtrip_failures(v, r))
+
+
+def _mutant(v, gammas, flags):
+    out = type(v).__new__(type(v))
+    FilteredModule.__init__(out, v.algebras, v.dims, gammas, flags)
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(_inputs())))
+def test_checks_and_deformations_agree(index):
+    v, rng = _inputs()[index], random.Random(index)
+    _agree(v)
+    gammas = [[dict(g) for g in family] for family in v.gammas]
+    held = [(g, c) for family in gammas for g in family for c, m in g.items() if m.rows and m.cols]
+    if held:
+        g, c = rng.choice(held)
+        g[c] = bumped(g[c], rng.randrange(g[c].rows), rng.randrange(g[c].cols), 1)
+        _agree(_mutant(v, gammas, v.flags))
+    flags = dict(v.flags)
+    x = rng.choice([x for x, flag in flags.items() if flag.dim])
+    flags[x] = Subspace.row_space(bumped(flags[x].basis, rng.randrange(flags[x].dim),
+                                         rng.randrange(flags[x].ambient), 1))
+    _agree(_mutant(v, v.gammas, flags))
+
+
+def _report_agrees(f):
+    """invariant_report against dimensions read off the levels and the
+    reports of summands that re-sum to f."""
+    summands = decompose(f)
+    assert oracle.resums(f, summands)
+    report = invariant_report(f)
+    assert (report.gr_dims, report.source_dims, report.summand_reports) == (
+        oracle.gr_dimensions(f), oracle.source_dimensions(f), oracle.summand_reports(summands))
+
+
+@pytest.mark.parametrize("index", range(len(_inputs())))
+def test_products_spans_and_invariants_agree(index):
+    v = _inputs()[index]
+    for (x, flag), family in [(item, family) for item in v.flags.items() for family in v.gammas]:
+        for m in (g[oracle.parity(x)] for g in family):
+            want = oracle.product(grid(flag.basis), grid(m), m.cols)
+            assert (flag.basis * m).entries == tuple(map(tuple, want))
+            space, (rows, pivots) = Subspace.row_space(flag.basis * m), oracle.rref(want, m.cols)
+            assert space.basis.entries == tuple(map(tuple, rows)) and space.pivots == pivots
+    if isinstance(v, SuperFiltration):
+        try:
+            assert oracle.graph(v) == oracle.graph_key(to_graph(v))
+        except ValueError as exc:
+            assert str(exc) == oracle.graph(v)[0]
+    if isinstance(v, SuperFiltration) and sum(v.dims.values()) <= 16:
+        endos = filtered_endomorphisms(v)
+        assert oracle.span_equal([flat(p) for p in endos], oracle.endomorphisms(v),
+                                 v.dims[(0,)] ** 2 + v.dims[(1,)] ** 2)
+        for pair in endos:
+            assert _minimal_polynomial(v.module, pair) == oracle.minimal_polynomial(pair)
+        _report_agrees(v)
+
+
+@pytest.mark.parametrize("module, target", [
+    (lambda: irreducible_module(5), (2, 8, 6)),
+    (lambda: exterior_module(3), (2, 4, 2)),
+    (lambda: direct_sum(irreducible_module(2), irreducible_module(2)), (1, 4, 3)),
+])
+def test_search_finds_agree(module, target):
+    # each find meets the target and keeps the oracle's source dimensions;
+    # the certificate then kept on the module leaves reports as the oracle's
+    m = module()
+    found = filtration_search(m, target, 8, seed=7)
+    assert found and all(oracle.gr_dimensions(f) == target
+                         and f._sources == oracle.source_dimensions(f) for f in found)
+    for f in found + [trivial_filtration(m), random_filtration(m, random.Random(7))]:
+        assert not list(oracle.module_failures(f))
+        _report_agrees(f)
+
+
+def test_no_test_file_keeps_a_copy_of_former_code():
+    # a shortcut's reference is the oracle, not a copy of what it replaced
+    for path in Path(__file__).parent.glob("*.py"):
+        if path.name != "oracle.py":
+            names = [node.name for node in ast.parse(path.read_text()).body
+                     if isinstance(node, ast.FunctionDef)]
+            assert not [n for n in names if n.startswith(
+                ("_former_", "_naive_", "_reference_", "_dense_"))], path.name
+
+
+def test_roundtrip_of_another_rep_fails_where_the_oracle_does():
+    # f against the deformation of a g on its module and grid: another
+    # filtration, or f's flags on the negated gammas
+    rng, failures = random.Random(41), set()
+    for m in (exterior_module(3), irreducible_module(3)):
+        negated = CliffordSupermodule(m.algebra, [-x for x in m.gamma_eo], [-x for x in m.gamma_oe])
+        pool = [random_filtration(m, rng) for _ in range(12)]
+        for f, g in [(f, g) for f in pool for g in pool if g.tops == f.tops and g is not f] + [
+                (f, SuperFiltration(negated, f.even_flags, f.odd_flags)) for f in pool]:
+            source = SuperFiltration(m, f.even_flags, f.odd_flags)
+            want = list(oracle.roundtrip_failures(source, deform(g)))
+            try:
+                deformation._roundtrip(source, deform(g), deformation.OffShellRep._words)
+                assert not want
+            except RuntimeError as exc:
+                assert want and str(want[0].witness) in str(exc)
+                failures.add(want[0].witness["kind"])
+    assert failures == {"flag", "intertwine"}

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from cliffilt import exactalg
 from cliffilt.exactalg import Matrix, Subspace, _null_space, _vanishes, kernel, rational, rref
+from oracle import grid
 
 
 def test_rational_normalization():
@@ -153,36 +155,6 @@ def test_zero_row_matrices_keep_shape():
     assert Subspace.span(3, []).dim == 0
 
 
-def _dense_rref(m: Matrix) -> tuple[list, tuple]:
-    """Reference dense Gauss-Jordan elimination: every cell of every row
-    for every pivot, the kernel's former algorithm."""
-    work = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c] ** -1
-        if inv != 1:
-            work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [x - f * y for x, y in zip(work[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], tuple(pivots)
-
-
 BIG_PRIMES = (999983, 999979, 999961, 999959, 999953, 999931)
 
 
@@ -260,36 +232,21 @@ def test_rref_matches_dense_oracle():
     assert len(ORACLE) >= 300
     for m in ORACLE:
         reduced, pivots = rref(m)
-        rows, want_pivots = _dense_rref(m)
+        rows, want_pivots = oracle.rref(grid(m), m.cols)
         assert pivots == want_pivots
         assert reduced.rows == len(rows) and reduced.cols == m.cols
-        assert reduced.entries == tuple(rows)
+        assert reduced.entries == tuple(map(tuple, rows))
         assert all(type(x) is Fraction for row in reduced.entries for x in row)
 
 
 def test_kernel_on_oracle_matrices():
     for m in ORACLE:
-        rows, _ = _dense_rref(m)
         k = kernel(m)
-        assert k.rows == m.rows - len(rows) and k.cols == m.rows
+        assert k.rows == m.rows - oracle.rank(grid(m), m.cols) and k.cols == m.rows
         for row in k.entries:
             assert (Matrix(1, m.rows, [list(row)]) * m).is_zero()
         # the same solutions, from the equations as rows
         assert _null_space(m.transpose()) == k
-
-
-def _dense_null_space(e: Matrix) -> tuple:
-    """The reduced row-echelon basis of {v : e * v^T = 0} from `_dense_rref`:
-    one solution per free column, reduced again."""
-    rows, pivots = _dense_rref(e)
-    solutions = []
-    for free in (f for f in range(e.cols) if f not in pivots):
-        v = [Fraction(0)] * e.cols
-        v[free] = Fraction(1)
-        for p, row in zip(pivots, rows):
-            v[p] = -row[free]
-        solutions.append(v)
-    return tuple(_dense_rref(Matrix.from_rows(solutions, cols=e.cols))[0])
 
 
 def _two_term_system(rng, unknowns: int) -> Matrix:
@@ -343,7 +300,7 @@ def test_two_term_null_space_matches_dense_oracle(monkeypatch):
     for e in systems:
         basis = _null_space(e)
         assert basis.cols == e.cols
-        assert basis.entries == _dense_null_space(e)
+        assert basis.entries == tuple(map(tuple, oracle.null_space(grid(e), e.cols)))
         dims.append(basis.rows)
     assert calls == []
     assert dims[:6] == [2, 1, 0, 0, 3, 0]
@@ -397,13 +354,6 @@ def _random_matrix(rng, rows, cols, max_den):
          for _ in range(cols)] for _ in range(rows)])
 
 
-def _naive_product(a: Matrix, b: Matrix) -> tuple:
-    return tuple(
-        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
-              for j in range(b.cols))
-        for i in range(a.rows))
-
-
 def test_product_matches_naive_oracle():
     rng = random.Random(41)
     for _ in range(300):
@@ -412,22 +362,7 @@ def test_product_matches_naive_oracle():
         b = _random_matrix(rng, inner, cols, rng.choice((1, 9, 10**6)))
         got = a * b
         assert (got.rows, got.cols) == (rows, cols)
-        assert got.entries == _naive_product(a, b)
-
-
-def _accumulated_product(a: Matrix, b: Matrix) -> Matrix:
-    """The former product loop, kept as the reference: each row summed in
-    a dense accumulator over the columns, whatever the factors."""
-    da, arows = a._ints()
-    db, brows = b._ints()
-    out = []
-    for arow in arows:
-        acc = [0] * b.cols
-        for k, x in arow:
-            for j, y in brows[k]:
-                acc[j] += x * y
-        out.append([(j, c) for j, c in enumerate(acc) if c])
-    return Matrix._from_ints(b.cols, da * db, out)
+        assert got.entries == tuple(map(tuple, oracle.product(grid(a), grid(b), cols)))
 
 
 _ENTRY = st.one_of(st.sampled_from((1, -1)),
@@ -467,10 +402,7 @@ def test_relabel_product_matches_the_accumulator(data):
     dense_rows = sum(len(row) > 1 for row in a._ints()[1])
     event("accumulate" if dense_rows and not exactalg._injective(b._ints()[1])
           else "relabel with dense left rows" if dense_rows else "relabel")
-    got, want = a * b, _accumulated_product(a, b)
-    assert (got.rows, got.cols) == (rows, cols)
-    assert got == want and hash(got) == hash(want)
-    assert got._ints()[0] == want._ints()[0] and got.entries == want.entries
+    _same(a * b, _product(a, b))
 
 
 def test_which_right_factors_relabel():
@@ -482,34 +414,17 @@ def test_which_right_factors_relabel():
                          (Matrix.zeros(3, 2), True), (repeated, False), (dense, False)):
         assert exactalg._injective(b._ints()[1]) == injective
         for a in (dense, gamma, Matrix.identity(3), Matrix(2, 3, [[1, 0, 0], [1, 1, 1]])):
-            assert a * b == _accumulated_product(a, b)
+            _same(a * b, _product(a, b))
 
 
-def _former_plus(a: Matrix, b: Matrix, sign: int) -> Matrix:
-    """The former sum loop, kept as the reference: a + sign * b, each row
-    of a copied into a dict and the row of b added to it."""
-    da, arows = a._ints()
-    db, brows = b._ints()
-    d = lcm(da, db)
-    fa, fb = d // da, sign * (d // db)
-    out = []
-    for arow, brow in zip(arows, brows):
-        acc = {j: x * fa for j, x in arow}
-        for j, y in brow:
-            acc[j] = acc.get(j, 0) + y * fb
-        out.append([(j, x) for j, x in acc.items() if x])
-    return Matrix._from_ints(a.cols, d, out)
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, b.cols, oracle.product(grid(a), grid(b), b.cols))
 
 
-def _former_stack(a: Matrix, b: Matrix) -> Matrix:
-    """The former stack loop, kept as the reference: both integer forms
-    over the lcm of their denominators, the rows of a above those of b."""
-    da, arows = a._ints()
-    db, brows = b._ints()
-    d = lcm(da, db)
-    rows = [[(j, x * f) for j, x in row] if f != 1 else row
-            for part, f in ((arows, d // da), (brows, d // db)) for row in part]
-    return Matrix._built(a.rows + b.rows, a.cols, (d, tuple(rows)))
+def _sum(terms, shape: Matrix) -> Matrix:
+    """The sum of c * m over the terms (c, m), entry by entry."""
+    return Matrix(shape.rows, shape.cols, oracle.combination(
+        [(c, grid(m)) for c, m in terms], shape.rows, shape.cols))
 
 
 def _same(got: Matrix, want: Matrix) -> None:
@@ -524,15 +439,15 @@ def test_combination_and_stack_match_the_former_loops(data):
     rows, more, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
     a, b = data.draw(_factor(rows, cols)), data.draw(_factor(rows, cols))
     below = data.draw(_factor(more, cols))
-    _same(a + b, _former_plus(a, b, 1))
-    _same(a - b, _former_plus(a, b, -1))
-    _same(a.stack(below), _former_stack(a, below))
-    _same(below.stack(a), _former_stack(below, a))
+    _same(a + b, _sum([(1, a), (1, b)], a))
+    _same(a - b, _sum([(1, a), (-1, b)], a))
+    _same(a.stack(below), Matrix(rows + more, cols, grid(a) + grid(below)))
+    _same(below.stack(a), Matrix(rows + more, cols, grid(below) + grid(a)))
     # integer weights over a rational d, with a term and its negative
     cs = [data.draw(st.integers(-3, 3)) for _ in range(3)]
     d = data.draw(st.integers(1, 6))
     terms = [(cs[0], a), (cs[1], b), (cs[2], a), (-cs[2], a)]
-    want = _former_plus(a.scale(Fraction(cs[0], d)), b.scale(Fraction(cs[1], d)), 1)
+    want = _sum([(Fraction(cs[0], d), a), (Fraction(cs[1], d), b)], a)
     event("cancels to zero" if want.is_zero() else "nonzero")
     _same(exactalg._combination(terms, d), want)
     _same(exactalg._combination([(1, a), (-1, a)]), Matrix.zeros(rows, cols))
@@ -786,49 +701,23 @@ def test_equal_matrices_hash_equal():
             assert a != a.scale(2) and a != a.transpose().transpose().scale(-1)
 
 
-def _former_reduce(space: Subspace, v) -> tuple | None:
-    """The former dense membership test, kept as the reference: the
-    coordinates of v in the basis rows, or None when v lies outside."""
-    v = exactalg._freeze_row(v)
-    if len(v) != space.ambient:
-        raise ValueError("vector length does not match ambient dimension")
-    e = lcm(*{x.denominator for x in v})
-    w = [x.numerator * (e // x.denominator) for x in v]
-    d, rows = space.basis._ints()
-    rest = [x * d for x in w]
-    for row, p in zip(rows, space.pivots):
-        for j, b in row:
-            rest[j] -= w[p] * b
-    return None if any(rest) else tuple(v[p] for p in space.pivots)
-
-
-def _former_apply(m: Matrix, v) -> tuple:
-    """The former dense vector-times-matrix loop over Fraction entries."""
-    v = exactalg._freeze_row(v)
-    acc = [Fraction(0)] * m.cols
-    for a, row in zip(v, m.entries):
-        for j, b in enumerate(row):
-            acc[j] += a * b
-    return tuple(acc)
-
-
 def test_membership_and_apply_match_former_dense_loops():
     rng = random.Random(59)
     outside = 0
     for m in ORACLE:
         space = Subspace.row_space(m)
         combo = [Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(m.rows)]
-        inside = _former_apply(m, combo)
+        inside = oracle.product([combo], grid(m), m.cols)[0]
         stray = [Fraction(rng.randint(-5, 5), rng.randint(1, 10**6)) for _ in range(m.cols)]
         for v in (inside, stray, [0] * m.cols):
-            want = _former_reduce(space, v)
+            want = oracle.solve(grid(space.basis), v)
             assert space.contains(v) == (want is not None)
             if want is None:
                 outside += 1
                 with pytest.raises(ValueError, match="vector is not in the subspace"):
                     space.coordinates(v)
             else:
-                assert space.coordinates(v) == want
+                assert space.coordinates(v) == tuple(want)
     assert outside >= 100
     space = Subspace.span(3, [[1, 0, 2]])
     for call in (space.contains, space.coordinates):

@@ -1,60 +1,30 @@
 """The flag steps of the module check, decided as a full scan decides them.
 
-`_full_flag_scan` is the flag check that tests every nesting and every
-compatibility, whatever the flags: nesting along each direction, full
-flags at the 2^k corners, then g F_x <= F_{x + e_d} for every point,
-direction and generator, the first failure the witness.  Verdicts on
-flag mutants of valid modules, at k = 1 and k = 2, are compared with it
-as JSON text, so a witness must match key for key and in order; a few
-named mutants also pin their witness text.
+`oracle.flag_failures` tests every nesting and every compatibility,
+whatever the flags: nesting along each direction, full flags at the 2^k
+corners, then g F_x <= F_{x + e_d} for every point, direction and
+generator, the first failure the witness.  Verdicts on flag mutants of
+valid modules, at k = 1 and k = 2, are compared with it as JSON text, so
+a witness must match key for key and in order; a few named mutants also
+pin their witness text.
 """
-
-import json
 
 import pytest
 
 from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
-from cliffilt.certificate import failing, passing
 from cliffilt.exactalg import Subspace
 from cliffilt.supermodule import (
     SuperFiltration,
-    _corner,
-    _fold,
-    _parity,
-    _step,
     check_filtration,
     degree_filtration,
     exterior_module,
     hodge_filtration,
 )
-
-
-def _full_flag_scan(v):
-    w = v._words
-    for x in sorted(v.flags, key=_parity):
-        for d, top in enumerate(v.tops):
-            if x[d] <= top - 2 and not v.flags[_step(x, d, 2)].contains_subspace(v.flags[x]):
-                return failing(w.flags, **w.nesting(d, x))
-    for c in sorted({_parity(x) for x in v.flags}):
-        corner = _corner(c, v.tops)
-        if v.flags[corner].dim != v.dims[c]:
-            return failing(w.flags, **w.exhaustive(c, corner))
-    for x, flag in v.flags.items():
-        for d, family in enumerate(v.gammas):
-            target = v.flags[_fold(_step(x, d, 1), v.tops)]
-            for i, gamma in enumerate(family):
-                image = flag.basis * gamma[_parity(x)]
-                if not all(target.contains(row) for row in image.entries):
-                    return failing(w.flags, **w.compatibility(d, i, x))
-    return passing(w.flags)
+from oracle import first, flag_failures, text
 
 
 def _check(v):
     return (check_filtration if len(v.tops) == 1 else check_bifiltered_module)(v)
-
-
-def _text(cert):
-    return json.dumps(cert.to_json_obj())
 
 
 def _with_flag(v, x, flag):
@@ -107,7 +77,7 @@ def test_flag_mutants_match_the_full_scan(base):
     seen = set()
     for mutant in _mutants(v):
         cert = _check(mutant)
-        assert _text(cert) == _text(_full_flag_scan(mutant))
+        assert text(cert) == text(first(flag_failures(mutant), mutant._words.flags))
         if not cert:
             seen.add(cert.witness["kind"].removesuffix("_plus").removesuffix("_minus"))
     assert seen == _KINDS[base]
@@ -148,4 +118,4 @@ def test_flag_mutant_witness(name):
     cert = _check(mutant)
     assert not cert
     assert list(cert.witness.items()) == list(items)
-    assert _text(cert) == _text(_full_flag_scan(mutant))
+    assert text(cert) == text(first(flag_failures(mutant), mutant._words.flags))

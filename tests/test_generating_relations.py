@@ -1,23 +1,18 @@
 """The relations of a graded rep, decided as a full scan would decide them.
 
-`_full_scan` is the scan that `_relations` ran before it learned to check
-a generating set: every relation at every grid point, the first failure
-the witness.  Every verdict below is compared with it as JSON text, so a
-witness must match key for key and in order.
+`oracle.rep_failures` states every relation at every grid point, the
+first failure the witness.  Every verdict below is compared with it as
+JSON text, so a witness must match key for key and in order.
 """
 
-import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import pytest
 
 from cliffilt import deformation, exactalg
 from cliffilt.bifiltration import bideform, biquotient, canonical_biroundtrip_iso, tensor_module
-from cliffilt.certificate import failing, passing
-from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import (
     GradedRep,
     canonical_roundtrip_iso,
@@ -25,72 +20,21 @@ from cliffilt.deformation import (
     quotient_at,
     verify_offshell,
 )
-from cliffilt.exactalg import Matrix, Subspace, _vanishes
+from cliffilt.exactalg import Matrix, _vanishes
 from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
-    CliffordSupermodule,
     _fold,
-    _points,
     _step,
-    _twice_gram,
     degree_filtration,
     exterior_module,
     irreducible_cl5,
     irreducible_module,
 )
+from oracle import bumped, first, invertible, mixed, rep_failures, text
 
 
-def _full_scan(r):
-    """Shift injectivity; then, point by point, shift commutation, each
-    family's anticommutators, the mixed brackets and the shift-Q
-    commutators, all of them at every grid point."""
-    w, tops = r._words, r.tops
-    for d, shifts in enumerate(r.shifts):
-        for x, mat in shifts.items():
-            if mat.rank() != mat.rows:
-                return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
-    box = list(_points(tuple(t + 2 for t in tops)))
-    shift = [{x: r.shift(d, x) for x in box} for d in range(len(tops))]
-    q = [[{x: r.q(d, i, x) for x in box} for i in range(len(family))]
-         for d, family in enumerate(r.qs)]
-    twice = [_twice_gram(algebra) for algebra in r.algebras]
-    pairs = list(combinations(range(len(tops)), 2))
-    for x in _points(tops):
-        at = dict(zip(w.point, x))
-        for d, e in pairs:
-            if not _vanishes([(1, shift[d][x], shift[e][_step(x, d, 2)]),
-                              (-1, shift[e][x], shift[d][_step(x, e, 2)])]):
-                return failing(w.relations, kind="shifts_commute", **at)
-        for d, family in enumerate(q):
-            up, s = _step(x, d, 1), shift[d][x]
-            for i, qi in enumerate(family):
-                for j in range(i, len(family)):
-                    if i == j:
-                        terms = [(2, qi[x], qi[up])]
-                    else:
-                        qj = family[j]
-                        terms = [(1, qi[x], qj[up]), (1, qj[x], qi[up])]
-                    if not _vanishes(terms, s, twice[d][i][j]):
-                        return failing(w.relations, kind=w.anticommutator[d], i=i, j=j, **at)
-        for d, e in pairs:
-            up_d, up_e = _step(x, d, 1), _step(x, e, 1)
-            for i, qi in enumerate(q[d]):
-                for j, qj in enumerate(q[e]):
-                    if not _vanishes([(1, qi[x], qj[up_d]), (1, qj[x], qi[up_e])]):
-                        return failing(w.relations, kind="mixed_bracket",
-                                       **{w.generator[d]: i, w.generator[e]: j}, **at)
-        for d, family in enumerate(q):
-            up = _step(x, d, 1)
-            for i, qi in enumerate(family):
-                for e, se in enumerate(shift):
-                    if not _vanishes([(1, se[x], qi[_step(x, e, 2)]), (-1, qi[x], se[up])]):
-                        return failing(w.relations, kind=w.shift_q[d][e],
-                                       **{w.generator[d]: i}, **at)
-    return passing(w.relations)
-
-
-def _text(cert) -> str:
-    return json.dumps(cert.to_json_obj())
+def _oracle(r):
+    return first(rep_failures(r), r._words.relations)
 
 
 def _rebuilt(r, shifts, qs):
@@ -104,24 +48,12 @@ def _maps(r):
     return [dict(s) for s in r.shifts], [[dict(q) for q in family] for family in r.qs]
 
 
-def _invertible(n: int, rng) -> tuple[Matrix, Matrix]:
-    """A seeded invertible rational matrix and its inverse."""
-    while True:
-        m = Matrix(n, n, [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
-                          for _ in range(n)])
-        if m.rank() == n:
-            break
-    aug = Matrix(n, 2 * n, [list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(m.entries)])
-    return m, Matrix(n, n, [row[n:] for row in Subspace.row_space(aug).basis.entries])
-
-
 def _changed_basis(r, rng):
     """r carried by a seeded rational change of basis P_x of each grid
     component: each map from x to y becomes P_x M P_y^-1.  The identity
     shifts above the grid stay the identity, so the rep is isomorphic to r
     and satisfies the same relations."""
-    change = {x: _invertible(dim, rng) for x, dim in r._grid.items()}
+    change = {x: invertible(dim, rng, 2, 3) for x, dim in r._grid.items()}
     shifts, qs = _maps(r)
     for d, held in enumerate(shifts):
         for x, mat in held.items():
@@ -133,12 +65,6 @@ def _changed_basis(r, rng):
     return _rebuilt(r, shifts, qs)
 
 
-def _bumped(m: Matrix, r: int, c: int, by) -> Matrix:
-    rows = [list(row) for row in m.entries]
-    rows[r][c] += by
-    return Matrix(m.rows, m.cols, rows)
-
-
 def _mutants(r, rng):
     """One seeded single-entry mutant of every stored shift and Q map at
     every grid point that holds a nonempty map."""
@@ -148,25 +74,10 @@ def _mutants(r, rng):
             if not mat.rows or not mat.cols:
                 continue
             by = rng.choice((1, -1, Fraction(1, 2), Fraction(-3, 2)))
-            table[x] = _bumped(mat, rng.randrange(mat.rows), rng.randrange(mat.cols), by)
+            table[x] = bumped(mat, rng.randrange(mat.rows), rng.randrange(mat.cols), by)
             yield _rebuilt(r, [dict(s) for s in shifts],
                            [[dict(q) for q in family] for family in qs])
             table[x] = mat
-
-
-def _mixed(m, a):
-    """m, whose Gram matrix is the identity, on the generators
-    g'_i = sum_j a[i][j] g_j, so over the Gram matrix A A^T."""
-    n = m.algebra.n
-    am = Matrix(n, n, a)
-
-    def mix(gammas, i):
-        return sum((g.scale(a[i][j]) for j, g in enumerate(gammas[1:], 1)),
-                   gammas[0].scale(a[i][0]))
-
-    return CliffordSupermodule(CliffordAlgebra(n, am * am.transpose()),
-                               [mix(m.gamma_eo, i) for i in range(n)],
-                               [mix(m.gamma_oe, i) for i in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +90,7 @@ def _seeded_reps():
     modules = ([exterior_module(n) for n in range(1, 5)]
                + [irreducible_module(n) for n in range(1, 5)]
                + [irreducible_cl5(),
-                  _mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]])])
+                  mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]])])
     reps += [deform(random_filtration(m, rng)) for m in modules]
     pairs = [(exterior_module(0), exterior_module(2)), (exterior_module(1), exterior_module(1)),
              (exterior_module(2), exterior_module(1)), (irreducible_module(2), exterior_module(2)),
@@ -210,10 +121,10 @@ def test_verdict_matches_the_full_scan(index):
     rng = random.Random(4100 + index)
     base = _seeded_reps()[index]
     for r in (base, _changed_basis(base, rng)):
-        assert _full_scan(r)
-        assert _text(_fresh_verdict(r)) == _text(_full_scan(r))
+        assert _oracle(r)
+        assert text(_fresh_verdict(r)) == text(_oracle(r))
         for mutant in _mutants(r, rng):
-            assert _text(deformation._verify(mutant)) == _text(_full_scan(mutant))
+            assert text(deformation._verify(mutant)) == text(_oracle(mutant))
 
 
 # single-entry mutants whose first failure in the full scan lies below the
@@ -251,17 +162,17 @@ BELOW_TOP = {
 
 @pytest.mark.parametrize("name", sorted(BELOW_TOP))
 def test_below_top_mutant_witness(name):
-    (n, which, i, x, row, col, by), text = BELOW_TOP[name]
+    (n, which, i, x, row, col, by), want = BELOW_TOP[name]
     if isinstance(n, tuple):
         base = bideform(tensor_module(*(degree_filtration(exterior_module(k)) for k in n)))
     else:
         base = deform(degree_filtration(exterior_module(n)))
     shifts, qs = _maps(base)
     held = qs[int(which[1:])][i] if len(which) > 1 else qs[0][i]
-    held[x] = _bumped(held[x], row, col, by)
+    held[x] = bumped(held[x], row, col, by)
     mutant = _rebuilt(base, shifts, qs)
     cert = deformation._verify(mutant)
-    assert _text(cert) == text == _text(_full_scan(mutant))
+    assert text(cert) == want == text(_oracle(mutant))
     point = [cert.witness[key] for key in base._words.point]
     assert any(c < t - 1 for c, t in zip(point, base.tops))
 

@@ -1,15 +1,14 @@
+import hashlib
 import random
-from itertools import product
 
 import pytest
 
-from cliffilt.certificate import require
+import oracle
 from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.graph import (
     AdinkraGraph,
     Edge,
     Vertex,
-    _adjacency,
     enumerate_heights,
     heights_from_sources,
     rebuild_filtration,
@@ -192,21 +191,6 @@ def test_to_graph_takes_images_by_one_product_per_parity_and_generator(products)
         assert len(g.edges) == f.module.algebra.n * len(g.vertices) // 2
 
 
-def _former_rebuild_filtration(graph, heights):
-    """The former form, kept as the reference: one loop per parity, each to
-    the top height of its own parity."""
-    tops = [0, 1]
-    for v, h in zip(graph.vertices, heights):
-        tops[v.parity] = max(tops[v.parity], h)
-    flags = ([], [])
-    for parity in (0, 1):
-        for p in range(parity, tops[parity] + 1, 2):
-            rows = [v.vector for v, h in zip(graph.vertices, heights)
-                    if v.parity == parity and h <= p]
-            flags[parity].append(Subspace.span(graph.module.dim(parity), rows))
-    return SuperFiltration(graph.module, *flags)
-
-
 def test_rebuild_filtration_matches_former_two_loops():
     f1, f2 = degree_filtration(exterior_module(1)), degree_filtration(exterior_module(2))
     flat = trivial_filtration(exterior_module(2))
@@ -222,186 +206,14 @@ def test_rebuild_filtration_matches_former_two_loops():
     lone = to_graph(degree_filtration(exterior_module(0)))
     cases += [(lone, [h]) for h in (0, 2, 4, 6)]
     for g, heights in cases:
-        got, want = rebuild_filtration(g, heights), _former_rebuild_filtration(g, heights)
-        assert got == want and got.top_degree == want.top_degree
-        assert (got.even_flags, got.odd_flags) == (want.even_flags, want.odd_flags)
+        # level p spans the vertices of its parity at height p or below
+        got = rebuild_filtration(g, heights)
+        assert got.top_degree == max(1, *heights)
+        for p in range(got.top_degree + 1):
+            rows = [v.vector for v, h in zip(g.vertices, heights) if v.parity == p % 2 and h <= p]
+            want = oracle.rref(rows, got.dims[(p % 2,)])[0]
+            assert got.level(p).basis.entries == tuple(map(tuple, want))
     assert len(cases) >= 100
-
-
-def _former_minimal_level(f, v, parity):
-    p = parity
-    while True:
-        if f.level(p).contains(v):
-            return p
-        p += 2
-        if p > f.top_degree + 1:
-            raise ValueError("vector not contained in the top filtration level")
-
-
-def _former_to_graph(f, basis_even=None, basis_odd=None):
-    """The former form, kept as the reference: it tested the height step and
-    the sign of every edge from both endpoints, and found each vertex through
-    a dict keyed by its row."""
-    require("filtration", check_filtration(f))
-    module = f.module
-    if basis_even is None:
-        basis_even = Matrix.identity(module.dim_even)
-    elif basis_even.rank() != module.dim_even or basis_even.rows != module.dim_even:
-        raise ValueError("even basis does not span the even component")
-    if basis_odd is None:
-        basis_odd = Matrix.identity(module.dim_odd)
-    elif basis_odd.rank() != module.dim_odd or basis_odd.rows != module.dim_odd:
-        raise ValueError("odd basis does not span the odd component")
-    vertices = []
-    index_of = {}
-    for parity, mat in ((0, basis_even), (1, basis_odd)):
-        for row in mat.entries:
-            height = _former_minimal_level(f, row, parity)
-            index_of[(parity, row)] = len(vertices)
-            vertices.append(Vertex(parity, height, row))
-    for p in range(f.top_degree + 1):
-        inside = sum(1 for v in vertices if v.parity == p % 2 and v.height <= p)
-        if inside != f.level(p).dim:
-            raise ValueError(
-                f"basis not filtration-homogeneous: level {p} has dimension "
-                f"{f.level(p).dim} but contains {inside} basis vectors"
-            )
-    signed = ({}, {})
-    for parity, mat in ((0, basis_even), (1, basis_odd)):
-        for row in mat.entries:
-            k = index_of[(parity, row)]
-            signed[parity].setdefault(row, (k, 1))
-            signed[parity].setdefault(tuple(-c for c in row), (k, -1))
-    images = [[(mat * module.gamma(i, parity)).entries for i in range(module.algebra.n)]
-              for parity, mat in ((0, basis_even), (1, basis_odd))]
-    edges = {}
-    for u_index, vert in enumerate(vertices):
-        row = u_index - basis_even.rows if vert.parity else u_index
-        for i in range(module.algebra.n):
-            hit = signed[1 - vert.parity].get(images[vert.parity][i][row])
-            if hit is None:
-                raise ValueError(
-                    f"basis not adapted: generator {i} image of vertex {u_index} "
-                    "is not a signed basis vector"
-                )
-            w_index, sign = hit
-            lo, hi = sorted((u_index, w_index), key=lambda k: vertices[k].height)
-            if abs(vertices[u_index].height - vertices[w_index].height) != 1:
-                raise ValueError(
-                    f"generator {i} connects heights {vertices[u_index].height} "
-                    f"and {vertices[w_index].height}"
-                )
-            key = (lo, hi, i)
-            if key in edges:
-                if edges[key] != sign:
-                    raise ValueError(f"inconsistent action signs across edge {key}")
-            else:
-                edges[key] = sign
-    edge_list = [Edge(lo, hi, i, sign) for (lo, hi, i), sign in sorted(edges.items())]
-    return AdinkraGraph(module, vertices, edge_list)
-
-
-def _former_components(adjacency):
-    seen = set()
-    comps = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _former_enumerate_heights(graph, budget=10000):
-    """The former form, kept as the reference: each state scanned its
-    assigned vertices for the next one, and the finds were deduplicated."""
-    n_vertices = len(graph.vertices)
-    if n_vertices == 0:
-        return [], False
-    adjacency = _adjacency(graph)
-    exhausted = False
-    explored = 0
-    per_component = []
-    for comp in _former_components(adjacency):
-        results = []
-        root = comp[0]
-        stack = [({root: 0}, [root])]
-        while stack:
-            relative, order = stack.pop()
-            explored += 1
-            if explored > budget:
-                exhausted = True
-                break
-            pending = None
-            for u in order:
-                for w in adjacency[u]:
-                    if w not in relative:
-                        pending = (u, w)
-                        break
-                if pending:
-                    break
-            if pending is None:
-                results.append(dict(relative))
-                continue
-            u, w = pending
-            for delta in (1, -1):
-                cand = dict(relative)
-                cand[w] = relative[u] + delta
-                if all(abs(cand[w] - cand[y]) == 1 for y in adjacency[w] if y in cand):
-                    stack.append((cand, order + [w]))
-        if exhausted:
-            break
-        normalized = []
-        for relative in results:
-            shift = -min(relative.values())
-            anchor = comp[0]
-            if (relative[anchor] + shift) % 2 != graph.vertices[anchor].parity:
-                shift += 1
-            heights = {v: relative[v] + shift for v in comp}
-            if heights not in normalized:
-                normalized.append(heights)
-        per_component.append(normalized)
-    if exhausted:
-        return [], True
-    assignments = []
-    for combo in product(*per_component):
-        heights = [0] * n_vertices
-        for part in combo:
-            for v, h in part.items():
-                heights[v] = h
-        try:
-            candidate = rebuild_filtration(graph, heights)
-        except ValueError:
-            continue
-        if check_filtration(candidate):
-            assignments.append(tuple(heights))
-        if len(assignments) > budget:
-            return assignments, True
-    return assignments, exhausted
-
-
-def _former_heights_from_sources(graph, sources):
-    """The former form, kept as the reference: a list re-sorted on every pop."""
-    adjacency = _adjacency(graph)
-    best = {v: h for v, h in sources}
-    frontier = sorted(best, key=lambda v: best[v])
-    while frontier:
-        frontier.sort(key=lambda v: best[v])
-        u = frontier.pop(0)
-        for w in adjacency[u]:
-            if w not in best or best[w] > best[u] + 1:
-                best[w] = best[u] + 1
-                if w not in frontier:
-                    frontier.append(w)
-    return [best[v] for v in range(len(graph.vertices))]
 
 
 def _outcome(fn, *args):
@@ -409,10 +221,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return ("ValueError", str(exc))
-
-
-def _graph_key(g):
-    return g if isinstance(g, tuple) else (g.vertices, g.edges)
 
 
 def _filtrations():
@@ -438,43 +246,41 @@ def _filtrations():
 
 @pytest.fixture(scope="module")
 def graphs():
-    """The graphs of `_filtrations`, with the outcomes of both forms."""
-    out = []
-    for f, basis in _filtrations():
-        got, want = _outcome(to_graph, f, *basis), _outcome(_former_to_graph, f, *basis)
-        out.append((got, want))
-    return out
+    """The graphs of `_filtrations`, each with the oracle's graph or the
+    conditions its basis breaks."""
+    return [(_outcome(to_graph, f, *basis), oracle.graph(f, *basis)) for f, basis in _filtrations()]
 
 
 def test_to_graph_matches_former(graphs):
     failures = 0
     for got, want in graphs:
-        assert _graph_key(got) == _graph_key(want)
+        assert got[1] == want[0] if isinstance(got, tuple) else oracle.graph_key(got) == want
         failures += isinstance(got, tuple)
     # the random coordinate bases include homogeneity failures, and no other kind
     assert 0 < failures < len(graphs)
     assert all("filtration-homogeneous" in got[1] for got, _ in graphs if isinstance(got, tuple))
 
 
-def _least_budget(enumerate_fn, g):
-    """The least budget that does not exhaust, by bisection."""
-    lo, hi = 0, 1
-    while enumerate_fn(g, hi)[1]:
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if enumerate_fn(g, mid)[1]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+# the search states each distinct graph of `graphs` explores, and its
+# number of height functions; then the sha256 of the lists it returns
+STATES = [(1, 1), (3, 2), (13, 6), (111, 38), (3539, 990), (3, 2), (13, 6), (111, 38), (101, 30),
+          (2775, 710), (26, 36), (26, 36), (6, 4), (9, 8), (202, 900)]
+ORDERS = "2645ac69d3a8d4f7e165679c8a8e96e557847776ff63b7a93a716046179349b2"
+
+
+def _at_budget(full, states, budget):
+    """A search of `states` states and `full` finds, cut at a budget."""
+    if budget < states:
+        return [], True
+    return (full[:budget + 1], True) if len(full) > budget else (full, False)
 
 
 def test_enumerate_heights_matches_former(graphs):
     # the search reads the module, the vertex parities and vectors and the
     # edges, not their orientation: a random filtration's coordinate graph
-    # adds nothing once its module's is here
-    seen = set()
+    # adds nothing once its module's is here.  The finds are the oracle's
+    # height functions, each once; the states explored are pinned
+    seen, finds = [], []
     for g, _ in graphs:
         if isinstance(g, tuple):
             continue
@@ -483,15 +289,17 @@ def test_enumerate_heights_matches_former(graphs):
                            for e in g.edges))
         if shape in seen:
             continue
-        seen.add(shape)
-        for budget in [*range(30), 50, 1000, 10000]:
-            assert enumerate_heights(g, budget) == _former_enumerate_heights(g, budget)
-        # the least budget that closes pins the count of explored states
-        least = _least_budget(enumerate_heights, g)
-        assert not _former_enumerate_heights(g, least)[1]
-        if least:
-            assert _former_enumerate_heights(g, least - 1)[1]
-    assert len(seen) >= 12
+        seen.append(shape)
+        full, exhausted = enumerate_heights(g, 10**6)
+        assert not exhausted and len(set(full)) == len(full)
+        finds.append(full)
+        assert set(full) == oracle.height_functions(g)
+        states, count = STATES[len(seen) - 1]
+        assert len(full) == count
+        for budget in sorted({*range(30), 50, 1000, 10000, states - 1, states}):
+            assert enumerate_heights(g, budget) == _at_budget(full, states, budget)
+    assert len(seen) == len(STATES)
+    assert hashlib.sha256(repr(finds).encode()).hexdigest() == ORDERS
 
 
 def test_heights_from_sources_matches_former(graphs):
@@ -506,13 +314,17 @@ def test_heights_from_sources_matches_former(graphs):
         # arbitrary graded sets too, each holding every vertex of a component's
         # least index, so that every vertex is reached, at nonnegative heights
         # of each vertex's parity
-        roots = {min(c) for c in _former_components(_adjacency(g))}
+        pairs = [(e.source, e.target) for e in g.edges]
+        roots = {min(oracle.distances(len(g.vertices), pairs, v)) for v in range(len(g.vertices))}
         for _ in range(20):
             picked = roots | set(rng.sample(range(len(g.vertices)), len(g.vertices) // 2))
             sets.append(frozenset((v, 2 * rng.randint(0, 3) + g.vertices[v].parity)
                                   for v in picked))
         for s in sets:
-            assert heights_from_sources(g, s) == _former_heights_from_sources(g, s)
+            # each height is the least of a source's height plus its distance
+            reach = [(h, oracle.distances(len(g.vertices), pairs, v)) for v, h in s]
+            assert heights_from_sources(g, s) == [
+                min(h + d[v] for h, d in reach if v in d) for v in range(len(g.vertices))]
             checked += 1
     assert checked >= 300
 
@@ -523,13 +335,11 @@ def test_product_phase_cut_reports_exhaustion():
     f1 = degree_filtration(exterior_module(1))
     g = to_graph(direct_sum_filtration(direct_sum_filtration(f1, f1),
                                        direct_sum_filtration(f1, f1)))
+    full, exhausted = enumerate_heights(g, 16)
+    assert len(full) == 16 and not exhausted and set(full) == oracle.height_functions(g)
     for budget, count in ((12, 13), (13, 14), (15, 16)):
-        assigns, exhausted = enumerate_heights(g, budget)
-        assert (len(assigns), exhausted) == (count, True)
-        assert (assigns, exhausted) == _former_enumerate_heights(g, budget)
+        assert enumerate_heights(g, budget) == (full[:count], True)
     assert enumerate_heights(g, 11) == ([], True)
-    assigns, exhausted = enumerate_heights(g, 16)
-    assert len(assigns) == 16 and not exhausted
 
 
 def test_enumerate_hand_built_graphs():
@@ -542,7 +352,7 @@ def test_enumerate_hand_built_graphs():
     lone = AdinkraGraph(g.module, g.vertices, [])
     for graph, want in ((bad, ([], False)), (lone, ([(0, 1)], False))):
         assert enumerate_heights(graph) == want
-        assert _former_enumerate_heights(graph) == want
+        assert oracle.height_functions(graph) == set(want[0])
 
 
 @pytest.mark.parametrize("case", ["empty", "one component"])
@@ -554,6 +364,15 @@ def test_heights_from_sources_names_an_unreached_vertex(case):
         g, sources, first = to_graph(direct_sum_filtration(f1, f1)), {(0, 0)}, 1
     with pytest.raises(ValueError, match=f"no source reaches vertex {first}$"):
         heights_from_sources(g, sources)
+
+
+@pytest.mark.parametrize("heights", [[0, 2, 1, 1, 9, 9], [0, 2, 1], [0, 2]])
+def test_heights_must_be_one_per_vertex(heights):
+    # zip would drop the extra heights, or the vertices past the last one
+    g = to_graph(degree_filtration(exterior_module(2)))
+    for call in (rebuild_filtration, source_set):
+        with pytest.raises(ValueError, match=f"^{len(heights)} heights for a graph of 4 vertices$"):
+            call(g, heights)
 
 
 @pytest.mark.parametrize("source", [99, -1])

@@ -16,10 +16,11 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import cliffilt
+import oracle
 from cliffilt import cli, exactalg, invariants, serialize, supermodule
 from cliffilt.bifiltration import tensor_module
 from cliffilt.certificate import CheckFailed
-from cliffilt.exactalg import Matrix, Subspace, _vanishes, kernel, rref
+from cliffilt.exactalg import Matrix, Subspace, _vanishes
 from cliffilt.invariants import (
     CERTIFIED,
     DISTINGUISHED,
@@ -28,7 +29,6 @@ from cliffilt.invariants import (
     _certify_indecomposable,
     _factor_rational_poly,
     _minimal_polynomial,
-    _poly_eval,
     _random_candidates,
     _split_by,
     _trace_form,
@@ -41,7 +41,7 @@ from cliffilt.invariants import (
     random_filtration,
     source_dimensions,
 )
-from cliffilt.clifford import CliffordAlgebra, _is_positive_definite
+from cliffilt.clifford import CliffordAlgebra
 from cliffilt.supermodule import (
     CliffordSupermodule,
     SuperFiltration,
@@ -56,6 +56,7 @@ from cliffilt.supermodule import (
     irreducible_module,
     trivial_filtration,
 )
+from oracle import flat, grid, invertible, mixed, rebased
 
 
 def test_gr_dims_frozen_values():
@@ -187,30 +188,20 @@ def test_invariance_under_module_automorphism():
     assert moved >= 1
 
 
-def _former_filtered_endomorphisms(f):
-    """The former assembly, kept as the reference: each flag residual in
-    Fractions, by a one-row product of one basis row and pivot elimination."""
-    pairs = f.module.graded_commutant()
-    rows = [[] for _ in pairs]
-    for p in range(f.top_degree + 1):
-        flag = f.level(p)
-        if flag.is_full:
-            continue
-        for v in flag.basis.entries:
-            for row, pair in zip(rows, pairs):
-                work = list((Matrix.from_rows([v]) * pair[p % 2]).entries[0])
-                for basis_row, pivot in zip(flag.basis.entries, flag.pivots):
-                    c = work[pivot]
-                    work = [x - c * y for x, y in zip(work, basis_row)]
-                row.extend(work)
-    if not rows[0]:
-        return pairs
-    out = []
-    for coeffs in kernel(Matrix.from_rows(rows)).entries:
-        terms = [(c, pe, po) for c, (pe, po) in zip(coeffs, pairs) if c]
-        out.append((sum((pe.scale(c) for c, pe, _ in terms[1:]), terms[0][1].scale(terms[0][0])),
-                    sum((po.scale(c) for c, _, po in terms[1:]), terms[0][2].scale(terms[0][0]))))
-    return out
+def _check_endomorphisms(f):
+    """filtered_endomorphisms(f) spans the oracle's End(f), and its basis is
+    the combinations of the commutant's pairs whose coefficients are the
+    reduced row-echelon basis of those that keep every level."""
+    got = [flat(pair) for pair in filtered_endomorphisms(f)]
+    end = oracle.endomorphisms(f)
+    pairs = [flat(pair) for pair in f.module.graded_commutant()]
+    width = f.dims[(0,)] ** 2 + f.dims[(1,)] ** 2
+    assert oracle.span_equal(got, end, width)
+    # c keeps the levels when sum c_k P_k meets every equation y that End solves
+    outside = oracle.null_space(end, width)
+    keep = oracle.null_space(oracle.product(outside, oracle.transpose(pairs, width),
+                                            len(pairs)), len(pairs))
+    assert [oracle.solve(pairs, row) for row in got] == keep
 
 
 def test_filtered_endomorphisms_match_former_assembly():
@@ -221,8 +212,7 @@ def test_filtered_endomorphisms_match_former_assembly():
     moved = 0
     for k in range(36):
         f = random_filtration(modules[k % len(modules)], rng)
-        want = _former_filtered_endomorphisms(f)
-        assert filtered_endomorphisms(f) == want
+        _check_endomorphisms(f)
         pe, po = Matrix.identity(f.module.dim_even), Matrix.identity(f.module.dim_odd)
         for a, b in f.module.graded_commutant():
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 7))
@@ -232,21 +222,9 @@ def test_filtered_endomorphisms_match_former_assembly():
         g = SuperFiltration(f.module, [flag.image(pe) for flag in f.even_flags],
                             [flag.image(po) for flag in f.odd_flags])
         assert check_filtration(g)
-        assert filtered_endomorphisms(g) == _former_filtered_endomorphisms(g)
+        _check_endomorphisms(g)
         moved += 1
     assert moved >= 20
-
-
-def _invertible(n: int, rng) -> tuple[Matrix, Matrix]:
-    """A seeded invertible rational matrix and its inverse."""
-    while True:
-        m = Matrix(n, n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-                          for _ in range(n)])
-        if m.rank() == n:
-            break
-    aug = Matrix(n, 2 * n, [list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(m.entries)])
-    return m, Matrix(n, n, [row[n:] for row in rref(aug)[0].entries])
 
 
 def _conjugated(m, c: Fraction, rng):
@@ -254,7 +232,7 @@ def _conjugated(m, c: Fraction, rng):
     conjugated by seeded rational changes of basis: the gammas are no
     longer signed permutations and the commutant's pairs carry unequal
     denominators."""
-    (p, p_inv), (q, q_inv) = _invertible(m.dim_even, rng), _invertible(m.dim_odd, rng)
+    (p, p_inv), (q, q_inv) = invertible(m.dim_even, rng), invertible(m.dim_odd, rng)
     return CliffordSupermodule(
         CliffordAlgebra(m.algebra.n, m.algebra.gram.scale(c * c)),
         [p_inv * g.scale(c) * q for g in m.gamma_eo], [q_inv * g.scale(c) * p for g in m.gamma_oe])
@@ -263,7 +241,7 @@ def _conjugated(m, c: Fraction, rng):
 def test_commutant_and_endomorphisms_on_conjugated_modules():
     # the pairs, built from the kernel's integer rows with R = oe0 P eo0 / G[0][0],
     # still commute with the action; the endomorphisms, summed in integers,
-    # still match the former assembly
+    # are still the oracle's
     rng = random.Random(139)
     denominators = set()
     for base in (exterior_module(2), exterior_module(3), irreducible_module(3)):
@@ -278,46 +256,8 @@ def test_commutant_and_endomorphisms_on_conjugated_modules():
         for _ in range(3):
             # summands give endomorphisms that are combinations of several pairs
             f = direct_sum_filtration(random_filtration(m, rng), random_filtration(m, rng))
-            assert filtered_endomorphisms(f) == _former_filtered_endomorphisms(f)
+            _check_endomorphisms(f)
     assert len(denominators) > 2
-
-
-def _two_block_commutant(m):
-    """The former commutant system, kept as the reference.  R is fixed by P
-    through generator 0, R = oe0 P eo0 / G[0][0], and each generator i >= 1
-    states both P eo_i = eo_i R and R oe_i = oe_i P, one equation per entry
-    over the unknowns P[k][l], in Fractions."""
-    n0 = m.dim_even
-    inv = 1 / m.algebra.gram.entries[0][0]
-    eo0, oe0 = m.gamma_eo[0], m.gamma_oe[0]
-    one = Matrix.identity(n0)
-    blocks = []
-    for eoi, oei in zip(m.gamma_eo[1:], m.gamma_oe[1:]):
-        blocks.append([(one, eoi, 1), ((eoi * oe0).scale(inv), eo0, -1)])
-        blocks.append([(oe0.scale(inv), eo0 * oei, 1), (oei, one, -1)])
-    equations = [[sum(sign * b.entries[r][k] * c.entries[l][col] for b, c, sign in parts)
-                  for k in range(n0) for l in range(n0)]
-                 for parts in blocks
-                 for r in range(parts[0][0].rows) for col in range(parts[0][1].cols)]
-    basis = (kernel(Matrix.from_rows(equations, cols=n0 * n0).transpose()) if equations
-             else Matrix.identity(n0 * n0))
-    ps = [Matrix(n0, n0, [row[k * n0:(k + 1) * n0] for k in range(n0)]) for row in basis.entries]
-    return [(p, (oe0 * p * eo0).scale(inv)) for p in ps]
-
-
-def _mixed(m, a):
-    """m, whose Gram matrix is the identity, on the generators
-    g'_i = sum_j a[i][j] g_j, so over the Gram matrix A A^T."""
-    n = m.algebra.n
-    am = Matrix(n, n, a)
-
-    def mix(gammas, i):
-        return sum((g.scale(a[i][j]) for j, g in enumerate(gammas[1:], 1)),
-                   gammas[0].scale(a[i][0]))
-
-    return CliffordSupermodule(CliffordAlgebra(n, am * am.transpose()),
-                               [mix(m.gamma_eo, i) for i in range(n)],
-                               [mix(m.gamma_oe, i) for i in range(n)])
 
 
 def test_commutant_matches_two_block_system():
@@ -326,13 +266,17 @@ def test_commutant_matches_two_block_system():
                + [irreducible_module(n) for n in (1, 2, 3, 4)] + [irreducible_cl5()]
                + [_conjugated(base, Fraction(2, 3), rng)
                   for base in (exterior_module(2), exterior_module(3), irreducible_module(3))]
-               + [_mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]]),
-                  _mixed(irreducible_module(4),
+               + [mixed(exterior_module(3), [[1, 1, 0], [0, 1, 2], [1, 0, 1]]),
+                  mixed(irreducible_module(4),
                          [[2, 0, 1, 0], [1, 1, 0, -1], [0, 3, 1, 1], [0, 0, -1, 2]])])
     for m in modules:
+        # the oracle's End of m as a span, and the pairs' even parts, which
+        # fix the odd ones, the reduced row-echelon basis of its even parts
         assert check_supermodule(m), m
-        want = _two_block_commutant(m)
-        assert m.graded_commutant() == want, m
+        pairs = [flat(pair) for pair in m.graded_commutant()]
+        end, even = oracle.endomorphisms(m), m.dim_even ** 2
+        assert oracle.span_equal(pairs, end, even + m.dim_odd ** 2), m
+        assert [row[:even] for row in pairs] == oracle.rref([row[:even] for row in end], even)[0]
     # the Gram matrices A A^T are not diagonal, and G[0][0] is not 1
     assert modules[-1].algebra.gram.entries[0][1] and modules[-1].algebra.gram.entries[0][0] == 5
 
@@ -487,26 +431,6 @@ def test_monomial_commutant_equals_the_general_equations(monkeypatch):
             assert _vanishes([(1, x, eo), (-1, eo, y)]) and _vanishes([(1, y, oe), (-1, oe, x)])
 
 
-def _former_general_equations(rows):
-    """The former per-entry loop, kept as the reference: entry (r, c) of
-    P A - A P, summed term by term in a dict."""
-    n = len(rows)
-    cols = [[] for _ in range(n)]
-    for k, row in enumerate(rows):
-        for c, x in row:
-            cols[c].append((k, x))
-    equations = []
-    for r in range(n):
-        for c in range(n):
-            eq: dict[int, int] = {}
-            for k, x in cols[c]:
-                eq[r * n + k] = eq.get(r * n + k, 0) + x
-            for k, x in rows[r]:
-                eq[k * n + c] = eq.get(k * n + c, 0) - x
-            equations.append([(u, x) for u, x in eq.items() if x])
-    return equations
-
-
 @st.composite
 def _square_int_rows(draw):
     """The rows of a square integer matrix in the kernel's integer form,
@@ -537,14 +461,18 @@ def _square_int_rows(draw):
 @example([((0, 1),), ((1, 2),), ((2, 2),)])
 def test_kronecker_equations_match_the_former_loop(rows):
     # the rows of kron(I, A^T) - kron(A, I) are the per-entry equations of
-    # P A = A P; a diagonal entry of A puts one unknown in both products
+    # P A = A P, sum_k P[r][k] A[k][c] - A[r][k] P[k][c] with P[r][k] the
+    # unknown r * n + k; a diagonal entry of A puts one unknown in both
     n = len(rows)
-    got, want = supermodule._general_equations(rows), _former_general_equations(rows)
-    assert len(got) == len(want) == n * n
-    assert sorted(tuple(sorted(eq)) for eq in got) == sorted(tuple(sorted(eq)) for eq in want)
-    solved = exactalg._null_space(Matrix._from_ints(n * n, 1, got))
-    assert solved == exactalg._null_space(Matrix._from_ints(n * n, 1, want))
     a = Matrix._from_ints(n, 1, rows)
+    entries = grid(a)
+    want = [[(entries[u % n][c] if u // n == r else 0) - (entries[r][u // n] if u % n == c else 0)
+             for u in range(n * n)] for r in range(n) for c in range(n)]
+    got = supermodule._general_equations(rows)
+    assert len(got) == n * n
+    assert sorted([dict(eq).get(u, 0) for u in range(n * n)] for eq in got) == sorted(want)
+    solved = exactalg._null_space(Matrix._from_ints(n * n, 1, got))
+    assert solved.entries == tuple(map(tuple, oracle.null_space(want, n * n)))
     for row in solved.entries:
         p = Matrix(n, n, [row[r * n:(r + 1) * n] for r in range(n)])
         assert p * a == a * p
@@ -573,17 +501,6 @@ def test_decompose_pieces_inherit_the_relations_verdict(monkeypatch):
         assert check_supermodule(rebuilt)
 
 
-def _moved(f, rng):
-    """f carried onto its module conjugated by seeded rational changes of
-    basis: gammas P^-1 g Q and Q^-1 g P, flags F P and F Q."""
-    m = f.module
-    (p, p_inv), (q, q_inv) = _invertible(m.dim_even, rng), _invertible(m.dim_odd, rng)
-    module = CliffordSupermodule(m.algebra, [p_inv * g * q for g in m.gamma_eo],
-                                 [q_inv * g * p for g in m.gamma_oe])
-    return SuperFiltration(module, [flag.image(p) for flag in f.even_flags],
-                           [flag.image(q) for flag in f.odd_flags])
-
-
 def _certified_then_searched(s: int) -> SuperFiltration:
     """The certified trivial filtration of irreducible(2), whose
     endomorphisms form a field of dimension 2, summed before a moved
@@ -593,22 +510,18 @@ def _certified_then_searched(s: int) -> SuperFiltration:
     irr2 = irreducible_module(2)
     rng = random.Random(s)
     a = random_filtration(irr2, rng)
-    return direct_sum_filtration(trivial_filtration(irr2), _moved(direct_sum_filtration(a, a), rng))
+    return direct_sum_filtration(trivial_filtration(irr2), rebased(direct_sum_filtration(a, a), rng))
 
 
-def _matrix_candidates(module, endos, candidates: int, rng) -> list:
-    """The random phase's candidates as first written: one rng.randint(-3, 3)
-    per basis pair, summed by Matrix + and scale."""
+def _candidates(endos, candidates: int, rng) -> list:
+    """The random phase's candidates, each one rng.randint(-3, 3) per basis
+    pair, summed entry by entry on each parity."""
     out = []
     for _ in range(candidates):
-        pe = Matrix.zeros(module.dim_even, module.dim_even)
-        po = Matrix.zeros(module.dim_odd, module.dim_odd)
-        for base in endos:
-            c = rng.randint(-3, 3)
-            if c:
-                pe = pe + base[0].scale(c)
-                po = po + base[1].scale(c)
-        out.append((pe, po))
+        coeffs = [rng.randint(-3, 3) for _ in endos]
+        out.append(tuple(Matrix(m.rows, m.cols, oracle.combination(
+            [(c, grid(pair[p])) for c, pair in zip(coeffs, endos)], m.rows, m.cols))
+            for p, m in enumerate(endos[0])))
     return out
 
 
@@ -634,7 +547,7 @@ def test_certified_pieces_have_no_split_candidate():
             sizes[len(endos)] += 1
             tried = list(endos)
             if len(endos) > 1:
-                tried += _matrix_candidates(piece.module, endos, 16, random.Random(k))
+                tried += _candidates(endos, 16, random.Random(k))
             for pair in tried:
                 assert len(_factor_rational_poly(_minimal_polynomial(piece.module, pair))) < 2
     # scalars, fields of dimension 2 and quaternion algebras all occur
@@ -652,7 +565,7 @@ def test_random_candidates_match_matrix_sums():
         sizes.append(len(endos))
         s = rng.randrange(1000)
         got = list(_random_candidates(endos, 16, random.Random(s)))
-        assert got == _matrix_candidates(g.module, endos, 16, random.Random(s))
+        assert got == _candidates(endos, 16, random.Random(s))
     assert max(sizes) > 4
 
 
@@ -856,48 +769,6 @@ def test_public_surface_is_pinned():
     ]
 
 
-def _dense_solve(rows: list, target: list) -> list | None:
-    """x with sum_i x[i] * rows[i] == target, or None: dense Gauss-Jordan
-    elimination on the augmented transposed system."""
-    n = len(rows)
-    eqs = [[row[j] for row in rows] + [target[j]] for j in range(len(target))]
-    pivots = []
-    for c in range(n + 1):
-        r = len(pivots)
-        at = next((i for i in range(r, len(eqs)) if eqs[i][c]), None)
-        if at is None:
-            continue
-        if c == n:
-            return None
-        eqs[r], eqs[at] = eqs[at], eqs[r]
-        eqs[r] = [x / eqs[r][c] for x in eqs[r]]
-        for i in range(len(eqs)):
-            if i != r and eqs[i][c]:
-                f = eqs[i][c]
-                eqs[i] = [x - f * y for x, y in zip(eqs[i], eqs[r])]
-        pivots.append(c)
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = eqs[i][n]
-    return x
-
-
-def _reference_minimal_polynomial(pair) -> list:
-    """The former algorithm: solve each power, from scratch, as a
-    combination of the lower ones, until it is one."""
-    def flat(p):
-        return [x for m in p for row in m.entries for x in row]
-
-    power = (Matrix.identity(pair[0].rows), Matrix.identity(pair[1].rows))
-    seen = [flat(power)]
-    while True:
-        power = (power[0] * pair[0], power[1] * pair[1])
-        coeffs = _dense_solve(seen, flat(power))
-        if coeffs is not None:
-            return [-c for c in coeffs] + [Fraction(1)]
-        seen.append(flat(power))
-
-
 def _seeded_block(rng, n: int) -> Matrix:
     """A dense rational, nilpotent, repeated-root or scalar n x n block."""
     kind = rng.choice(("dense", "nilpotent", "repeated", "scalar"))
@@ -933,7 +804,7 @@ def test_minimal_polynomial_matches_solve_reference():
         pair = (_seeded_block(rng, de), _seeded_block(rng, do))
         module = SimpleNamespace(dim_even=de, dim_odd=do)
         got = _minimal_polynomial(module, pair)
-        assert got == _reference_minimal_polynomial(pair), pair
+        assert got == oracle.minimal_polynomial(pair), pair
         degrees.add(len(got) - 1)
     # two 8 x 8 blocks with sixteen distinct eigenvalues: degree 16
     pair = (Matrix(8, 8, [[i + 1 if i == j else int(j == i + 1) for j in range(8)]
@@ -941,18 +812,8 @@ def test_minimal_polynomial_matches_solve_reference():
             Matrix(8, 8, [[Fraction(-i - 1, 2) if i == j else 0 for j in range(8)]
                           for i in range(8)]))
     got = _minimal_polynomial(SimpleNamespace(dim_even=8, dim_odd=8), pair)
-    assert len(got) == 17 and got == _reference_minimal_polynomial(pair)
+    assert len(got) == 17 and got == oracle.minimal_polynomial(pair)
     assert {1, 2, 3}.issubset(degrees)
-
-
-def _sympy_factors(coeffs: list) -> list:
-    import sympy
-
-    t = sympy.Symbol("t")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-                      t, domain="QQ")
-    return [([Fraction(c.p, c.q) for c in reversed(f.all_coeffs())], int(power))
-            for f, power in poly.factor_list()[1]]
 
 
 def test_factor_rational_poly_matches_sympy():
@@ -973,94 +834,12 @@ def test_factor_rational_poly_matches_sympy():
             [c, b, a, u],  # a cubic goes to sympy
         ]
     for coeffs in cases:
-        assert _factor_rational_poly(coeffs) == _sympy_factors(coeffs), coeffs
+        assert _factor_rational_poly(coeffs) == oracle.factors(coeffs), coeffs
 
 
 # ---------------------------------------------------------------------------
 # Work that full flags, the module's relations and kept results make
-# unnecessary, with the former code kept as the reference
-
-
-def _former_grown(module, p, below, span):
-    """The span of span and every generator image of below, built always."""
-    stacked = span.basis
-    for i in range(module.algebra.n):
-        stacked = stacked.stack(below.basis * module.gamma(i, (p - 1) % 2))
-    return Subspace.row_space(stacked)
-
-
-def _former_source_dimensions(f):
-    module = f.module
-    return tuple(
-        f.level(p).dim
-        - _former_grown(module, p, f.level(p - 1), Subspace.zero(module.dim(p % 2))).dim
-        for p in range(f.top_degree + 1))
-
-
-def _former_restricted_flags(f, w_even, w_odd):
-    """Each level met with the pair's part and written in its coordinates."""
-    flags = []
-    for p in range(f.top_degree + 1):
-        w = w_even if p % 2 == 0 else w_odd
-        flags.append(Subspace.row_space(w.coordinate_matrix((f.level(p) & w).basis)))
-    return flags
-
-
-def _former_certify_indecomposable(f, endos):
-    """The former certificate: commutativity and the quaternion table from
-    built pair products, traces and flattened rows from `.entries`."""
-    module = f.module
-    d = len(endos)
-    semisimple_dim = _trace_form(endos).rank()
-    if semisimple_dim == 1:
-        return CERTIFIED
-    if semisimple_dim != d:
-        return EXHAUSTED
-
-    def mul(a, b):
-        return (a[0] * b[0], a[1] * b[1])
-
-    if all(mul(endos[i], endos[j]) == mul(endos[j], endos[i])
-           for i in range(d) for j in range(i + 1, d)):
-        candidates = list(endos) + [(endos[i][0] + endos[j][0], endos[i][1] + endos[j][1])
-                                    for i in range(d) for j in range(i + 1, d)]
-        for pair in candidates:
-            minpoly = _minimal_polynomial(module, pair)
-            if len(minpoly) - 1 == d:
-                factors = _factor_rational_poly(minpoly)
-                if len(factors) == 1 and factors[0][1] == 1:
-                    return CERTIFIED
-        return EXHAUSTED
-    if d != 4:
-        return EXHAUSTED
-    dim_total = module.dim_even + module.dim_odd
-    ident = (Matrix.identity(module.dim_even), Matrix.identity(module.dim_odd))
-    traceless = []
-    for pe, po in endos:
-        tr = sum(m.entries[i][i] for m in (pe, po) for i in range(m.rows)) / dim_total
-        shifted = (pe - ident[0].scale(tr), po - ident[1].scale(tr))
-        if not (shifted[0].is_zero() and shifted[1].is_zero()):
-            traceless.append(shifted)
-    rows = [tuple(x for m in pair for row in m.entries for x in row) for pair in traceless]
-    if Matrix.from_rows(rows).rank() != 3:
-        return EXHAUSTED
-    picked, span = [], Subspace.zero(len(rows[0]))
-    for pair, row in zip(traceless, rows):
-        if not span.contains(row):
-            picked.append(pair)
-            span = span + Subspace.span(len(row), [row])
-    norm_rows = []
-    for a in picked:
-        norm_row = []
-        for b in picked:
-            ab, ba = mul(a, b), mul(b, a)
-            combined = (ab[0] + ba[0], ab[1] + ba[1])
-            diag = combined[0].entries[0][0] if combined[0].rows else combined[1].entries[0][0]
-            if any(m != Matrix.identity(m.rows).scale(diag) for m in combined):
-                return EXHAUSTED
-            norm_row.append(diag)
-        norm_rows.append(norm_row)
-    return CERTIFIED if _is_positive_definite(-Matrix(3, 3, norm_rows)) else EXHAUSTED
+# unnecessary, with the oracle as the reference
 
 
 def test_source_dimensions_are_computed_once_per_filtration(monkeypatch):
@@ -1154,15 +933,21 @@ def test_grown_builds_the_images_without_a_passing_verdict(products):
     assert unchecked._verdict is None
     for m in mutants:
         f = trivial_filtration(m)
-        assert source_dimensions(f) == _former_source_dimensions(f)
+        assert source_dimensions(f) == oracle.source_dimensions(f)
     assert source_dimensions(trivial_filtration(mutants[1])) == (1, 1)
+
+
+# the certificate on each filtration of the test below and the status of each
+# of its summands, which no definition gives: the sha256 of their repr
+SHORTCUT_VERDICTS = "65731e32d4029b2be9a8f347bd63639fd16cf8e53cae0f27c3044b624acb7830"
 
 
 def test_invariant_shortcuts_match_former_code(monkeypatch):
     # 240 seeded filtrations over Cl(1) to Cl(5): random ones, sums of two
     # (which split), and sums moved by rational changes of basis.  Source
-    # dimensions, the flags of every piece decompose restricts to, and the
-    # certificate on each filtration and summand match the former code
+    # dimensions match the oracle's, every decomposition re-sums to its
+    # filtration, so each restricted flag is the level met with its part,
+    # and the certificates and statuses are pinned
     rng = random.Random(233)
     modules = ([exterior_module(n) for n in (1, 2, 3, 4)]
                + [irreducible_module(n) for n in (1, 2, 3, 4)] + [irreducible_cl5()])
@@ -1170,44 +955,48 @@ def test_invariant_shortcuts_match_former_code(monkeypatch):
     original = invariants._restrict_filtration
 
     def recording(f, w_even, w_odd):
-        piece = original(f, w_even, w_odd)
-        restricted.append((f, w_even, w_odd, piece))
-        return piece
+        restricted.append(f)
+        return original(f, w_even, w_odd)
 
     monkeypatch.setattr(invariants, "_restrict_filtration", recording)
-    seen = Counter()
+    seen, verdicts = Counter(), []
     for k in range(240):
         m = modules[k % len(modules)]
         f = random_filtration(m, rng)
         if k % 3 == 1 and m.dim_even <= 4:
             f = direct_sum_filtration(f, random_filtration(m, rng))
         elif k % 3 == 2 and m.dim_even <= 4:
-            f = _moved(direct_sum_filtration(f, random_filtration(m, rng)), rng)
+            f = rebased(direct_sum_filtration(f, random_filtration(m, rng)), rng)
         assert check_filtration(f)
-        assert source_dimensions(f) == _former_source_dimensions(f)
+        assert source_dimensions(f) == oracle.source_dimensions(f)
         endos = filtered_endomorphisms(f)
         status = _certify_indecomposable(f, endos)
-        assert status == _former_certify_indecomposable(f, endos)
+        verdicts.append((status, len(endos)))
         seen[status, len(endos)] += 1
-        for s in decompose(f, seed=k):
-            g = s.filtration
-            assert source_dimensions(g) == _former_source_dimensions(g)
-            assert s.status == _former_certify_indecomposable(g, filtered_endomorphisms(g))
+        summands = decompose(f, seed=k)
+        assert oracle.resums(f, summands)
+        for s in summands:
+            assert source_dimensions(s.filtration) == oracle.source_dimensions(s.filtration)
+            verdicts.append(s.status)
             seen["summand"] += 1
-    for f, w_even, w_odd, piece in restricted:
-        assert list(piece.flags.values()) == _former_restricted_flags(f, w_even, w_odd)
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == SHORTCUT_VERDICTS
+    for f in restricted:
         seen["full level"] += sum(f.level(p).is_full for p in range(f.top_degree + 1))
     assert seen["summand"] > 300 and len(restricted) > 100 and seen["full level"] > 100
     assert seen[CERTIFIED, 4] and seen[EXHAUSTED, 4] and seen[CERTIFIED, 2], seen
 
 
+# the certificates of the test below, in order: the sha256 of their repr
+QUATERNION_VERDICTS = "14e22c9b58e20657746bae2cbbe11e2a4b59df7ca5058e52f10e0c24c422ec56"
+
+
 def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
-    # the scalar of ab + ba now comes from the trace form.  Every
+    # the scalar of ab + ba comes from the trace form.  Every
     # certificate taken while decomposing the trivial filtrations of
     # irreducible(1..5), irreducible_cl5() and exterior(4), the degree and
     # Hodge filtrations of exterior(4), twelve seeded random filtrations
     # each of irreducible_cl5() and irreducible(4), and the pieces of one
-    # seed-7 pass of the bench's classify pool gives the former verdict
+    # seed-7 pass of the bench's classify pool is pinned
     seen = []
     original = invariants._certify_indecomposable
 
@@ -1236,8 +1025,8 @@ def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
     pool = run.Pool("classify", workloads.WORKLOADS["classify"](7))
     pool.timed_pass(range(len(pool.jobs)))
     assert pool.failed == 0
-    for f, endos, status in seen:
-        assert status == _former_certify_indecomposable(f, endos)
+    verdicts = [status for _, _, status in seen]
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == QUATERNION_VERDICTS
     quaternions = [endos for _, endos, status in seen if status == CERTIFIED and len(endos) == 4]
     assert len(seen) > 100 and len(quaternions) > 30
     # ab + ba scalar on each parity, but not the same scalar on both: both
@@ -1250,29 +1039,7 @@ def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
     f = SimpleNamespace(module=SimpleNamespace(dim_even=4, dim_odd=4))
     for by in (1, 2, Fraction(1, 3)):
         endos = [(one, one)] + [(u, u.scale(by)) for u in (i, j, k)]
-        want = CERTIFIED if by == 1 else EXHAUSTED
-        assert _certify_indecomposable(f, endos) == want == _former_certify_indecomposable(f, endos)
-
-
-def _former_split_by(module, pair):
-    """The former split, kept as the reference: each factor raised to its
-    power by convolving coefficient lists, then evaluated at the pair."""
-    factors = _factor_rational_poly(_minimal_polynomial(module, pair))
-    if len(factors) < 2:
-        return None
-    split = []
-    for coeffs, power in factors:
-        full = list(coeffs)
-        for _ in range(power - 1):
-            nxt = [Fraction(0)] * (len(full) + len(coeffs) - 1)
-            for a, ca in enumerate(full):
-                for b, cb in enumerate(coeffs):
-                    nxt[a + b] += ca * cb
-            full = nxt
-        split.append(tuple(Subspace.row_space(kernel(_poly_eval(full, m))) for m in pair))
-    if sum(we.dim + wo.dim for we, wo in split) != module.dim_even + module.dim_odd:
-        return None
-    return split
+        assert _certify_indecomposable(f, endos) == (CERTIFIED if by == 1 else EXHAUSTED)
 
 
 def test_split_by_matches_former_convolution():
@@ -1288,72 +1055,34 @@ def test_split_by_matches_former_convolution():
     factors = _factor_rational_poly(_minimal_polynomial(module, pair))
     assert sorted((len(c) - 1, power) for c, power in factors) == [(1, 1), (2, 2)]
     split = _split_by(module, pair)
-    assert split == _former_split_by(module, pair)
+    assert _bases(split) == oracle.primary_parts(pair)
     assert sorted((we.dim, wo.dim) for we, wo in split) == [(1, 1), (4, 4)]
     rng = random.Random(151)
     for k in range(12):
         f = random_filtration([exterior_module(3), irreducible_module(4)][k % 2], rng)
         for pair in filtered_endomorphisms(f):
-            assert _split_by(f.module, pair) == _former_split_by(f.module, pair)
+            assert _bases(_split_by(f.module, pair)) == oracle.primary_parts(pair)
+
+
+def _bases(split):
+    return split and [tuple(w.basis.entries for w in part) for part in split]
 
 
 # ---------------------------------------------------------------------------
 # The search certifies its module once and reads its candidates' sources
-# off its own spans, with the former search kept as the reference
+# off its own spans
 
 
-def _former_filtration_search(module, target, budget, seed=0):
-    """The former search: source dimensions by a fresh reduction, summand
-    reports always from `decompose`, kept per candidate while it runs."""
-    assert check_supermodule(module)
-    target = tuple(target)
-    rng = random.Random(seed)
-    m = len(target) - 1
-    required = [sum(target[p % 2:p + 1:2]) for p in range(m + 1)]
-    reports = {}
-
-    def invariants_of(f):
-        if f not in reports:
-            summands = tuple(sorted((gr_dimensions(s.filtration),
-                                     _former_source_dimensions(s.filtration))
-                                    for s in decompose(f)))
-            reports[f] = (gr_dimensions(f), _former_source_dimensions(f), summands)
-        return reports[f]
-
-    found = []
-    for _ in range(budget):
-        bottom = invariants._random_subspace(module.dim_even, target[0], rng)
-        if bottom is None:
-            continue
-        flags = [bottom]
-        ok = True
-        for p in range(1, m + 1):
-            span = _former_grown(module, p, flags[p - 1],
-                                 flags[p - 2] if p >= 2 else Subspace.zero(module.dim(p % 2)))
-            if span.dim > required[p]:
-                ok = False
-                break
-            span = invariants._filled(span, required[p], rng)
-            if span.dim != required[p]:
-                ok = False
-                break
-            flags.append(span)
-        if not ok:
-            continue
-        candidate = SuperFiltration(module, flags[0::2], flags[1::2])
-        if not check_filtration(candidate):
-            continue
-        if any(invariants_of(g) == invariants_of(candidate) for g in found):
-            continue
-        found.append(candidate)
-    return found
+# the serialized finds of the searches in the test below, which no definition
+# gives: the sha256 of their text, one search after another
+SEARCH_FINDS = "19525714d0252a8a1440008112f14ffc6b363653aafebd4dc75e28e9db594703"
 
 
 def test_search_matches_the_former_search():
     # searches at four seeds per module and target, the targets of several
-    # finds among them: the serialized finds are the former search's, and
-    # each find's sources are those of a fresh filtration built from its
-    # flags.  ext4 and the n = 0 module do not certify, the others do
+    # finds among them: the serialized finds are pinned, and each find's
+    # kept sources are the oracle's.  ext4 and the n = 0 module do not
+    # certify, the others do
     grid = [
         ("cl5", irreducible_cl5, [(2, 8, 6), (3, 8, 5), (0, 1, 6, 7, 2)]),
         ("irr4", lambda: irreducible_module(4), [(2, 4, 2, 0), (1, 4, 3, 0, 0)]),
@@ -1362,21 +1091,19 @@ def test_search_matches_the_former_search():
         ("ext3", lambda: exterior_module(3), [(2, 4, 2), (1, 4, 3, 0, 0, 0)]),
         ("n0", lambda: CliffordSupermodule(CliffordAlgebra(0), [], [], 3, 2), [(1, 2, 2), (3, 2)]),
     ]
-    certified, finds = {}, Counter()
+    certified, finds, texts = {}, Counter(), []
     for name, build, targets in grid:
         for target in targets:
             for seed in range(4):
                 module = build()
                 found = filtration_search(module, target, 20, seed=seed)
-                want = _former_filtration_search(build(), target, 20, seed=seed)
-                assert (serialize.dumps(serialize.encode_search_results(found))
-                        == serialize.dumps(serialize.encode_search_results(want))), (name, target)
+                texts.append(serialize.dumps(serialize.encode_search_results(found)))
                 for f in found:
-                    fresh = SuperFiltration(build(), f.even_flags, f.odd_flags)
-                    assert source_dimensions(f) == source_dimensions(fresh)
+                    assert source_dimensions(f) == oracle.source_dimensions(f)
                 finds[len(found)] += 1
                 if module._indecomposable is not None:
                     certified[name] = module._indecomposable
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == SEARCH_FINDS
     assert certified == {"cl5": True, "irr4": True, "irr5": True, "ext4": False,
                          "ext3": True, "n0": False}
     assert finds[2] + finds[3] >= 12
@@ -1395,8 +1122,7 @@ def test_search_certifies_only_when_it_compares():
 
 
 def _decomposed_reports(f):
-    return tuple(sorted((gr_dimensions(s.filtration), _former_source_dimensions(s.filtration))
-                        for s in decompose(f)))
+    return oracle.summand_reports(decompose(f))
 
 
 def test_report_on_a_certified_module_is_its_own_pair(monkeypatch):

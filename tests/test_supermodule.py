@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffilt import serialize
+import oracle
 from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.exactalg import Matrix, Subspace, _vanishes
@@ -25,6 +25,7 @@ from cliffilt.supermodule import (
     kron,
     trivial_filtration,
 )
+from oracle import grid
 
 
 def test_exterior_modules_satisfy_relations():
@@ -382,13 +383,11 @@ def test_first_witness_of_each_kind(kind):
     assert list(cert.witness.items()) == list(witness.items())
 
 
-def _is_scalar_oracle(a: Matrix, b: Matrix, s) -> bool:
-    """The former check: one Fraction sum and compare per entry."""
-    for r, (row_a, row_b) in enumerate(zip(a.entries, b.entries)):
-        for c, (x, y) in enumerate(zip(row_a, row_b)):
-            if (x + y if y else x) != (s if r == c else 0):
-                return False
-    return True
+def _is_scalar(a: Matrix, b: Matrix, s) -> bool:
+    """Whether a + b = s I, entry by entry."""
+    n = a.rows
+    return oracle.combination([(1, grid(a)), (1, grid(b))], n, n) == \
+        oracle.combination([(s, oracle.identity(n))], n, n)
 
 
 def _scalar_pairs():
@@ -429,7 +428,7 @@ def test_is_scalar_matches_entrywise_oracle():
     for a, b, s in _scalar_pairs():
         one = Matrix.identity(a.rows)
         got = _vanishes([(1, a, one), (1, b, one)], one, s)
-        assert got == _is_scalar_oracle(a, b, s), (a, b, s)
+        assert got == _is_scalar(a, b, s), (a, b, s)
         outcomes.add((got, s == 0))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -445,20 +444,11 @@ def test_is_scalar_on_module_relations():
                 terms = [(1, m.gamma_eo[i], m.gamma_oe[j]), (1, m.gamma_eo[j], m.gamma_oe[i])]
                 for s in (2 * gram[i][j], 2 * gram[i][j] + 1, 0):
                     got = _vanishes(terms, Matrix.identity(m.dim_even), s)
-                    assert got == _is_scalar_oracle(gh, hg, s)
+                    assert got == _is_scalar(gh, hg, s)
 
 
 # ---------------------------------------------------------------------------
 # Kronecker products on integer forms, and the flags of tensor_module
-
-
-def _former_kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product as it was defined on Fraction entries."""
-    rows = []
-    for ra in a.entries:
-        for rb in b.entries:
-            rows.append([x * y for x in ra for y in rb])
-    return Matrix(a.rows * b.rows, a.cols * b.cols, rows)
 
 
 def _form(m: Matrix) -> tuple:
@@ -480,7 +470,8 @@ def test_kron_matches_former_fraction_definition():
     for _ in range(300):
         top = rng.choice((3, 10**6))
         a, b = _random_rational_matrix(rng, top), _random_rational_matrix(rng, top)
-        got, want = kron(a, b), _former_kron(a, b)
+        got = kron(a, b)
+        want = Matrix(a.rows * b.rows, a.cols * b.cols, oracle.kron(grid(a), grid(b)))
         assert got._entries is None
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert _form(got) == _form(want)
@@ -531,33 +522,9 @@ def test_commutant_and_endomorphisms_build_no_fraction_grid():
             assert all(x._entries is None for x in pair)
 
 
-def _former_direct_sum(a: CliffordSupermodule, b: CliffordSupermodule) -> CliffordSupermodule:
-    """The former dense block-diagonal action, kept as the reference."""
-    def block(m1: Matrix, m2: Matrix) -> Matrix:
-        rows = [list(r) + [0] * m2.cols for r in m1.entries]
-        rows += [[0] * m1.cols + list(r) for r in m2.entries]
-        return Matrix(m1.rows + m2.rows, m1.cols + m2.cols, rows)
-
-    return CliffordSupermodule(a.algebra, [block(x, y) for x, y in zip(a.gamma_eo, b.gamma_eo)],
-                               [block(x, y) for x, y in zip(a.gamma_oe, b.gamma_oe)],
-                               dim_even=a.dim_even + b.dim_even, dim_odd=a.dim_odd + b.dim_odd)
-
-
-def _former_direct_sum_filtration(fa: SuperFiltration, fb: SuperFiltration) -> SuperFiltration:
-    """The former levelwise sum: both bases embedded densely, then spanned."""
-    module = _former_direct_sum(fa.module, fb.module)
-    top = max(fa.top_degree, fb.top_degree)
-
-    def flags(parity):
-        width_a, width = fa.module.dim(parity), module.dim(parity)
-        out = []
-        for p in range(parity, top + 1, 2):
-            rows = [list(r) + [0] * (width - width_a) for r in fa.level(p).basis.entries]
-            rows += [[0] * width_a + list(r) for r in fb.level(p).basis.entries]
-            out.append(Subspace.span(width, rows))
-        return out
-
-    return SuperFiltration(module, flags(0), flags(1))
+def _block(x: Matrix, y: Matrix) -> Matrix:
+    return Matrix(x.rows + y.rows, x.cols + y.cols,
+                  oracle.block_diagonal(grid(x), grid(y), x.cols, y.cols))
 
 
 def _random_module(rng, n: int, dims) -> CliffordSupermodule:
@@ -579,12 +546,17 @@ def test_direct_sums_match_former_dense_embedding():
         n = k % 5
         fa = random_filtration(rng.choice(by_n[n]), rng)
         fb = random_filtration(rng.choice(by_n[n]), rng)
-        got, want = direct_sum_filtration(fa, fb), _former_direct_sum_filtration(fa, fb)
-        assert got == want and got.module == want.module
-        for x, flag in got.flags.items():
-            assert flag.pivots == want.flags[x].pivots
-            assert flag.basis.entries == want.flags[x].basis.entries
-        assert serialize.dumps(got) == serialize.dumps(want)
+        got = direct_sum_filtration(fa, fb)
+        assert [got.module.gamma(i, c) for i in range(n) for c in (0, 1)] == [
+            _block(fa.module.gamma(i, c), fb.module.gamma(i, c)) for i in range(n) for c in (0, 1)]
+        assert got.top_degree == max(fa.top_degree, fb.top_degree)
+        for (p,), flag in got.flags.items():
+            # the levelwise sum, in reduced row-echelon form
+            c = (p % 2,)
+            rows, pivots = oracle.rref(oracle.block_diagonal(
+                grid(fa.level(p).basis), grid(fb.level(p).basis), fa.dims[c], fb.dims[c]),
+                got.dims[c])
+            assert flag.basis.entries == tuple(map(tuple, rows)) and flag.pivots == pivots
         assert check_filtration(got)
         unequal += fa.top_degree != fb.top_degree
         zero_levels += any(not flag.dim for flag in (*fa.flags.values(), *fb.flags.values()))
@@ -593,10 +565,10 @@ def test_direct_sums_match_former_dense_embedding():
         n = rng.randint(0, 3)
         dims = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2)]
         a, b = (_random_module(rng, n, d) for d in dims)
-        got, want = direct_sum(a, b), _former_direct_sum(a, b)
-        assert got == want
-        assert [_form(m) for m in got.gamma_eo + got.gamma_oe] == \
-            [_form(m) for m in want.gamma_eo + want.gamma_oe]
+        got = direct_sum(a, b)
+        want = [_block(x, y) for x, y in zip(a.gamma_eo + a.gamma_oe, b.gamma_eo + b.gamma_oe)]
+        assert (got.dim_even, got.dim_odd) == (a.dim_even + b.dim_even, a.dim_odd + b.dim_odd)
+        assert [_form(m) for m in got.gamma_eo + got.gamma_oe] == [_form(m) for m in want]
 
 
 def test_direct_sum_filtration_makes_no_elimination(eliminations):

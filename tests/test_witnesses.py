@@ -11,7 +11,7 @@ import pytest
 from cliffilt import deformation
 from cliffilt.bifiltration import BiGradedRep, bideform, tensor_module, verify_2d
 from cliffilt.deformation import OffShellRep, canonical_roundtrip_iso, deform, verify_offshell
-from cliffilt.exactalg import Matrix, Subspace
+from cliffilt.exactalg import Subspace
 from cliffilt.supermodule import (
     CliffordSupermodule,
     FilteredModule,
@@ -21,12 +21,7 @@ from cliffilt.supermodule import (
     degree_filtration,
     exterior_module,
 )
-
-
-def _bump(m: Matrix, r: int, c: int, by: int) -> Matrix:
-    rows = [list(row) for row in m.entries]
-    rows[r][c] += by
-    return Matrix(m.rows, m.cols, rows)
+from oracle import bumped
 
 
 def _pinned(cert, check, *items):
@@ -66,9 +61,9 @@ def test_offshell_mutant_witness(name):
     h_maps = list(base.h_maps)
     q_maps = [list(per) for per in base.q_maps]
     if which == "h":
-        h_maps[p] = _bump(h_maps[p], r, c, by)
+        h_maps[p] = bumped(h_maps[p], r, c, by)
     else:
-        q_maps[i][p] = _bump(q_maps[i][p], r, c, by)
+        q_maps[i][p] = bumped(q_maps[i][p], r, c, by)
     cert = verify_offshell(OffShellRep(base.algebra, base.dims, h_maps, q_maps))
     _pinned(cert, "offshell_relations", *items)
 
@@ -128,7 +123,7 @@ def _bigraded_mutant_certificate(n_plus, which, i, x, r, c, by):
     maps = {"sp": dict(base.sp), "sm": dict(base.sm),
             "qp": [dict(per) for per in base.qp], "qm": [dict(per) for per in base.qm]}
     held = maps[which] if i is None else maps[which][i]
-    held[x] = _bump(held[x], r, c, by)
+    held[x] = bumped(held[x], r, c, by)
     mutant = BiGradedRep(base.plus_algebra, base.minus_algebra, base.dims,
                          maps["sp"], maps["sm"], maps["qp"], maps["qm"])
     return verify_2d(mutant)
@@ -160,7 +155,7 @@ def test_module_gamma_mutant_witness(name):
     (side, i, r, c), *items = MODULE[name]
     m = exterior_module(3)
     gammas = {"eo": list(m.gamma_eo), "oe": list(m.gamma_oe)}
-    gammas[side][i] = _bump(gammas[side][i], r, c, 1)
+    gammas[side][i] = bumped(gammas[side][i], r, c, 1)
     cert = check_supermodule(CliffordSupermodule(m.algebra, gammas["eo"], gammas["oe"]))
     _pinned(cert, "supermodule_relations", *items)
 
@@ -180,15 +175,15 @@ def test_roundtrip_intertwine_failure_witness(monkeypatch):
     # a quotient whose g_1 on the odd corner is one entry off
     quotient = deformation._quotient
 
-    def bumped(r, shells, cls):
+    def off_by_one(r, shells, cls):
         q = quotient(r, shells, cls)
         gammas = [[dict(g) for g in family] for family in q.gammas]
-        gammas[0][1][(1,)] = _bump(gammas[0][1][(1,)], 0, 0, 1)
+        gammas[0][1][(1,)] = bumped(gammas[0][1][(1,)], 0, 0, 1)
         out = cls.__new__(cls)
         FilteredModule.__init__(out, q.algebras, q.dims, gammas, q.flags)
         return out
 
-    monkeypatch.setattr(deformation, "_quotient", bumped)
+    monkeypatch.setattr(deformation, "_quotient", off_by_one)
     with pytest.raises(RuntimeError) as caught:
         canonical_roundtrip_iso(degree_filtration(exterior_module(3)))
     assert str(caught.value) == (
