@@ -41,18 +41,17 @@ from types import MappingProxyType
 
 from .certificate import Certificate, failing, passing, require
 from .clifford import CliffordAlgebra
-from .deformation import GradedRep, _deform, _quotient, _roundtrip, _verify, _Words
-from .exactalg import Matrix, Subspace, _block_matrix, _vanishes, kron, rational
+from .deformation import (GradedRep, _deform, _quotient, _regular_module, _roundtrip, _verify,
+                          _Words)
+from .exactalg import Matrix, Subspace, _block_matrix, kron, rational
 from .supermodule import (
     CliffordSupermodule,
     FilteredModule,
     SuperFiltration,
     _checked,
     _CheckWords,
-    _graded_subsets,
     _module_relations,
     _nest,
-    _parity,
     check_filtration,
     degree_filtration,
     exterior_module,
@@ -90,7 +89,6 @@ class BifilteredSupermodule(FilteredModule):
     def __init__(self, plus_algebra, minus_algebra, dims, gamma_plus, gamma_minus, biflags):
         flags = {(m, n): flag for m, row in enumerate(biflags) for n, flag in enumerate(row)}
         super().__init__((plus_algebra, minus_algebra), dims, (gamma_plus, gamma_minus), flags)
-        self._identified: Certificate | None = None  # kept by _identification
 
     plus_algebra = property(lambda self: self.algebras[0])
     minus_algebra = property(lambda self: self.algebras[1])
@@ -334,43 +332,6 @@ def twisted_tensor(a: CliffordAlgebra, b: CliffordAlgebra) -> TwistedProduct:
     return TwistedProduct(a, b)
 
 
-def _identification(bf: BifilteredSupermodule) -> Certificate:
-    """The last stage of `check_twisted_tensor`, on its module `bf`.  The
-    module is read-only, so the certificate is kept on it."""
-    if bf._identified is None:
-        bf._identified = _identify(bf)
-    return bf._identified
-
-
-def _identify(bf: BifilteredSupermodule) -> Certificate:
-    """The identification certificate.  The word I u (J + p) is already
-    sorted, so no reordering sign appears."""
-    name = "identification"
-    p, q = bf.plus_algebra.n, bf.minus_algebra.n
-    labels = {c: [(i, jj) for i in _graded_subsets(p, c[0]) for jj in _graded_subsets(q, c[1])]
-              for c in bf.dims}
-    perms = []
-    # total_module orders the even part (0,0), (1,1) and the odd part (0,1), (1,0)
-    for c, parts in ((0, ((0, 0), (1, 1))), (1, ((0, 1), (1, 0)))):
-        index = {s: k for k, s in enumerate(_graded_subsets(p + q, c))}
-        images = [index[i + tuple(j + p for j in jj)] for x in parts for i, jj in labels[x]]
-        if any(bf.dims[x] != len(labels[x]) for x in parts) or sorted(images) != list(range(len(index))):
-            return failing(name, kind="not_bijective", parity=c)
-        perms.append(Matrix._from_ints(len(index), 1, [((k, 1),) for k in images]))
-    for x, flag in bf.flags.items():
-        units = [k for k, (i, jj) in enumerate(labels[_parity(x)])
-                 if len(i) <= x[0] and len(jj) <= x[1]]
-        if flag != Subspace._units(flag.ambient, units):
-            return failing(name, kind="bifiltration", m=x[0], n=x[1])
-    ambient, total = exterior_module(p + q), total_module(bf)
-    for k in range(p + q):
-        for c in (0, 1):
-            if not _vanishes([(1, total.gamma(k, c), perms[1 - c]),
-                              (-1, perms[c], ambient.gamma(k, c))]):
-                return failing(name, kind="not_multiplicative", generator=k, parity=c)
-    return passing(name)
-
-
 def check_twisted_tensor(t: TwistedProduct) -> Certificate:
     """Certify Cl(p) (x)^ Cl(q) = Cl(p + q) on the regular module
     `t.module`.  The stages, each exact and the first failure the witness
@@ -382,14 +343,9 @@ def check_twisted_tensor(t: TwistedProduct) -> Certificate:
       g- F_{m,n} <= F_{m,n+1};
     * `verify_2d` of `bideform`;
     * `canonical_biroundtrip_iso` (it raises if the correspondence fails);
-    * `identification`: the basis permutation (I, J) -> I u (J + p) hits
-      each monomial of Cl(p + q) once (`not_bijective`); each F_{m,n} is
-      spanned by the pairs with |I| <= m and |J| <= n (`bifiltration`:
-      with the flag steps above, a product of two levels lands in the
-      summed level); and each generator of `total_module(t.module)` is
-      carried onto the same generator of `exterior_module(p + q)`,
-      Cl(p + q) acting on itself (`not_multiplicative`).  The generators
-      span the algebra, so the permutation is a superalgebra isomorphism.
+    * `regular_module` (`deformation._regular_module`, kept on the
+      module): Cl(p + q) acting on itself, bifiltered by word length in
+      each family, the pair (I, J) being the monomial I u (J + p).
     """
     name = "twisted_tensor"
     bf = t.module
@@ -399,5 +355,7 @@ def check_twisted_tensor(t: TwistedProduct) -> Certificate:
     if cert:
         cert = canonical_biroundtrip_iso(bf).certificate
     if cert:
-        cert = _identification(bf)
+        if bf._regular is None:
+            bf._regular = _regular_module(bf, BiGradedRep._words)
+        cert = bf._regular
     return passing(name) if cert else failing(name, stage=cert.check, **cert.witness)

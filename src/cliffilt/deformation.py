@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import le
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -59,7 +60,6 @@ from .supermodule import (
     _check_maps,
     _corner,
     _fold,
-    _graded_subsets,
     _nest,
     _parity,
     _points,
@@ -101,6 +101,10 @@ class _Words(NamedTuple):
     roundtrip: str
     component: str  # witness key of a parity component
     intertwine: tuple  # (kind, generator key) per family
+
+    def at(self, c) -> dict:
+        """The witness naming parity component c; a single parity by its number."""
+        return {self.component: c if len(c) > 1 else c[0]}
 
 
 class GradedRep:
@@ -375,18 +379,16 @@ def _roundtrip(source: FilteredModule, rep: GradedRep,
     back = _quotient(rep, (1,) * len(source.tops), type(source))
     name = words.roundtrip
     maps = {c: Matrix.identity(dim) for c, dim in source.dims.items()}
-    # a single parity is named by its number
-    labels = {c: {words.component: c if len(c) > 1 else c[0]} for c in maps}
 
     def verify() -> Certificate:
         for c, dim in source.dims.items():
             if back.dims[c] != dim:
-                return failing(name, kind="bijective", **labels[c])
+                return failing(name, kind="bijective", **words.at(c))
         for c in maps:
             for d, (kind, key) in enumerate(words.intertwine):
                 for i, (gamma, image) in enumerate(zip(source.gammas[d], back.gammas[d])):
                     if gamma[c] != image[c]:
-                        return failing(name, kind=kind, **{key: i}, **labels[c])
+                        return failing(name, kind=kind, **{key: i}, **words.at(c))
         for x, flag in source.flags.items():
             if flag != back.flags[x]:
                 return failing(name, kind="flag", **dict(zip(words.point, x)))
@@ -515,45 +517,76 @@ def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
 
 
 # ---------------------------------------------------------------------------
-# The algebra case: Cl(n) filtered by word length
+# The algebra case: Cl(N) acting on itself, filtered by word length
 
 
-def _regular_module(f: SuperFiltration) -> Certificate:
-    """Stage `regular_module` of `enveloping_quotient_check`.
+def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
+    """Stage `regular_module` of `enveloping_quotient_check` (k = 1) and
+    `check_twisted_tensor` (k = 2): v is Cl(N) acting on itself, filtered
+    by word length in each family.
 
-    Walking the subsets S = (s1 < ... < sk) by size, g_S e_() =
-    g_s1 (g_{S - s1} e_()) is one row lookup: the row of e_{S - s1} in
-    g_s1's integer form must be the single entry +-d in the column of S
-    (else `word`).  Each flag F_p must be spanned by the e_S with |S| <= p
-    of p's parity (else `flag`).
+    Letter o_d + i of Cl(N) is generator i of family d, o_d counting the
+    generators before family d.  Basis vector j of component c is e_S for
+    the j-th tuple of subsets, one per family d, of parity c_d, by size
+    then lexicographically, the first family slowest, S their union: the
+    order of `exterior_module` and `tensor_module`.  The first failure is
+    the witness: each Gram matrix must be the identity (`gram`); each
+    component must have one basis vector per label (`shape`); walking the
+    monomials S by size, the row of e_{S - s} in g_s, s the least letter
+    of S, must be the single entry +1 at e_S (`word`); and F_x must be
+    spanned by the e_S with at most x_d letters from each family d (`flag`).
 
-    Why this certifies F_p F_q <= F_{p+q} on Cl(n): `check_filtration` has
-    checked the Clifford relations, so x -> x e_() is a module map from
-    Cl(n).  It sends each monomial g_S to +-e_S, so it is a bijection onto
-    the 2^n-dimensional module, which is the regular module, and it maps
-    the algebra's F_p onto the flag F_p (levels above the stored top
-    repeat the top two, which are full).  A product a b then corresponds
-    to L(a) (b e_()), with b e_() in F_q.  For a monomial a in F_p, L(a) is
-    |a| <= p generator steps, each raising the level by at most one
-    (g_i F_r <= F_{r+1}, also checked by `check_filtration`); |a| = p
-    (mod 2) and the flags of one parity are nested, so a b lies in F_{p+q}.
+    The earlier stages check the Clifford relations and g F_x <= F_{x + e_d}
+    for g in family d.  By induction on |S|, e_S = g_S e_(), g_S the
+    product of S's letters in increasing order, so a -> a e_() carries the
+    monomial basis of Cl(N) onto {e_S}, and its word-length filtration
+    onto the flags.  A monomial a in F_x acts as x_d or fewer steps in
+    family d, of x_d's parity, each raising direction d by one; the flags
+    of one parity are nested, so F_x F_y <= F_{x+y}.
+
+    At k = 2, on every module the earlier stages accept, this is
+    equivalent to carrying `total_module(v)`, through the permutation
+    (I, J) -> I u (J + p), onto `exterior_module(p + q)` generator by
+    generator.  `shape` holds exactly when that permutation is a
+    bijection, and `flag` is the same test.  Generators carried onto
+    `exterior_module(N)`'s square to 1, so they pass the relations only
+    with identity Gram matrices, which `gram` tests.  With those,
+    g_l g_S = +-g_{S xor l} in Cl(N), the sign (-1)^{#{j in S, j < l}} of
+    moving g_l past the smaller letters.  So once the walk passes,
+    g_l e_S = +-e_{S xor l} with that sign: each generator is
+    `exterior_module(N)`'s.  Conversely, there g_s e_{S - s} = +e_S, no
+    letter of S - s being below s.  The sign must be +: a negated generator
+    is an automorphism of Cl(N), so a walk that accepted -1 would pass its
+    module, whose generators are not `exterior_module(N)`'s.
     """
     name = "regular_module"
-    m = f.module
-    n = m.algebra.n
-    subsets = (_graded_subsets(n, 0), _graded_subsets(n, 1))
-    index = [{s: k for k, s in enumerate(part)} for part in subsets]
-    for size in range(1, n + 1):
-        c = size % 2
-        for s in combinations(range(n), size):
-            d, rows = m.gamma(s[0], 1 - c)._ints()
-            row = rows[index[1 - c][s[1:]]]
-            if len(row) != 1 or row[0][0] != index[c][s] or abs(row[0][1]) != d:
-                return failing(name, kind="word", word=list(s))
-    for (p,), flag in f.flags.items():
-        units = [k for k, s in enumerate(subsets[p % 2]) if len(s) <= p]
+    if any(a.gram != Matrix.identity(a.n) for a in v.algebras):
+        return failing(name, kind="gram")
+    letters = [(d, i) for d, algebra in enumerate(v.algebras) for i in range(algebra.n)]
+    where, groups = {}, {}  # S -> (component, index); component -> {letters per family: indices}
+    for c, dim in v.dims.items():
+        labels = [((), ())]  # (S, its letters per family)
+        for d, a in enumerate(c):
+            own = [s for s, (e, _) in enumerate(letters) if e == d]
+            labels = [(S + T, per + (size,)) for S, per in labels
+                      for size in range(a, len(own) + 1, 2) for T in combinations(own, size)]
+        if dim != len(labels):
+            return failing(name, kind="shape", **words.at(c))
+        groups[c] = {}
+        for j, (S, per) in enumerate(labels):
+            where[S] = (c, j)
+            groups[c].setdefault(per, []).append(j)
+    for size in range(1, len(letters) + 1):
+        for S in combinations(range(len(letters)), size):
+            (c, j), (b, i), (d, g) = where[S], where[S[1:]], letters[S[0]]
+            den, rows = v.gammas[d][g][b]._ints()
+            if len(rows[i]) != 1 or rows[i][0][0] != j or rows[i][0][1] != den:
+                return failing(name, kind="word", word=list(S))
+    for x, flag in v.flags.items():
+        units = sorted(j for per, js in groups[_parity(x)].items() if all(map(le, per, x))
+                       for j in js)
         if flag != Subspace._units(flag.ambient, units):
-            return failing(name, kind="flag", level=p)
+            return failing(name, kind="flag", **dict(zip(words.point, x)))
     return passing(name)
 
 
@@ -573,11 +606,9 @@ def enveloping_quotient_check(n: int, max_degree: int, seed: int = 0) -> Certifi
       with period two above the top);
     * `canonical_roundtrip_iso`: evaluation at 1 is onto Cl(n) with
       kernel the image of H - 1 (it raises if the correspondence fails);
-    * `regular_module`: each word g_S e_() is +-e_S (`word`) and F_p is
-      spanned by the words of length <= p of p's parity (`flag`).  With
-      the first stage that gives F_p F_q <= F_{p+q} (`_regular_module`),
-      which makes the graded product, and so evaluation at 1,
-      multiplicative.
+    * `regular_module` (`_regular_module`): Cl(n) acting on itself,
+      filtered by word length, so that with the first stage F_p F_q <=
+      F_{p+q}, and the graded product, so evaluation at 1, is multiplicative.
 
     These hold at every degree, so they cover the truncation at any
     `max_degree` >= 3, which is still required.  `seed` is unused; it
@@ -593,5 +624,5 @@ def enveloping_quotient_check(n: int, max_degree: int, seed: int = 0) -> Certifi
     if cert:
         cert = canonical_roundtrip_iso(f).certificate
     if cert:
-        cert = _regular_module(f)
+        cert = _regular_module(f, OffShellRep._words)
     return passing(name) if cert else failing(name, stage=cert.check, **cert.witness)

@@ -237,13 +237,14 @@ def heights_from_sources(graph: AdinkraGraph, sources) -> list[int]:
     that no source reaches.
     """
     adjacency = _adjacency(graph)
-    best = {v: h for v, h in sources}
-    for v, h in best.items():
+    best = {}
+    for v, h in sources:
         if v not in adjacency:
             raise ValueError(f"source {v} is not a vertex of the graph")
         if h < 0 or h % 2 != graph.vertices[v].parity:
             raise ValueError(f"source {v} has height {h}: heights must be nonnegative "
                              "and match parity")
+        best[v] = min(h, best.get(v, h))
     heap = [(h, v) for v, h in best.items()]
     heapq.heapify(heap)
     while heap:

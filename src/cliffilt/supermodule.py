@@ -75,6 +75,9 @@ def _nest(values: dict, tops, prefix=()):
 # backs the number, so it is refused before an identity or a full flag of
 # that size is built.  Every module the package builds is far below it.
 MAX_FREE_DIM = 4096
+# The graded commutant of such a module has dim_even^2 + dim_odd^2 pairs,
+# over which End(f) is solved; above this many, none is built.
+MAX_FREE_COMMUTANT = 1024
 
 
 def _require_backed(algebras, dims) -> None:
@@ -156,6 +159,7 @@ class FilteredModule:
         self._verdict: Certificate | None = None
         self._deformed = None  # the graded rep, kept by deformation._deform
         self._iso = None  # the roundtrip maps and certificate, kept by deformation._roundtrip
+        self._regular = None  # k = 2: the regular_module verdict, kept by check_twisted_tensor
         self._sources = None  # k = 1: the source dimensions, kept by invariants.source_dimensions
 
     def __eq__(self, other):
@@ -329,7 +333,8 @@ class CliffordSupermodule(FilteredModule):
 
         The relations are therefore its precondition: raises CheckFailed
         unless check_supermodule passes (a verdict already kept on the
-        module is read as it is).  Cached.
+        module is read as it is).  Cached.  With no generator, raises
+        ValueError above `MAX_FREE_COMMUTANT` pairs.
 
         When A_i is a signed permutation, A[m][pi(m)] = a_m, as it is
         whenever the gammas are (every built-in module), entry (r, pi(m))
@@ -347,6 +352,10 @@ class CliffordSupermodule(FilteredModule):
     def _solve_commutant(self) -> list[tuple[Matrix, Matrix]]:
         n0, n1 = self.dim_even, self.dim_odd
         if self.algebra.n == 0:
+            pairs = n0 * n0 + n1 * n1
+            if pairs > MAX_FREE_COMMUTANT:
+                raise ValueError(f"graded commutant of dimension {pairs} exceeds "
+                                 f"{MAX_FREE_COMMUTANT}, the limit when no generator acts")
             # No generator couples the parities: every pair of square blocks
             # commutes.  With one, a zero part needs no case: with one part
             # zero, g_0 g_0 = G_00 I fails on the other, so check_supermodule

@@ -340,6 +340,45 @@ def roundtrip_failures(source, rep):
             yield failing(w.roundtrip, kind="flag", **dict(zip(w.point, x)))
 
 
+def regular_module(v) -> bool:
+    """Whether a filtered module is Cl(N) acting on itself, filtered by word
+    length in each family: its check passes; with the letters of Cl(N)
+    numbered family by family, component c has one basis vector e_S per
+    monomial S whose part S_d in family d has parity c_d (each family's
+    parts by size, then lexicographically, the first family slowest);
+    each generator is exterior_module(N)'s, g_l e_S = (-1)^{#{j in S, j < l}}
+    e_{S xor {l}}; and F_x is spanned by the e_S with |S_d| <= x_d."""
+    if next(module_failures(v), None) is not None:
+        return False
+    sizes = [a.n for a in v.algebras]
+    letters = [list(range(sum(sizes[:d]), sum(sizes[:d + 1]))) for d in range(len(sizes))]
+    labels = {}
+    for c in v.dims:
+        parts = [[S for size in range(len(own) + 1) if size % 2 == a
+                  for S in combinations(own, size)] for own, a in zip(letters, c)]
+        labels[c] = [(tuple(sorted(sum(per, ()))), per) for per in cartesian(*parts)]
+        if len(labels[c]) != v.dims[c]:
+            return False
+    for d, family in enumerate(_gammas(v)):
+        for l, g in zip(letters[d], family):
+            for c, m in g.items():
+                targets = [S for S, _ in labels[parity(_up(c, d, 1))]]
+                want = [[ZERO] * len(targets) for _ in labels[c]]
+                for row, (S, _) in zip(want, labels[c]):
+                    row[targets.index(tuple(sorted(set(S) ^ {l})))] = Fraction(
+                        (-1) ** sum(j < l for j in S))
+                if m != want:
+                    return False
+    for x, flag in v.flags.items():
+        cols = v.dims[parity(x)]
+        units = [[ONE if k == j else ZERO for k in range(cols)]
+                 for j, (_, per) in enumerate(labels[parity(x)])
+                 if all(len(part) <= top for part, top in zip(per, x))]
+        if not span_equal(grid(flag.basis), units, cols):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Invariants of a filtration (k = 1), read from its levels F_0 .. F_top
 

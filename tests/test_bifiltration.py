@@ -169,21 +169,23 @@ def _minus_factor_doubled(bf):
 _FLAG_KINDS = ("nesting_plus", "nesting_minus", "compatibility_plus", "compatibility_minus")
 
 
-@pytest.mark.parametrize("mutate, stage, kinds", [
+@pytest.mark.parametrize("mutate, rejected_by, kinds", [
     (_sign_flipped_minus, "bifiltered_module", ("minus_relation",)),
     (_untwisted_minus, "bifiltered_module", ("families_commute",)),
     (_unit_level_full, "bifiltered_module", _FLAG_KINDS),
-    (_coarse_bifiltration, "identification", ("bifiltration",)),
-    (_first_plus_negated, "identification", ("not_multiplicative",)),
-    (_minus_factor_doubled, "identification", ("not_bijective",)),
+    (_coarse_bifiltration, "identification", ("flag",)),
+    (_first_plus_negated, "identification", ("word",)),
+    (_minus_factor_doubled, "identification", ("shape",)),
 ])
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (1, 3), (2, 2)])
-def test_twisted_tensor_rejects_mutants(monkeypatch, mutate, stage, kinds, p, q):
+def test_twisted_tensor_rejects_mutants(monkeypatch, mutate, rejected_by, kinds, p, q):
     # the last three mutants are valid bifiltered modules, which pass the
-    # engine's own stages, so only the identification can reject them
+    # engine's own stages, so only the identification with Cl(p + q), the
+    # `regular_module` stage, can reject them
     original = bifiltration.tensor_module
     bf = mutate(original(degree_filtration(exterior_module(p)), degree_filtration(exterior_module(q))))
-    if stage == "identification":
+    stage = "regular_module" if rejected_by == "identification" else rejected_by
+    if stage == "regular_module":
         assert check_bifiltered_module(bf) and verify_2d(bideform(bf))
         assert canonical_biroundtrip_iso(bf).certificate
     monkeypatch.setattr(bifiltration, "tensor_module", lambda *factors: bf)
@@ -269,19 +271,18 @@ def test_biroundtrip_is_kept_on_the_module(monkeypatch):
 
 
 def test_identification_is_kept_on_the_module(monkeypatch):
-    # the identification certificate is kept on the read-only module, so a
-    # warm check_twisted_tensor builds neither Cl(p + q) nor the total module
+    # the identification with Cl(p + q), the regular_module verdict, is kept
+    # on the read-only module, so a warm check_twisted_tensor walks no word
     t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(2))
     assert check_twisted_tensor(t)
-    first = t.module._identified
-    assert first and first.check == "identification"
+    first = t.module._regular
+    assert first and first.check == "regular_module"
     calls = []
-    for name in ("exterior_module", "total_module", "_identify"):
-        original = getattr(bifiltration, name)
-        monkeypatch.setattr(bifiltration, name,
-                            lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
+    original = bifiltration._regular_module
+    monkeypatch.setattr(bifiltration, "_regular_module",
+                        lambda *args: calls.append(args) or original(*args))
     assert check_twisted_tensor(t) == passing("twisted_tensor")
-    assert t.module._identified is first
+    assert t.module._regular is first
     assert calls == []
 
 

@@ -247,3 +247,25 @@ def test_a_dimension_no_generator_backs_is_capped(kind):
     assert time.monotonic() - start < 1 and peak < 2**20
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: malformed {kind} document: dimension 4097 exceeds 4096")
+
+
+@pytest.mark.parametrize("command", ["invariants", "decompose"])
+def test_a_commutant_no_generator_backs_is_capped(command):
+    # the trivial filtration of a (32|1) module over Cl(0), whose graded
+    # commutant has 32^2 + 1^2 unit pairs, one past the cap: refused before
+    # any pair is built
+    from cliffilt import serialize
+    from cliffilt.clifford import CliffordAlgebra
+    from cliffilt.supermodule import MAX_FREE_COMMUTANT, CliffordSupermodule, trivial_filtration
+
+    assert 32 * 32 + 1 * 1 == MAX_FREE_COMMUTANT + 1
+    text = serialize.dumps(trivial_filtration(CliffordSupermodule(CliffordAlgebra(0), [], [], 32, 1)))
+    tracemalloc.start()
+    start = time.monotonic()
+    code, out, err = _run([command], text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.monotonic() - start < 1 and peak < 2**20
+    assert code == 2 and out == ""
+    assert err == ("error: graded commutant of dimension 1025 exceeds 1024, the limit when no "
+                   "generator acts\n")

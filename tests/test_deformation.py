@@ -45,6 +45,7 @@ from cliffilt.supermodule import (
     irreducible_module,
     trivial_filtration,
 )
+import oracle
 from oracle import grid, product, rebased
 
 
@@ -307,9 +308,29 @@ def test_regular_module_rejects_a_generator_that_kills_the_unit():
     gamma_eo = [m.gamma_eo[0], Matrix(m.dim_even, m.dim_odd, eo)]
     broken = CliffordSupermodule(m.algebra, gamma_eo, m.gamma_oe,
                                  dim_even=m.dim_even, dim_odd=m.dim_odd)
-    cert = deformation._regular_module(degree_filtration(broken))
+    cert = deformation._regular_module(degree_filtration(broken), OffShellRep._words)
     assert not cert and cert.check == "regular_module"
     assert cert.witness == {"kind": "word", "word": [1]}
+
+
+def test_regular_module_requires_the_identity_gram():
+    # Cl(2) over the Gram matrix 4 I acting on itself: every relation, flag
+    # step and raising word holds, but g_i e_S = +-4 e_{S - i} for i in S,
+    # so its generators are not exterior_module(2)'s and the Gram matrix is
+    # refused
+    m, subsets = exterior_module(2), [_graded_subsets(2, c) for c in (0, 1)]
+
+    def lowered(g, c, i):
+        return Matrix(g.rows, g.cols, [[4 * x if i in subsets[c][r] else x for x in row]
+                                       for r, row in enumerate(g.entries)])
+
+    four = CliffordSupermodule(CliffordAlgebra(2, Matrix.identity(2).scale(4)),
+                               [lowered(g, 0, i) for i, g in enumerate(m.gamma_eo)],
+                               [lowered(g, 1, i) for i, g in enumerate(m.gamma_oe)])
+    f = degree_filtration(four)
+    assert check_filtration(f) and not oracle.regular_module(f)
+    cert = deformation._regular_module(f, OffShellRep._words)
+    assert not cert and cert.witness == {"kind": "gram"}
 
 
 def test_enveloping_quotient_runs_no_algebra_arithmetic(monkeypatch):

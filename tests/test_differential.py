@@ -6,7 +6,10 @@ and direct sums, tensor modules with p + q <= 4, seeded searches); and a
 seeded single-entry mutant of a gamma and of a flag of each.  The package
 gives the oracle's verdict, with the first broken condition as witness,
 and its products, spans, End, minimal polynomials, graphs, reports and
-kept source dimensions are the oracle's.
+kept source dimensions are the oracle's.  The algebra case's two
+certificates, on Cl(n) (n <= 4) and Cl(p) (x)^ Cl(q) (p + q <= 4) acting on
+themselves and seeded mutants of each, pass where the oracle's definition
+of a regular module holds.
 """
 
 import ast
@@ -17,18 +20,19 @@ from pathlib import Path
 import pytest
 
 import oracle
-from cliffilt import cli, deformation
+from cliffilt import bifiltration, cli, deformation
 from cliffilt.bifiltration import bideform, canonical_biroundtrip_iso, check_bifiltered_module
-from cliffilt.bifiltration import tensor_module
+from cliffilt.bifiltration import check_twisted_tensor, tensor_module, twisted_tensor
+from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import canonical_roundtrip_iso, deform
 from cliffilt.exactalg import Subspace
 from cliffilt.graph import to_graph
 from cliffilt.invariants import (_minimal_polynomial, decompose, filtered_endomorphisms,
                                  filtration_search, invariant_report, random_filtration)
 from cliffilt.supermodule import (CliffordSupermodule, FilteredModule, SuperFiltration,
-                                  check_filtration, check_supermodule, direct_sum,
-                                  direct_sum_filtration, exterior_module, irreducible_module,
-                                  trivial_filtration)
+                                  check_filtration, check_supermodule, degree_filtration,
+                                  direct_sum, direct_sum_filtration, exterior_module,
+                                  irreducible_module, trivial_filtration)
 from oracle import bumped, first, flat, grid, text
 
 
@@ -160,3 +164,65 @@ def test_roundtrip_of_another_rep_fails_where_the_oracle_does():
                 assert want and str(want[0].witness) in str(exc)
                 failures.add(want[0].witness["kind"])
     assert failures == {"flag", "intertwine"}
+
+
+_REGULAR = ([lambda n=n: degree_filtration(exterior_module(n)) for n in range(1, 5)]
+            + [lambda p=p, q=q: twisted_tensor(CliffordAlgebra(p), CliffordAlgebra(q)).module
+               for p, q in ((1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3))])
+
+
+def _algebra_case(v, monkeypatch):
+    """`enveloping_quotient_check` (k = 1) or `check_twisted_tensor` (k = 2)
+    on v, in place of the module each builds."""
+    if len(v.tops) == 1:
+        monkeypatch.setattr(deformation, "degree_filtration", lambda m: v)
+        return deformation.enveloping_quotient_check(v.algebras[0].n, 6)
+    monkeypatch.setattr(bifiltration, "tensor_module", lambda *factors: v)
+    return check_twisted_tensor(twisted_tensor(*(CliffordAlgebra(a.n) for a in v.algebras)))
+
+
+def _regular_mutants(v, rng):
+    """Seeded mutants of a regular module: one gamma entry negated, one
+    moved within its row, one unit vector of a flag swapped for another,
+    and one generator negated on every component."""
+    held = [(d, i, c) for d, family in enumerate(v.gammas) for i, g in enumerate(family)
+            for c, m in g.items() if m.rows]
+    wide = [(d, i, c) for d, i, c in held if v.gammas[d][i][c].cols > 1]
+    for kind, pool in (("sign", held), ("moved", wide), ("negated", held)):
+        if not pool:
+            continue
+        gammas = [[dict(g) for g in family] for family in v.gammas]
+        d, i, c = rng.choice(pool)
+        m = gammas[d][i][c]
+        r = rng.randrange(m.rows)
+        j, x = next((j, x) for j, x in enumerate(m.entries[r]) if x)
+        if kind == "sign":
+            gammas[d][i][c] = bumped(m, r, j, -2 * x)
+        elif kind == "moved":
+            gammas[d][i][c] = bumped(bumped(m, r, j, -x), r, rng.choice(
+                [k for k in range(m.cols) if k != j]), x)
+        else:
+            gammas[d][i] = {c: -g for c, g in gammas[d][i].items()}
+        yield _mutant(v, gammas, v.flags)
+    proper = [x for x, flag in v.flags.items() if 0 < flag.dim < flag.ambient]
+    if not proper:
+        return
+    x = rng.choice(proper)
+    flag = v.flags[x]
+    rows = [list(row) for row in flag.basis.entries]
+    spare = rng.choice([k for k in range(flag.ambient) if k not in flag.pivots])
+    rows[rng.randrange(flag.dim)] = [int(k == spare) for k in range(flag.ambient)]
+    yield _mutant(v, v.gammas, {**v.flags, x: Subspace.span(flag.ambient, rows)})
+
+
+@pytest.mark.parametrize("index", range(len(_REGULAR)))
+def test_algebra_case_agrees_with_the_oracle(monkeypatch, index):
+    # both algebra-case certificates pass exactly where the oracle finds
+    # Cl(N) acting on itself, filtered by word length in each family
+    v, rng, stages = _REGULAR[index](), random.Random(index), set()
+    mutants = [w for _ in range(3) for w in _regular_mutants(v, random.Random(rng.random()))]
+    for w in [v] + mutants:
+        cert = _algebra_case(w, monkeypatch)
+        assert bool(cert) == oracle.regular_module(w), cert.witness
+        stages.add(cert.witness and cert.witness["stage"])
+    assert "regular_module" in stages

@@ -435,7 +435,7 @@ def _same(got: Matrix, want: Matrix) -> None:
 
 @settings(max_examples=300)
 @given(st.data())
-def test_combination_and_stack_match_the_former_loops(data):
+def test_combination_and_stack_match_the_oracle(data):
     rows, more, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
     a, b = data.draw(_factor(rows, cols)), data.draw(_factor(rows, cols))
     below = data.draw(_factor(more, cols))
@@ -701,7 +701,7 @@ def test_equal_matrices_hash_equal():
             assert a != a.scale(2) and a != a.transpose().transpose().scale(-1)
 
 
-def test_membership_and_apply_match_former_dense_loops():
+def test_membership_and_apply_match_the_oracle():
     rng = random.Random(59)
     outside = 0
     for m in ORACLE:

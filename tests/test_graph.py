@@ -366,6 +366,17 @@ def test_heights_from_sources_names_an_unreached_vertex(case):
         heights_from_sources(g, sources)
 
 
+def test_heights_from_sources_keeps_the_least_height_of_a_vertex():
+    # a vertex given twice keeps its least height, in either order, and
+    # every pair is checked, the first bad one named
+    g = to_graph(degree_filtration(exterior_module(2)))
+    for sources in ([(0, 0), (0, 2)], [(0, 2), (0, 0)]):
+        assert heights_from_sources(g, sources) == [0, 2, 1, 1]
+    for sources in ([(0, -2), (0, 0)], [(0, 0), (0, -2), (0, 1)]):
+        with pytest.raises(ValueError, match="^source 0 has height -2: "):
+            heights_from_sources(g, sources)
+
+
 @pytest.mark.parametrize("heights", [[0, 2, 1, 1, 9, 9], [0, 2, 1], [0, 2]])
 def test_heights_must_be_one_per_vertex(heights):
     # zip would drop the extra heights, or the vertices past the last one
