@@ -93,13 +93,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    f = _read_document(args.input, supermodule.SuperFiltration)
-    return _emit(deformation.deform(f), args.output)
+    v = _read_document(args.input, supermodule.SuperFiltration, bifiltration.BifilteredSupermodule)
+    if isinstance(v, bifiltration.BifilteredSupermodule):
+        return _emit(bifiltration.bideform(v), args.output)
+    return _emit(deformation.deform(v), args.output)
 
 
 def _cmd_quotient(args) -> int:
-    r = _read_document(args.input, deformation.OffShellRep)
-    return _emit(deformation.quotient_at(r, args.k), args.output)
+    r = _read_document(args.input, deformation.OffShellRep, bifiltration.BiGradedRep)
+    shells = args.k.split(",")
+    if len(shells) != len(r.tops):
+        raise ValueError(f"expected one shell value per direction, {len(r.tops)} for "
+                         f"{type(r).__name__}, got {len(shells)}")
+    if isinstance(r, bifiltration.BiGradedRep):
+        return _emit(bifiltration.biquotient(r, *shells), args.output)
+    return _emit(deformation.quotient_at(r, *shells), args.output)
 
 
 def _cmd_roundtrip(args) -> int:
@@ -136,22 +144,6 @@ def _cmd_tensor(args) -> int:
     return _emit(bifiltration.tensor_module(f_plus, f_minus), args.output)
 
 
-def _cmd_bideform(args) -> int:
-    bf = _read_document(args.input, bifiltration.BifilteredSupermodule)
-    return _emit(bifiltration.bideform(bf), args.output)
-
-
-def _cmd_biquotient(args) -> int:
-    r = _read_document(args.input, bifiltration.BiGradedRep)
-    result = bifiltration.biquotient(r, shell_plus=args.shell_plus, shell_minus=args.shell_minus)
-    return _emit(result, args.output)
-
-
-def _cmd_verify2d(args) -> int:
-    r = _read_document(args.input, bifiltration.BiGradedRep)
-    return _emit(bifiltration.verify_2d(r), args.output)
-
-
 def _load_basis(path: str):
     try:
         obj = json.loads(_read_text(path))
@@ -177,7 +169,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_envcheck(args) -> int:
-    return _emit(deformation.enveloping_quotient_check(args.n, args.max_degree), args.output)
+    return _emit(deformation.enveloping_quotient_check(args.n, 3), args.output)
 
 
 @functools.cache
@@ -203,10 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=list(_EXAMPLES))
 
     add("check", _cmd_check, "validate any document, emitting a certificate")
-    add("deform", _cmd_deform, "filtration to graded off-shell representation")
+    add("deform", _cmd_deform, "filtration or bifiltered module to its graded representation")
 
-    p = add("quotient", _cmd_quotient, "evaluate an off-shell representation at a shell value")
-    p.add_argument("--k", required=True, help="shell value, a nonnegative rational like 1 or 2/3")
+    p = add("quotient", _cmd_quotient, "evaluate a graded representation at shell values")
+    p.add_argument("--k", required=True,
+                   help="one shell value per direction, comma-separated: 2/3 for an off-shell "
+                        "representation, 2,1/3 for a bigraded one")
 
     add("roundtrip", _cmd_roundtrip, "verify deform-then-quotient returns the input filtration")
     add("invariants", _cmd_invariants, "gr and source dimensions plus summand invariants")
@@ -226,14 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help="plus-side filtration JSON path")
     p.add_argument("--q", required=True, help="minus-side filtration JSON path")
 
-    add("bideform", _cmd_bideform, "bifiltered module to bigraded representation")
-
-    p = add("biquotient", _cmd_biquotient, "evaluate a bigraded representation on shell")
-    p.add_argument("--shell-plus", default="1", help="positive rational (default 1)")
-    p.add_argument("--shell-minus", default="1", help="positive rational (default 1)")
-
-    add("verify2d", _cmd_verify2d, "check all bigraded representation relations")
-
     p = add("export-dot", _cmd_export_dot, "render a filtration's generator graph as DOT")
     p.add_argument("--basis", default=None,
                    help='adapted basis JSON path: {"even": [[...]], "odd": [[...]]}')
@@ -242,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
             "certify Cl(n), filtered by word length, as its graded deformation at H = 1",
             with_input=False)
     p.add_argument("--n", type=int, required=True, help="number of Clifford generators")
-    p.add_argument("--max-degree", type=int, default=3,
-                   help="truncation degree, at least 3 (default 3); the "
-                        "certificate covers every degree")
 
     return parser
 

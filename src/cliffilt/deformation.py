@@ -51,7 +51,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .certificate import Certificate, failing, passing, require
-from .clifford import CliffordAlgebra
+from .clifford import MAX_GENERATORS, CliffordAlgebra
 from .exactalg import Matrix, Subspace, _vanishes, rational
 from .supermodule import (
     CliffordSupermodule,
@@ -590,6 +590,13 @@ def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
     return passing(name)
 
 
+# The largest n `enveloping_quotient_check` takes.  Its time grows about
+# fourfold per generator (the README gives measured figures), so a larger
+# n is refused before anything is built; above `MAX_GENERATORS` the
+# algebra's own bound is the one named.
+MAX_ENVCHECK_N = 12
+
+
 def enveloping_quotient_check(n: int, max_degree: int, seed: int = 0) -> Certificate:
     """Certify the graded algebra whose degree-p component is the level
     F_p of Cl(n) (word length <= p, of the parity of p) as a deformation of
@@ -612,11 +619,14 @@ def enveloping_quotient_check(n: int, max_degree: int, seed: int = 0) -> Certifi
 
     These hold at every degree, so they cover the truncation at any
     `max_degree` >= 3, which is still required.  `seed` is unused; it
-    stays so that callers which pass it keep working.
+    stays so that callers which pass it keep working.  Raises ValueError
+    for n above `MAX_ENVCHECK_N`.
     """
     name = "enveloping_quotient"
     if max_degree < 3:
         raise ValueError("truncation must reach degree 3 to see [H, Q]")
+    if MAX_ENVCHECK_N < n <= MAX_GENERATORS:
+        raise ValueError(f"envcheck of {n} generators exceeds the limit of {MAX_ENVCHECK_N}")
     f = degree_filtration(exterior_module(n))
     cert = check_filtration(f)
     if cert:  # deform raises CheckFailed on a filtration that fails

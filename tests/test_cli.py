@@ -1,11 +1,15 @@
 """End-to-end command line checks through real subprocesses."""
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from cliffilt import cli
 
 CMD = [sys.executable, "-m", "cliffilt.cli"]
 
@@ -110,15 +114,15 @@ def test_library_value_errors_exit_two_with_one_line(tmp_path):
     rep = run(["deform"], stdin=triv).stdout
     path = tmp_path / "triv.json"
     path.write_text(triv)
-    birep = run(["bideform"], stdin=run(["tensor", "--p", str(path), "--q", str(path)]).stdout)
+    birep = run(["deform"], stdin=run(["tensor", "--p", str(path), "--q", str(path)]).stdout)
     for args, stdin, message in [
             (["quotient", "--k", "-1"], rep, "shell value must be nonnegative"),
             (["quotient", "--k", "1/0"], rep, "zero denominator in rational '1/0'"),
-            (["biquotient", "--shell-plus", "1/0"], birep.stdout, "zero denominator"),
-            (["biquotient", "--shell-minus", "-1"], birep.stdout, "shell values must be positive"),
+            (["quotient", "--k", "1/0,1"], birep.stdout, "zero denominator"),
+            (["quotient", "--k", "1,-1"], birep.stdout, "shell values must be positive"),
             (["decompose", "--candidates", "-1"], triv, "candidates must be nonnegative"),
             (["search", "--target", "3,3"], triv, "target parity sums"),
-            (["envcheck", "--n", "1", "--max-degree", "2"], None, "truncation")]:
+            (["envcheck", "--n", "13"], None, "limit of 12")]:
         out = run(args, stdin=stdin)
         assert out.returncode == 2 and out.stdout == "", args
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
@@ -147,6 +151,7 @@ def test_search_deterministic_and_valid():
 
 
 def test_tensor_bideform_biquotient_chain(tmp_path, degree_doc):
+    # deform, check and quotient take the bifiltered and bigraded documents
     ext1 = run(["example", "cl1-trivial"]).stdout
     p_path = tmp_path / "p.json"
     q_path = tmp_path / "q.json"
@@ -155,11 +160,12 @@ def test_tensor_bideform_biquotient_chain(tmp_path, degree_doc):
     bf = run(["tensor", "--p", str(p_path), "--q", str(q_path)])
     assert bf.returncode == 0
     assert json.loads(bf.stdout)["kind"] == "bifiltered_module"
-    rep = run(["bideform"], stdin=bf.stdout)
+    rep = run(["deform"], stdin=bf.stdout)
     assert rep.returncode == 0
-    ver = run(["verify2d"], stdin=rep.stdout)
+    assert json.loads(rep.stdout)["kind"] == "bigraded_rep"
+    ver = run(["check"], stdin=rep.stdout)
     assert ver.returncode == 0 and json.loads(ver.stdout)["pass"] is True
-    back = run(["biquotient", "--shell-plus", "2", "--shell-minus", "1/3"], stdin=rep.stdout)
+    back = run(["quotient", "--k", "2,1/3"], stdin=rep.stdout)
     assert back.returncode == 0
     assert run(["check"], stdin=back.stdout).returncode == 0
 
@@ -181,13 +187,13 @@ def test_quotients_reject_invalid_reps(tmp_path, degree_doc):
     p_path.write_text(degree_doc)
     q_path.write_text(run(["example", "cl1-trivial"]).stdout)
     bf = run(["tensor", "--p", str(p_path), "--q", str(q_path)])
-    birep = json.loads(run(["bideform"], stdin=bf.stdout).stdout)
+    birep = json.loads(run(["deform"], stdin=bf.stdout).stdout)
     top = birep["q_plus"][0][-1][-1]
     top["rows"] = doubled(top["rows"])
-    out = run(["biquotient"], stdin=json.dumps(birep))
+    out = run(["quotient", "--k", "1,1"], stdin=json.dumps(birep))
     assert out.returncode == 1 and json.loads(out.stdout)["check"] == "bigraded_relations"
-    assert run(["biquotient", "--shell-plus", "0"], stdin=json.dumps(birep)).returncode == 2
-    out = run(["biquotient", "--shell-minus", "1e10000000"], stdin=json.dumps(birep))
+    assert run(["quotient", "--k", "0,1"], stdin=json.dumps(birep)).returncode == 2
+    out = run(["quotient", "--k", "1,1e10000000"], stdin=json.dumps(birep))
     assert out.returncode == 2
 
 
@@ -298,11 +304,11 @@ def test_envcheck():
     assert out.returncode == 0
     cert = json.loads(out.stdout)
     assert cert["check"] == "enveloping_quotient" and cert["pass"] is True
+    # the certificate covers every degree, so there is no truncation option
     assert run(["envcheck", "--n", "1", "--max-degree", "2"]).returncode == 2
 
 
 def test_envcheck_n_zero_default_degree():
-    # the default truncation degree is at least the required 3
     out = run(["envcheck", "--n", "0"])
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["pass"] is True
@@ -347,3 +353,53 @@ def test_non_clifford_module_rejected_by_every_command(degree_doc):
         assert out.returncode == 1, args
         cert = json.loads(out.stdout)
         assert cert["check"] == "supermodule_relations" and cert["pass"] is False, args
+
+
+def test_one_subcommand_per_operation():
+    # deform, quotient and check take a document of either k, so the
+    # separate 2d spellings and the truncation degree are gone
+    out = run(["--help"])
+    listed = out.stdout.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == ["example", "check", "deform", "quotient", "roundtrip", "invariants",
+                      "decompose", "search", "tensor", "export-dot", "envcheck"]
+    for args in (["bideform"], ["biquotient"], ["verify2d"],
+                 ["envcheck", "--n", "3", "--max-degree", "3"]):
+        assert run(args, stdin="").returncode == 2, args
+
+
+def test_quotient_takes_one_shell_value_per_direction(tmp_path, degree_doc):
+    # the README's bigraded_rep and offshell_rep
+    p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+    p_path.write_text(degree_doc)
+    q_path.write_text(run(["example", "cl1-trivial"]).stdout)
+    birep = run(["deform"], stdin=run(["tensor", "--p", str(p_path), "--q", str(q_path)]).stdout)
+    rep = run(["deform"], stdin=degree_doc)
+    for k, doc, want in (("1", birep, "2 for BiGradedRep, got 1"),
+                         ("1,1", rep, "1 for OffShellRep, got 2"),
+                         ("1,1,1", birep, "2 for BiGradedRep, got 3")):
+        out = run(["quotient", "--k", k], stdin=doc.stdout)
+        assert out.returncode == 2 and out.stdout == "", k
+        assert out.stderr == f"error: expected one shell value per direction, {want}\n"
+
+
+def _readme_invocations():
+    """The argument lists of every `cliffilt` call in the README's
+    "Command line" sh block: each pipeline stage, without redirections."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = []
+    for line in block.splitlines():
+        for part in line.split("|"):
+            words = shlex.split(part, comments=True)
+            if ">" in words:
+                words = words[:words.index(">")]
+            if words and words[0] == "cliffilt":
+                calls.append(words[1:])
+    return calls
+
+
+def test_readme_invocations_parse():
+    calls = _readme_invocations()
+    assert len(calls) >= 10
+    for argv in calls:
+        assert cli.build_parser().parse_args(argv).command == argv[0]

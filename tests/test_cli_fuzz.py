@@ -148,17 +148,17 @@ def test_hostile_files_exit_cleanly(name, tmp_path):
 _FILTRATION = {"filtration", "onshell_module"}
 ACCEPTS = {
     "check": _FILTRATION | {"module", "offshell_rep", "bifiltered_module", "bigraded_rep"},
-    "deform": _FILTRATION,
+    "deform": _FILTRATION | {"bifiltered_module"},
+    # one shell value per direction: a count that is not the document's k
+    # is refused like a kind the command does not take
     "quotient --k 1": {"offshell_rep"},
+    "quotient --k 1,1": {"bigraded_rep"},
     "roundtrip": _FILTRATION,
     "invariants": _FILTRATION,
     "decompose": _FILTRATION,
     "search --target 1,1 --budget 1": _FILTRATION | {"module"},
     "tensor --p": _FILTRATION,
     "tensor --q": _FILTRATION,
-    "bideform": {"bifiltered_module"},
-    "biquotient": {"bigraded_rep"},
-    "verify2d": {"bigraded_rep"},
     "export-dot": _FILTRATION,
 }
 
@@ -269,3 +269,20 @@ def test_a_commutant_no_generator_backs_is_capped(command):
     assert code == 2 and out == ""
     assert err == ("error: graded commutant of dimension 1025 exceeds 1024, the limit when no "
                    "generator acts\n")
+
+
+def test_envcheck_over_its_cap_is_refused():
+    # n = 13, one past the cap: refused before Cl(13) or its module is built;
+    # past 16 generators the algebra's own limit is the one named
+    from cliffilt.deformation import MAX_ENVCHECK_N
+
+    assert MAX_ENVCHECK_N == 12
+    tracemalloc.start()
+    start = time.monotonic()
+    code, out, err = _run(["envcheck", "--n", "13"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.monotonic() - start < 1 and peak < 2**20
+    assert (code, out) == (2, "")
+    assert err == "error: envcheck of 13 generators exceeds the limit of 12\n"
+    assert "limit of 16" in _run(["envcheck", "--n", "17"])[2]

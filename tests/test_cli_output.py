@@ -89,11 +89,12 @@ def outputs(tmp_path_factory):
     (tmp / "p.json").write_text(degree)
     (tmp / "q.json").write_text(trivial)
     bf = stage("tensor", ["tensor", "--p", str(tmp / "p.json"), "--q", str(tmp / "q.json")])
-    birep = stage("bideform", ["bideform"], bf)
-    stage("verify2d", ["verify2d"], birep)
-    stage("biquotient", ["biquotient"], birep)
+    # the 2d stages are named for the library operation each reaches
+    birep = stage("bideform", ["deform"], bf)
+    stage("verify2d", ["check"], birep)
+    stage("biquotient", ["quotient", "--k", "1,1"], birep)
     stage("export-dot degree", ["export-dot"], degree)
-    stage("envcheck --n 3", ["envcheck", "--n", "3", "--max-degree", "6"])
+    stage("envcheck --n 3", ["envcheck", "--n", "3"])
 
     doc = json.loads(degree)
     doc["even_flags"][-1]["rows"].pop()
@@ -108,7 +109,7 @@ def outputs(tmp_path_factory):
     doc = json.loads(birep)
     cell = next(cell for row in doc["q_plus"][0] for cell in row if cell["rows"])
     cell["rows"][0][0] = str(Fraction(cell["rows"][0][0]) + 1)
-    stage("verify2d q_plus entry changed", ["verify2d"], json.dumps(doc))
+    stage("verify2d q_plus entry changed", ["check"], json.dumps(doc))
     return got
 
 
@@ -133,14 +134,16 @@ def test_stages_share_one_parser(outputs, tmp_path):
     rep = path.read_text()
     assert sha(rep) == PINNED["deform degree"][1]
     onshell = outputs["quotient --k 2/3"][1]
+    birep = outputs["bideform"][1]
     for argv, stdin_text, name in [
         (["decompose", "--seed", "5", "--candidates", "1"], hodge, None),
         (["decompose"], hodge, "decompose hodge"),
         (["quotient", "--k", "2/3"], rep, "quotient --k 2/3"),
+        (["quotient", "--k", "1,1"], birep, "biquotient"),
         (["quotient", "--k", "0"], rep, "quotient --k 0"),
         (["check"], onshell, "check onshell"),
         (["roundtrip"], degree, "roundtrip degree"),
-        (["envcheck", "--n", "3", "--max-degree", "6"], "", "envcheck --n 3"),
+        (["envcheck", "--n", "3"], "", "envcheck --n 3"),
     ]:
         code, text = run(argv, stdin_text)
         if name is None:

@@ -191,7 +191,7 @@ def test_to_graph_takes_images_by_one_product_per_parity_and_generator(products)
         assert len(g.edges) == f.module.algebra.n * len(g.vertices) // 2
 
 
-def test_rebuild_filtration_matches_former_two_loops():
+def test_rebuild_filtration_matches_the_oracle():
     f1, f2 = degree_filtration(exterior_module(1)), degree_filtration(exterior_module(2))
     flat = trivial_filtration(exterior_module(2))
     graphs = [to_graph(degree_filtration(exterior_module(n))) for n in (1, 2, 3)]
@@ -251,7 +251,7 @@ def graphs():
     return [(_outcome(to_graph, f, *basis), oracle.graph(f, *basis)) for f, basis in _filtrations()]
 
 
-def test_to_graph_matches_former(graphs):
+def test_to_graph_matches_the_oracle(graphs):
     failures = 0
     for got, want in graphs:
         assert got[1] == want[0] if isinstance(got, tuple) else oracle.graph_key(got) == want
@@ -275,7 +275,7 @@ def _at_budget(full, states, budget):
     return (full[:budget + 1], True) if len(full) > budget else (full, False)
 
 
-def test_enumerate_heights_matches_former(graphs):
+def test_enumerate_heights_matches_the_oracle_and_pinned_states(graphs):
     # the search reads the module, the vertex parities and vectors and the
     # edges, not their orientation: a random filtration's coordinate graph
     # adds nothing once its module's is here.  The finds are the oracle's
@@ -302,7 +302,7 @@ def test_enumerate_heights_matches_former(graphs):
     assert hashlib.sha256(repr(finds).encode()).hexdigest() == ORDERS
 
 
-def test_heights_from_sources_matches_former(graphs):
+def test_heights_from_sources_matches_the_oracle(graphs):
     rng = random.Random(7)
     checked = 0
     for g, _ in graphs:
