@@ -141,6 +141,12 @@ def total_module(bf: BifilteredSupermodule) -> CliffordSupermodule:
     )
 
 
+# The largest dimension of a twisted tensor: its gammas and flags grow as
+# the square of it, so exterior(4) (x) exterior(4), 256 dimensions and a
+# 3.3 MB document, is allowed, and exterior(4) (x) exterior(5) is not.
+MAX_TENSOR_DIM = 256
+
+
 def tensor_module(f_plus: SuperFiltration, f_minus: SuperFiltration) -> BifilteredSupermodule:
     """Twisted tensor of two filtered supermodules.
 
@@ -148,8 +154,9 @@ def tensor_module(f_plus: SuperFiltration, f_minus: SuperFiltration) -> Bifilter
     the minus family acts through the first factor's parity sign, which
     is what makes the two families anticommute.  The grid flag F_{m,n}
     is the span of tensors from level m of the first filtration and
-    level n of the second.  Raises CheckFailed unless check_filtration
-    passes on both factors.
+    level n of the second.  Raises ValueError, before anything is built,
+    for a dimension above MAX_TENSOR_DIM, and CheckFailed unless
+    check_filtration passes on both factors.
 
     The flags need no elimination: the Kronecker product of two reduced
     row-echelon bases A and B is one, with pivots p_i * w + q_k for the
@@ -158,9 +165,12 @@ def tensor_module(f_plus: SuperFiltration, f_minus: SuperFiltration) -> Bifilter
     other such pivot, since A[i] vanishes at the other p's and B[k] at
     the other q's; the pivots increase with (i, k) taken i-major.
     """
+    mod_p, mod_m = f_plus.module, f_minus.module
+    dim = (mod_p.dim_even + mod_p.dim_odd) * (mod_m.dim_even + mod_m.dim_odd)
+    if dim > MAX_TENSOR_DIM:
+        raise ValueError(f"tensor of dimension {dim} exceeds the limit of {MAX_TENSOR_DIM}")
     for f in (f_plus, f_minus):
         require("filtration", check_filtration(f))
-    mod_p, mod_m = f_plus.module, f_minus.module
     dims = {
         (a, b): mod_p.dim(a) * mod_m.dim(b) for (a, b) in _COMPONENTS
     }
@@ -300,7 +310,8 @@ class TwistedProduct:
     `degree_filtration(exterior_module(.))`, whose minus family carries
     that sign, and `check_twisted_tensor` certifies it as Cl(p + q).  The
     module is built on first use and kept: the factors are read-only, so
-    it cannot go stale.
+    it cannot go stale.  It has 2^(p + q) dimensions, so for p + q above
+    8 building it raises ValueError (MAX_TENSOR_DIM).
     """
 
     left: CliffordAlgebra

@@ -34,16 +34,13 @@ def _read_text(path: str | None) -> str:
 
 
 def _read_document(path: str | None, *types):
-    """The document at path, which must be one of `types`: the one gate on
-    what a command reads.  Where a SuperFiltration is taken, an on-shell
-    module (a quotient's output) stands for its filtration."""
+    """The document at path, which must be one of `types`, checked by the
+    gate nested documents pass too.  Where a SuperFiltration is taken, an
+    on-shell module (a quotient's output) stands for its filtration."""
     obj = serialize.loads(_read_text(path))
     if supermodule.SuperFiltration in types and isinstance(obj, deformation.OnShellModule):
         obj = obj.filtration
-    if not isinstance(obj, types):
-        names = " or ".join(t.__name__ for t in types)
-        raise SerializeError(f"expected {names}, got {type(obj).__name__}")
-    return obj
+    return serialize._expect(obj, *types)
 
 
 def _write(text: str, path: str | None):

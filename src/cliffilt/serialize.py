@@ -22,7 +22,11 @@ JSON integer.  A JSON float, a bool or a numeric string in their place
 is a `SerializeError`, as is any other malformed part.  The rows of a
 matrix or a flag must be lists of the declared length.  Text that is
 not JSON, or nests deeper than the JSON reader recurses, is a
-`SerializeError` too.
+`SerializeError` too.  A summand's status must be one of `invariants`'
+two, and a search's count its number of filtrations.  A document nested
+in another (an on-shell module's filtration, a graph's module, the
+filtrations of a decomposition or a search) is decoded by `decode` and
+must then pass `_expect`, the type gate the command line uses too.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .clifford import CliffordAlgebra
 from .deformation import GradedSpace, OffShellRep, OnShellModule
 from .exactalg import Matrix, Subspace, rational
 from .graph import AdinkraGraph, Edge, Vertex
-from .invariants import InvariantReport, Summand
+from .invariants import CERTIFIED, EXHAUSTED, InvariantReport, Summand
 from .supermodule import CliffordSupermodule, SuperFiltration
 
 SCHEMA = "cliffilt/1"
@@ -147,8 +151,6 @@ def _dec_algebra(obj, n_key="n", gram_key="gram") -> CliffordAlgebra:
 
 def _enc_module(m: CliffordSupermodule) -> dict:
     return {
-        "schema": SCHEMA,
-        "kind": "module",
         "n": m.algebra.n,
         "gram": _enc_matrix(m.algebra.gram),
         "dim_even": m.dim_even,
@@ -169,11 +171,11 @@ def _dec_module(obj) -> CliffordSupermodule:
 
 
 def _enc_filtration(f: SuperFiltration) -> dict:
-    out = _enc_module(f.module)
-    out["kind"] = "filtration"
-    out["even_flags"] = [_enc_flag(s) for s in f.even_flags]
-    out["odd_flags"] = [_enc_flag(s) for s in f.odd_flags]
-    return out
+    return {
+        **_enc_module(f.module),
+        "even_flags": [_enc_flag(s) for s in f.even_flags],
+        "odd_flags": [_enc_flag(s) for s in f.odd_flags],
+    }
 
 
 def _dec_filtration(obj) -> SuperFiltration:
@@ -185,8 +187,6 @@ def _dec_filtration(obj) -> SuperFiltration:
 
 def _enc_offshell(r: OffShellRep) -> dict:
     return {
-        "schema": SCHEMA,
-        "kind": "offshell_rep",
         "n": r.algebra.n,
         "gram": _enc_matrix(r.algebra.gram),
         "dims": list(r.dims),
@@ -203,21 +203,12 @@ def _dec_offshell(obj) -> OffShellRep:
     return OffShellRep(algebra, dims, h_maps, q_maps)
 
 
-def _enc_graded_space(s: GradedSpace) -> dict:
-    return {"schema": SCHEMA, "kind": "graded_space", "dims": list(s.dims)}
-
-
 def _enc_onshell(m: OnShellModule) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "onshell_module",
-        "shell": _rat(m.shell),
-        "filtration": _enc_filtration(m.filtration),
-    }
+    return {"shell": _rat(m.shell), "filtration": encode(m.filtration)}
 
 
 def _dec_onshell(obj) -> OnShellModule:
-    filtration = _dec_filtration(obj["filtration"])
+    filtration = _expect(decode(obj["filtration"]), SuperFiltration)
     return OnShellModule(filtration.module, filtration, _unrat(obj["shell"]))
 
 
@@ -226,8 +217,6 @@ def _enc_bifiltered(bf: BifilteredSupermodule) -> dict:
         return [[[_enc_matrix(g[(a, b)]) for b in (0, 1)] for a in (0, 1)] for g in family]
 
     return {
-        "schema": SCHEMA,
-        "kind": "bifiltered_module",
         "p": bf.plus_algebra.n,
         "q": bf.minus_algebra.n,
         "gram_plus": _enc_matrix(bf.plus_algebra.gram),
@@ -259,8 +248,6 @@ def _enc_bigraded(r: BiGradedRep) -> dict:
                  for n in range(r.top_minus + 1)] for m in range(r.top_plus + 1)]
 
     return {
-        "schema": SCHEMA,
-        "kind": "bigraded_rep",
         "p": r.plus_algebra.n,
         "q": r.minus_algebra.n,
         "gram_plus": _enc_matrix(r.plus_algebra.gram),
@@ -288,12 +275,6 @@ def _dec_bigraded(obj) -> BiGradedRep:
     )
 
 
-def _enc_certificate(c: Certificate) -> dict:
-    out = c.to_json_obj()
-    out = {"schema": SCHEMA, "kind": "certificate", **out}
-    return out
-
-
 def _dec_certificate(obj) -> Certificate:
     check, passed, witness = obj["check"], obj["pass"], obj.get("witness")
     if type(check) is not str or type(passed) is not bool:
@@ -305,9 +286,7 @@ def _dec_certificate(obj) -> Certificate:
 
 def _enc_graph(g: AdinkraGraph) -> dict:
     return {
-        "schema": SCHEMA,
-        "kind": "adinkra_graph",
-        "module": _enc_module(g.module),
+        "module": encode(g.module),
         "vertices": [
             {"parity": v.parity, "height": v.height, "vector": [_rat(x) for x in v.vector]}
             for v in g.vertices
@@ -317,7 +296,7 @@ def _enc_graph(g: AdinkraGraph) -> dict:
 
 
 def _dec_graph(obj) -> AdinkraGraph:
-    module = _dec_module(obj["module"])
+    module = _expect(decode(obj["module"]), CliffordSupermodule)
     vertices = [
         Vertex(_count(v["parity"]), _count(v["height"]), tuple(_unrat(x) for x in v["vector"]))
         for v in obj["vertices"]
@@ -328,8 +307,6 @@ def _dec_graph(obj) -> AdinkraGraph:
 
 def _enc_report(r: InvariantReport) -> dict:
     return {
-        "schema": SCHEMA,
-        "kind": "invariant_report",
         "gr_dims": list(r.gr_dims),
         "source_dims": list(r.source_dims),
         "summand_reports": [[list(gr), list(src)] for gr, src in r.summand_reports],
@@ -347,84 +324,72 @@ def _dec_report(obj) -> InvariantReport:
     )
 
 
-def encode_decomposition(summands) -> dict:
-    """Document for a list of decomposition summands."""
-    return {
-        "schema": SCHEMA,
-        "kind": "decomposition",
-        "summands": [
-            {
-                "status": s.status,
-                "embed_even": _enc_matrix(s.embed_even),
-                "embed_odd": _enc_matrix(s.embed_odd),
-                "filtration": _enc_filtration(s.filtration),
-            }
-            for s in summands
-        ],
-    }
+def _enc_decomposition(summands) -> dict:
+    return {"summands": [{"status": s.status, "embed_even": _enc_matrix(s.embed_even),
+                          "embed_odd": _enc_matrix(s.embed_odd), "filtration": encode(s.filtration)}
+                         for s in summands]}
 
 
-def _dec_decomposition(obj) -> list:
-    return [
-        Summand(
-            _dec_filtration(s["filtration"]),
-            _dec_matrix(s["embed_even"]),
-            _dec_matrix(s["embed_odd"]),
-            str(s["status"]),
-        )
-        for s in obj["summands"]
-    ]
+def _dec_summand(obj) -> Summand:
+    status = obj["status"]
+    if status not in (CERTIFIED, EXHAUSTED):
+        raise SerializeError(f"unknown summand status {status!r}")
+    return Summand(_expect(decode(obj["filtration"]), SuperFiltration),
+                   _dec_matrix(obj["embed_even"]), _dec_matrix(obj["embed_odd"]), status)
 
 
-def encode_search_results(filtrations) -> dict:
-    """Document for a list of found filtrations."""
-    return {
-        "schema": SCHEMA,
-        "kind": "search_results",
-        "count": len(filtrations),
-        "filtrations": [_enc_filtration(f) for f in filtrations],
-    }
+def _enc_search_results(filtrations) -> dict:
+    return {"count": len(filtrations), "filtrations": [encode(f) for f in filtrations]}
 
 
 def _dec_search_results(obj) -> list:
-    return [_dec_filtration(f) for f in obj["filtrations"]]
+    found = [_expect(decode(f), SuperFiltration) for f in obj["filtrations"]]
+    if _count(obj["count"]) != len(found):
+        raise SerializeError(f"count {obj['count']} for {len(found)} filtrations")
+    return found
 
 
-_ENCODERS = [
-    (SuperFiltration, _enc_filtration),
-    (CliffordSupermodule, _enc_module),
-    (OffShellRep, _enc_offshell),
-    (GradedSpace, _enc_graded_space),
-    (OnShellModule, _enc_onshell),
-    (BifilteredSupermodule, _enc_bifiltered),
-    (BiGradedRep, _enc_bigraded),
-    (Certificate, _enc_certificate),
-    (AdinkraGraph, _enc_graph),
-    (InvariantReport, _enc_report),
-]
-
-_DECODERS = {
-    "module": _dec_module,
-    "filtration": _dec_filtration,
-    "offshell_rep": _dec_offshell,
-    "graded_space": lambda obj: GradedSpace(tuple(_count(d) for d in obj["dims"])),
-    "onshell_module": _dec_onshell,
-    "bifiltered_module": _dec_bifiltered,
-    "bigraded_rep": _dec_bigraded,
-    "certificate": _dec_certificate,
-    "adinkra_graph": _dec_graph,
-    "invariant_report": _dec_report,
-    "decomposition": _dec_decomposition,
-    "search_results": _dec_search_results,
+# Every document kind: its type, the encoder of its fields but "schema" and
+# "kind", and its decoder.  `encode` takes the first kind whose type the
+# object is; the two list kinds have no type, and have encoders of their own.
+_KINDS = {
+    "filtration": (SuperFiltration, _enc_filtration, _dec_filtration),
+    "module": (CliffordSupermodule, _enc_module, _dec_module),
+    "offshell_rep": (OffShellRep, _enc_offshell, _dec_offshell),
+    "graded_space": (GradedSpace, lambda s: {"dims": list(s.dims)},
+                     lambda obj: GradedSpace(tuple(_count(d) for d in obj["dims"]))),
+    "onshell_module": (OnShellModule, _enc_onshell, _dec_onshell),
+    "bifiltered_module": (BifilteredSupermodule, _enc_bifiltered, _dec_bifiltered),
+    "bigraded_rep": (BiGradedRep, _enc_bigraded, _dec_bigraded),
+    "certificate": (Certificate, Certificate.to_json_obj, _dec_certificate),
+    "adinkra_graph": (AdinkraGraph, _enc_graph, _dec_graph),
+    "invariant_report": (InvariantReport, _enc_report, _dec_report),
+    "decomposition": (None, _enc_decomposition,
+                      lambda obj: [_dec_summand(s) for s in obj["summands"]]),
+    "search_results": (None, _enc_search_results, _dec_search_results),
 }
+
+
+def _document(kind: str, obj) -> dict:
+    return {"schema": SCHEMA, "kind": kind, **_KINDS[kind][1](obj)}
 
 
 def encode(obj) -> dict:
     """JSON-compatible dict for any supported object."""
-    for cls, encoder in _ENCODERS:
-        if isinstance(obj, cls):
-            return encoder(obj)
+    for kind, (cls, _, _) in _KINDS.items():
+        if cls is not None and isinstance(obj, cls):
+            return _document(kind, obj)
     raise SerializeError(f"cannot encode {type(obj).__name__}")
+
+
+def encode_decomposition(summands) -> dict:
+    """Document for a list of decomposition summands."""
+    return _document("decomposition", summands)
+
+
+def encode_search_results(filtrations) -> dict:
+    """Document for a list of found filtrations."""
+    return _document("search_results", filtrations)
 
 
 def decode(obj):
@@ -434,12 +399,20 @@ def decode(obj):
     if obj.get("schema") != SCHEMA:
         raise SerializeError(f"unsupported schema {obj.get('schema')!r}")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SerializeError(f"unknown kind {kind!r}")
     try:
-        return _DECODERS[kind](obj)
+        return _KINDS[kind][2](obj)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SerializeError(f"malformed {kind} document: {exc}") from exc
+
+
+def _expect(value, *types):
+    """value, if it is one of `types`: the type gate of every document read."""
+    if not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise SerializeError(f"expected {names}, got {type(value).__name__}")
+    return value
 
 
 # how json writes the floats whose repr is not JSON
@@ -499,4 +472,7 @@ def loads(text: str):
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, a bad byte encoding
         raise SerializeError(f"not JSON: {exc}") from exc
-    return decode(obj)
+    try:
+        return decode(obj)
+    except RecursionError as exc:  # documents nested in documents, each decoded in turn
+        raise SerializeError(f"documents nest too deep: {exc}") from exc

@@ -576,34 +576,20 @@ def hodge_filtration(m: CliffordSupermodule) -> SuperFiltration:
     if m.algebra.n != 4:
         raise ValueError("the Hodge filtration is defined for exterior_module(4)")
     even, odd = _require_exterior_shape(m)
-    even_index = {s: k for k, s in enumerate(even)}
-    odd_index = {s: k for k, s in enumerate(odd)}
 
-    plus0 = [0] * len(even)
-    plus0[even_index[()]] = 1
-    plus0[even_index[(0, 1, 2, 3)]] = _hodge_sign((), 4)
+    def self_dual(subsets, s):
+        """The row of e_s + *e_s over the basis `subsets`."""
+        row = [0] * len(subsets)
+        row[subsets.index(s)] = 1
+        row[subsets.index(tuple(j for j in range(4) if j not in s))] = _hodge_sign(s, 4)
+        return row
 
-    two_forms = []
-    for s in combinations(range(4), 2):
-        row = [0] * len(even)
-        row[even_index[s]] = 1
-        two_forms.append(row)
-
-    plus1 = []
-    for i in range(4):
-        s = (i,)
-        complement = tuple(j for j in range(4) if j != i)
-        row = [0] * len(odd)
-        row[odd_index[s]] = 1
-        row[odd_index[complement]] = _hodge_sign(s, 4)
-        plus1.append(row)
-
-    even_flags = [
-        Subspace.span(len(even), [plus0]),
-        Subspace.span(len(even), [plus0] + two_forms),
-        Subspace.full(len(even)),
-    ]
-    odd_flags = [Subspace.span(len(odd), plus1), Subspace.full(len(odd))]
+    plus0 = self_dual(even, ())
+    two_forms = [[int(t == s) for t in even] for s in combinations(range(4), 2)]
+    even_flags = [Subspace.span(len(even), [plus0]),
+                  Subspace.span(len(even), [plus0] + two_forms), Subspace.full(len(even))]
+    odd_flags = [Subspace.span(len(odd), [self_dual(odd, (i,)) for i in range(4)]),
+                 Subspace.full(len(odd))]
     return SuperFiltration(m, even_flags, odd_flags)
 
 

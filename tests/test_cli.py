@@ -285,8 +285,18 @@ def test_export_dot_basis_follows_document_rules(defect, degree_doc, tmp_path):
     assert out.returncode == 2 and out.stderr.startswith("error: bad basis file")
 
 
-# each of these raised a traceback from the JSON reader or the file read
-HOSTILE = {"deep nesting": b"[" * 100000, "utf-16 byte order mark": b"\xff\xfe{"}
+def _nested_onshell(depth: int) -> bytes:
+    """An on-shell module whose filtration is one, `depth` times over."""
+    doc = {}
+    for _ in range(depth):
+        doc = {"schema": "cliffilt/1", "kind": "onshell_module", "shell": "1", "filtration": doc}
+    return json.dumps(doc).encode()
+
+
+# each of these raised a traceback from the JSON reader or the file read,
+# or would from the decoder's recursion into nested documents
+HOSTILE = {"deep nesting": b"[" * 100000, "utf-16 byte order mark": b"\xff\xfe{",
+           "deeply nested documents": _nested_onshell(600)}
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))

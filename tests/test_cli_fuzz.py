@@ -286,3 +286,28 @@ def test_envcheck_over_its_cap_is_refused():
     assert (code, out) == (2, "")
     assert err == "error: envcheck of 13 generators exceeds the limit of 12\n"
     assert "limit of 16" in _run(["envcheck", "--n", "17"])[2]
+
+
+def test_tensor_over_its_cap_is_refused(tmp_path):
+    # exterior(4) (x) exterior(5) has 16 * 32 = 512 dimensions, over the cap:
+    # with the factors built, it is refused before any kron; exterior(4)
+    # (x) exterior(4) is at the cap and still built
+    from cliffilt import serialize
+    from cliffilt.bifiltration import MAX_TENSOR_DIM, tensor_module
+    from cliffilt.supermodule import degree_filtration, exterior_module
+
+    assert MAX_TENSOR_DIM == 256
+    f4, f5 = (degree_filtration(exterior_module(n)) for n in (4, 5))
+    tracemalloc.start()
+    start = time.monotonic()
+    with pytest.raises(ValueError) as refused:
+        tensor_module(f4, f5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.monotonic() - start < 1 and peak < 2**20
+    assert str(refused.value) == "tensor of dimension 512 exceeds the limit of 256"
+    for name, f in (("p", f4), ("q", f5)):
+        (tmp_path / name).write_text(serialize.dumps(f))
+    code, out, err = _run(["tensor", "--p", str(tmp_path / "p"), "--q", str(tmp_path / "q")])
+    assert (code, out) == (2, "") and err == f"error: {refused.value}\n"
+    assert sum(tensor_module(f4, f4).dims.values()) == MAX_TENSOR_DIM

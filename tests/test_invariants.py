@@ -204,7 +204,7 @@ def _check_endomorphisms(f):
     assert [oracle.solve(pairs, row) for row in got] == keep
 
 
-def test_filtered_endomorphisms_match_former_assembly():
+def test_filtered_endomorphisms_match_the_oracle():
     # random filtrations, and the same moved by a rational module
     # automorphism, so flag bases and residuals carry unequal denominators
     rng = random.Random(107)
@@ -456,7 +456,7 @@ def _square_int_rows(draw):
 @example([()])
 @example([((0, 5),)])
 @example([((0, 1),), ((1, 2),), ((2, 2),)])
-def test_kronecker_equations_match_the_former_loop(rows):
+def test_kronecker_equations_match_the_oracle(rows):
     # the rows of kron(I, A^T) - kron(A, I) are the per-entry equations of
     # P A = A P, sum_k P[r][k] A[k][c] - A[r][k] P[k][c] with P[r][k] the
     # unknown r * n + k; a diagonal entry of A puts one unknown in both
@@ -939,7 +939,7 @@ def test_grown_builds_the_images_without_a_passing_verdict(products):
 SHORTCUT_VERDICTS = "65731e32d4029b2be9a8f347bd63639fd16cf8e53cae0f27c3044b624acb7830"
 
 
-def test_invariant_shortcuts_match_former_code(monkeypatch):
+def test_invariant_shortcuts_match_the_oracle_and_pinned_verdicts(monkeypatch):
     # 240 seeded filtrations over Cl(1) to Cl(5): random ones, sums of two
     # (which split), and sums moved by rational changes of basis.  Source
     # dimensions match the oracle's, every decomposition re-sums to its
@@ -987,7 +987,7 @@ def test_invariant_shortcuts_match_former_code(monkeypatch):
 QUATERNION_VERDICTS = "14e22c9b58e20657746bae2cbbe11e2a4b59df7ca5058e52f10e0c24c422ec56"
 
 
-def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
+def test_quaternion_verdicts_match_pinned_values(monkeypatch):
     # the scalar of ab + ba comes from the trace form.  Every
     # certificate taken while decomposing the trivial filtrations of
     # irreducible(1..5), irreducible_cl5() and exterior(4), the degree and
@@ -1039,7 +1039,7 @@ def test_quaternion_verdicts_match_the_former_scalar(monkeypatch):
         assert _certify_indecomposable(f, endos) == (CERTIFIED if by == 1 else EXHAUSTED)
 
 
-def test_split_by_matches_former_convolution():
+def test_split_by_matches_the_oracle():
     # [[J, I], [0, J]] + [1] with J^2 = -1, beside [[J, 0], [0, J]] + [1]:
     # the pair's minimal polynomial is (t^2 + 1)^2 (t - 1)
     j = [[0, 1], [-1, 0]]
@@ -1075,7 +1075,7 @@ def _bases(split):
 SEARCH_FINDS = "19525714d0252a8a1440008112f14ffc6b363653aafebd4dc75e28e9db594703"
 
 
-def test_search_matches_the_former_search():
+def test_search_matches_the_oracle_and_pinned_finds():
     # searches at four seeds per module and target, the targets of several
     # finds among them: the serialized finds are pinned, and each find's
     # kept sources are the oracle's.  ext4 and the n = 0 module do not

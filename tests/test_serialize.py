@@ -274,6 +274,55 @@ def test_inexact_scalars_exit_two(defect, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _composite(kind) -> dict:
+    """A valid document of a kind that nests filtrations or a module."""
+    f = degree_filtration(exterior_module(2))
+    return {"onshell_module": lambda: encode(quotient_at(deform(f), Fraction(2, 3))),
+            "adinkra_graph": lambda: encode(to_graph(f)),
+            "decomposition": lambda: encode_decomposition(decompose(f)),
+            "search_results": lambda: encode_search_results([f])}[kind]()
+
+
+def _nested(key, index=None, **fields):
+    def defect(doc):
+        (doc[key] if index is None else doc[key][index]).update(fields)
+    return defect
+
+
+# each of these but the summand's module used to decode: the nested
+# document's schema, kind and type went unchecked, a status went through
+# str() and the count was never read
+NESTED = {
+    "onshell filtration of kind garbage": ("onshell_module", _nested("filtration", kind="garbage")),
+    "onshell filtration of schema nope/9": ("onshell_module",
+                                            _nested("filtration", schema="nope/9")),
+    "graph module a filtration": (
+        "adinkra_graph", lambda doc: doc.update(module=encode(degree_filtration(exterior_module(2))))),
+    "search filtration relabelled bigraded_rep": ("search_results",
+                                                  _nested("filtrations", 0, kind="bigraded_rep")),
+    "summand filtration a module": (
+        "decomposition", _nested("summands", 0, filtration=encode(exterior_module(2)))),
+    "summand status null": ("decomposition", _nested("summands", 0, status=None)),
+    "summand status 5": ("decomposition", _nested("summands", 0, status=5)),
+    "summand status None": ("decomposition", _nested("summands", 0, status="None")),
+    "search count 7": ("search_results", lambda doc: doc.update(count=7)),
+    "search count '1'": ("search_results", lambda doc: doc.update(count="1")),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NESTED))
+def test_nested_documents_pass_the_gate(defect, tmp_path, capsys):
+    kind, mutate = NESTED[defect]
+    doc = _composite(kind)
+    decode(doc)
+    mutate(doc)
+    with pytest.raises(SerializeError, match=f"^malformed {kind} document: "):
+        decode(doc)
+    assert _check_exit(doc, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {kind} document: ") and err.count("\n") == 1
+
+
 # strings Fraction reads although they are not what the encoder writes
 NON_CANONICAL = ["2/4", "-0", "+3", " 7 ", "1.5", "1_000", "007"]
 REJECTED = ["1/0", "abc", "", "1 / 2", "0x10", "-6/-3"]

@@ -464,7 +464,7 @@ def _random_rational_matrix(rng, top: int) -> Matrix:
          for _ in range(cols)] for _ in range(rows)])
 
 
-def test_kron_matches_former_fraction_definition():
+def test_kron_matches_the_oracle():
     rng = random.Random(113)
     empty = 0
     for _ in range(300):
@@ -537,7 +537,7 @@ def _random_module(rng, n: int, dims) -> CliffordSupermodule:
                                [mat(*dims[::-1]) for _ in range(n)], *dims)
 
 
-def test_direct_sums_match_former_dense_embedding():
+def test_direct_sums_match_the_oracle():
     rng = random.Random(131)
     by_n = {n: [exterior_module(n), irreducible_module(n)] for n in (1, 2, 3, 4)}
     by_n[0] = [exterior_module(0), CliffordSupermodule(CliffordAlgebra(0), [], [], 2, 1)]
