@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("example", _cmd_example, "emit a named example construction", with_input=False)
     p.add_argument("name", choices=list(_EXAMPLES))
 
-    add("check", _cmd_check, "validate any document, emitting a certificate")
+    add("check", _cmd_check, "validate a filtration (or onshell_module), module, offshell_rep, "
+                             "bifiltered_module or bigraded_rep, emitting a certificate")
     add("deform", _cmd_deform, "filtration or bifiltered module to its graded representation")
 
     p = add("quotient", _cmd_quotient, "evaluate a graded representation at shell values")

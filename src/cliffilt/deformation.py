@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from operator import le
 from types import MappingProxyType
@@ -520,6 +521,37 @@ def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
 # The algebra case: Cl(N) acting on itself, filtered by word length
 
 
+@lru_cache(maxsize=16)
+def _regular_labels(sizes: tuple[int, ...]
+                    ) -> tuple[MappingProxyType, tuple, MappingProxyType]:
+    """The labels of `_regular_module` for families of `sizes` generators,
+    built once per tuple of sizes: the number of labels of each component;
+    the walk, one step (S, j, b, i, d, g) per nonempty monomial S by size,
+    e_S being basis vector j of its component, e_{S - s} vector i of
+    component b, and s generator g of family d; and, for each component,
+    its basis indices grouped by their letters per family.  Every call
+    for these sizes shares the result, so it is read-only all the way
+    down: mapping proxies and tuples."""
+    letters = [(d, i) for d, n in enumerate(sizes) for i in range(n)]
+    where, groups, counts = {}, {}, {}  # S -> (component, index)
+    for c in product((0, 1), repeat=len(sizes)):
+        labels = [((), ())]  # (S, its letters per family)
+        for d, a in enumerate(c):
+            own = [s for s, (e, _) in enumerate(letters) if e == d]
+            labels = [(S + T, per + (size,)) for S, per in labels
+                      for size in range(a, len(own) + 1, 2) for T in combinations(own, size)]
+        counts[c], groups[c] = len(labels), {}
+        for j, (S, per) in enumerate(labels):
+            where[S] = (c, j)
+            groups[c].setdefault(per, []).append(j)
+    steps = tuple((S, where[S][1], *where[S[1:]], *letters[S[0]])
+                  for size in range(1, len(letters) + 1)
+                  for S in combinations(range(len(letters)), size))
+    groups = {c: MappingProxyType({per: tuple(js) for per, js in g.items()})
+              for c, g in groups.items()}
+    return MappingProxyType(counts), steps, MappingProxyType(groups)
+
+
 def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
     """Stage `regular_module` of `enveloping_quotient_check` (k = 1) and
     `check_twisted_tensor` (k = 2): v is Cl(N) acting on itself, filtered
@@ -562,26 +594,14 @@ def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
     name = "regular_module"
     if any(a.gram != Matrix.identity(a.n) for a in v.algebras):
         return failing(name, kind="gram")
-    letters = [(d, i) for d, algebra in enumerate(v.algebras) for i in range(algebra.n)]
-    where, groups = {}, {}  # S -> (component, index); component -> {letters per family: indices}
+    counts, steps, groups = _regular_labels(tuple(a.n for a in v.algebras))
     for c, dim in v.dims.items():
-        labels = [((), ())]  # (S, its letters per family)
-        for d, a in enumerate(c):
-            own = [s for s, (e, _) in enumerate(letters) if e == d]
-            labels = [(S + T, per + (size,)) for S, per in labels
-                      for size in range(a, len(own) + 1, 2) for T in combinations(own, size)]
-        if dim != len(labels):
+        if dim != counts[c]:
             return failing(name, kind="shape", **words.at(c))
-        groups[c] = {}
-        for j, (S, per) in enumerate(labels):
-            where[S] = (c, j)
-            groups[c].setdefault(per, []).append(j)
-    for size in range(1, len(letters) + 1):
-        for S in combinations(range(len(letters)), size):
-            (c, j), (b, i), (d, g) = where[S], where[S[1:]], letters[S[0]]
-            den, rows = v.gammas[d][g][b]._ints()
-            if len(rows[i]) != 1 or rows[i][0][0] != j or rows[i][0][1] != den:
-                return failing(name, kind="word", word=list(S))
+    for S, j, b, i, d, g in steps:
+        den, rows = v.gammas[d][g][b]._ints()
+        if len(rows[i]) != 1 or rows[i][0][0] != j or rows[i][0][1] != den:
+            return failing(name, kind="word", word=list(S))
     for x, flag in v.flags.items():
         units = sorted(j for per, js in groups[_parity(x)].items() if all(map(le, per, x))
                        for j in js)

@@ -19,7 +19,9 @@ in no promised order: `__eq__` and `__hash__` ignore the order of the
 pairs in a row, and every other reader treats a row as a map from
 columns to ints.  A matrix the kernel builds, or a document decodes,
 keeps only this form, and builds its `Fraction` entries on their first
-read; a matrix built from entries gets the form on first use.  Both are
+read; a matrix built from entries gets the form on first use.  `rref`
+of an input already in reduced row-echelon form is that input, with
+whatever entries it has already built.  Both are
 kept on the matrix, which is immutable, so they live exactly as long as
 the matrix does.  Products, Kronecker products (`kron`), block matrices
 (`_block_matrix`, which `Matrix.stack` calls with two blocks), linear
@@ -43,7 +45,9 @@ that needs them, and keeps nothing on the matrix.
 A product that is only compared is never built at all: `_vanishes`
 decides whether a sum of products minus a scaled target is zero row by
 row over one common denominator, and every relation check and span
-membership test goes through it.
+membership test goes through it.  A row is summed in a list, or in a dict
+when the result is wider than 48 columns and no row of a factor or of the
+target has more than one entry, as for Cl(n) acting on itself.
 
 Membership has one path, and a vector is a one-row matrix to it:
 `Subspace.contains` and `Subspace.coordinates` are one-row calls to
@@ -55,9 +59,10 @@ incremental and fraction-free: a row is reduced only where it is
 nonzero, against basis rows kept as dicts of their nonzero integer
 entries, and rows that reduce to zero cost no more than that.  Its
 output is the unique reduced row-echelon form, whatever the order of
-elimination, which is what makes subspace equality syntactic.  Its two
-steps, `_reduced` and `_insert`, also serve callers that keep an echelon
-basis of their own.
+elimination, which is what makes subspace equality syntactic; so an
+input that one pass over its entries shows is already in that form is
+returned as it is, with no elimination.  Its two steps, `_reduced` and
+`_insert`, also serve callers that keep an echelon basis of their own.
 
 One kind of kernel needs no elimination: a system whose equations have
 at most two terms each, such as the graded commutant of a module whose
@@ -69,9 +74,10 @@ solutions, so it is the one `rref` would give.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -371,6 +377,11 @@ def _injective(rows) -> bool:
     return len(set(hit)) == len(hit)
 
 
+# `_vanishes` sums in a dict the rows of a result wider than this whose
+# factors and target have at most one entry per row
+_WIDE = 48
+
+
 def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None = None,
               s=0) -> bool:
     """Whether the sum of c * A * B over the terms (c, A, B), minus s times
@@ -384,6 +395,19 @@ def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None
     ValueError, as the products would.  A result with no rows or no
     columns is zero, so nothing is read; an inner dimension of 0 is not
     such a case, since -s * target may still be nonzero.
+
+    A row is summed into a list of `cols` zeros and scanned, or into a
+    dict of the columns it reaches when the result is wider than `_WIDE`
+    columns and no row of a factor or of the target has more than one
+    entry, as for Cl(n) acting on itself (2^(n-1) columns, gammas that
+    are signed permutations).  A row then reaches at most len(terms) + 1
+    columns, so the dict stays small while the list grows with the width.
+    Timed on anticommutators of m x m signed permutations (best of 5,
+    Python 3.11 on a shared 2-core host), the dict takes 1.2 times the
+    list's time at m = 24, breaks even at about 48, and 0.85 at 64 and
+    0.31 at 256; on rows a quarter full it takes 1.5 to 2 times the
+    list's time at every width from 8 to 256, so such rows stay in the
+    list whatever the width.
     """
     if type(s) is not int:  # an int has its numerator and denominator too
         s = rational(s)
@@ -399,9 +423,11 @@ def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None
     d = lcm(s.denominator * t[0], *[da * db for _, (da, _), (db, _) in forms])
     weighted = [(c * (d // (da * db)), arows, brows) for c, (da, arows), (db, brows) in forms]
     f = s.numerator * (d // (s.denominator * t[0]))
-    cols = shape[1]
+    in_dict = shape[1] > _WIDE and all(
+        max(map(len, rows), default=0) <= 1
+        for rows in chain((t[1],), *[(arows, brows) for _, arows, brows in weighted]))
     for r, trow in enumerate(t[1]):
-        acc = [0] * cols
+        acc = defaultdict(int) if in_dict else [0] * shape[1]
         for w, arows, brows in weighted:
             for k, a in arows[r]:
                 a *= w
@@ -409,7 +435,7 @@ def _vanishes(terms: Sequence[tuple[int, Matrix, Matrix]], target: Matrix | None
                     acc[j] += a * b
         for j, x in trow:
             acc[j] -= f * x
-        if any(acc):
+        if any(acc.values() if in_dict else acc):
             return False
     return True
 
@@ -435,9 +461,22 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     by the pivot happens only when the result is written out, as
     Fractions.  The result does not depend on the order of elimination,
     so two spans are equal iff their results are.
+
+    An input already in that form is returned as it is, with its pivots,
+    when one pass over its entries (`_echelon_pivots`) shows it: no zero
+    row, each row's leading entry 1, the leading columns strictly
+    increasing, and each of them zero in every other row.  Such rows are
+    independent, since each is the only one nonzero at its leading column,
+    so they are a reduced row-echelon basis of their span, and by the
+    uniqueness of that basis the one elimination would return; the input
+    is immutable, so it can stand for that result.
     """
+    d, rows = m._ints()
+    pivots = _echelon_pivots(d, rows)
+    if pivots is not None:
+        return m, pivots
     basis: dict[int, dict[int, int]] = {}
-    for pairs in m._ints()[1]:
+    for pairs in rows:
         row = _reduced(basis, dict(pairs))
         if row:
             _insert(basis, row)
@@ -450,6 +489,25 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         f = d // basis[p][p]
         rows.append(tuple([(j, x * f) for j, x in basis[p].items()]))
     return Matrix._from_ints(m.cols, d, rows), pivots
+
+
+def _echelon_pivots(d: int, rows) -> tuple[int, ...] | None:
+    """The leading columns of ``rows / d`` if it is in reduced row-echelon
+    form with no zero row, else None."""
+    leads = []
+    for row in rows:
+        if not row:
+            return None
+        lead, c = min(row)
+        if c != d or (leads and lead <= leads[-1]):
+            return None
+        leads.append(lead)
+    if len(leads) > 1:
+        at = set(leads)
+        for row, lead in zip(rows, leads):
+            if len(row) > 1 and any(j in at and j != lead for j, _ in row):
+                return None
+    return tuple(leads)
 
 
 def _reduced(basis: dict, row: dict) -> dict:

@@ -13,7 +13,7 @@ entries is parsed once, d is the lcm of their denominators, and no
 numerator formatted once.  The text is that of `json.dumps(doc,
 indent=2)`, but built by joins over the document, with strings quoted
 by json's C encoder, since an indent sends `json` to its pure-Python
-encoder.
+encoder; a list of strings, or of rows of strings, is one join.
 
 Decoding is strict about scalars: a rational must be a JSON string that
 `exactalg.rational` accepts (what `Fraction` reads, without exponent
@@ -415,6 +415,8 @@ def _expect(value, *types):
     return value
 
 
+# the element types of a list of strings, and of a list of rows
+_STR, _LIST = {str}, {list}
 # how json writes the floats whose repr is not JSON
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -426,10 +428,16 @@ def _text(value, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        try:
-            body = (",\n" + inner).join(map(_quote, value))
-        except TypeError:  # not all strings
-            body = (",\n" + inner).join([_text(v, inner) for v in value])
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == _STR:
+            body = sep.join(map(_quote, value))
+        elif kinds == _LIST and set(map(type, chain.from_iterable(value))) <= _STR:
+            deeper, close = sep + "  ", "\n" + inner + "]"
+            body = sep.join([f"[\n{inner}  {deeper.join(map(_quote, row))}{close}" if row else "[]"
+                             for row in value])
+        else:
+            body = sep.join([_text(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         if not value:

@@ -52,6 +52,14 @@ def test_pipe_roundtrip_passes(degree_doc):
     assert json.loads(out.stdout)["pass"] is True
 
 
+def test_check_refuses_a_certificate(degree_doc):
+    # `check` takes five kinds; a certificate, such as roundtrip's, is none
+    out = run(["check"], stdin=run(["roundtrip"], stdin=degree_doc).stdout)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: expected ") and out.stderr.count("\n") == 1, out.stderr
+    assert out.stderr.rstrip().endswith("got Certificate")
+
+
 def test_deform_quotient_chain(degree_doc):
     rep = run(["deform"], stdin=degree_doc)
     assert rep.returncode == 0

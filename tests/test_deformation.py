@@ -13,7 +13,9 @@ from cliffilt.bifiltration import (
     biquotient,
     canonical_biroundtrip_iso,
     check_bifiltered_module,
+    check_twisted_tensor,
     tensor_module,
+    twisted_tensor,
     verify_2d,
 )
 from cliffilt.certificate import CheckFailed
@@ -311,6 +313,30 @@ def test_regular_module_rejects_a_generator_that_kills_the_unit():
     cert = deformation._regular_module(degree_filtration(broken), OffShellRep._words)
     assert not cert and cert.check == "regular_module"
     assert cert.witness == {"kind": "word", "word": [1]}
+
+
+def test_regular_module_labels_are_built_once_per_family_sizes():
+    # fresh modules of one shape share the label table; a module of other
+    # dims is still refused by its own `shape`, and the certificates of the
+    # algebra case are unchanged
+    deformation._regular_labels.cache_clear()
+    for _ in range(3):
+        assert deformation._regular_module(degree_filtration(exterior_module(3)),
+                                           OffShellRep._words)
+    info = deformation._regular_labels.cache_info()
+    assert (info.misses, info.hits) == (1, 2) and info.maxsize <= 16
+    counts, steps, groups = deformation._regular_labels((3,))  # shared, so read-only
+    for table in (counts, groups, *groups.values()):
+        with pytest.raises(TypeError):
+            table[None] = ()
+    assert all(type(js) is tuple for g in groups.values() for js in g.values())
+    assert type(steps) is tuple
+    small = irreducible_module(4)  # (4|4), where Cl(4) acting on itself is (8|8)
+    cert = deformation._regular_module(trivial_filtration(small), OffShellRep._words)
+    assert not cert and cert.witness == {"kind": "shape", "parity": 0}
+    assert all(enveloping_quotient_check(n, 3) for n in range(1, 9))
+    assert all(check_twisted_tensor(twisted_tensor(CliffordAlgebra(p), CliffordAlgebra(q)))
+               for p in range(5) for q in range(5 - p))
 
 
 def test_regular_module_requires_the_identity_gram():

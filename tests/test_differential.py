@@ -14,18 +14,19 @@ of a regular module holds.
 
 import ast
 import random
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import oracle
-from cliffilt import bifiltration, cli, deformation
+from cliffilt import bifiltration, cli, deformation, supermodule
 from cliffilt.bifiltration import bideform, canonical_biroundtrip_iso, check_bifiltered_module
 from cliffilt.bifiltration import check_twisted_tensor, tensor_module, twisted_tensor
 from cliffilt.clifford import CliffordAlgebra
 from cliffilt.deformation import canonical_roundtrip_iso, deform
-from cliffilt.exactalg import Subspace
+from cliffilt.exactalg import Matrix, Subspace, _vanishes
 from cliffilt.graph import to_graph
 from cliffilt.invariants import (_minimal_polynomial, decompose, filtered_endomorphisms,
                                  filtration_search, invariant_report, random_filtration)
@@ -226,3 +227,53 @@ def test_algebra_case_agrees_with_the_oracle(monkeypatch, index):
         assert bool(cert) == oracle.regular_module(w), cert.witness
         stages.add(cert.witness and cert.witness["stage"])
     assert "regular_module" in stages
+
+
+def _relations_agree(v):
+    """`_module_relations` gives the oracle's full-scan verdict and witness."""
+    want = first(oracle.relation_failures(v), v._words.relations)
+    assert text(supermodule._module_relations(v)) == text(want)
+    return want
+
+
+@pytest.mark.parametrize("index", range(len(_inputs())))
+def test_relations_from_the_even_half_keep_every_witness(index):
+    # every gamma of every input, on each component where it has entries,
+    # with one seeded entry changed by an integer or a fraction: the
+    # generating set decides the verdict and the full scan the witness
+    v, rng = _inputs()[index], random.Random(100 + index)
+    assert _relations_agree(v)
+    for d, family in enumerate(v.gammas):
+        for i, g in enumerate(family):
+            for c, m in g.items():
+                if not (m.rows and m.cols):
+                    continue
+                gammas = [[dict(h) for h in fam] for fam in v.gammas]
+                gammas[d][i][c] = bumped(m, rng.randrange(m.rows), rng.randrange(m.cols),
+                                         rng.choice((1, -2, Fraction(1, 3))))
+                assert not _relations_agree(_mutant(v, gammas, v.flags))
+
+
+def test_relations_need_the_odd_half():
+    # (1|2) with g_0 g_0 = 1 and the other relations on the even part, but
+    # g_0 g_0 of rank 1 on the odd part: only {g, g} there rejects it
+    gamma_eo = [Matrix.from_rows([[1, 0]]), Matrix.from_rows([[0, 1]])]
+    gamma_oe = [Matrix.from_rows([[1], [0]]), Matrix.from_rows([[0], [1]])]
+    m = CliffordSupermodule(CliffordAlgebra(2), gamma_eo, gamma_oe)
+    cert = _relations_agree(m)
+    assert not cert and cert.witness == {"i": 0, "j": 0, "parity": 1}
+
+
+@pytest.mark.parametrize("module, calls", [
+    (lambda: irreducible_module(5), 5 * 6 // 2 + 1),
+    (lambda: exterior_module(3), 3 * 4 // 2 + 1),
+    (lambda: tensor_module(degree_filtration(exterior_module(2)),
+                           degree_filtration(exterior_module(1))), 2 * (3 + 1 + 2) + 2),
+])
+def test_a_passing_module_checks_the_generating_set_only(monkeypatch, module, calls):
+    # one `_vanishes` per relation of the generating set, where the full
+    # scan makes one per relation on every component: 16 at Cl(5), not 30
+    v, made = module(), []
+    monkeypatch.setattr(supermodule, "_vanishes", lambda *a: made.append(a) or _vanishes(*a))
+    assert supermodule._module_relations(v)
+    assert len(made) == calls

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, subspace lattice, no rounding."""
 
+import collections
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -549,7 +550,9 @@ def test_vanishes_on_empty_results():
 
 def _kernel_results():
     """(operation, result) for every kernel operation on seeded inputs:
-    negative entries, denominators up to 10**6, 0 x k and k x 0 shapes."""
+    negative entries, denominators up to 10**6, 0 x k and k x 0 shapes.
+    `rref` of an already-reduced input is that input, built from entries
+    here, so its result is named "rref kept" and not "rref"."""
     rng = random.Random(43)
     for _ in range(80):
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
@@ -557,7 +560,8 @@ def _kernel_results():
         a = _random_matrix(rng, rows, cols, max_den)
         c = _random_matrix(rng, rows, cols, max_den)
         yield "product", a * _random_matrix(rng, cols, rng.randint(0, 5), max_den)
-        yield "rref", rref(a)[0]
+        reduced = rref(a)[0]
+        yield ("rref kept" if reduced is a else "rref"), reduced
         yield "kernel", kernel(a)
         yield "transpose", a.transpose()
         yield "scale", a.scale(Fraction(-7, 10**6 - 1))
@@ -592,9 +596,10 @@ def test_integer_form_matches_entries():
 
 def test_kernel_results_build_entries_on_first_read():
     """A matrix the kernel builds keeps only its integer form until its
-    entries are read; they are then rows / d as Fractions, and kept."""
+    entries are read; they are then rows / d as Fractions, and kept.  An
+    input `rref` returns as it is keeps the entries it was built from."""
     for name, m in _kernel_results():
-        assert m._entries is None, name
+        assert (m._entries is not None) is (name == "rref kept"), name
         d, rows = m._ints()
         grid = [[Fraction(0)] * m.cols for _ in range(m.rows)]
         for i, row in enumerate(rows):
@@ -720,3 +725,99 @@ def test_membership_and_apply_match_the_oracle():
     for call in (space.contains, space.coordinates):
         with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
             call([1, 0])
+
+
+def test_rref_returns_an_already_reduced_input_itself():
+    # every reduced form is returned as it is, with its pivots; so is a
+    # reduced matrix built from entries, denominators away from the pivots
+    for m in ORACLE:
+        reduced, pivots = rref(m)
+        assert rref(reduced)[0] is reduced and rref(reduced)[1] == pivots
+    for rows, pivots in [([[1, Fraction(1, 2), 0, Fraction(-3, 7)], [0, 0, 1, 5]], (0, 2)),
+                         ([[0, 1, 0], [0, 0, 1]], (1, 2)), ([[0, 0, 0, 1]], (3,))]:
+        m = Matrix.from_rows(rows)
+        assert rref(m) == (m, pivots) and rref(m)[0] is m
+    empty = Matrix.zeros(0, 3)
+    assert rref(empty)[0] is empty and rref(empty)[1] == ()
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 1]],  # a pivot of 2
+    [[1, 3, 0], [0, 1, 0]],  # a pivot column nonzero in another row
+    [[0, 1], [1, 0]],  # leading columns out of order
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1]],  # a zero row
+    [[1, 0], [1, 0]],  # two rows leading at one column
+    [[Fraction(1, 2), 1], [0, Fraction(2, 3)]],  # leading entries with denominators
+    [[1, Fraction(1, 2), 0], [0, 1, Fraction(5, 3)]],  # reduced but for column 1
+])
+def test_rref_eliminates_a_near_miss(rows):
+    m = Matrix.from_rows(rows)
+    reduced, pivots = rref(m)
+    want, want_pivots = oracle.rref(grid(m), m.cols)
+    assert reduced is not m and pivots == want_pivots
+    assert reduced.entries == tuple(map(tuple, want))
+
+
+def _one_per_row(rng, rows, cols, den):
+    """Rows of at most one entry each, rational, some of them empty."""
+    grid = [[0] * cols for _ in range(rows)]
+    for row in grid:
+        if rng.random() < 0.8:
+            row[rng.randrange(cols)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, den))
+    return Matrix(rows, cols, grid)
+
+
+def _summed_in_dict(terms, target, cols):
+    """Whether `_vanishes` sums these rows in a dict: a result wider than
+    `_WIDE`, and no row of a factor or of the target with two entries."""
+    ms = [target, *[m for _, a, b in terms for m in (a, b)]]
+    return cols > exactalg._WIDE and all(sum(map(bool, row)) <= 1
+                                         for m in ms for row in m.entries)
+
+
+@pytest.mark.parametrize("one_per_row", [False, True])
+@pytest.mark.parametrize("cols", [3, 8, 48, 49, 128])
+def test_wide_and_narrow_vanishes_match_the_oracle(cols, one_per_row, monkeypatch):
+    # both accumulators decide what the dense oracle does, with rational s
+    # and a target that is the sum, or the sum with one entry changed; rows
+    # of one entry are summed in a dict past `_WIDE` columns, with a pair of
+    # terms that cancel, and every other result in a list
+    dicts = []
+    monkeypatch.setattr(exactalg, "defaultdict",
+                        lambda f: dicts.append(f) or collections.defaultdict(f))
+    rng, outcomes, routes = random.Random(cols), set(), set()
+    for _ in range(40):
+        rows, inner = rng.randint(1, 4), rng.randint(int(one_per_row), 6)
+        den = rng.choice((1, 5, 10**6))
+        if one_per_row:
+            a, b = _one_per_row(rng, rows, inner, den), _one_per_row(rng, inner, cols, den)
+            a2, b2 = _one_per_row(rng, rows, inner, den), _one_per_row(rng, inner, cols, den)
+            terms = [(2, a, b)] + ([(3, a2, b2), (-3, a2, b2)] if rng.random() < 0.5 else [])
+        else:
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                a = _random_matrix(rng, rows, inner, den)
+                b = Matrix(inner, cols, [[Fraction(rng.randint(-3, 3), rng.randint(1, den))
+                                          if rng.random() < 0.1 else 0 for _ in range(cols)]
+                                         for _ in range(inner)])
+                terms.append((rng.randint(-3, 3), a, b))
+        total = oracle.combination([(c, oracle.product(grid(a), grid(b), cols))
+                                    for c, a, b in terms], rows, cols)
+        s = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 7)))
+        target = [[x / s for x in row] for row in total]
+        if rng.random() < 0.5:
+            row = target[rng.randrange(rows)]
+            j = next((j for j, x in enumerate(row) if x), rng.randrange(cols))
+            row[j] += Fraction(1, rng.choice((1, 3)))
+        target = Matrix(rows, cols, target)
+        before = len(dicts)
+        got = _vanishes(terms, target, s)
+        want = not any(x - s * y for row, trow in zip(total, target.entries)
+                       for x, y in zip(row, trow))
+        assert got == want
+        assert (len(dicts) > before) is _summed_in_dict(terms, target, cols)
+        routes.add(len(dicts) > before)
+        outcomes.add(got)
+        assert _vanishes(terms, None) == (not any(map(any, total)))
+    assert outcomes == {True, False}
+    assert (one_per_row and cols > exactalg._WIDE) in routes

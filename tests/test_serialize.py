@@ -343,7 +343,7 @@ def _kernel_built_matrices():
         yield a * Matrix.identity(cols).scale(Fraction(-3, rng.choice((1, 4, 10**6))))
         yield a.scale(Fraction(5, 6)).stack(Matrix.zeros(rng.randint(0, 2), cols))
         yield Matrix.zeros(rng.randint(0, 2), cols).stack(-a)
-        yield rref(a)[0]
+        yield rref(-a)[0]  # kernel-built: rref returns a reduced input itself
 
 
 def test_encoded_rows_match_rat_over_entries():
@@ -479,6 +479,18 @@ def test_emitter_matches_json_dumps(tree):
     assert serialize._text(tree, "") == json.dumps(tree, indent=2)
     doc = {"tree": tree, 7: [tree], None: (tree,)}
     assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [[]], [[], []], [[[]]], [[], ["a"]], [["a"], []], {"rows": [[], [], []]},  # empty lists
+    [["a", "b"], ["c", "d"]], [["a"], ("b",)], (["a"],), [("a", "b")],  # rows, tuples
+    [["a"], [1]], [["a", None]], [["a"], "b"], ["a", ["b"]], [[], "a"], ["a", 1],  # mixed
+    [[["a"]], ["b"]], [["a"], [["b"]]], [True, "a"], [[1.5, "a"], ["b"]],
+])
+def test_emitter_writes_rows_and_mixed_lists_as_json_does(value):
+    assert serialize._text(value, "") == json.dumps(value, indent=2)
+    nested = {"doc": [value, {"rows": value}]}
+    assert dumps(nested) == json.dumps(nested, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), object(), {1, 2}, b"1", ["1", object()],
