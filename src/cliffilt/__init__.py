@@ -4,7 +4,6 @@ off-shell supersymmetry representations they correspond to."""
 from types import ModuleType as _ModuleType
 
 from .bifiltration import (
-    BifilteredIso,
     BifilteredSupermodule,
     BiGradedRep,
     TwistedProduct,

@@ -29,20 +29,19 @@ two-dimensional super translation algebra.
 
 The twisted product Cl(p) (x)^ Cl(q) (`twisted_tensor`) has no
 arithmetic of its own: `check_twisted_tensor` certifies it as Cl(p + q)
-by running its bifiltered regular module through this pipeline, stage by
-stage, and identifying that module with Cl(p + q) acting on itself.
+on its bifiltered regular module, the k = 2 call of the algebra case
+that `deformation._algebra_certificate` writes once over k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
-from .certificate import Certificate, failing, passing, require
+from .certificate import Certificate, require
 from .clifford import CliffordAlgebra
-from .deformation import (GradedRep, _deform, _quotient, _regular_module, _roundtrip, _verify,
-                          _Words)
+from .deformation import (FilteredIso, GradedRep, _algebra_certificate, _deform, _quotient,
+                          _roundtrip, _verify, _Words)
 from .exactalg import Matrix, Subspace, _block_matrix, kron, rational
 from .supermodule import (
     CliffordSupermodule,
@@ -276,25 +275,16 @@ def biquotient(r: BiGradedRep, shell_plus=1, shell_minus=1) -> BifilteredSupermo
     return _quotient(r, shells, BifilteredSupermodule)
 
 
-@dataclass(frozen=True)
-class BifilteredIso:
-    """Isomorphism of bifiltered modules given per parity component, as a
-    read-only mapping."""
-
-    component_maps: MappingProxyType
-    certificate: Certificate
-
-
-def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> BifilteredIso:
+def canonical_biroundtrip_iso(bf: BifilteredSupermodule) -> FilteredIso:
     """Identify bf with biquotient(bideform(bf)) at shell values (1, 1).
 
-    Component maps send a vector to its coordinates in the matching
-    corner flag's canonical basis; bijectivity, intertwining with both
-    generator families, and exact flag correspondence are verified.  A
-    failure is a defect of the correspondence itself, so it raises.
+    Component maps, keyed by biparity, send a vector to its coordinates in
+    the matching corner flag's canonical basis; bijectivity, intertwining
+    with both generator families, and exact flag correspondence are
+    verified.  A failure is a defect of the correspondence itself, so it
+    raises.  The result is kept on bf.
     """
-    maps, cert = _roundtrip(bf, bideform(bf), BiGradedRep._words)
-    return BifilteredIso(maps, cert)
+    return _roundtrip(bf, bideform(bf))
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +335,7 @@ def twisted_tensor(a: CliffordAlgebra, b: CliffordAlgebra) -> TwistedProduct:
 
 def check_twisted_tensor(t: TwistedProduct) -> Certificate:
     """Certify Cl(p) (x)^ Cl(q) = Cl(p + q) on the regular module
-    `t.module`.  The stages, each exact and the first failure the witness
-    (under `stage`):
-
-    * `check_bifiltered_module`: each family's Clifford relations, the
-      anticommutation of the two (the twisted sign), and the flags:
-      nested, full at the corners, g+ F_{m,n} <= F_{m+1,n} and
-      g- F_{m,n} <= F_{m,n+1};
-    * `verify_2d` of `bideform`;
-    * `canonical_biroundtrip_iso` (it raises if the correspondence fails);
-    * `regular_module` (`deformation._regular_module`, kept on the
-      module): Cl(p + q) acting on itself, bifiltered by word length in
-      each family, the pair (I, J) being the monomial I u (J + p).
-    """
-    name = "twisted_tensor"
-    bf = t.module
-    cert = check_bifiltered_module(bf)
-    if cert:  # bideform raises CheckFailed on a module that fails
-        cert = verify_2d(bideform(bf))
-    if cert:
-        cert = canonical_biroundtrip_iso(bf).certificate
-    if cert:
-        if bf._regular is None:
-            bf._regular = _regular_module(bf, BiGradedRep._words)
-        cert = bf._regular
-    return passing(name) if cert else failing(name, stage=cert.check, **cert.witness)
+    `t.module`: the algebra case, `deformation._algebra_certificate`, at
+    k = 2.  Its last stage, `regular_module`, identifies the pair (I, J)
+    with the monomial I u (J + p) of Cl(p + q)."""
+    return _algebra_certificate(t.module, BiGradedRep, "twisted_tensor")

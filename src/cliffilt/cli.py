@@ -73,38 +73,31 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    obj = _read_document(args.input, supermodule.SuperFiltration, supermodule.CliffordSupermodule,
-                         deformation.OffShellRep, bifiltration.BifilteredSupermodule,
-                         bifiltration.BiGradedRep)
-    if isinstance(obj, supermodule.SuperFiltration):
-        cert = supermodule.check_filtration(obj)
-    elif isinstance(obj, supermodule.CliffordSupermodule):
-        cert = supermodule.check_supermodule(obj)
-    elif isinstance(obj, deformation.OffShellRep):
-        cert = deformation.verify_offshell(obj)
-    elif isinstance(obj, bifiltration.BifilteredSupermodule):
-        cert = bifiltration.check_bifiltered_module(obj)
-    else:
-        cert = bifiltration.verify_2d(obj)
-    return _emit(cert, args.output)
+    checks = {supermodule.SuperFiltration: supermodule.check_filtration,
+              supermodule.CliffordSupermodule: supermodule.check_supermodule,
+              deformation.OffShellRep: deformation.verify_offshell,
+              bifiltration.BifilteredSupermodule: bifiltration.check_bifiltered_module,
+              bifiltration.BiGradedRep: bifiltration.verify_2d}
+    obj = _read_document(args.input, *checks)
+    return _emit(checks[type(obj)](obj), args.output)
 
 
 def _cmd_deform(args) -> int:
-    v = _read_document(args.input, supermodule.SuperFiltration, bifiltration.BifilteredSupermodule)
-    if isinstance(v, bifiltration.BifilteredSupermodule):
-        return _emit(bifiltration.bideform(v), args.output)
-    return _emit(deformation.deform(v), args.output)
+    deforms = {supermodule.SuperFiltration: deformation.deform,
+               bifiltration.BifilteredSupermodule: bifiltration.bideform}
+    v = _read_document(args.input, *deforms)
+    return _emit(deforms[type(v)](v), args.output)
 
 
 def _cmd_quotient(args) -> int:
-    r = _read_document(args.input, deformation.OffShellRep, bifiltration.BiGradedRep)
+    quotients = {deformation.OffShellRep: deformation.quotient_at,
+                 bifiltration.BiGradedRep: bifiltration.biquotient}
+    r = _read_document(args.input, *quotients)
     shells = args.k.split(",")
     if len(shells) != len(r.tops):
         raise ValueError(f"expected one shell value per direction, {len(r.tops)} for "
                          f"{type(r).__name__}, got {len(shells)}")
-    if isinstance(r, bifiltration.BiGradedRep):
-        return _emit(bifiltration.biquotient(r, *shells), args.output)
-    return _emit(deformation.quotient_at(r, *shells), args.output)
+    return _emit(quotients[type(r)](r, *shells), args.output)
 
 
 def _cmd_roundtrip(args) -> int:

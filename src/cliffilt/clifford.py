@@ -10,11 +10,11 @@ indices, ordered by length and then lexicographically.  The level F_p
 of the standard filtration is spanned by the monomials with |I| <= p
 and |I| = p (mod 2), and F_p * F_q lands in F_{p+q}.
 
-No product is formed to certify that: `enveloping_quotient_check` does
-it on Cl(n) acting on itself, `exterior_module(n)`, and
-`check_twisted_tensor` certifies Cl(p) (x)^ Cl(q) as Cl(p + q) on its
-bifiltered regular module.  `CliffordElement` is a reference arithmetic
-for tests.
+No product is formed to certify that: `deformation._algebra_certificate`
+does it at any k on Cl(N) acting on itself, `enveloping_quotient_check`
+on `exterior_module(n)` and `check_twisted_tensor` on the bifiltered
+regular module of Cl(p) (x)^ Cl(q), certified as Cl(p + q).
+`CliffordElement` is a reference arithmetic for tests.
 """
 
 from __future__ import annotations
@@ -76,6 +76,18 @@ class CliffordAlgebra:
             raise ValueError("Gram matrix must be positive definite")
         self.n = n
         self.gram = gram
+
+    @cached_property
+    def _twice_gram(self) -> tuple[tuple, ...]:
+        """2 G[i][j] for each pair of generators, read once from the Gram
+        matrix's integer form: an int 0 where G vanishes, a Fraction
+        elsewhere.  Every relations check on the algebra reads this table."""
+        d, rows = self.gram._ints()
+        table = [[0] * self.n for _ in range(self.n)]
+        for i, row in enumerate(rows):
+            for j, c in row:
+                table[i][j] = Fraction(2 * c, d)
+        return tuple(map(tuple, table))
 
     @cached_property
     def monomials(self) -> tuple[tuple[int, ...], ...]:

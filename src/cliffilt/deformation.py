@@ -14,7 +14,8 @@ and {Q, Q'} = 0 across families.  Above the stored grid the data repeats
 with period two, each shift acting there as the identity.  `_quotient`
 evaluates the shifts at positive shell values, collapsing onto the 2^k
 corners of the grid, and `_roundtrip` certifies that the quotient at
-shell 1 of a deformation is the filtered module it came from.
+shell 1 of a deformation is the filtered module it came from, as one
+`FilteredIso` at every k.
 
 `_deform` takes from the module's check the flag nesting and the gamma
 compatibility, which make every shift and Q map a matrix of
@@ -37,8 +38,10 @@ filtered Cl(N)-supermodules and graded off-shell representations of
 p^{1|N}: `deform`, `verify_offshell`, `quotient_at` (which also takes
 shell 0, the graded quotient by the image of H) and
 `canonical_roundtrip_iso`, from `SuperFiltration` to `OffShellRep`.
-`enveloping_quotient_check` runs them on Cl(n) acting on itself, the
-algebra case.  `bifiltration` holds the k = 2 case.
+`bifiltration` holds the k = 2 case.  `_algebra_certificate` runs the
+algebra case, Cl(N) acting on itself, through the engine at any k:
+`enveloping_quotient_check` is its k = 1 call and
+`bifiltration.check_twisted_tensor` its k = 2 call.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ from .supermodule import (
     _parity,
     _points,
     _require_backed,
+    _checked,
+    _module_relations,
     _step,
-    _twice_gram,
     check_filtration,
     degree_filtration,
     exterior_module,
@@ -261,8 +265,8 @@ def _relations(r: GradedRep, generating: bool = False) -> Certificate:
     and x + 2 e_d are folded back onto the grid once, each direction's
     shift is tabled at the grid points as `shift` gives it (a reference to
     the stored map, or the identity), the Q maps are read from the stored
-    mappings at the folded points, and 2 G[i][j] is read once from each
-    Gram matrix's integer form."""
+    mappings at the folded points, and 2 G[i][j] from each algebra's
+    table."""
     w, tops = r._words, r.tops
     for d, shifts in enumerate(r.shifts):
         for x, mat in shifts.items():
@@ -274,7 +278,7 @@ def _relations(r: GradedRep, generating: bool = False) -> Certificate:
     up = [{x: _fold(_step(x, d, 1), tops) for x in grid} for d in directions]
     up2 = [{x: _fold(_step(x, d, 2), tops) for x in grid} for d in directions]
     shift = [{x: r.shift(d, x) for x in grid} for d in directions]
-    twice = [_twice_gram(algebra) for algebra in r.algebras]
+    twice = [algebra._twice_gram for algebra in r.algebras]
     pairs = list(combinations(directions, 2))
     for x in grid:
         at = dict(zip(w.point, x))
@@ -355,14 +359,23 @@ def _quotient(r: GradedRep, shells, cls):
     return quotient
 
 
-def _roundtrip(source: FilteredModule, rep: GradedRep,
-               words: _Words) -> tuple[MappingProxyType, Certificate]:
-    """Maps identifying `source` with the quotient at shell 1 of `rep`, its
-    deformation, and their certificate; a failure is a defect of the
-    correspondence itself, so it raises.  The map on component c sends a
-    vector to its coordinates in the basis of the corner flag of parity c.
-    The result is kept on `source`, as its deformation is: the module is
-    read-only, so it cannot go stale.
+@dataclass(frozen=True)
+class FilteredIso:
+    """Isomorphism of filtered modules at any k: component_maps[c] is the
+    matrix on the parity component c, a tuple such as (0,) or (1, 0), in a
+    read-only mapping."""
+
+    component_maps: MappingProxyType
+    certificate: Certificate
+
+
+def _roundtrip(source: FilteredModule, rep: GradedRep) -> FilteredIso:
+    """The isomorphism of `source` with the quotient at shell 1 of `rep`, its
+    deformation; a failure is a defect of the correspondence itself, so it
+    raises.  The map on component c sends a vector to its coordinates in
+    the basis of the corner flag of parity c.  The result is kept on
+    `source`, as its deformation is: the module is read-only, so it cannot
+    go stale.
 
     Those maps are identities.  `_deform` holds only modules whose check
     passed, and the check makes every corner flag full; the reduced
@@ -378,6 +391,7 @@ def _roundtrip(source: FilteredModule, rep: GradedRep,
     if source._iso is not None:
         return source._iso
     back = _quotient(rep, (1,) * len(source.tops), type(source))
+    words = rep._words
     name = words.roundtrip
     maps = {c: Matrix.identity(dim) for c, dim in source.dims.items()}
 
@@ -398,7 +412,7 @@ def _roundtrip(source: FilteredModule, rep: GradedRep,
     cert = verify()
     if not cert:
         raise RuntimeError(f"{name.removesuffix('_iso')} correspondence failed: {cert.witness}")
-    source._iso = (MappingProxyType(maps), cert)
+    source._iso = FilteredIso(MappingProxyType(maps), cert)
     return source._iso
 
 
@@ -496,25 +510,16 @@ def quotient_at(r: OffShellRep, k) -> OnShellModule | GradedSpace:
     return OnShellModule(f.module, f, k)
 
 
-@dataclass(frozen=True)
-class FilteredIso:
-    """Filtered-module isomorphism given by parity-component matrices."""
-
-    even_map: Matrix
-    odd_map: Matrix
-    certificate: Certificate
-
-
 def canonical_roundtrip_iso(f: SuperFiltration) -> FilteredIso:
     """Identify f with quotient_at(deform(f), 1), verifying everything.
 
-    The component maps send a vector to its coordinates in the top
-    flag's canonical basis.  Bijectivity, the gamma intertwining and
-    flag-to-flag correspondence are all checked exactly; a failure is a
-    defect of the correspondence itself, so it raises.
+    The component maps, keyed (0,) and (1,), send a vector to its
+    coordinates in the top flag's canonical basis.  Bijectivity, the
+    gamma intertwining and flag-to-flag correspondence are all checked
+    exactly; a failure is a defect of the correspondence itself, so it
+    raises.  The result is kept on f.
     """
-    maps, cert = _roundtrip(f, deform(f), OffShellRep._words)
-    return FilteredIso(maps[(0,)], maps[(1,)], cert)
+    return _roundtrip(f, deform(f))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +558,8 @@ def _regular_labels(sizes: tuple[int, ...]
 
 
 def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
-    """Stage `regular_module` of `enveloping_quotient_check` (k = 1) and
-    `check_twisted_tensor` (k = 2): v is Cl(N) acting on itself, filtered
-    by word length in each family.
+    """The last stage of `_algebra_certificate`: v is Cl(N) acting on
+    itself, filtered by word length in each family.
 
     Letter o_d + i of Cl(N) is generator i of family d, o_d counting the
     generators before family d.  Basis vector j of component c is e_S for
@@ -610,6 +614,41 @@ def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
     return passing(name)
 
 
+def _algebra_certificate(v: FilteredModule, rep_cls, name: str) -> Certificate:
+    """The algebra case at any k: v is Cl(N) acting on itself, filtered by
+    word length in each of its k families, and its deformation, a
+    `rep_cls`, evaluates back to Cl(N) at 1.  The stages, each exact and
+    the first failure the witness (under `stage`):
+
+    * the module check (`_checked` with `_module_relations`): each family's
+      Clifford relations, the anticommutation across families, and the
+      flags: nested, full at the corners, g F_x <= F_{x + e_d} for g in
+      family d;
+    * `_verify` of `_deform`: S_d injective, {Q_i, Q_j} = 2 G[i][j] S_d
+      within family d, {Q, Q'} = 0 across families and [S_d, S_e] =
+      [S_d, Q] = 0, at every grid point (the data repeats with period two
+      above the top);
+    * `_roundtrip`: evaluation of every S_d at 1 is onto v with kernel the
+      images of S_d - 1 (it raises if the correspondence fails);
+    * `_regular_module`: Cl(N) acting on itself, filtered by word length,
+      so that with the first stage F_x F_y <= F_{x+y}, and the graded
+      product, so evaluation at 1, is multiplicative.
+
+    Each verdict is kept on v or on its deformation, the last in
+    `v._regular`, so a second call on v repeats no stage.
+    """
+    cert = _checked(v, _module_relations)
+    if cert:  # _deform refuses a module that fails, and keeps the rep on v
+        cert = _verify(_deform(v, rep_cls))
+    if cert:
+        cert = _roundtrip(v, _deform(v, rep_cls)).certificate
+    if cert:
+        if v._regular is None:
+            v._regular = _regular_module(v, rep_cls._words)
+        cert = v._regular
+    return passing(name) if cert else failing(name, stage=cert.check, **cert.witness)
+
+
 # The largest n `enveloping_quotient_check` takes.  Its time grows about
 # fourfold per generator (the README gives measured figures), so a larger
 # n is refused before anything is built; above `MAX_GENERATORS` the
@@ -620,39 +659,19 @@ MAX_ENVCHECK_N = 12
 def enveloping_quotient_check(n: int, max_degree: int, seed: int = 0) -> Certificate:
     """Certify the graded algebra whose degree-p component is the level
     F_p of Cl(n) (word length <= p, of the parity of p) as a deformation of
-    Cl(n), with Q_i = g_i in degree 1 and H = 1 in degree 2.
+    Cl(n), with Q_i = g_i in degree 1 and H = 1 in degree 2: the algebra
+    case, `_algebra_certificate`, at k = 1 on `degree_filtration(
+    exterior_module(n))`, the word-length filtration of Cl(n) acting on
+    itself in the monomial basis.
 
-    `exterior_module(n)` is the left-regular module of Cl(n) in the
-    monomial basis and `degree_filtration` its word-length filtration, so
-    that graded algebra is `deform` of it.  The stages, each exact and the
-    first failure the witness (under `stage`):
-
-    * `check_filtration`: the Clifford relations and the flags;
-    * `verify_offshell` of the deformation: {Q_i, Q_j} = 2 G[i][j] H,
-      [H, Q_i] = 0 and H injective, at every degree (the data repeats
-      with period two above the top);
-    * `canonical_roundtrip_iso`: evaluation at 1 is onto Cl(n) with
-      kernel the image of H - 1 (it raises if the correspondence fails);
-    * `regular_module` (`_regular_module`): Cl(n) acting on itself,
-      filtered by word length, so that with the first stage F_p F_q <=
-      F_{p+q}, and the graded product, so evaluation at 1, is multiplicative.
-
-    These hold at every degree, so they cover the truncation at any
-    `max_degree` >= 3, which is still required.  `seed` is unused; it
-    stays so that callers which pass it keep working.  Raises ValueError
-    for n above `MAX_ENVCHECK_N`.
+    The stages hold at every degree, so the certificate covers every
+    truncation.  `max_degree` only guards against values below 3, which
+    raise ValueError, and `seed` is unused; both stay so that callers which
+    pass them keep working.  Raises ValueError for n above `MAX_ENVCHECK_N`.
     """
-    name = "enveloping_quotient"
     if max_degree < 3:
         raise ValueError("truncation must reach degree 3 to see [H, Q]")
     if MAX_ENVCHECK_N < n <= MAX_GENERATORS:
         raise ValueError(f"envcheck of {n} generators exceeds the limit of {MAX_ENVCHECK_N}")
-    f = degree_filtration(exterior_module(n))
-    cert = check_filtration(f)
-    if cert:  # deform raises CheckFailed on a filtration that fails
-        cert = verify_offshell(deform(f))
-    if cert:
-        cert = canonical_roundtrip_iso(f).certificate
-    if cert:
-        cert = _regular_module(f, OffShellRep._words)
-    return passing(name) if cert else failing(name, stage=cert.check, **cert.witness)
+    return _algebra_certificate(degree_filtration(exterior_module(n)), OffShellRep,
+                                "enveloping_quotient")

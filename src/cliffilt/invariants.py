@@ -611,6 +611,13 @@ def random_filtration(module: CliffordSupermodule, rng) -> SuperFiltration:
     return f
 
 
+# The largest component a search takes when no generator acts.  Every
+# candidate of such a module is then decomposed, so a default-budget
+# search of a component this size already takes about a second (the
+# README gives measured figures); a larger one is refused before any draw.
+MAX_FREE_SEARCH_DIM = 3
+
+
 def filtration_search(
     module: CliffordSupermodule, target_gr_dims, budget: int, seed: int = 0
 ) -> list[SuperFiltration]:
@@ -632,7 +639,8 @@ def filtration_search(
     is dropped when all three match an earlier find's, whether or not it
     is isomorphic to that find.  So the finds count classes of
     invariants, not isomorphism classes.  A negative budget raises
-    ValueError.
+    ValueError, as does a component above `MAX_FREE_SEARCH_DIM` when no
+    generator acts.
 
     Before its first comparison with a find, the search keeps on the
     module whether its graded commutant is certified to have no
@@ -654,6 +662,10 @@ def filtration_search(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    top = max(module.dims.values())
+    if not module.algebra.n and top > MAX_FREE_SEARCH_DIM:
+        raise ValueError(f"dimension {top} exceeds {MAX_FREE_SEARCH_DIM}, the limit of a search "
+                         "when no generator acts")
     require("module", check_supermodule(module))
     target = tuple(int(t) for t in target_gr_dims)
     if len(target) < 2 or any(t < 0 for t in target):

@@ -160,8 +160,8 @@ class FilteredModule:
         self.gammas, self.flags = gammas, flags
         self._verdict: Certificate | None = None
         self._deformed = None  # the graded rep, kept by deformation._deform
-        self._iso = None  # the roundtrip maps and certificate, kept by deformation._roundtrip
-        self._regular = None  # k = 2: the regular_module verdict, kept by check_twisted_tensor
+        self._iso = None  # the roundtrip's FilteredIso, kept by deformation._roundtrip
+        self._regular = None  # the regular_module verdict, kept by _algebra_certificate
         self._sources = None  # k = 1: the source dimensions, kept by invariants.source_dimensions
 
     def __eq__(self, other):
@@ -170,17 +170,6 @@ class FilteredModule:
 
     def __hash__(self):
         return hash((self.algebras, tuple(self.flags.values())))
-
-
-def _twice_gram(algebra: CliffordAlgebra) -> list[list]:
-    """2 G[i][j] for each pair of generators, read from the Gram matrix's
-    integer form: an int 0 where G vanishes, a Fraction elsewhere."""
-    d, rows = algebra.gram._ints()
-    table = [[0] * algebra.n for _ in range(algebra.n)]
-    for i, row in enumerate(rows):
-        for j, c in row:
-            table[i][j] = Fraction(2 * c, d)
-    return table
 
 
 def _module_relations(v: FilteredModule) -> Certificate:
@@ -213,7 +202,7 @@ def _module_relations(v: FilteredModule) -> Certificate:
     """
     w, k = v._words, len(v.algebras)
     pairs = [(d, d) for d in range(k)] + list(combinations(range(k), 2))
-    twice = [_twice_gram(algebra) for algebra in v.algebras]
+    twice = [algebra._twice_gram for algebra in v.algebras]
     up = {c: [_parity(_step(c, d, 1)) for d in range(k)] for c in v.dims}
 
     def holds(c, d, e, i, j):

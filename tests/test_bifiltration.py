@@ -1,5 +1,6 @@
 """Twisted tensor products, bifiltered modules, and the d=2 layer."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from cliffilt.bifiltration import (
 )
 from cliffilt.certificate import CheckFailed, passing
 from cliffilt.clifford import CliffordAlgebra
-from cliffilt.deformation import OffShellRep, deform, quotient_at, verify_offshell
+from cliffilt.deformation import (OffShellRep, canonical_roundtrip_iso, deform, quotient_at,
+                                  verify_offshell)
 from cliffilt.exactalg import Matrix, Subspace
 from cliffilt.invariants import random_filtration
 from cliffilt.supermodule import (
@@ -271,19 +273,43 @@ def test_biroundtrip_is_kept_on_the_module(monkeypatch):
 
 
 def test_identification_is_kept_on_the_module(monkeypatch):
-    # the identification with Cl(p + q), the regular_module verdict, is kept
-    # on the read-only module, so a warm check_twisted_tensor walks no word
+    # the identification with Cl(N), the regular_module verdict, is kept on
+    # the read-only module at either k, so a warm certificate walks no word
     t = twisted_tensor(CliffordAlgebra(2), CliffordAlgebra(2))
-    assert check_twisted_tensor(t)
-    first = t.module._regular
-    assert first and first.check == "regular_module"
+    f = degree_filtration(exterior_module(4))
+    monkeypatch.setattr(deformation, "degree_filtration", lambda m: f)
+    cases = [(lambda: deformation.enveloping_quotient_check(4, 3), f, "enveloping_quotient"),
+             (lambda: check_twisted_tensor(t), t.module, "twisted_tensor")]
+    firsts = []
+    for check, v, _ in cases:
+        assert check()
+        firsts.append(v._regular)
+        assert v._regular and v._regular.check == "regular_module"
     calls = []
-    original = bifiltration._regular_module
-    monkeypatch.setattr(bifiltration, "_regular_module",
+    original = deformation._regular_module
+    monkeypatch.setattr(deformation, "_regular_module",
                         lambda *args: calls.append(args) or original(*args))
-    assert check_twisted_tensor(t) == passing("twisted_tensor")
-    assert t.module._regular is first
+    for (check, v, name), first in zip(cases, firsts):
+        assert check() == passing(name)
+        assert v._regular is first
     assert calls == []
+
+
+def test_one_iso_type_at_either_k():
+    # both roundtrips return one frozen type, its read-only maps keyed by
+    # parity tuples; it is kept on the source, so a second call returns it
+    f = degree_filtration(exterior_module(2))
+    bf = tensor_module(f, f)
+    one, two = canonical_roundtrip_iso(f), canonical_biroundtrip_iso(bf)
+    assert type(one) is type(two)
+    assert set(one.component_maps) == {(0,), (1,)}
+    assert set(two.component_maps) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    for iso, again in ((one, canonical_roundtrip_iso(f)), (two, canonical_biroundtrip_iso(bf))):
+        assert again is iso
+        with pytest.raises(TypeError):
+            iso.component_maps[next(iter(iso.component_maps))] = Matrix.identity(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iso.certificate = None
 
 
 def test_tensor_module_requires_filtrations():

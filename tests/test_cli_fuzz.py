@@ -271,6 +271,27 @@ def test_a_commutant_no_generator_backs_is_capped(command):
                    "generator acts\n")
 
 
+@pytest.mark.parametrize("dims, target", [((4, 0), "2,0,2"), ((1, 4), "1,2,0,2")])
+def test_a_search_no_generator_backs_is_capped(dims, target):
+    # a module over Cl(0) with a component one past the search's cap:
+    # refused before any draw
+    from cliffilt import serialize
+    from cliffilt.clifford import CliffordAlgebra
+    from cliffilt.invariants import MAX_FREE_SEARCH_DIM
+    from cliffilt.supermodule import CliffordSupermodule
+
+    assert max(dims) == MAX_FREE_SEARCH_DIM + 1
+    text = serialize.dumps(CliffordSupermodule(CliffordAlgebra(0), [], [], *dims))
+    tracemalloc.start()
+    start = time.monotonic()
+    code, out, err = _run(["search", "--target", target], text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.monotonic() - start < 1 and peak < 2**20
+    assert code == 2 and out == ""
+    assert err == "error: dimension 4 exceeds 3, the limit of a search when no generator acts\n"
+
+
 def test_envcheck_over_its_cap_is_refused():
     # n = 13, one past the cap: refused before Cl(13) or its module is built;
     # past 16 generators the algebra's own limit is the one named

@@ -159,7 +159,7 @@ def test_roundtrip_of_another_rep_fails_where_the_oracle_does():
             source = SuperFiltration(m, f.even_flags, f.odd_flags)
             want = list(oracle.roundtrip_failures(source, deform(g)))
             try:
-                deformation._roundtrip(source, deform(g), deformation.OffShellRep._words)
+                deformation._roundtrip(source, deform(g))
                 assert not want
             except RuntimeError as exc:
                 assert want and str(want[0].witness) in str(exc)

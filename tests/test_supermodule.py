@@ -6,6 +6,7 @@ import pytest
 import oracle
 from cliffilt.bifiltration import BifilteredSupermodule, check_bifiltered_module, tensor_module
 from cliffilt.clifford import CliffordAlgebra
+from cliffilt.deformation import deform, verify_offshell
 from cliffilt.exactalg import Matrix, Subspace, _vanishes
 from cliffilt.invariants import filtered_endomorphisms, random_filtration
 from cliffilt import supermodule
@@ -236,6 +237,20 @@ def test_module_is_the_k1_filtered_module_with_full_flags(monkeypatch):
 
     monkeypatch.setattr(supermodule.SuperFiltration, "__init__", refuse)
     assert check_supermodule(m) and check_supermodule(m) is m._verdict
+
+
+def test_gram_table_is_built_once_per_algebra(monkeypatch):
+    # the module relations of two modules on one algebra and the relations
+    # of a deformation all read one read-only table of 2 G[i][j]
+    reads, table = [], CliffordAlgebra._twice_gram
+    monkeypatch.setattr(CliffordAlgebra, "_twice_gram",
+                        property(lambda a: reads.append(table.__get__(a)) or reads[-1]))
+    m = exterior_module(3)
+    again = CliffordSupermodule(m.algebra, m.gamma_eo, m.gamma_oe)
+    assert check_supermodule(m) and check_supermodule(again)
+    assert verify_offshell(deform(degree_filtration(m)))
+    assert len(reads) == 3 and all(t is reads[0] for t in reads)
+    assert reads[0] == ((2, 0, 0), (0, 2, 0), (0, 0, 2)) and isinstance(reads[0][0], tuple)
 
 
 def test_random_gram_module_relations():
