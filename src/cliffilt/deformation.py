@@ -29,9 +29,15 @@ shift commutation, the cross-direction [S_e, Q] and the diagonal
 brackets only at the 2^k top points.  Injective shifts carry a relation
 proved at the top down to every level (proof in `_relations`); a rep
 that fails is scanned again in full, so its witness is the first
-failure of the full scan.  The roundtrip's maps are identities, since
-the corner flags are full, so `_roundtrip` certifies it by equality of
-dimensions, gamma matrices and flags.
+failure of the full scan.  No relation is formed at a point x where
+V_x = 0: it is a map out of V_x, with no rows, so it holds.  The grid's
+geometry (its points, parities, corners, and each point's neighbours
+x + e_d and x + 2 e_d folded back onto the grid) is worked out once per
+tuple of tops, in `supermodule._geometry`, and the module, the rep,
+`_deform`, `_relations` and `_quotient` read it from there.  The
+roundtrip's maps are identities, since the corner flags are full, so
+`_roundtrip` certifies it by equality of dimensions, gamma matrices and
+flags.
 
 k = 1, with the shift the Hamiltonian H, is the correspondence between
 filtered Cl(N)-supermodules and graded off-shell representations of
@@ -62,11 +68,9 @@ from .supermodule import (
     FilteredModule,
     SuperFiltration,
     _check_maps,
-    _corner,
     _fold,
+    _geometry,
     _nest,
-    _parity,
-    _points,
     _require_backed,
     _checked,
     _module_relations,
@@ -120,8 +124,9 @@ class GradedRep:
     holds, at every grid point x, generator i of family d as a map from x
     to x + e_d folded back onto the grid.  Both are read-only mappings, so
     the verdict of `_verify` and the quotient's flags can be kept on the
-    rep.  Subclasses fix k, translate their constructor arguments and
-    attributes, and name their `_words`.
+    rep.  The grid's table, `supermodule._geometry(tops)`, is kept as
+    `_geometry`.  Subclasses fix k, translate their constructor arguments
+    and attributes, and name their `_words`.
     """
 
     _words: _Words
@@ -132,18 +137,18 @@ class GradedRep:
         dims, grid = _grid(dims, k)
         _require_backed(algebras, grid.values())
         tops = tuple(max(x[d] for x in grid) for d in range(k))
+        geometry = _geometry(tops)
         shifts = tuple(MappingProxyType(dict(s)) for s in shifts)
         qs = tuple(tuple(MappingProxyType(dict(q)) for q in family) for family in qs)
         for d, (algebra, family) in enumerate(zip(algebras, qs)):
             if len(family) != algebra.n:
                 raise ValueError("need one Q family per generator")
-            _check_maps(shifts[d], grid, {x: grid[_step(x, d, 2)]
-                                          for x in grid if x[d] <= tops[d] - 2}, "shift")
-            targets = {x: grid[_fold(_step(x, d, 1), tops)] for x in grid}
+            _check_maps(shifts[d], grid, {x: y for x, y in geometry.up2[d].items()
+                                          if x[d] <= tops[d] - 2}, "shift")
             for q in family:
-                _check_maps(q, grid, targets, "Q")
+                _check_maps(q, grid, geometry.up[d], "Q")
         self.algebras, self.dims, self.tops, self.shifts, self.qs = algebras, dims, tops, shifts, qs
-        self._grid = grid
+        self._grid, self._geometry = grid, geometry
         self._verdict: Certificate | None = None
         self._flags = None  # the quotient's flags, kept by _quotient
 
@@ -154,7 +159,10 @@ class GradedRep:
         """S_d from x to x + 2 e_d; the identity above the top two rows."""
         if min(x) < 0:
             return Matrix.zeros(0, self.component_dim(_step(x, d, 2)))
-        x = _fold(x, self.tops)
+        return self._shift_at(d, _fold(x, self.tops))
+
+    def _shift_at(self, d: int, x) -> Matrix:
+        """S_d at a grid point x: the stored map, or the identity in the top two rows."""
         if x[d] >= self.tops[d] - 1:
             return Matrix.identity(self._grid[x])
         return self.shifts[d][x]
@@ -190,15 +198,16 @@ def _deform(v: FilteredModule, cls):
         return v._deformed
     if not v._verdict:
         raise ValueError("only a module that passed its check can be deformed")
+    geometry = v._geometry
     shifts = [{} for _ in v.tops]
     qs = [[{} for _ in family] for family in v.gammas]
     cut = {}  # (d, i, parity, pivots) -> gamma's columns at those pivots
     for x, flag in v.flags.items():
-        c = _parity(x)
+        c = geometry.parity[x]
         for d, top in enumerate(v.tops):
             if x[d] <= top - 2:
-                shifts[d][x] = flag.basis._columns(v.flags[_step(x, d, 2)].pivots)
-            pivots = v.flags[_fold(_step(x, d, 1), v.tops)].pivots
+                shifts[d][x] = flag.basis._columns(v.flags[geometry.up2[d][x]].pivots)
+            pivots = v.flags[geometry.up[d][x]].pivots
             for i, gamma in enumerate(v.gammas[d]):
                 key = (d, i, c, pivots)
                 if key not in cut:
@@ -261,34 +270,40 @@ def _relations(r: GradedRep, generating: bool = False) -> Certificate:
     column in B[:, P] is the place of that pivot in P, distinct for
     distinct rows.
 
-    The maps are looked up once per call: a grid point's neighbours x + e_d
-    and x + 2 e_d are folded back onto the grid once, each direction's
-    shift is tabled at the grid points as `shift` gives it (a reference to
-    the stored map, or the identity), the Q maps are read from the stored
-    mappings at the folded points, and 2 G[i][j] from each algebra's
-    table."""
-    w, tops = r._words, r.tops
+    No relation is formed at a grid point x where V_x = 0.  Every relation
+    at x is a map out of V_x, so it has no rows and holds; the shapes of
+    the maps were checked when the rep was built (`_check_maps`).  A
+    skipped relation could only pass, so the verdict and the first failure
+    with its witness are unchanged.
+
+    The geometry comes from the grid's table (`supermodule._geometry`),
+    built once per tuple of tops: the grid points in order, and each
+    point's neighbours x + e_d and x + 2 e_d folded back onto the grid.
+    A shift is the stored map, or the identity in the top two rows
+    (`GradedRep._shift_at`); the Q maps are read from the stored mappings
+    at the folded points, and 2 G[i][j] from each algebra's table."""
+    w, tops, geometry = r._words, r.tops, r._geometry
     for d, shifts in enumerate(r.shifts):
         for x, mat in shifts.items():
             leads = {min(j for j, _ in row) for row in mat._ints()[1] if row}
             if len(leads) != mat.rows and mat.rank() != mat.rows:
                 return failing(w.relations, kind=w.injective[d], **dict(zip(w.point, x)))
-    grid = list(_points(tops))
     directions = range(len(tops))
-    up = [{x: _fold(_step(x, d, 1), tops) for x in grid} for d in directions]
-    up2 = [{x: _fold(_step(x, d, 2), tops) for x in grid} for d in directions]
-    shift = [{x: r.shift(d, x) for x in grid} for d in directions]
+    up, up2, shift = geometry.up, geometry.up2, r._shift_at
     twice = [algebra._twice_gram for algebra in r.algebras]
     pairs = list(combinations(directions, 2))
-    for x in grid:
+    for x in geometry.points:
+        if not r._grid[x]:
+            continue
         at = dict(zip(w.point, x))
         every = not generating or all(c >= t - 1 for c, t in zip(x, tops))
+        here = [shift(d, x) for d in directions]
         for d, e in pairs:
-            if not _vanishes([(1, shift[d][x], shift[e][up2[d][x]]),
-                              (-1, shift[e][x], shift[d][up2[e][x]])]):
+            if not _vanishes([(1, here[d], shift(e, up2[d][x])),
+                              (-1, here[e], shift(d, up2[e][x]))]):
                 return failing(w.relations, kind="shifts_commute", **at)
         for d, family in enumerate(r.qs):
-            y, s = up[d][x], shift[d][x]
+            y, s = up[d][x], here[d]
             for i, qi in enumerate(family):
                 for j in range(i, len(family) if every else i + 1):
                     if i == j:
@@ -307,11 +322,11 @@ def _relations(r: GradedRep, generating: bool = False) -> Certificate:
                                        **{w.generator[d]: i, w.generator[e]: j}, **at)
         for d, family in enumerate(r.qs):
             y = up[d][x]
+            across = [(e, here[e], up2[e][x], shift(e, y)) for e in directions
+                      if not (generating and e == d)]
             for i, qi in enumerate(family):
-                for e in directions:
-                    if generating and e == d:
-                        continue
-                    if not _vanishes([(1, shift[e][x], qi[up2[e][x]]), (-1, qi[x], shift[e][y])]):
+                for e, out, z, into in across:
+                    if not _vanishes([(1, out, qi[z]), (-1, qi[x], into)]):
                         return failing(w.relations, kind=w.shift_q[d][e],
                                        **{w.generator[d]: i}, **at)
     return passing(w.relations)
@@ -330,9 +345,12 @@ def _quotient(r: GradedRep, shells, cls):
     read-only; a quotient at any shell, and the roundtrip, reuse them.
     Each composite starts from its first shift, not from the identity of
     V_x, which would not change the product; the composite at a corner
-    has no shift, so it is the identity and its flag the whole space."""
-    tops = r.tops
-    corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
+    has no shift, so it is the identity and its flag the whole space.  A
+    step of 2 e_d below the corner of the same parity starts two or more
+    rows below the top, so its shift is a stored one.  The corners and
+    the steps are read from the grid's table."""
+    tops, geometry = r.tops, r._geometry
+    corners = geometry.corners
     dims = {c: r._grid[corner] for c, corner in corners.items()}
     gammas = tuple(
         tuple({c: q[x].scale(shell) if x[d] == tops[d] else q[x] for c, x in corners.items()}
@@ -341,15 +359,14 @@ def _quotient(r: GradedRep, shells, cls):
     )
     if r._flags is None:
         flags = {}
-        for x in _points(tops):
-            corner = corners[_parity(x)]
+        for x in geometry.points:
+            corner = corners[geometry.parity[x]]
             composite, at = None, x
-            for d in range(len(tops)):
-                for c in range(x[d], corner[d], 2):
-                    at = at[:d] + (c,) + at[d + 1:]
-                    shift = r.shift(d, at)
+            for d, (shifts, up2) in enumerate(zip(r.shifts, geometry.up2)):
+                while at[d] < corner[d]:
+                    shift = shifts[at]
                     composite = shift if composite is None else composite * shift
-                at = at[:d] + (corner[d],) + at[d + 1:]
+                    at = up2[at]
             flags[x] = (Subspace.full(r._grid[x]) if composite is None
                         else Subspace.row_space(composite))
         r._flags = MappingProxyType(flags)
@@ -607,8 +624,8 @@ def _regular_module(v: FilteredModule, words: _Words) -> Certificate:
         if len(rows[i]) != 1 or rows[i][0][0] != j or rows[i][0][1] != den:
             return failing(name, kind="word", word=list(S))
     for x, flag in v.flags.items():
-        units = sorted(j for per, js in groups[_parity(x)].items() if all(map(le, per, x))
-                       for j in js)
+        units = sorted(j for per, js in groups[v._geometry.parity[x]].items()
+                       if all(map(le, per, x)) for j in js)
         if flag != Subspace._units(flag.ambient, units):
             return failing(name, kind="flag", **dict(zip(words.point, x)))
     return passing(name)

@@ -616,6 +616,11 @@ def random_filtration(module: CliffordSupermodule, rng) -> SuperFiltration:
 # search of a component this size already takes about a second (the
 # README gives measured figures); a larger one is refused before any draw.
 MAX_FREE_SEARCH_DIM = 3
+# The most levels a search target may have.  Every attempt walks every
+# level, so a default-budget search of `cl1-trivial` at this length takes
+# about as long as one at MAX_FREE_SEARCH_DIM (the README gives measured
+# figures); a longer target is refused before any draw.
+MAX_SEARCH_LEVELS = 32
 
 
 def filtration_search(
@@ -639,8 +644,9 @@ def filtration_search(
     is dropped when all three match an earlier find's, whether or not it
     is isomorphic to that find.  So the finds count classes of
     invariants, not isomorphism classes.  A negative budget raises
-    ValueError, as does a component above `MAX_FREE_SEARCH_DIM` when no
-    generator acts.
+    ValueError, as do a component above `MAX_FREE_SEARCH_DIM` when no
+    generator acts and a target of more than `MAX_SEARCH_LEVELS` levels,
+    all three before the module is checked.
 
     Before its first comparison with a find, the search keeps on the
     module whether its graded commutant is certified to have no
@@ -666,8 +672,11 @@ def filtration_search(
     if not module.algebra.n and top > MAX_FREE_SEARCH_DIM:
         raise ValueError(f"dimension {top} exceeds {MAX_FREE_SEARCH_DIM}, the limit of a search "
                          "when no generator acts")
-    require("module", check_supermodule(module))
     target = tuple(int(t) for t in target_gr_dims)
+    if len(target) > MAX_SEARCH_LEVELS:
+        raise ValueError(f"target of {len(target)} levels exceeds {MAX_SEARCH_LEVELS}, the limit "
+                         "of a search")
+    require("module", check_supermodule(module))
     if len(target) < 2 or any(t < 0 for t in target):
         raise ValueError("need at least levels 0 and 1 with nonnegative entries")
     even_total = sum(target[0::2])

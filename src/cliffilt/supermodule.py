@@ -26,8 +26,9 @@ the others, which imply the rest (`_module_relations` has the proof).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import prod
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -65,6 +66,39 @@ def _points(tops):
     return product(*(range(t + 1) for t in tops))
 
 
+# The most grids whose geometry is kept at once: one table per tuple of
+# tops, and the package's modules and reps use a few dozen.
+_GEOMETRIES = 256
+
+
+class _Geometry(NamedTuple):
+    """The grid 0..top_1 x ... x 0..top_k worked out once.  Every mapping
+    is read-only, since every module and rep of these tops shares it."""
+
+    points: tuple  # in `_points` order
+    members: frozenset  # the same points
+    parity: MappingProxyType  # x -> its parity component
+    up: tuple  # up[d]: x -> x + e_d, folded back onto the grid
+    up2: tuple  # up2[d]: x -> x + 2 e_d, folded back onto the grid
+    corners: MappingProxyType  # parity c -> the top grid point of parity c
+
+
+@lru_cache(maxsize=_GEOMETRIES)
+def _geometry(tops) -> _Geometry:
+    """The grid of `tops`, built once per tuple of tops.  With every top 1
+    the grid points are the parity components, and up[d] flips the d-th
+    parity."""
+    points = tuple(_points(tops))
+
+    def moved(by):
+        return tuple(MappingProxyType({x: _fold(_step(x, d, by), tops) for x in points})
+                     for d in range(len(tops)))
+
+    corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
+    return _Geometry(points, frozenset(points), MappingProxyType({x: _parity(x) for x in points}),
+                     moved(1), moved(2), MappingProxyType(corners))
+
+
 def _nest(values: dict, tops, prefix=()):
     """Values at the grid points as tuples nested one level per direction."""
     if len(prefix) == len(tops):
@@ -90,12 +124,13 @@ def _require_backed(algebras, dims) -> None:
                          "generator acts")
 
 
-def _check_maps(maps: dict, grid: dict, targets: dict, what: str) -> None:
-    """Maps sit exactly at the points of `targets`, each of the right shape."""
-    if maps.keys() != targets.keys():
+def _check_maps(maps: dict, grid: dict, to, what: str) -> None:
+    """Maps sit exactly at the keys of `to`, the one at x of shape
+    grid[x] x grid[to[x]]."""
+    if maps.keys() != to.keys():
         raise ValueError(f"{what} maps are not keyed by the expected grid points")
-    for x, cols in targets.items():
-        if (maps[x].rows, maps[x].cols) != (grid[x], cols):
+    for x, y in to.items():
+        if (maps[x].rows, maps[x].cols) != (grid[x], grid[y]):
             raise ValueError(f"{what} map at {x} has the wrong shape")
 
 
@@ -123,8 +158,9 @@ class FilteredModule:
     are read-only mappings, so a check's verdict and the deformation can
     be kept on the module.  Flags of None are the full flags, F_c the whole
     component c at each point c of 0..1, built once dims and gammas have
-    passed their checks.  Subclasses fix k, translate their constructor
-    arguments and attributes, and name their `_words`.
+    passed their checks.  The grid's table, `_geometry(tops)`, is kept as
+    `_geometry`.  Subclasses fix k, translate their constructor arguments
+    and attributes, and name their `_words`.
     """
 
     _words: _CheckWords
@@ -136,12 +172,12 @@ class FilteredModule:
             raise ValueError("dimensions must be nonnegative")
         _require_backed(algebras, dims.values())
         gammas = tuple(tuple(MappingProxyType(dict(g)) for g in family) for family in gammas)
+        flip = _geometry((1,) * len(algebras)).up
         for d, (algebra, family) in enumerate(zip(algebras, gammas)):
             if len(family) != algebra.n:
                 raise ValueError("need one gamma family per generator")
-            targets = {c: dims[_parity(_step(c, d, 1))] for c in dims}
             for gamma in family:
-                _check_maps(gamma, dims, targets, "gamma")
+                _check_maps(gamma, dims, flip[d], "gamma")
         if flags is None:
             flags = {c: Subspace.full(n) for c, n in dims.items()}
         self._place(algebras, dims, gammas, flags)
@@ -151,13 +187,16 @@ class FilteredModule:
         and gammas that have passed `__init__`'s checks."""
         flags = MappingProxyType(dict(flags))
         tops = tuple(max((x[d] for x in flags), default=0) for d in range(len(algebras)))
-        if min(tops) < 1 or flags.keys() != set(_points(tops)):
+        # the count first, so no table is built for a grid larger than the flags
+        if min(tops) < 1 or len(flags) != prod(t + 1 for t in tops) \
+                or flags.keys() != _geometry(tops).members:
             raise ValueError("the flag grid must be rectangular and cover 0..1 in each direction")
+        geometry = _geometry(tops)
         for x, flag in flags.items():
-            if flag.ambient != dims[_parity(x)]:
+            if flag.ambient != dims[geometry.parity[x]]:
                 raise ValueError(f"flag {x} lives in the wrong component")
         self.algebras, self.tops, self.dims = algebras, tops, dims
-        self.gammas, self.flags = gammas, flags
+        self.gammas, self.flags, self._geometry = gammas, flags, geometry
         self._verdict: Certificate | None = None
         self._deformed = None  # the graded rep, kept by deformation._deform
         self._iso = None  # the roundtrip's FilteredIso, kept by deformation._roundtrip
@@ -185,6 +224,13 @@ def _module_relations(v: FilteredModule) -> Certificate:
     (n(n + 1)/2 + 1 calls for n generators at k = 1, not n(n + 1)), and
     one that fails gets the scan's first witness, as before.
 
+    No relation is formed on a component c of dimension 0.  Each relation
+    on c is a map out of c, so it has no rows and holds; `__init__` has
+    checked every gamma's shape.  A skipped relation could only pass, so
+    the verdict and the first witness are unchanged.  Each component's
+    neighbour in direction d is read from the table of the grid of the
+    parity components (`_geometry` with every top 1).
+
     Proof that the generating set implies every relation.  Grade the module
     by total parity, M = M_0 + M_1, and take the generators of all the
     families together: their Gram matrix G is block diagonal, so the
@@ -203,13 +249,16 @@ def _module_relations(v: FilteredModule) -> Certificate:
     w, k = v._words, len(v.algebras)
     pairs = [(d, d) for d in range(k)] + list(combinations(range(k), 2))
     twice = [algebra._twice_gram for algebra in v.algebras]
-    up = {c: [_parity(_step(c, d, 1)) for d in range(k)] for c in v.dims}
+    flip = _geometry((1,) * k).up
 
     def holds(c, d, e, i, j):
-        g, h, to = v.gammas[d][i], v.gammas[e][j], up[c]
+        if not v.dims[c]:  # a map out of a zero component has no rows
+            return True
+        g, h = v.gammas[d][i], v.gammas[e][j]
         if d != e:
-            return _vanishes([(1, g[c], h[to[d]]), (1, h[c], g[to[e]])])
-        terms = [(2, g[c], g[to[d]])] if i == j else [(1, g[c], h[to[d]]), (1, h[c], g[to[d]])]
+            return _vanishes([(1, g[c], h[flip[d][c]]), (1, h[c], g[flip[e][c]])])
+        to = flip[d][c]
+        terms = [(2, g[c], g[to])] if i == j else [(1, g[c], h[to]), (1, h[c], g[to])]
         return _vanishes(terms, Matrix.identity(v.dims[c]), twice[d][i][j])
 
     def relations(c):
@@ -240,30 +289,34 @@ def _module_flags(v: FilteredModule) -> Certificate:
     decides without an elimination of the image.
 
     A nesting or compatibility test into a full flag is skipped, with no
-    product built for it.  `FilteredModule.__init__` has checked that each
-    flag lives in the component of its point's parity and that each gamma
-    maps that component to the component of the target's parity; a full
-    flag is that whole component, so it contains the flag below it and
-    every image.  A skipped test could only pass, so the first failure,
-    and its witness, is the one every test would give."""
-    w = v._words
-    for x in sorted(v.flags, key=_parity):
+    product built for it, and so is a compatibility test out of a flag of
+    dimension 0.  `FilteredModule.__init__` has checked that each flag
+    lives in the component of its point's parity and that each gamma maps
+    that component to the component of the target's parity; a full flag
+    is that whole component, so it contains the flag below it and every
+    image, and a zero flag's basis has no rows, so it has no image to
+    contain.  A skipped test could only pass, so the first failure, and
+    its witness, is the one every test would give.  The neighbours of each
+    point are read from the grid's table (`_geometry`)."""
+    w, geometry = v._words, v._geometry
+    for x in sorted(v.flags, key=geometry.parity.__getitem__):
         for d, top in enumerate(v.tops):
             if x[d] <= top - 2:
-                outer = v.flags[_step(x, d, 2)]
+                outer = v.flags[geometry.up2[d][x]]
                 if not outer.is_full and not outer.contains_subspace(v.flags[x]):
                     return failing(w.flags, **w.nesting(d, x))
-    for c in product((0, 1), repeat=len(v.tops)):
-        corner = _corner(c, v.tops)
+    for c, corner in geometry.corners.items():
         if not v.flags[corner].is_full:
             return failing(w.flags, **w.exhaustive(c, corner))
     for x, flag in v.flags.items():
+        if not flag.dim:
+            continue
         for d, family in enumerate(v.gammas):
-            target = v.flags[_fold(_step(x, d, 1), v.tops)]
+            target = v.flags[geometry.up[d][x]]
             if target.is_full:
                 continue
             for i, gamma in enumerate(family):
-                if not target._contains_rows(flag.basis * gamma[_parity(x)]):
+                if not target._contains_rows(flag.basis * gamma[geometry.parity[x]]):
                     return failing(w.flags, **w.compatibility(d, i, x))
     return passing(w.flags)
 

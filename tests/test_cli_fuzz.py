@@ -292,6 +292,47 @@ def test_a_search_no_generator_backs_is_capped(dims, target):
     assert err == "error: dimension 4 exceeds 3, the limit of a search when no generator acts\n"
 
 
+def test_a_search_target_over_the_level_cap_is_refused():
+    # cl1-trivial with a target one level past the cap: refused before the
+    # module is checked or anything is drawn
+    from cliffilt.invariants import MAX_SEARCH_LEVELS
+
+    assert MAX_SEARCH_LEVELS == 32
+    target = ",".join(["1", "1"] + ["0"] * (MAX_SEARCH_LEVELS - 1))
+    text = _documents()["cl1-trivial"]
+    tracemalloc.start()
+    start = time.monotonic()
+    code, out, err = _run(["search", "--target", target], text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert time.monotonic() - start < 1 and peak < 2**20
+    assert code == 2 and out == ""
+    assert err == "error: target of 33 levels exceeds 32, the limit of a search\n"
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_search_targets_near_the_level_cap(data):
+    # cl1-trivial, (1|1), with one even and one odd level of 1 in a target
+    # of two levels under to two over the cap, at a small budget: accepted
+    # up to the cap, refused past it
+    from cliffilt.invariants import MAX_SEARCH_LEVELS
+
+    length = data.draw(st.integers(MAX_SEARCH_LEVELS - 2, MAX_SEARCH_LEVELS + 2), label="length")
+    target = [0] * length
+    target[data.draw(st.sampled_from(range(0, length, 2)), label="even")] = 1
+    target[data.draw(st.sampled_from(range(1, length, 2)), label="odd")] = 1
+    budget = data.draw(st.integers(0, 2), label="budget")
+    argv = ["search", "--target", ",".join(map(str, target)), "--budget", str(budget)]
+    code, out, err = _run(argv, _documents()["cl1-trivial"])
+    event(f"length {length} exit {code}")
+    if length <= MAX_SEARCH_LEVELS:
+        assert code == 0 and json.loads(out)["count"] <= budget, err
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: target of {length} levels exceeds 32, the limit of a search\n"
+
+
 def test_envcheck_over_its_cap_is_refused():
     # n = 13, one past the cap: refused before Cl(13) or its module is built;
     # past 16 generators the algebra's own limit is the one named

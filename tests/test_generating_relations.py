@@ -11,8 +11,14 @@ from functools import lru_cache
 
 import pytest
 
-from cliffilt import deformation, exactalg
-from cliffilt.bifiltration import bideform, biquotient, canonical_biroundtrip_iso, tensor_module
+from cliffilt import deformation, exactalg, supermodule
+from cliffilt.bifiltration import (
+    BifilteredSupermodule,
+    bideform,
+    biquotient,
+    canonical_biroundtrip_iso,
+    tensor_module,
+)
 from cliffilt.deformation import (
     GradedRep,
     canonical_roundtrip_iso,
@@ -30,7 +36,7 @@ from cliffilt.supermodule import (
     irreducible_cl5,
     irreducible_module,
 )
-from oracle import bumped, first, invertible, mixed, rep_failures, text
+from oracle import bumped, first, invertible, mixed, relation_failures, rep_failures, text
 
 
 def _oracle(r):
@@ -193,6 +199,132 @@ def test_generating_scan_counts(monkeypatch):
     monkeypatch.setattr(deformation, "_vanishes", counting)
     assert verify_offshell(r)
     assert len(calls) == n * levels + n * (n - 1) // 2 * 2 == 32
+
+
+@lru_cache(maxsize=None)
+def _zero_component_modules():
+    """Checked modules with zero flags.  k = 1: seeded random filtrations
+    with F_0 = 0 and top degree at least 3; k = 2: tensors with
+    exterior(0), whose odd part is 0, on either side, so that some
+    components are 0 too."""
+    rng = random.Random(2311)
+    modules = []
+    for m in (exterior_module(3), irreducible_module(3), irreducible_cl5()):
+        f = random_filtration(m, rng)
+        while f.level(0).dim or f.top_degree < 3:
+            f = random_filtration(m, rng)
+        modules.append(f)
+    zero = exterior_module(0)
+    for a, b in ((zero, exterior_module(2)), (exterior_module(3), zero),
+                 (zero, irreducible_module(3))):
+        modules.append(tensor_module(random_filtration(a, rng), random_filtration(b, rng)))
+    return tuple(modules)
+
+
+@lru_cache(maxsize=None)
+def _zero_component_reps():
+    """The deformations of `_zero_component_modules`: V_x = 0 at some grid
+    points."""
+    return tuple((deform if len(v.tops) == 1 else bideform)(v) for v in _zero_component_modules())
+
+
+def test_zero_component_reps_have_zero_components():
+    reps = _zero_component_reps()
+    assert [len(r.tops) for r in reps] == [1, 1, 1, 2, 2, 2]
+    for r in reps:
+        assert 0 in r._grid.values() and any(r._grid.values())
+    assert all(r.dims[0] == 0 for r in reps[:3])
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_witnesses_next_to_zero_components(index):
+    # single-entry mutants of every map out of each nonzero point, next to
+    # the zero ones: verdict and witness are the full scan's
+    rng = random.Random(4400 + index)
+    r = _zero_component_reps()[index]
+    assert _oracle(r) and text(_fresh_verdict(r)) == text(_oracle(r))
+    for mutant in _mutants(r, rng):
+        assert text(deformation._verify(mutant)) == text(_oracle(mutant))
+
+
+def test_no_relation_out_of_a_zero_component(monkeypatch):
+    # every relation at x is a sum of products whose first factors are maps
+    # out of V_x; none is formed where V_x = 0, and the full scan forms
+    # every relation at each other point
+    calls = []
+
+    def counting(terms, *rest):
+        calls.append(terms)
+        return _vanishes(terms, *rest)
+
+    monkeypatch.setattr(deformation, "_vanishes", counting)
+    for r in _zero_component_reps():
+        n, k = [a.n for a in r.algebras], len(r.tops)
+        per_point = (k * (k - 1) // 2 + sum(m * (m + 1) // 2 for m in n)
+                     + (n[0] * n[1] if k == 2 else 0) + k * sum(n))
+        for generating in (True, False):
+            calls.clear()
+            assert deformation._relations(r, generating)
+            assert calls and all(a.rows for terms in calls for _, a, _ in terms)
+        assert len(calls) == per_point * sum(1 for dim in r._grid.values() if dim)
+
+
+def _gamma_mutants(v, rng):
+    """v with one seeded entry of one gamma bumped, for each gamma at each
+    component whose map is nonempty."""
+    for d, family in enumerate(v.gammas):
+        for i, gamma in enumerate(family):
+            for c, mat in gamma.items():
+                if not mat.rows or not mat.cols:
+                    continue
+                gammas = [list(f) for f in v.gammas]
+                gammas[d][i] = dict(gamma)
+                gammas[d][i][c] = bumped(mat, rng.randrange(mat.rows), rng.randrange(mat.cols),
+                                         rng.choice((1, -1, Fraction(1, 2))))
+                yield BifilteredSupermodule(*v.algebras, v.dims, *gammas, v.biflags)
+
+
+def test_module_scans_next_to_zero_components(monkeypatch):
+    # the relations form no `_vanishes` call out of a zero component, and
+    # the flag steps no product out of a zero flag, but every other
+    # compatibility product into a flag that is not full; a gamma mutant at
+    # a nonzero component of a tensor keeps the full scan's witness
+    rng = random.Random(2417)
+    calls, products = [], []
+
+    def counting(terms, *rest):
+        calls.append(terms)
+        return _vanishes(terms, *rest)
+
+    def multiplying(a, b):
+        products.append(a)
+        return times(a, b)
+
+    times = Matrix.__mul__
+    monkeypatch.setattr(supermodule, "_vanishes", counting)
+    skipped = 0
+    for v in _zero_component_modules():
+        up = v._geometry.up
+        tests = [(flag.dim, len(family)) for x, flag in v.flags.items()
+                 for d, family in enumerate(v.gammas) if not v.flags[up[d][x]].is_full]
+        skipped += sum(n for dim, n in tests if not dim)
+        calls.clear()
+        products.clear()
+        monkeypatch.setattr(Matrix, "__mul__", multiplying)
+        assert supermodule._module_relations(v) and supermodule._module_flags(v)
+        monkeypatch.setattr(Matrix, "__mul__", times)
+        assert len(products) == sum(n for dim, n in tests if dim)
+        assert all(a.rows for a in products)
+        if len(v.tops) == 2:
+            assert 0 in v.dims.values()
+            mutants = list(_gamma_mutants(v, rng))
+            assert len(mutants) == sum(1 for family in v.gammas for g in family
+                                       for mat in g.values() if mat.rows and mat.cols)
+            for mutant in mutants:
+                want = first(relation_failures(mutant), mutant._words.relations)
+                assert text(supermodule._module_relations(mutant)) == text(want)
+        assert calls and all(a.rows for terms in calls for _, a, _ in terms)
+    assert skipped
 
 
 @pytest.mark.parametrize("k", (1, 2))

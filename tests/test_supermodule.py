@@ -253,6 +253,35 @@ def test_gram_table_is_built_once_per_algebra(monkeypatch):
     assert reads[0] == ((2, 0, 0), (0, 2, 0), (0, 0, 2)) and isinstance(reads[0][0], tuple)
 
 
+def test_grid_table_matches_the_formulas():
+    # every entry of the table of each tops, k = 1 and 2, up to (6, 6):
+    # the package's formulas and the oracle's; one read-only table per
+    # tops, in a cache of finite size
+    from itertools import product
+
+    from cliffilt.supermodule import _corner, _fold, _geometry, _parity, _points, _step
+
+    shapes = [(t,) for t in range(1, 7)] + list(product(range(1, 7), repeat=2))
+    for tops in shapes:
+        table = _geometry(tops)
+        assert table.points == tuple(_points(tops)) == tuple(oracle._points(tops))
+        assert table.members == set(table.points) and _geometry(tops) is table
+        for x in table.points:
+            assert table.parity[x] == _parity(x) == oracle.parity(x)
+            for d in range(len(tops)):
+                assert table.up[d][x] == _fold(_step(x, d, 1), tops) == \
+                    oracle._fold(oracle._up(x, d, 1), tops)
+                assert table.up2[d][x] == _fold(_step(x, d, 2), tops) == \
+                    oracle._fold(oracle._up(x, d, 2), tops)
+        corners = {c: _corner(c, tops) for c in product((0, 1), repeat=len(tops))}
+        assert dict(table.corners) == corners
+        assert corners == {c: oracle._corner(c, tops) for c in corners}
+        with pytest.raises(TypeError):
+            table.up[0][table.points[0]] = table.points[0]
+    maxsize = _geometry.cache_info().maxsize
+    assert isinstance(maxsize, int) and len(shapes) <= maxsize <= 1024
+
+
 def test_random_gram_module_relations():
     rng = random.Random(31)
     # exterior model only covers the identity Gram; conjugating by a random
